@@ -56,10 +56,6 @@ def mat_neg(m: MatrixEntries) -> MatrixEntries:
     return {k: -v for k, v in m.items()}
 
 
-def mat_scale(m: MatrixEntries, c) -> MatrixEntries:
-    return {k: v.scale(c) for k, v in m.items()}
-
-
 def mat_compose(second: MatrixEntries, first: MatrixEntries) -> MatrixEntries:
     """Matrix of (second after first)."""
     by_source: Dict[Label, List[Tuple[Label, NovikovScalar]]] = {}
@@ -339,17 +335,6 @@ class QComplex:
             if nonzero:
                 boundaries.append(col)
         return mine, QuotientSpace(len(mine), cycles, boundaries)
-
-
-def q_mat_compose(second, first):
-    by_source: Dict[Label, List[Tuple[Label, Fraction]]] = {}
-    for (t, s), v in second.items():
-        by_source.setdefault(s, []).append((t, v))
-    out: Dict[Tuple[Label, Label], Fraction] = {}
-    for (mid, s), v1 in first.items():
-        for t, v2 in by_source.get(mid, ()):
-            out[(t, s)] = out.get((t, s), Fraction(0)) + v2 * v1
-    return {k: v for k, v in out.items() if v != 0}
 
 
 def reduce_map_t0(entries: MatrixEntries) -> Dict[Tuple[Label, Label], Fraction]:

@@ -160,10 +160,6 @@ def face_equation_terms(code: str, positive: bool = False):
 # ---------------------------------------------------------------------------
 
 
-def zero_complex() -> ChainComplex:
-    return ChainComplex([], {})
-
-
 class CubeDiagram:
     """An n-cube of complexes; ``positive=True`` marks all-plus signs."""
 

@@ -42,6 +42,10 @@ class InadmissibleSubset(ValueError):
     pass
 
 
+class StageCheckFailed(ValueError):
+    """A materialized finite stage disagrees with the closed form."""
+
+
 Hamiltonian = Dict[Label, Fraction]
 
 
@@ -61,11 +65,13 @@ class MorseModel:
             if (self._parity[t] - self._parity[s]) % 2 != 1:
                 raise ValueError("boundary entry (%r, %r) has even parity"
                                  % (t, s))
+        into: Dict[Label, List[Tuple[Label, int]]] = {}
+        for (t, m), b in self.boundary.items():
+            into.setdefault(m, []).append((t, b))
         square: Dict[Tuple[Label, Label], int] = {}
         for (m, s), a in self.boundary.items():
-            for (t, m2), b in self.boundary.items():
-                if m2 == m:
-                    square[(t, s)] = square.get((t, s), 0) + a * b
+            for t, b in into.get(m, ()):
+                square[(t, s)] = square.get((t, s), 0) + a * b
         if any(square.values()):
             raise ValueError("boundary does not square to zero")
         if self.base_map is not None and \
@@ -220,11 +226,17 @@ def global_sections(model: MorseModel, r0, depth: int
         con = continuation(model, h_n, h_n1)
         for l in model.labels:
             expo = con[(l, l)].val()
-            assert expo == -model.values[l] / (n * (n + 1))
+            if expo != -model.values[l] / (n * (n + 1)):
+                raise StageCheckFailed(
+                    "stage %d weight of cell %r is %s, not -H/(n(n+1))"
+                    % (n, l, expo))
             weights_checked += 1
         code = cf(model, h_n).barcode(max(r0, 3))
         free_ranks.append(code.free_ranks())
-        assert code.free_ranks() == betti
+        if code.free_ranks() != betti:
+            raise StageCheckFailed(
+                "stage %d free ranks %r differ from the Betti numbers %r"
+                % (n, code.free_ranks(), betti))
     ray = scaling_ray(model, r0)
     barcode = completed_homology(ray, r0)
     return GlobalSectionsReport(barcode, betti, weights_checked,
@@ -345,10 +357,14 @@ def relative_sh(model: MorseModel, region: Iterable[Label], r0, depth: int
     checked = 0
     fam = cofinal_family(model, region, depth + 1)
     for i in range(depth):
-        c = cf(model, fam[i])
-        assert c.verify(3).ok
+        report = cf(model, fam[i]).verify(3)
+        if not report.ok:
+            raise StageCheckFailed("stage %d complex does not verify: %s"
+                                   % (i + 1, report.violations))
         for l in model.labels:
-            assert fam[i][l] <= fam[i + 1][l]
+            if fam[i][l] > fam[i + 1][l]:
+                raise NotMonotone("weight decreases at %r from stage %d"
+                                  % (l, i + 1))
         checked += 1
     barcode = completed_homology(ray, r0)
     return RelativeReport(barcode, projected_betti(model, cells),

@@ -78,15 +78,18 @@ class NovikovScalar:
 
     @staticmethod
     def one() -> "NovikovScalar":
-        return NovikovScalar([(Fraction(0), Fraction(1))])
+        return NovikovScalar.monomial(1, 0)
 
     @staticmethod
     def rational(c: RationalLike) -> "NovikovScalar":
-        return NovikovScalar([(Fraction(0), rat(c))])
+        return NovikovScalar.monomial(c, 0)
 
     @staticmethod
     def monomial(c: RationalLike, e: RationalLike) -> "NovikovScalar":
-        return NovikovScalar([(rat(e), rat(c))])
+        c = rat(c)
+        if not c:
+            return _canonical(())
+        return _canonical(((rat(e), c),))
 
     # -- basic queries ---------------------------------------------------
 
@@ -139,7 +142,7 @@ class NovikovScalar:
         return NovikovScalar(self.terms + other.terms, self._joint_mod(other))
 
     def __neg__(self) -> "NovikovScalar":
-        return NovikovScalar([(e, -c) for e, c in self.terms], self.mod)
+        return _canonical(tuple([(e, -c) for e, c in self.terms]), self.mod)
 
     def __sub__(self, other: "NovikovScalar") -> "NovikovScalar":
         return self + (-other)
@@ -153,19 +156,29 @@ class NovikovScalar:
         if other.mod is not None and self.val_floor() is not INFINITY:
             mods.append(other.mod + self.val_floor())
         mod = min(mods) if mods else None
+        if len(self.terms) == 1 and len(other.terms) == 1:
+            (e1, c1), = self.terms
+            (e2, c2), = other.terms
+            e = e1 + e2
+            if mod is not None and e >= mod:
+                return _canonical((), mod)
+            return _canonical(((e, c1 * c2),), mod)
         prods = [(e1 + e2, c1 * c2)
                  for e1, c1 in self.terms for e2, c2 in other.terms]
         return NovikovScalar(prods, mod)
 
     def scale(self, c: RationalLike) -> "NovikovScalar":
         c = rat(c)
-        return NovikovScalar([(e, c * cc) for e, cc in self.terms], self.mod)
+        if not c:
+            return NovikovScalar((), self.mod)
+        return _canonical(tuple([(e, c * cc) for e, cc in self.terms]),
+                          self.mod)
 
     def shift(self, e: RationalLike) -> "NovikovScalar":
         """Multiply by the monomial T^e."""
         e = rat(e)
         mod = None if self.mod is None else self.mod + e
-        return NovikovScalar([(ee + e, c) for ee, c in self.terms], mod)
+        return _canonical(tuple([(ee + e, c) for ee, c in self.terms]), mod)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NovikovScalar):
@@ -236,6 +249,24 @@ class NovikovScalar:
             unit = unit.truncate(w)
         out_mod = None if w is INFINITY else w - v
         return NovikovScalar([(e - v, cc / c) for e, cc in unit.terms], out_mod)
+
+
+_set_terms = NovikovScalar.terms.__set__
+_set_mod = NovikovScalar.mod.__set__
+
+
+def _canonical(terms: Tuple[Tuple[Fraction, Fraction], ...],
+               mod: Optional[Fraction] = None) -> NovikovScalar:
+    """Wrap a term tuple that is already canonical, skipping the merge.
+
+    The caller guarantees what ``NovikovScalar.__init__`` would establish:
+    Fraction exponents strictly increasing and all below ``mod``, nonzero
+    Fraction coefficients, and ``mod`` either None or a Fraction.
+    """
+    x = NovikovScalar.__new__(NovikovScalar)
+    _set_terms(x, terms)
+    _set_mod(x, mod)
+    return x
 
 
 ZERO = NovikovScalar.zero()

@@ -5,7 +5,10 @@ finite prefix plus a tail descriptor.  Only tails whose behaviour modulo a
 declared precision is decidable are supported: ``finite`` (everything
 later vanishes), ``stationary`` (one map-cube repeats forever and its
 mapping entries all have valuation >= gap > 0), and ``model`` (a
-closed-form family supplied by the Morse model).
+closed-form family supplied by the Morse model).  A model tail's
+``stage_fn`` must be a pure function of the stage index: each ray builds
+a stage once, keeps it for its own lifetime, and derived rays (cones,
+vertex rays) read their stages from the ray they were derived from.
 
 The telescope of a ray is the homotopy-colimit cube: per vertex the sum of
 a shifted and an unshifted copy of every slice, with the differential
@@ -17,12 +20,13 @@ quasi-isomorphic to the last materialized slice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .chain import (Barcode, ChainComplex, Generator, MatrixEntries,
-                    cone_of_map, is_chain_map, mat_clean, mat_compose,
-                    mat_equal, mat_identity, reduce_map_t0)
+                    NotChainMap, cone_of_map, is_chain_map, mat_clean,
+                    mat_compose, mat_equal, mat_identity, reduce_map_t0)
 from .cubes import (CubeDiagram, cone, compose_many, face_codes, glueable,
                     total_complex, verify_cube, vertex_codes)
 from .linalg import rank
@@ -65,7 +69,9 @@ class TailSpec:
     kind "stationary": ``cube`` repeats forever; its mapping faces have
     valuation >= ``gap`` > 0, so stage k contributes only above T^(k*gap).
     kind "model": ``stage_fn(k)`` yields the k-th map-cube; ``closed_form``,
-    when present, evaluates the completed homology directly.
+    when present, evaluates the completed homology directly.  ``stage_fn``
+    must be a pure function of k: a :class:`Ray` calls it at most once per
+    stage and serves the cached cube afterwards.
     """
     kind: str
     cube: Optional[CubeDiagram] = None
@@ -105,6 +111,7 @@ class Ray:
         self.n = n
         self.prefix = list(prefix)
         self.tail = tail
+        self._stages: Dict[int, CubeDiagram] = {}
         if check:
             for k, cube in enumerate(self.prefix):
                 if cube.n != n:
@@ -122,7 +129,10 @@ class Ray:
                                      "itself")
 
     def map_cube(self, k: int) -> CubeDiagram:
-        """The k-th map-cube D_k (1-based), synthesizing the tail."""
+        """The k-th map-cube D_k (1-based), synthesizing the tail.
+
+        A model tail's stages are built on first use and kept on the ray.
+        """
         if k <= 0:
             raise IndexError("stages are 1-based")
         if k <= len(self.prefix):
@@ -135,7 +145,10 @@ class Ray:
         if self.tail.kind == "stationary":
             return self.tail.cube
         if self.tail.kind == "model":
-            return self.tail.stage_fn(k)
+            cube = self._stages.get(k)
+            if cube is None:
+                cube = self._stages[k] = self.tail.stage_fn(k)
+            return cube
         raise UnsupportedTail(self.tail.kind)
 
     def slice(self, k: int) -> CubeDiagram:
@@ -188,9 +201,9 @@ def telescope(ray: Ray, depth: int) -> CubeDiagram:
     """
     n = ray.n
     m = n - 1
+    stages = [ray.map_cube(k) for k in range(1, depth + 1)]
     cones = [cone(map_from_zero(ray.slice(1)), n)]
-    for k in range(1, depth + 1):
-        cones.append(cone(ray.map_cube(k), n))
+    cones.extend(cone(stage, n) for stage in stages)
 
     def relab(k, l):
         bit, base = l
@@ -208,8 +221,9 @@ def telescope(ray: Ray, depth: int) -> CubeDiagram:
         if code.count("-") == 0:
             w = code
             copy_sign = NovikovScalar.rational(-1 if w.count("0") % 2 else 1)
-            for k in range(1, depth + 1):
-                for l in ray.slice(k).vertex(w).labels:
+            for k, stage in enumerate(stages, 1):
+                # slice k's vertex w is vertex w0 of map-cube k
+                for l in stage.vertex(w + "0").labels:
                     entries[(("tel", k, "u", l), ("tel", k, "s", l))] = \
                         copy_sign
         faces[code] = entries
@@ -239,8 +253,7 @@ def cone_ray(ray: Ray, d: int) -> Ray:
     if tail.kind == "stationary":
         tail = TailSpec.stationary(cone(tail.cube, d))
     elif tail.kind == "model":
-        fn = tail.stage_fn
-        tail = TailSpec.model(lambda k: cone(fn(k), d),
+        tail = TailSpec.model(lambda k: cone(ray.map_cube(k), d),
                               closed_form=tail.closed_form, meta=tail.meta)
     return Ray(ray.n - 1, prefix, tail, check=False)
 
@@ -277,7 +290,9 @@ def colimit_t0(ray: Ray, depth: int):
         sign = -1 if (depth + 1 - k) % 2 else 1
         for (t, s), v in comp.items():
             comparison[(t, ("tel", k, "u", s))] = v.scale(sign)
-    assert is_chain_map(comparison, tel, last)
+    if not is_chain_map(comparison, tel, last):
+        raise NotChainMap("colimit comparison does not commute with the "
+                          "differentials")
     cone_cx = cone_of_map(tel, last, comparison)
     qiso = cone_cx.reduce_t0().is_acyclic()
     return last.reduce_t0(), comparison, qiso
@@ -342,7 +357,9 @@ def compression(ray: Ray, indices: List[int]) -> CompressionResult:
         for (t, s), v in comp.items():
             tel_map[(("tel", m, "u", t), ("tel", k, "u", s))] = v.scale(sign)
     tel_map = mat_clean(tel_map)
-    assert is_chain_map(tel_map, src, dst)
+    if not is_chain_map(tel_map, src, dst):
+        raise NotChainMap("compression telescope map does not commute "
+                          "with the differentials")
     cone_cx = cone_of_map(src, dst, tel_map)
     qiso = cone_cx.reduce_t0().is_acyclic()
     qiso = qiso and (src.reduce_t0().homology_ranks()
@@ -395,26 +412,45 @@ def completed_homology(ray: Ray, r0, work=None) -> Barcode:
 # acyclicity of telescoped rays
 
 
+class TailVerdict(Enum):
+    """How far a slice certificate reaches beyond the checked slices.
+
+    Each value is the certificate's ``tail_note`` text.
+    """
+    FINITE = "tail slices vanish"
+    STATIONARY_ACYCLIC = "stationary tail slice acyclic"
+    MODEL_STABLE = "model tail T=0 structure stable at depth"
+    MODEL_VARIES = ("model tail varies at depth; certificate covers the "
+                    "materialized stages only")
+
+
 @dataclass(frozen=True)
 class SliceCertificate:
     checked_slices: int
     betti: Tuple[Tuple[int, int], ...]
-    tail_note: str
+    tail: TailVerdict
     telescope_acyclic: bool
+
+    @property
+    def tail_note(self) -> str:
+        return self.tail.value
 
     @property
     def ok(self) -> bool:
         return all(b == (0, 0) for b in self.betti) and self.telescope_acyclic
 
 
-def acyclic_slices_implies_acyclic(ray: Ray, work, depth: int
+def acyclic_slices_implies_acyclic(ray: Ray, work, depth: int, *,
+                                   tel: Optional[ChainComplex] = None
                                    ) -> SliceCertificate:
     """Certify telescope acyclicity from per-slice acyclicity.
 
     Each materialized slice's iterated cone must be acyclic at T = 0; for
     stationary and stage-independent model tails this extends to every
     stage, and then the telescope (and its completion) is acyclic.  A
-    direct check of the materialized telescope is included.
+    direct check of the materialized telescope is included; ``tel`` is
+    that telescope, ``telescope_complex(ray, depth)``, when the caller
+    has already built it.
     """
     bettis = []
     for k in range(1, depth + 2):
@@ -426,23 +462,22 @@ def acyclic_slices_implies_acyclic(ray: Ray, work, depth: int
                                   % (k, bettis[-1]))
     tail = ray.tail
     if tail.kind == "finite":
-        note = "tail slices vanish"
+        verdict = TailVerdict.FINITE
     elif tail.kind == "stationary":
-        cx = total_complex(tail.cube.subcube(ray.n, "0"))
-        ok, _ = cx.is_acyclic(work)
+        ok, _ = total_complex(tail.cube.subcube(ray.n, "0")).is_acyclic(work)
         if not ok:
             raise SliceNotAcyclic("stationary tail slice is not acyclic")
-        note = "stationary tail slice acyclic"
+        verdict = TailVerdict.STATIONARY_ACYCLIC
     else:
-        a = reduce_map_t0(total_complex(ray.slice(depth + 1)).differential)
+        # cx is still the total complex of slice depth + 1
+        a = reduce_map_t0(cx.differential)
         b = reduce_map_t0(total_complex(ray.slice(depth + 2)).differential)
-        if a == b:
-            note = "model tail T=0 structure stable at depth"
-        else:
-            note = "model tail varies at depth; certificate covers the " \
-                   "materialized stages only"
-    tel_ok, _ = telescope_complex(ray, depth).is_acyclic(work)
-    return SliceCertificate(depth + 1, tuple(bettis), note, tel_ok)
+        verdict = TailVerdict.MODEL_STABLE if a == b \
+            else TailVerdict.MODEL_VARIES
+    if tel is None:
+        tel = telescope_complex(ray, depth)
+    tel_ok, _ = tel.is_acyclic(work)
+    return SliceCertificate(depth + 1, tuple(bettis), verdict, tel_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -601,10 +636,8 @@ def vertex_ray(ray: Ray, w: str) -> Ray:
             1, {"0": big.vertex(w + "0"), "1": big.vertex(w + "1")},
             {"-": big.face(w + "-")}))
     elif tail.kind == "model":
-        fn = tail.stage_fn
-
-        def stage(k, fn=fn, w=w):
-            big = fn(k)
+        def stage(k):
+            big = ray.map_cube(k)
             return CubeDiagram(
                 1, {"0": big.vertex(w + "0"), "1": big.vertex(w + "1")},
                 {"-": big.face(w + "-")})
@@ -663,8 +696,8 @@ def descent_complex(ray: Ray, work, depth: int) -> DescentReport:
             expected[(t, s)] = v
         if not mat_equal(block, expected):
             d0_ok = False
-    cert = acyclic_slices_implies_acyclic(ray, work, depth)
-    acyclic = cert.ok and "varies" not in cert.tail_note
+    cert = acyclic_slices_implies_acyclic(ray, work, depth, tel=cx)
+    acyclic = cert.ok and cert.tail is not TailVerdict.MODEL_VARIES
     return DescentReport(
         cx, {k: len(v) for k, v in sorted(parts.items())}, d0_ok, cert,
         acyclic)

@@ -1,22 +1,25 @@
 """The cell model: weighted complexes, completed limits, min/max, descent."""
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from novcube import morse
 from novcube.chain import Generator, mat_compose, mat_equal, is_chain_map
 from novcube.cubes import verify_cube
 from novcube.linalg import nullspace, rank
 from novcube.morse import (Inadmissible, InadmissibleSubset, MorseModel,
-                           NotMonotone, NotNegative, bundled_model, cf,
+                           NotMonotone, NotNegative, StageCheckFailed,
+                           bundled_model, cf,
                            cofinal_family, continuation, empty_set,
                            global_sections, involutive_descent_instance,
                            minmax_square, model_from_json, model_to_json,
                            projected_betti, region_hamiltonian, relative_sh,
                            resolve_region)
 from novcube.novikov import NovikovScalar, parse_scalar
-from novcube.rays import mayer_vietoris
+from novcube.rays import Ray, TailSpec, mayer_vietoris
 
 WORK = 3
 
@@ -348,6 +351,42 @@ def test_involutive_descent_empty_second_region():
     assert rep.acyclic
 
 
+ARCS6 = [{"v0", "e0", "v1"}, {"v1", "e1", "v2"}, {"v2", "e2", "v0"}]
+REST6 = {"v1", "e1", "v2", "e2", "v0"}
+
+
+@pytest.mark.parametrize("name, regions", [
+    ("circle6", [ARCS6[0], REST6]),
+    ("circle6", ARCS6),
+    ("circle12", [ARCS6[0], REST6]),
+])
+def test_involutive_descent_builds_each_stage_once(monkeypatch, name,
+                                                   regions):
+    counters = []
+    build = morse.descent_ray
+
+    def counting_descent_ray(model, regs):
+        ray = build(model, regs)
+        stage_fn = ray.tail.stage_fn
+        calls = Counter()
+        counters.append(calls)
+
+        def stage(k):
+            calls[k] += 1
+            return stage_fn(k)
+
+        return Ray(ray.n, ray.prefix, TailSpec.model(stage), check=False)
+
+    monkeypatch.setattr(morse, "descent_ray", counting_descent_ray)
+    rep = involutive_descent_instance(bundled_model(name), regions, F(1),
+                                      depth=2)
+    assert rep.acyclic
+    # the triple ray plus one ray per pair
+    assert len(counters) == (4 if len(regions) == 3 else 1)
+    for calls in counters:
+        assert calls and set(calls.values()) == {1}
+
+
 def test_involutive_requires_base():
     m = MorseModel([Generator("x", 0)], {}, {"x": F(-1)})
     with pytest.raises(InadmissibleSubset):
@@ -379,3 +418,40 @@ def test_model_json_roundtrip():
         assert m2.values == m.values
         assert m2.base_map == m.base_map
         assert m2.cells == m.cells
+
+
+def test_boundary_must_square_to_zero():
+    cells = [Generator("a", 0), Generator("b", 1), Generator("c", 0)]
+    values = {"a": 0, "b": 0, "c": 0}
+    MorseModel(cells, {("b", "a"): 1, ("c", "b"): 0}, values)
+    with pytest.raises(ValueError, match="^boundary does not square to "
+                                         "zero$"):
+        MorseModel(cells, {("b", "a"): 1, ("c", "b"): 1}, values)
+    # two paths that cancel are accepted, two that add up are not
+    cells.append(Generator("b2", 1))
+    values["b2"] = 0
+    MorseModel(cells, {("b", "a"): 1, ("b2", "a"): 1, ("c", "b"): 1,
+                       ("c", "b2"): -1}, values)
+    with pytest.raises(ValueError, match="square to zero"):
+        MorseModel(cells, {("b", "a"): 1, ("b2", "a"): 1, ("c", "b"): 1,
+                           ("c", "b2"): 1}, values)
+
+
+def test_stage_cross_checks_raise_typed_errors(monkeypatch):
+    m = bundled_model("circle6")
+
+    def decreasing_family(model, region, stages):
+        fam = cofinal_family(model, region, stages)
+        return fam[::-1]
+
+    monkeypatch.setattr(morse, "cofinal_family", decreasing_family)
+    with pytest.raises(NotMonotone):
+        relative_sh(m, ["v0", "e0", "v1"], F(1), 2)
+    monkeypatch.undo()
+
+    def squared(model, h, h2):
+        return {k: v * v for k, v in continuation(model, h, h2).items()}
+
+    monkeypatch.setattr(morse, "continuation", squared)
+    with pytest.raises(StageCheckFailed, match="weight"):
+        global_sections(bundled_model("t2"), F(1), 2)

@@ -156,3 +156,81 @@ def test_invert_is_inverse(x):
     assert one_part == 1
     rest = prod - NovikovScalar.one()
     assert not rest.truncate(prod.mod if prod.mod is not None else work).terms
+
+
+# -- canonical-term fast paths agree with the general constructor -----------
+
+exponents_any = st.fractions(max_denominator=4, min_value=-2, max_value=3)
+precisions = st.one_of(st.none(), st.fractions(max_denominator=4,
+                                               min_value=-1, max_value=4))
+
+
+@st.composite
+def stored_scalars(draw, max_terms=3):
+    """Scalars of any valuation, optionally known modulo a precision."""
+    terms = [(draw(exponents_any), draw(rationals))
+             for _ in range(draw(st.integers(0, max_terms)))]
+    return NovikovScalar(terms, draw(precisions))
+
+
+def general(terms, mod=None):
+    return NovikovScalar(list(terms), mod)
+
+
+def same(x, y):
+    """Equal terms and precision, with Fraction exponents and coefficients."""
+    assert x == y
+    assert all(type(e) is F and type(c) is F for e, c in x.terms)
+    assert x.mod is None or type(x.mod) is F
+
+
+@settings(max_examples=100)
+@given(rationals, exponents_any)
+def test_monomial_fast_path(c, e):
+    same(NovikovScalar.monomial(c, e), general([(e, c)]))
+    same(NovikovScalar.monomial(0, e), general([]))
+    assert NovikovScalar.monomial(0, e).terms == ()
+    same(NovikovScalar.monomial(int(c), int(e)), general([(int(e), int(c))]))
+
+
+@settings(max_examples=100)
+@given(stored_scalars(), rationals, exponents_any)
+def test_neg_scale_shift_fast_paths(x, c, e):
+    same(-x, general([(ee, -cc) for ee, cc in x.terms], x.mod))
+    same(x.scale(c), general([(ee, c * cc) for ee, cc in x.terms], x.mod))
+    same(x.scale(0), general([], x.mod))
+    same(x.shift(e), general([(ee + e, cc) for ee, cc in x.terms],
+                             None if x.mod is None else x.mod + e))
+
+
+@settings(max_examples=100)
+@given(stored_scalars(max_terms=1), stored_scalars(max_terms=1))
+def test_single_term_product_fast_path(x, y):
+    mods = []
+    if x.mod is not None and y.val_floor() is not INFINITY:
+        mods.append(x.mod + y.val_floor())
+    if y.mod is not None and x.val_floor() is not INFINITY:
+        mods.append(y.mod + x.val_floor())
+    mod = min(mods) if mods else None
+    prods = [(e1 + e2, c1 * c2) for e1, c1 in x.terms for e2, c2 in y.terms]
+    same(x * y, general(prods, mod))
+
+
+def test_fast_paths_at_the_edges():
+    # a term whose exponent equals the precision is not stored
+    x = NovikovScalar([(F(2), F(3))], F(2))
+    assert x.terms == ()
+    y = NovikovScalar.monomial(5, F(-1))
+    same(x * y, general([], F(1)))
+    same(-x, general([], F(2)))
+    same(x.shift(-1), general([], F(1)))
+    # single terms below their precisions: the product keeps its term and
+    # takes the joint precision min(3 + 2, 4 + 1)
+    a = NovikovScalar([(F(1), F(2))], F(3))
+    b = NovikovScalar([(F(2), F(-1, 2))], F(4))
+    same(a * b, general([(F(3), F(-1))], F(5)))
+    # negative exponents and a zero factor
+    u = NovikovScalar.monomial(F(1, 2), F(-3, 2))
+    same(u * u, general([(F(-3), F(1, 4))]))
+    same(u * NovikovScalar.monomial(0, 1), general([]))
+    same(u.scale(0), general([]))

@@ -1,6 +1,7 @@
 """Rays, telescopes, completed homology, Mayer-Vietoris, descent."""
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -9,13 +10,15 @@ from helpers import (random_acyclic_t0_complex, random_complex, random_cube,
 
 from novcube.chain import (ChainComplex, Generator, mat_equal,
                            mat_identity, mat_neg)
-from novcube.cubes import CubeDiagram, id_cube, verify_cube
+from novcube.cubes import (CubeDiagram, cone, id_cube, verify_cube,
+                           vertex_codes)
 from novcube.novikov import NovikovScalar
 from novcube.rays import (NotAcyclic, Ray, SliceNotAcyclic, TailSpec,
-                          acyclic_slices_implies_acyclic, colimit_t0,
-                          completed_homology, compression, degree_parts,
-                          descent_complex, glue_check, mayer_vietoris,
-                          telescope, telescope_complex)
+                          TailVerdict, acyclic_slices_implies_acyclic,
+                          colimit_t0, completed_homology, compression,
+                          cone_ray, degree_parts, descent_complex, glue_check,
+                          mayer_vietoris, telescope, telescope_complex,
+                          vertex_ray)
 
 WORK = 10
 
@@ -310,3 +313,97 @@ def test_degree_parts_grading():
     for k, entries in parts.items():
         for (t, s) in entries:
             assert t[0].count("1") - s[0].count("1") == k
+
+
+# -- model tails: the per-ray stage cache and the tail verdict ---------------
+
+
+def counting_model_ray(n, length, seed):
+    """A model-tail ray over random glued cubes, counting stage_fn calls."""
+    cubes = random_ray_cubes(random.Random(seed), n, length)
+    calls = Counter()
+
+    def stage(k):
+        calls[k] += 1
+        return cubes[k - 1]
+
+    return Ray(n, [], TailSpec.model(stage), check=False), calls
+
+
+def test_map_cube_is_built_once_per_ray():
+    ray, calls = counting_model_ray(2, 3, 91)
+    assert ray.map_cube(2) is ray.map_cube(2)
+    telescope(ray, 2)
+    telescope_complex(ray, 2)
+    assert calls == Counter({1: 1, 2: 1})
+    # a second ray over the same stage function keeps its own cache
+    other = Ray(2, [], ray.tail, check=False)
+    other.map_cube(1)
+    assert calls[1] == 2
+
+
+def test_derived_rays_read_the_parent_cache():
+    ray, calls = counting_model_ray(3, 3, 92)
+    stages = [ray.map_cube(k) for k in (1, 2, 3)]
+    for w in vertex_codes(2):
+        sub = vertex_ray(ray, w)
+        telescope_complex(sub, 2)
+        assert sub.map_cube(1).vertex("1") is stages[0].vertex(w + "1")
+    coned = cone_ray(ray, 1)
+    telescope_complex(coned, 2)
+    assert coned.map_cube(2) == cone(stages[1], 1)
+    assert calls == Counter({1: 1, 2: 1, 3: 1})
+
+
+def pair_complex(c):
+    return ChainComplex([Generator("x", 1), Generator("y", 0)],
+                        {("y", "x"): NovikovScalar.rational(c)})
+
+
+def identity_square_model_ray(coeff) -> Ray:
+    """2-ray whose slices are identity maps on x -> y with d = coeff(k),
+    joined by the diagonal chain maps (coeff(k), coeff(k + 1))."""
+    def stage(k):
+        src, dst = pair_complex(coeff(k)), pair_complex(coeff(k + 1))
+        f = {("x", "x"): NovikovScalar.rational(coeff(k)),
+             ("y", "y"): NovikovScalar.rational(coeff(k + 1))}
+        return CubeDiagram(2, {"00": src, "10": src, "01": dst, "11": dst},
+                           {"-0": mat_identity(src.labels),
+                            "-1": mat_identity(dst.labels),
+                            "0-": f, "1-": dict(f)})
+
+    return Ray(2, [], TailSpec.model(stage), check=False)
+
+
+def test_descent_verdict_follows_the_tail_verdict():
+    stable = identity_square_model_ray(lambda k: 1)
+    rep = descent_complex(stable, WORK, 2)
+    assert rep.certificate.tail is TailVerdict.MODEL_STABLE
+    assert rep.certificate.tail_note == \
+        "model tail T=0 structure stable at depth"
+    assert rep.acyclic
+    # the certificate handed the descent telescope equals a fresh one
+    assert rep.certificate == acyclic_slices_implies_acyclic(
+        identity_square_model_ray(lambda k: 1), WORK, 2)
+    varies = identity_square_model_ray(lambda k: k)
+    rep = descent_complex(varies, WORK, 2)
+    assert rep.certificate.ok
+    assert rep.certificate.tail is TailVerdict.MODEL_VARIES
+    assert rep.certificate.tail_note == (
+        "model tail varies at depth; certificate covers the materialized "
+        "stages only")
+    assert not rep.acyclic
+
+
+def test_finite_and_stationary_tail_verdicts():
+    rng = random.Random(93)
+    base = random_acyclic_t0_complex(rng, max_pairs=2)
+    cert = acyclic_slices_implies_acyclic(identity_ray(base, 3), WORK, 2)
+    assert cert.tail is TailVerdict.FINITE
+    assert cert.tail_note == "tail slices vanish"
+    cube = one_cube(base, base, {k: v.shift(1) for k, v in
+                                 mat_identity(base.labels).items()})
+    cert = acyclic_slices_implies_acyclic(
+        Ray(1, [], TailSpec.stationary(cube)), WORK, 2)
+    assert cert.tail is TailVerdict.STATIONARY_ACYCLIC
+    assert cert.tail_note == "stationary tail slice acyclic"
