@@ -3,7 +3,8 @@
 Reports are deterministic for fixed inputs and flags: JSON output uses
 canonically ordered keys and exact scalar strings, and every report
 carries a provenance block with the input hashes and the quotient
-parameters the result is valid under.  Exit codes: 0 ok, 1 violation,
+parameters the result is valid under.  Exit codes: 0 ok, 1 violation
+or domain failure (:data:`DOMAIN_ERRORS`, reported with the input file),
 2 usage or parse error, 3 internal error.
 """
 
@@ -12,21 +13,29 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .chain import Barcode
-from .cubes import (CubeDiagram, cone, compose, cube_from_json, cube_to_json,
-                    verify_cube)
-from .morse import (bundled_model, empty_set, global_sections,
+from .chain import Barcode, NotChainMap
+from .cubes import (CubeDiagram, NotConiform, NotGluable, cone, compose,
+                    cube_from_json, cube_to_json, verify_cube)
+from .morse import (Inadmissible, InadmissibleSubset, StageCheckFailed,
+                    bundled_model, empty_set, global_sections,
                     involutive_descent_instance, minmax_square,
                     model_from_json, relative_sh)
-from .novikov import rat
-from .rays import (Ray, TailSpec, completed_homology, descent_complex,
-                   mayer_vietoris, telescope)
+from .novikov import NegativeValuation, PrecisionExhausted, rat
+from .rays import (NotAcyclic, Ray, SliceNotAcyclic, TailSpec,
+                   completed_homology, descent_complex, mayer_vietoris,
+                   telescope)
 
 FORMAT_VERSION = 1
+
+# failures of the mathematics on a well-formed input: exit 1, not 3
+DOMAIN_ERRORS = (NotAcyclic, SliceNotAcyclic, Inadmissible,
+                 InadmissibleSubset, NotChainMap, NotConiform, NotGluable,
+                 StageCheckFailed, PrecisionExhausted, NegativeValuation)
 
 
 class InputError(ValueError):
@@ -385,10 +394,28 @@ def _run_one(task):
     except InputError as exc:
         return {"command": args.command, "status": "error",
                 "error": str(exc)}, 2
+    except DOMAIN_ERRORS as exc:
+        inputs = payload if isinstance(payload, str) else ", ".join(payload)
+        return {"command": args.command, "status": "error",
+                "error": "%s: %s: %s" % (inputs, type(exc).__name__, exc)}, 1
     except Exception as exc:  # noqa: BLE001 - surfaced with module names
         return {"command": args.command, "status": "error",
                 "error": "%s: %s" % (type(exc).__name__, exc)}, 3
     return report, code
+
+
+def pool_size(jobs: int, tasks: int) -> int:
+    """Worker processes for a batch: at most one per task and per CPU."""
+    return max(1, min(jobs, tasks, os.cpu_count() or 1))
+
+
+def _positive(text: Optional[str]) -> bool:
+    """False only for a rational <= 0; a malformed one is left to the
+    handlers, which report it as a parse error."""
+    try:
+        return text is None or rat(text) > 0
+    except (ValueError, ZeroDivisionError):
+        return True
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -478,14 +505,19 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.exit(2, "error: --depth is mandatory for completed "
                            "computations\n")
         args.depth = 2
+    if not _positive(getattr(args, "precision", None)):
+        parser.exit(2, "error: --precision must be positive\n")
+    if getattr(args, "depth", None) is not None and args.depth < 1:
+        parser.exit(2, "error: --depth must be at least 1\n")
     if args.command == "compose":
         tasks = [(args, args.handler, tuple(args.files))]
     else:
         tasks = [(args, args.handler, f) for f in args.files]
 
-    if args.jobs > 1 and len(tasks) > 1:
+    workers = pool_size(args.jobs, len(tasks))
+    if workers > 1:
         import multiprocessing
-        with multiprocessing.Pool(args.jobs) as pool:
+        with multiprocessing.Pool(workers) as pool:
             results = pool.map(_run_one, tasks)
     else:
         results = [_run_one(t) for t in tasks]

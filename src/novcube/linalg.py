@@ -1,8 +1,12 @@
 """Exact linear algebra over the rationals.
 
-Dense routines (RREF, solve, nullspace) for the small systems that come up
-in homology bookkeeping, plus a sparse rank with Markowitz-style pivoting
-for the large boundary matrices produced by telescopes.
+One sparse elimination, :class:`Elimination`, factors a matrix once into
+its reduced row echelon form and then answers rank, pivot columns, the
+RREF, a nullspace basis and any number of ``solve`` calls without
+eliminating again; ``rref``, ``rank``, ``nullspace``, ``solve``,
+``column_space_selector`` and :class:`QuotientSpace` are views of it.
+``sparse_rank`` is a rank with Markowitz-style pivoting for the large
+label-keyed boundary matrices produced by telescopes.
 """
 
 from __future__ import annotations
@@ -13,108 +17,126 @@ from typing import Dict, List, Optional, Sequence, Tuple
 Matrix = List[List[Fraction]]
 
 
-def zeros(m: int, n: int) -> Matrix:
-    return [[Fraction(0)] * n for _ in range(m)]
+class Elimination:
+    """The RREF of one rational matrix, factored once, solved many times.
+
+    Rows are sparse ``{column: value}`` dicts, inserted sparsest first and
+    reduced against the rows holding their leading column, then cleared
+    above every pivot.  Each reduced row keeps the combination of input
+    rows equal to it, so ``solve`` applies the same row operations to a
+    right-hand side; the rows that reduce to zero give the consistency
+    conditions.  The RREF is unique, so no result depends on the order.
+    """
+
+    def __init__(self, mat: Matrix):
+        self.shape = (len(mat), len(mat[0]) if mat else 0)
+        lead: Dict[int, Tuple[dict, dict]] = {}
+        self._null: List[dict] = []
+        pairs = [({c: v for c, v in enumerate(row) if v}, {i: Fraction(1)})
+                 for i, row in enumerate(mat)]
+        for row, comb in sorted(pairs, key=lambda p: len(p[0])):
+            while row:
+                c = min(row)
+                if c not in lead:
+                    inv = Fraction(1) / row[c]
+                    lead[c] = tuple({k: v * inv for k, v in d.items()}
+                                    for d in (row, comb))
+                    break
+                _subtract((row, comb), row[c], lead[c])
+            else:
+                self._null.append(comb)
+        self.pivots = sorted(lead)
+        for c in reversed(self.pivots):
+            for j in [j for j in lead[c][0] if j != c and j in lead]:
+                _subtract(lead[c], lead[c][0][j], lead[j])
+        self.rows = [lead[c][0] for c in self.pivots]
+        self._combs = [lead[c][1] for c in self.pivots]
+
+    def solve(self, rhs: Sequence[Fraction]) -> Optional[List[Fraction]]:
+        """The solution of mat @ x = rhs whose free variables are 0, or
+        None if the system is inconsistent."""
+        if any(_dot(comb, rhs) for comb in self._null):
+            return None
+        x = [Fraction(0)] * self.shape[1]
+        for pc, comb in zip(self.pivots, self._combs):
+            x[pc] = _dot(comb, rhs)
+        return x
+
+
+def _subtract(dst, f: Fraction, src) -> None:
+    """dst -= f * src on (row, combination) pairs of sparse dicts."""
+    for d, s in zip(dst, src):
+        for k, v in s.items():
+            nv = d.get(k, 0) - f * v
+            if nv:
+                d[k] = nv
+            else:
+                del d[k]
+
+
+def _dot(comb: dict, rhs: Sequence[Fraction]) -> Fraction:
+    return sum((v * rhs[i] for i, v in comb.items() if rhs[i]), Fraction(0))
 
 
 def rref(mat: Matrix) -> Tuple[Matrix, List[int]]:
     """Reduced row echelon form. Returns (rref_matrix, pivot_columns)."""
-    a = [row[:] for row in mat]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    pivots: List[int] = []
-    r = 0
-    for c in range(n):
-        pr = None
-        for i in range(r, m):
-            if a[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = Fraction(1) / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return a, pivots
+    elim = Elimination(mat)
+    (m, n), zero = elim.shape, Fraction(0)
+    red = [[row.get(j, zero) for j in range(n)] for row in elim.rows]
+    return red + [[zero] * n for _ in range(m - len(red))], elim.pivots
 
 
 def rank(mat: Matrix) -> int:
-    return len(rref(mat)[1])
+    return len(Elimination(mat).pivots)
 
 
 def nullspace(mat: Matrix) -> List[List[Fraction]]:
     """Basis of the right nullspace, as a list of column vectors."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    if m == 0:
-        return [[Fraction(1) if i == j else Fraction(0) for i in range(n)]
-                for j in range(n)]
-    red, pivots = rref(mat)
-    free = [c for c in range(n) if c not in pivots]
+    elim = Elimination(mat)
+    n, zero = elim.shape[1], Fraction(0)
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
+    for fc in sorted(set(range(n)) - set(elim.pivots)):
+        v = [zero] * n
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+        for pc, row in zip(elim.pivots, elim.rows):
+            v[pc] = -row.get(fc, zero)
         basis.append(v)
     return basis
 
 
 def solve(mat: Matrix, rhs: Sequence[Fraction]) -> Optional[List[Fraction]]:
     """One solution of mat @ x = rhs, or None if inconsistent."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    aug = [list(mat[i]) + [Fraction(rhs[i])] for i in range(m)]
-    red, pivots = rref(aug)
-    if n in pivots:
-        return None
-    x = [Fraction(0)] * n
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][n]
-    return x
+    return Elimination(mat).solve(rhs)
 
 
 def column_space_selector(mat: Matrix) -> List[int]:
     """Indices of a maximal independent subset of columns."""
-    return rref(mat)[1]
+    return Elimination(mat).pivots
 
 
 class QuotientSpace:
     """The quotient V / W of subspaces of Q^n given by spanning columns.
 
     Provides coordinates on the quotient: ``coords(v)`` expresses the class
-    of ``v`` (which must lie in V) in a fixed basis of V/W.
+    of ``v`` (which must lie in V) in a fixed basis of V/W.  One
+    elimination of the columns [W | V] serves throughout: its pivots among
+    V are the representatives, and ``coords`` solves against it.
     """
 
     def __init__(self, n: int, v_cols: List[List[Fraction]],
                  w_cols: List[List[Fraction]]):
         self.n = n
-        w_mat = _cols_to_matrix(n, w_cols)
-        w_sel = column_space_selector(w_mat)
-        self._w_basis = [w_cols[i] for i in w_sel]
-        combined = self._w_basis + list(v_cols)
-        c_mat = _cols_to_matrix(n, combined)
-        sel = column_space_selector(c_mat)
-        self._rep_idx = [i for i in sel if i >= len(self._w_basis)]
+        combined = list(w_cols) + list(v_cols)
+        self._elim = Elimination(_cols_to_matrix(n, combined))
+        self._rep_idx = [i for i in self._elim.pivots if i >= len(w_cols)]
         self.reps = [combined[i] for i in self._rep_idx]
-        self._solve_mat = _cols_to_matrix(n, self._w_basis + self.reps)
         self.dim = len(self.reps)
 
     def coords(self, v: Sequence[Fraction]) -> List[Fraction]:
-        sol = solve(self._solve_mat, list(v))
+        sol = self._elim.solve(v)
         if sol is None:
             raise ValueError("vector not in the ambient subspace")
-        k = len(self._w_basis)
-        return sol[k:]
+        return [sol[i] for i in self._rep_idx]
 
 
 def _cols_to_matrix(n: int, cols: List[List[Fraction]]) -> Matrix:

@@ -29,7 +29,7 @@ from .chain import (Barcode, ChainComplex, Generator, MatrixEntries,
                     mat_compose, mat_equal, mat_identity, reduce_map_t0)
 from .cubes import (CubeDiagram, cone, compose_many, face_codes, glueable,
                     total_complex, verify_cube, vertex_codes)
-from .linalg import rank
+from .linalg import Elimination, rank
 from .novikov import INFINITY, NovikovScalar, rat
 
 
@@ -536,14 +536,13 @@ def mayer_vietoris(square: CubeDiagram, work) -> ExactnessReport:
     f11a = reduce_map_t0(square.face("1-"))   # from corner 10
     f11b = reduce_map_t0(square.face("-1"))   # from corner 01
 
-    # ambient T=0 matrix of the total complex, for lifting cycles
+    # ambient T=0 matrix of the total complex, factored once to lift cycles
     tot_labels = [g.label for g in tq.generators]
     tot_idx = {l: i for i, l in enumerate(tot_labels)}
     tot_mat = [[Fraction(0)] * len(tot_labels) for _ in tot_labels]
     for (t, s), v in tq.differential.items():
         tot_mat[tot_idx[t]][tot_idx[s]] = v
-
-    from .linalg import solve
+    lift = Elimination(tot_mat)
 
     spaces = {w: {p: q.homology_space(p) for p in (0, 1)}
               for w, q in corners.items()}
@@ -573,7 +572,7 @@ def mayer_vietoris(square: CubeDiagram, work) -> ExactnessReport:
             vec = [Fraction(0)] * len(tot_labels)
             for l, val in zip(l11, z):
                 vec[tot_idx[("11", l)]] = val
-            sol = solve(tot_mat, vec)
+            sol = lift.solve(vec)
             if sol is None:
                 raise NotAcyclic("cycle failed to lift in the total complex")
             a = [sol[tot_idx[("00", l)]] for l in l00s]

@@ -1,12 +1,14 @@
 """Command-line front end: reports, exit codes, determinism."""
 
 import json
+import os
 import random
 
 import pytest
 from helpers import random_cube
 
 from novcube import cli
+from novcube.chain import ChainComplex, Generator
 from novcube.cubes import CubeDiagram, cube_to_json, id_cube
 from novcube.morse import bundled_model, model_to_json
 from novcube.novikov import NovikovScalar
@@ -122,6 +124,41 @@ def test_mv_command(tmp_path, capsys):
     report = json.loads(out)
     assert all(all(v for v in by.values())
                for by in report["exactness"].values())
+
+
+def test_mv_not_acyclic_is_a_domain_failure(tmp_path, capsys):
+    # one generator at vertex 00 and nothing else: the total complex has
+    # homology, so the six-term sequence does not apply
+    zero = ChainComplex([], {})
+    square = CubeDiagram(2, {"00": ChainComplex([Generator("a", 0)], {}),
+                             "10": zero, "01": zero, "11": zero}, {})
+    path = tmp_path / "not_acyclic.json"
+    path.write_text(json.dumps(cube_to_json(square)))
+    code, out = run_cli(capsys, "mv", str(path), "--format", "json")
+    assert code == 1
+    report = json.loads(out)
+    assert report["status"] == "error"
+    assert report["error"].startswith("%s: NotAcyclic: " % path)
+
+
+@pytest.mark.parametrize("argv", [
+    ("morse", "empty-set", "bundled:circle", "--precision", "0"),
+    ("morse", "empty-set", "bundled:circle", "--precision", "-1"),
+    ("morse", "global-sections", "bundled:t2", "--precision", "1",
+     "--depth", "-3"),
+])
+def test_meaningless_parameters_exit_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+
+
+def test_pool_size_is_capped_by_tasks_and_cpus():
+    cpus = os.cpu_count() or 1
+    assert cli.pool_size(10 ** 6, 10 ** 6) == cpus
+    assert cli.pool_size(10 ** 6, 3) == min(3, cpus)
+    assert cli.pool_size(1, 50) == 1
+    assert cli.pool_size(0, 50) == 1
 
 
 def test_morse_commands(tmp_path, capsys):
