@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
-from .linalg import QuotientSpace, nullspace, sparse_rank
+from .linalg import Elimination, QuotientSpace, sparse_rank
 from .novikov import (INFINITY, NovikovScalar, PrecisionExhausted, rat,
                       format_scalar, parse_scalar, scalar_from_json)
 
@@ -315,25 +315,17 @@ class QComplex:
         mine = [g.label for g in self.generators if g.parity == parity]
         other = [g.label for g in self.generators if g.parity != parity]
         idx = {l: i for i, l in enumerate(mine)}
-        oidx = {l: i for i, l in enumerate(other)}
-        d_out = [[Fraction(0)] * len(mine) for _ in other]
+        # d from this parity as rows keyed by target, and d into it as
+        # columns keyed by source; both are indexed like ``mine``
+        d_out: Dict[Label, Dict[int, Fraction]] = {l: {} for l in other}
+        d_in: Dict[Label, Dict[int, Fraction]] = {l: {} for l in other}
         for (t, s), v in self.differential.items():
-            if self._parity[s] == parity:
-                d_out[oidx[t]][idx[s]] = v
-        cycles = nullspace(d_out) if other else [
-            [Fraction(1) if i == j else Fraction(0) for i in range(len(mine))]
-            for j in range(len(mine))]
-        boundaries = []
-        for s in other:
-            col = [Fraction(0)] * len(mine)
-            nonzero = False
-            for t in mine:
-                v = self.differential.get((t, s))
-                if v:
-                    col[idx[t]] = v
-                    nonzero = True
-            if nonzero:
-                boundaries.append(col)
+            if s in idx:
+                d_out[t][idx[s]] = v
+            else:
+                d_in[s][idx[t]] = v
+        cycles = Elimination(d_out.values(), len(mine)).nullspace()
+        boundaries = [col for col in d_in.values() if col]
         return mine, QuotientSpace(len(mine), cycles, boundaries)
 
 

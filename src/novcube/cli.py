@@ -26,16 +26,20 @@ from .morse import (Inadmissible, InadmissibleSubset, StageCheckFailed,
                     involutive_descent_instance, minmax_square,
                     model_from_json, relative_sh)
 from .novikov import NegativeValuation, PrecisionExhausted, rat
-from .rays import (NotAcyclic, Ray, SliceNotAcyclic, TailSpec,
+from .rays import (NotAcyclic, NotCoherent, Ray, SliceNotAcyclic, TailSpec,
                    completed_homology, descent_complex, mayer_vietoris,
                    telescope)
 
 FORMAT_VERSION = 1
 
 # failures of the mathematics on a well-formed input: exit 1, not 3
-DOMAIN_ERRORS = (NotAcyclic, SliceNotAcyclic, Inadmissible,
+DOMAIN_ERRORS = (NotAcyclic, NotCoherent, SliceNotAcyclic, Inadmissible,
                  InadmissibleSubset, NotChainMap, NotConiform, NotGluable,
                  StageCheckFailed, PrecisionExhausted, NegativeValuation)
+
+# the top-level keys each kind of input file may have
+CUBE_KEYS = {"n", "positive", "partial", "vertices", "faces"}
+RAY_KEYS = {"n", "prefix", "tail"}
 
 
 class InputError(ValueError):
@@ -66,8 +70,21 @@ def _load_model(path: str):
         raise InputError("bad model file %s: %s" % (path, exc))
 
 
-def _load_cube(path: str) -> Tuple[CubeDiagram, str]:
+def _read_object(path: str, kind: str, keys) -> Tuple[dict, str]:
+    """A JSON object whose top-level keys are all among ``keys``."""
     data, digest = _read_json(path)
+    if not isinstance(data, dict):
+        raise InputError("bad %s file %s: not a JSON object" % (kind, path))
+    unknown = sorted(set(data) - keys)
+    if unknown:
+        raise InputError("bad %s file %s: unknown key %s (allowed: %s)"
+                         % (kind, path, ", ".join(map(repr, unknown)),
+                            ", ".join(sorted(keys))))
+    return data, digest
+
+
+def _load_cube(path: str) -> Tuple[CubeDiagram, str]:
+    data, digest = _read_object(path, "cube", CUBE_KEYS)
     try:
         return cube_from_json(data), digest
     except (KeyError, ValueError) as exc:
@@ -75,7 +92,7 @@ def _load_cube(path: str) -> Tuple[CubeDiagram, str]:
 
 
 def _load_ray(path: str) -> Tuple[Ray, str]:
-    data, digest = _read_json(path)
+    data, digest = _read_object(path, "ray", RAY_KEYS)
     try:
         n = int(data["n"])
         prefix = [cube_from_json(c) for c in data.get("prefix", ())]

@@ -1,197 +1,160 @@
 """Exact linear algebra over the rationals.
 
-One sparse elimination, :class:`Elimination`, factors a matrix once into
-its reduced row echelon form and then answers rank, pivot columns, the
-RREF, a nullspace basis and any number of ``solve`` calls without
-eliminating again; ``rref``, ``rank``, ``nullspace``, ``solve``,
-``column_space_selector`` and :class:`QuotientSpace` are views of it.
-``sparse_rank`` is a rank with Markowitz-style pivoting for the large
-label-keyed boundary matrices produced by telescopes.
+:class:`Elimination` is the one elimination: it factors a matrix, given as
+sparse rows ``{column: value}`` and a column count, once into its reduced
+row echelon form.  :class:`QuotientSpace` and ``sparse_rank`` are sparse
+views of it; ``rref``, ``rank``, ``nullspace``, ``solve`` and
+``column_space_selector`` convert dense lists at their edge.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 Matrix = List[List[Fraction]]
+Vector = Dict[int, Fraction]  # sparse: index -> value, zeros may be left out
 
 
 class Elimination:
     """The RREF of one rational matrix, factored once, solved many times.
 
-    Rows are sparse ``{column: value}`` dicts, inserted sparsest first and
-    reduced against the rows holding their leading column, then cleared
-    above every pivot.  Each reduced row keeps the combination of input
-    rows equal to it, so ``solve`` applies the same row operations to a
-    right-hand side; the rows that reduce to zero give the consistency
-    conditions.  The RREF is unique, so no result depends on the order.
+    Rows (zeros dropped) are taken sparsest first and reduced against the
+    row holding their leading column, then cleared above every pivot.
+    ``solve`` replays the logged row operations on a right-hand side; the
+    rows that reduce to zero give the consistency conditions.  The RREF is
+    unique for a fixed column order, so no result depends on the row order.
     """
 
-    def __init__(self, mat: Matrix):
-        self.shape = (len(mat), len(mat[0]) if mat else 0)
-        lead: Dict[int, Tuple[dict, dict]] = {}
-        self._null: List[dict] = []
-        pairs = [({c: v for c, v in enumerate(row) if v}, {i: Fraction(1)})
-                 for i, row in enumerate(mat)]
-        for row, comb in sorted(pairs, key=lambda p: len(p[0])):
-            while row:
-                c = min(row)
-                if c not in lead:
-                    inv = Fraction(1) / row[c]
-                    lead[c] = tuple({k: v * inv for k, v in d.items()}
-                                    for d in (row, comb))
-                    break
-                _subtract((row, comb), row[c], lead[c])
+    def __init__(self, rows: Iterable[Vector], ncols: int):
+        rows = [{c: v for c, v in row.items() if v} for row in rows]
+        self.shape = (len(rows), ncols)
+        self._ops: List[Tuple[int, Fraction, int]] = []
+        self._null: List[int] = []
+        lead: Dict[int, int] = {}  # pivot column -> row holding it
+        for i in sorted(range(len(rows)), key=lambda i: len(rows[i])):
+            while rows[i] and (c := min(rows[i])) in lead:
+                self._reduce(rows, i, c, lead[c])
+            if rows[i]:
+                lead[c] = i
             else:
-                self._null.append(comb)
+                self._null.append(i)
         self.pivots = sorted(lead)
         for c in reversed(self.pivots):
-            for j in [j for j in lead[c][0] if j != c and j in lead]:
-                _subtract(lead[c], lead[c][0][j], lead[j])
-        self.rows = [lead[c][0] for c in self.pivots]
-        self._combs = [lead[c][1] for c in self.pivots]
+            for j in [j for j in rows[lead[c]] if j != c and j in lead]:
+                self._reduce(rows, lead[c], j, lead[j])
+        self._lead = [(lead[c], rows[lead[c]][c]) for c in self.pivots]
+        self._rows = rows
 
-    def solve(self, rhs: Sequence[Fraction]) -> Optional[List[Fraction]]:
+    @cached_property
+    def rows(self) -> List[Vector]:
+        """The nonzero rows of the RREF, in pivot order."""
+        return [{k: v / p for k, v in self._rows[i].items()}
+                for i, p in self._lead]
+
+    def _reduce(self, rows: List[Vector], i: int, c: int, k: int) -> None:
+        """Clear column c of row i with row k, and log the operation."""
+        f = rows[i][c] / rows[k][c]
+        self._ops.append((i, f, k))
+        for j, v in rows[k].items():
+            nv = rows[i].get(j, 0) - f * v
+            if nv:
+                rows[i][j] = nv
+            else:
+                del rows[i][j]
+
+    def solve(self, rhs: Vector) -> Optional[Vector]:
         """The solution of mat @ x = rhs whose free variables are 0, or
         None if the system is inconsistent."""
-        if any(_dot(comb, rhs) for comb in self._null):
+        b = dict(rhs)
+        for i, f, k in self._ops:
+            if b.get(k):
+                b[i] = b.get(i, 0) - f * b[k]
+        if any(b.get(i) for i in self._null):
             return None
-        x = [Fraction(0)] * self.shape[1]
-        for pc, comb in zip(self.pivots, self._combs):
-            x[pc] = _dot(comb, rhs)
-        return x
+        return {c: x / p for c, (i, p) in zip(self.pivots, self._lead)
+                if (x := b.get(i))}
+
+    def nullspace(self) -> List[Vector]:
+        """A basis of the right nullspace, one vector per free column."""
+        free = set(self.pivots)
+        basis = {fc: {fc: Fraction(1)} for fc in range(self.shape[1])
+                 if fc not in free}
+        for pc, row in zip(self.pivots, self.rows):
+            for fc, v in row.items():
+                if fc != pc:
+                    basis[fc][pc] = -v
+        return list(basis.values())
 
 
-def _subtract(dst, f: Fraction, src) -> None:
-    """dst -= f * src on (row, combination) pairs of sparse dicts."""
-    for d, s in zip(dst, src):
-        for k, v in s.items():
-            nv = d.get(k, 0) - f * v
-            if nv:
-                d[k] = nv
-            else:
-                del d[k]
+def _factor(mat: Matrix) -> Elimination:
+    return Elimination([dict(enumerate(row)) for row in mat],
+                       len(mat[0]) if mat else 0)
 
 
-def _dot(comb: dict, rhs: Sequence[Fraction]) -> Fraction:
-    return sum((v * rhs[i] for i, v in comb.items() if rhs[i]), Fraction(0))
+def _dense(vec: Vector, n: int) -> List[Fraction]:
+    return [vec.get(i, Fraction(0)) for i in range(n)]
 
 
 def rref(mat: Matrix) -> Tuple[Matrix, List[int]]:
     """Reduced row echelon form. Returns (rref_matrix, pivot_columns)."""
-    elim = Elimination(mat)
-    (m, n), zero = elim.shape, Fraction(0)
-    red = [[row.get(j, zero) for j in range(n)] for row in elim.rows]
-    return red + [[zero] * n for _ in range(m - len(red))], elim.pivots
+    elim = _factor(mat)
+    rows = elim.rows + [{}] * (elim.shape[0] - len(elim.pivots))
+    return [_dense(row, elim.shape[1]) for row in rows], elim.pivots
 
 
 def rank(mat: Matrix) -> int:
-    return len(Elimination(mat).pivots)
+    return len(_factor(mat).pivots)
 
 
 def nullspace(mat: Matrix) -> List[List[Fraction]]:
     """Basis of the right nullspace, as a list of column vectors."""
-    elim = Elimination(mat)
-    n, zero = elim.shape[1], Fraction(0)
-    basis = []
-    for fc in sorted(set(range(n)) - set(elim.pivots)):
-        v = [zero] * n
-        v[fc] = Fraction(1)
-        for pc, row in zip(elim.pivots, elim.rows):
-            v[pc] = -row.get(fc, zero)
-        basis.append(v)
-    return basis
+    elim = _factor(mat)
+    return [_dense(v, elim.shape[1]) for v in elim.nullspace()]
 
 
 def solve(mat: Matrix, rhs: Sequence[Fraction]) -> Optional[List[Fraction]]:
     """One solution of mat @ x = rhs, or None if inconsistent."""
-    return Elimination(mat).solve(rhs)
+    elim = _factor(mat)
+    x = elim.solve(dict(enumerate(rhs)))
+    return None if x is None else _dense(x, elim.shape[1])
 
 
 def column_space_selector(mat: Matrix) -> List[int]:
     """Indices of a maximal independent subset of columns."""
-    return Elimination(mat).pivots
+    return _factor(mat).pivots
 
 
 class QuotientSpace:
-    """The quotient V / W of subspaces of Q^n given by spanning columns.
-
-    Provides coordinates on the quotient: ``coords(v)`` expresses the class
-    of ``v`` (which must lie in V) in a fixed basis of V/W.  One
-    elimination of the columns [W | V] serves throughout: its pivots among
-    V are the representatives, and ``coords`` solves against it.
+    """The quotient V / W of subspaces of Q^n given by sparse spanning
+    columns.  One elimination of [W | V] serves throughout: its pivots
+    among V are the ``reps``, and ``coords(v)``, for v in V, solves against
+    it for the class of v as a sparse vector over ``reps``.
     """
 
-    def __init__(self, n: int, v_cols: List[List[Fraction]],
-                 w_cols: List[List[Fraction]]):
-        self.n = n
+    def __init__(self, n: int, v_cols: List[Vector], w_cols: List[Vector]):
         combined = list(w_cols) + list(v_cols)
-        self._elim = Elimination(_cols_to_matrix(n, combined))
-        self._rep_idx = [i for i in self._elim.pivots if i >= len(w_cols)]
-        self.reps = [combined[i] for i in self._rep_idx]
+        rows: List[Vector] = [{} for _ in range(n)]
+        for j, col in enumerate(combined):
+            for i, v in col.items():
+                rows[i][j] = v
+        self._elim = Elimination(rows, len(combined))
+        self._rep_idx = [j for j in self._elim.pivots if j >= len(w_cols)]
+        self.reps = [combined[j] for j in self._rep_idx]
         self.dim = len(self.reps)
 
-    def coords(self, v: Sequence[Fraction]) -> List[Fraction]:
+    def coords(self, v: Vector) -> Vector:
         sol = self._elim.solve(v)
         if sol is None:
             raise ValueError("vector not in the ambient subspace")
-        return [sol[i] for i in self._rep_idx]
+        return {k: sol[j] for k, j in enumerate(self._rep_idx) if j in sol}
 
 
-def _cols_to_matrix(n: int, cols: List[List[Fraction]]) -> Matrix:
-    return [[cols[j][i] for j in range(len(cols))] for i in range(n)]
-
-
-def sparse_rank(entries: Dict[Tuple[object, object], Fraction]) -> int:
-    """Rank of a sparse rational matrix keyed by (row, col).
-
-    Gaussian elimination with a greedy low-fill pivot choice; fine for the
-    sizes produced by desk-scale telescopes.
-    """
-    rows: Dict[object, Dict[object, Fraction]] = {}
-    cols: Dict[object, set] = {}
+def sparse_rank(entries: Dict[Tuple[Hashable, Hashable], Fraction]) -> int:
+    """Rank of a sparse rational matrix keyed by (row, col) labels."""
+    rows: Dict[Hashable, Vector] = {}
+    cols: Dict[Hashable, int] = {}
     for (r, c), v in entries.items():
-        if v == 0:
-            continue
-        rows.setdefault(r, {})[c] = v
-        cols.setdefault(c, set()).add(r)
-    rk = 0
-    while rows:
-        # pick pivot minimizing (row fill - 1) * (col fill - 1)
-        best = None
-        best_cost = None
-        for r, rowd in rows.items():
-            rl = len(rowd)
-            for c in rowd:
-                cost = (rl - 1) * (len(cols[c]) - 1)
-                if best_cost is None or cost < best_cost:
-                    best, best_cost = (r, c), cost
-                    if cost == 0:
-                        break
-            if best_cost == 0:
-                break
-        pr, pc = best
-        rk += 1
-        prow = rows.pop(pr)
-        pval = prow[pc]
-        for c in prow:
-            cols[c].discard(pr)
-        targets = [r for r in cols.get(pc, ()) if r in rows]
-        for r in targets:
-            f = rows[r][pc] / pval
-            rowd = rows[r]
-            for c, v in prow.items():
-                nv = rowd.get(c, Fraction(0)) - f * v
-                if nv == 0:
-                    if c in rowd:
-                        del rowd[c]
-                        cols[c].discard(r)
-                else:
-                    if c not in rowd:
-                        cols.setdefault(c, set()).add(r)
-                    rowd[c] = nv
-            if not rowd:
-                del rows[r]
-        cols.pop(pc, None)
-    return rk
+        rows.setdefault(r, {})[cols.setdefault(c, len(cols))] = v
+    return len(Elimination(rows.values(), len(cols)).pivots)

@@ -45,6 +45,10 @@ class NotAcyclic(ValueError):
     pass
 
 
+class NotCoherent(ValueError):
+    """A square's faces break the coherence equations of a cube."""
+
+
 def zero_cube(n: int) -> CubeDiagram:
     zero = ChainComplex([], {})
     return CubeDiagram(n, {w: zero for w in vertex_codes(n)}, {})
@@ -499,14 +503,18 @@ def _hom_map_matrix(qmap, src_labels, src_space, dst_labels, dst_space):
     idx = {l: i for i, l in enumerate(dst_labels)}
     cols = []
     for rep in src_space.reps:
-        image = [Fraction(0)] * len(dst_labels)
-        rep_by_label = dict(zip(src_labels, rep))
+        rep_by_label = {src_labels[i]: v for i, v in rep.items()}
+        image: Dict[int, Fraction] = {}
         for (t, s), v in qmap.items():
             if t in idx and s in rep_by_label:
-                image[idx[t]] += v * rep_by_label[s]
+                image[idx[t]] = image.get(idx[t], 0) + v * rep_by_label[s]
         cols.append(dst_space.coords(image))
-    return [[cols[j][i] for j in range(len(cols))]
-            for i in range(dst_space.dim)]
+    return _dense_cols(cols, dst_space.dim)
+
+
+def _dense_cols(cols, dim):
+    """The dim-row dense matrix whose columns are the sparse ``cols``."""
+    return [[col.get(i, Fraction(0)) for col in cols] for i in range(dim)]
 
 
 def mayer_vietoris(square: CubeDiagram, work) -> ExactnessReport:
@@ -523,7 +531,7 @@ def mayer_vietoris(square: CubeDiagram, work) -> ExactnessReport:
         raise ValueError("mayer_vietoris expects a 2-cube")
     rep = verify_cube(square, work)
     if not rep:
-        raise ValueError("square does not verify: %s" % (rep.violations,))
+        raise NotCoherent("square does not verify: %s" % (rep.violations,))
     tot = total_complex(square)
     tq = tot.reduce_t0()
     if not tq.is_acyclic():
@@ -536,13 +544,12 @@ def mayer_vietoris(square: CubeDiagram, work) -> ExactnessReport:
     f11a = reduce_map_t0(square.face("1-"))   # from corner 10
     f11b = reduce_map_t0(square.face("-1"))   # from corner 01
 
-    # ambient T=0 matrix of the total complex, factored once to lift cycles
-    tot_labels = [g.label for g in tq.generators]
-    tot_idx = {l: i for i, l in enumerate(tot_labels)}
-    tot_mat = [[Fraction(0)] * len(tot_labels) for _ in tot_labels]
+    # T=0 differential of the total complex, factored once to lift cycles
+    tot_idx = {g.label: i for i, g in enumerate(tq.generators)}
+    tot_rows: List[Dict[int, Fraction]] = [{} for _ in tot_idx]
     for (t, s), v in tq.differential.items():
-        tot_mat[tot_idx[t]][tot_idx[s]] = v
-    lift = Elimination(tot_mat)
+        tot_rows[tot_idx[t]][tot_idx[s]] = v
+    lift = Elimination(tot_rows, len(tot_idx))
 
     spaces = {w: {p: q.homology_space(p) for p in (0, 1)}
               for w, q in corners.items()}
@@ -567,18 +574,16 @@ def mayer_vietoris(square: CubeDiagram, work) -> ExactnessReport:
     for p in (0, 1):
         l11, h11 = spaces["11"][p]
         l00s, h00s = spaces["00"][1 - p]
+        at11 = [tot_idx[("11", l)] for l in l11]
+        at00 = [tot_idx[("00", l)] for l in l00s]
         delta_cols = []
         for z in h11.reps:
-            vec = [Fraction(0)] * len(tot_labels)
-            for l, val in zip(l11, z):
-                vec[tot_idx[("11", l)]] = val
-            sol = lift.solve(vec)
+            sol = lift.solve({at11[i]: v for i, v in z.items()})
             if sol is None:
                 raise NotAcyclic("cycle failed to lift in the total complex")
-            a = [sol[tot_idx[("00", l)]] for l in l00s]
-            delta_cols.append(h00s.coords(a))
-        delta[p] = [[delta_cols[j][i] for j in range(len(delta_cols))]
-                    for i in range(h00s.dim)]
+            delta_cols.append(h00s.coords(
+                {k: sol[j] for k, j in enumerate(at00) if j in sol}))
+        delta[p] = _dense_cols(delta_cols, h00s.dim)
 
     spots: Dict[str, Dict[int, bool]] = {"sum": {}, "terminal": {},
                                          "initial": {}}

@@ -240,16 +240,16 @@ def test_cone_acyclic_iff_quasi_iso_at_t0():
                 iso = False
                 continue
             cols = []
-            for rep in hs.reps:
-                image = [F(0)] * len(labels_t)
+            for rep in hs.reps:  # sparse vectors, indexed like the labels
+                image = {}
                 idx = {l: i for i, l in enumerate(labels_t)}
                 for (t, s), v in qf.items():
-                    if qt.parity(t) == parity:
-                        image[idx[t]] += v * rep[labels_s.index(s)] \
-                            if s in labels_s else 0
+                    if qt.parity(t) == parity and s in labels_s:
+                        image[idx[t]] = image.get(idx[t], F(0)) + \
+                            v * rep.get(labels_s.index(s), F(0))
                 cols.append(ht.coords(image))
             from novcube.linalg import rank
-            mat = [[cols[j][i] for j in range(len(cols))]
+            mat = [[cols[j].get(i, F(0)) for j in range(len(cols))]
                    for i in range(ht.dim)]
             if rank(mat) != ht.dim:
                 iso = False

@@ -8,7 +8,7 @@ import pytest
 from helpers import random_cube
 
 from novcube import cli
-from novcube.chain import ChainComplex, Generator
+from novcube.chain import ChainComplex, Generator, mat_identity
 from novcube.cubes import CubeDiagram, cube_to_json, id_cube
 from novcube.morse import bundled_model, model_to_json
 from novcube.novikov import NovikovScalar
@@ -139,6 +139,59 @@ def test_mv_not_acyclic_is_a_domain_failure(tmp_path, capsys):
     report = json.loads(out)
     assert report["status"] == "error"
     assert report["error"].startswith("%s: NotAcyclic: " % path)
+
+
+def test_mv_incoherent_square_is_a_domain_failure(tmp_path, capsys):
+    # the identity square of id: C -> C, with d(a) = b, plus an entry
+    # 5*T^0 from b to a on its 2-face, which breaks that face's equation
+    c = ChainComplex([Generator("a", 0), Generator("b", 1)],
+                     {("b", "a"): NovikovScalar.one()})
+    edge = CubeDiagram(1, {"0": c, "1": c}, {"-": mat_identity(c.labels)})
+    square = id_cube(edge).relabel_vertices(lambda w, l: "%s|%s" % (w, l))
+    data = cube_to_json(square)
+    data["faces"].setdefault("--", []).append(
+        {"target": "11|a", "source": "00|b", "scalar": "5*T^0"})
+    path = tmp_path / "incoherent.json"
+    path.write_text(json.dumps(data))
+    code, out = run_cli(capsys, "mv", str(path), "--format", "json")
+    assert code == 1
+    report = json.loads(out)
+    assert report["error"].startswith("%s: NotCoherent: " % path)
+    assert "'--'" in report["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("tel", "--depth", "2", "--work", "3"),
+    ("sh", "--precision", "2"),
+    ("descent", "--precision", "1", "--depth", "2"),
+])
+def test_cube_file_given_as_a_ray_exits_2(square_file, argv, capsys):
+    code, out = run_cli(capsys, argv[0], square_file, *argv[1:],
+                        "--format", "json")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert square_file in error
+    assert "'vertices'" in error
+
+
+def test_unknown_key_in_cube_file_exits_2(square_file, tmp_path, capsys):
+    data = json.loads(open(square_file).read())
+    data["vertexes"] = data["vertices"]
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(data))
+    code, out = run_cli(capsys, "verify-cube", str(path), "--format", "json")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert str(path) in error
+    assert "'vertexes'" in error
+
+
+def test_cube_file_that_is_not_an_object_exits_2(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    code, out = run_cli(capsys, "verify-cube", str(path), "--format", "json")
+    assert code == 2
+    assert str(path) in json.loads(out)["error"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from novcube import linalg, rays
+from novcube.chain import Generator, QComplex
 from novcube.linalg import (Elimination, QuotientSpace, column_space_selector,
-                            nullspace, rank, rref, solve)
+                            nullspace, rank, rref, solve, sparse_rank)
 from novcube.morse import bundled_model, minmax_square
 from novcube.rays import mayer_vietoris
 
@@ -93,6 +94,11 @@ def test_nullspace_dimension_and_kernel(mat):
         assert all(x == 0 for x in mat_vec(mat, v))
 
 
+def sparse(vec):
+    """A sparse vector with some of the zeros of ``vec`` kept explicitly."""
+    return {i: x for i, x in enumerate(vec) if x or i % 2}
+
+
 @SETTINGS
 @given(st.integers(0, 5), st.data())
 def test_quotient_coords_round_trip(n, data):
@@ -104,23 +110,113 @@ def test_quotient_coords_round_trip(n, data):
 
     w_cols = cols(data.draw(st.integers(0, 3)))
     v_cols = w_cols + cols(data.draw(st.integers(0, 3)))
-    q = QuotientSpace(n, v_cols, w_cols)
+    q = QuotientSpace(n, [sparse(c) for c in v_cols],
+                      [sparse(c) for c in w_cols])
     assert q.dim == col_rank(w_cols + v_cols) - col_rank(w_cols)
     coeffs = [data.draw(entries) for _ in range(q.dim)]
     w_part = [data.draw(entries) for _ in w_cols]
-    v = [sum((c * rep[i] for c, rep in zip(coeffs, q.reps)), F(0))
+    v = [sum((c * rep.get(i, F(0)) for c, rep in zip(coeffs, q.reps)), F(0))
          + sum((c * w[i] for c, w in zip(w_part, w_cols)), F(0))
          for i in range(n)]
-    assert q.coords(v) == coeffs
+    assert q.coords(sparse(v)) == {k: c for k, c in enumerate(coeffs) if c}
+
+
+labels = st.one_of(st.sampled_from(["x", "y", "z", "w"]),
+                   st.tuples(st.sampled_from(["tel", "00"]),
+                             st.integers(0, 2), st.sampled_from(["u", "a"])))
+
+
+@SETTINGS
+@given(st.dictionaries(st.tuples(labels, labels), entries, max_size=14))
+def test_sparse_rank_matches_sympy(entries_by_label):
+    rows = list(dict.fromkeys(r for r, _ in entries_by_label))
+    cols = list(dict.fromkeys(c for _, c in entries_by_label))
+    mat = [[entries_by_label.get((r, c), F(0)) for c in cols] for r in rows]
+    assert sparse_rank(entries_by_label) == to_sympy(mat).rank()
+
+
+@st.composite
+def square_zero_complexes(draw):
+    """A Z/2-graded complex over Q with known Betti numbers: pairs x -> y
+    of opposite parity plus unpaired generators, conjugated by random
+    parity-preserving elementary operations.  Labels are strings and
+    tuples.  Returns (generators, differential, betti)."""
+    pairs = draw(st.lists(st.integers(0, 1), max_size=3))
+    free = draw(st.lists(st.integers(0, 1), max_size=3))
+    gens = []
+    for k, p in enumerate(pairs):
+        gens += [Generator(("x", k), p), Generator("y%d" % k, 1 - p)]
+    gens += [Generator(("h", k, "u"), p) for k, p in enumerate(free)]
+    order = draw(st.permutations(range(len(gens))))
+    gens = [gens[i] for i in order]
+    pos = {g.label: i for i, g in enumerate(gens)}
+    m = len(gens)
+    d = [[F(0)] * m for _ in range(m)]
+    for k in range(len(pairs)):
+        d[pos["y%d" % k]][pos[("x", k)]] = F(1)
+    for _ in range(draw(st.integers(0, 6)) if m else 0):
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        c = draw(entries)
+        if i != j and gens[i].parity == gens[j].parity:
+            # d <- E d E^-1 with E = 1 + c e_ij: row i += c row j and
+            # column j -= c column i
+            d[i] = [a + c * b for a, b in zip(d[i], d[j])]
+            for row in d:
+                row[j] -= c * row[i]
+    diff = {(gens[i].label, gens[j].label): d[i][j]
+            for i in range(m) for j in range(m)
+            if d[i][j] or draw(st.booleans())}
+    betti = (free.count(0), free.count(1))
+    return gens, diff, betti
+
+
+@SETTINGS
+@given(square_zero_complexes())
+def test_homology_ranks_match_sympy(cx):
+    gens, diff, betti = cx
+    q = QComplex(gens, diff)
+    assert q.verify().ok
+    assert q.homology_ranks() == betti
+    labels_by = [[g.label for g in gens if g.parity == p] for p in (0, 1)]
+    ranks = [to_sympy([[diff.get((t, s), F(0)) for s in labels_by[p]]
+                       for t in labels_by[1 - p]]).rank() if labels_by[1 - p]
+             else 0 for p in (0, 1)]
+    assert q.homology_ranks() == (len(labels_by[0]) - sum(ranks),
+                                  len(labels_by[1]) - sum(ranks))
+
+
+@SETTINGS
+@given(square_zero_complexes(), st.data())
+def test_homology_space_dims_and_coords_round_trip(cx, data):
+    gens, diff, betti = cx
+    q = QComplex(gens, diff)
+    for p in (0, 1):
+        mine, space = q.homology_space(p)
+        assert mine == [g.label for g in gens if g.parity == p]
+        assert space.dim == betti[p]
+        idx = {l: i for i, l in enumerate(mine)}
+        # a combination of the representatives plus a boundary d(b)
+        coeffs = [data.draw(entries) for _ in range(space.dim)]
+        v = {}
+        for c, rep in zip(coeffs, space.reps):
+            for i, x in rep.items():
+                v[i] = v.get(i, F(0)) + c * x
+        for g in gens:
+            if g.parity != p:
+                b = data.draw(entries)
+                for t in mine:
+                    x = q.differential.get((t, g.label), F(0)) * b
+                    v[idx[t]] = v.get(idx[t], F(0)) + x
+        assert space.coords(v) == {k: c for k, c in enumerate(coeffs) if c}
 
 
 def test_mayer_vietoris_factors_the_total_complex_once(monkeypatch):
     built, lifted = [], []
 
     class Counting(Elimination):
-        def __init__(self, mat):
-            built.append(len(mat))
-            super().__init__(mat)
+        def __init__(self, rows, ncols):
+            built.append(ncols)
+            super().__init__(rows, ncols)
 
         def solve(self, rhs):
             lifted.append(len(rhs))
@@ -141,15 +237,16 @@ def test_quotient_space_factors_at_most_once(monkeypatch):
     built = []
     init = Elimination.__init__
 
-    def counting(self, mat):
-        built.append(len(mat))
-        init(self, mat)
+    def counting(self, rows, ncols):
+        built.append(ncols)
+        init(self, rows, ncols)
 
     monkeypatch.setattr(linalg.Elimination, "__init__", counting)
-    w = [[F(1), F(1), F(0)]]
-    v = [[F(1), F(0), F(0)], [F(0), F(1), F(0)]]
+    w = [{0: F(1), 1: F(1)}]
+    v = [{0: F(1)}, {1: F(1), 2: F(0)}]
     q = QuotientSpace(3, v, w)
     assert q.dim == 1
     for k in range(10):
-        assert q.coords([F(k), F(2), F(0)]) == [F(k - 2)]
+        assert q.coords({0: F(k), 1: F(2)}) == ({0: F(k - 2)} if k != 2
+                                                 else {})
     assert len(built) <= 1
