@@ -10,13 +10,15 @@ as a barcode (free summands plus torsion summands of the form
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from .linalg import Elimination, QuotientSpace, sparse_rank
-from .novikov import (INFINITY, NovikovScalar, PrecisionExhausted, rat,
-                      format_scalar, parse_scalar, scalar_from_json)
+from .novikov import (INFINITY, ZERO, NovikovScalar, PrecisionExhausted,
+                      rat, format_scalar, parse_scalar, scalar_from_json)
 
 Label = Hashable
 MatrixEntries = Dict[Tuple[Label, Label], NovikovScalar]
@@ -406,6 +408,15 @@ def _barcode(c: ChainComplex, work: Fraction) -> Barcode:
     operations with nonnegative valuation.  Each pivot of valuation v > 0
     contributes a torsion bar of length v at the parity of its target;
     unit pivots contribute nothing; what remains is free at precision.
+
+    The pivot is the entry of least valuation, ties going to the smallest
+    ``repr((target, source))``.  Entries known only modulo T^R bound the
+    valuations still unseen: the reduction stops with ``PrecisionExhausted``
+    when one lies below the next pivot.  Both kinds of entry wait in a
+    queue (a heap keyed by valuation and repr, and one keyed by R); every
+    write pushes the new scalar, and an entry is checked only when it
+    reaches the top, where it is dropped unless it is still the scalar at
+    its position.
     """
     report = c.verify(work)
     if not report:
@@ -415,15 +426,35 @@ def _barcode(c: ChainComplex, work: Fraction) -> Barcode:
     # precision are kept so pivot ambiguity can be detected
     rows: Dict[Label, Dict[Label, NovikovScalar]] = {}
     cols: Dict[Label, set] = {}
+    known: List[tuple] = []    # (valuation, repr, seq, t, s, scalar)
+    unknown: List[tuple] = []  # (precision, seq, t, s, scalar)
+    reprs: Dict[Tuple[Label, Label], str] = {}
+    seq = itertools.count()
 
     def put(t, s, v):
-        if v.terms or v.mod is not None:
-            rows.setdefault(t, {})[s] = v
-            cols.setdefault(s, set()).add(t)
+        if v.terms:
+            key = reprs.get((t, s))
+            if key is None:
+                key = reprs[(t, s)] = repr((t, s))
+            heapq.heappush(known, (v.terms[0][0], key, next(seq), t, s, v))
+        elif v.mod is not None:
+            heapq.heappush(unknown, (v.mod, next(seq), t, s, v))
         else:
             if s in rows.get(t, {}):
                 del rows[t][s]
                 cols[s].discard(t)
+            return
+        rows.setdefault(t, {})[s] = v
+        cols.setdefault(s, set()).add(t)
+
+    def top(heap):
+        """The queue's least entry still stored at its position, or None."""
+        while heap:
+            t, s, v = heap[0][-3:]
+            if rows.get(t, {}).get(s) is v:
+                return heap[0]
+            heapq.heappop(heap)
+        return None
 
     for (t, s), v in c.differential.items():
         put(t, s, v.truncate(work))
@@ -434,29 +465,19 @@ def _barcode(c: ChainComplex, work: Fraction) -> Barcode:
     imprecise = False
 
     while True:
-        pivot = None
-        pivot_val = INFINITY
-        unknown_floor = INFINITY
-        for t, row in rows.items():
-            for s, v in row.items():
-                if v.terms:
-                    vv = v.terms[0][0]
-                    if vv < pivot_val or (vv == pivot_val and
-                                          repr((t, s)) < repr(pivot)):
-                        pivot, pivot_val = (t, s), vv
-                elif v.mod is not None:
-                    unknown_floor = min(unknown_floor, v.mod)
-        if pivot is None:
+        best = top(known)
+        floor = top(unknown)
+        unknown_floor = INFINITY if floor is None else floor[0]
+        if best is None:
             if unknown_floor is not INFINITY:
                 imprecise = True
                 valid_mod = min(valid_mod, unknown_floor)
             break
+        pivot_val, _, _, q, p, pval = best
         if unknown_floor < pivot_val:
             raise PrecisionExhausted(
                 "pivot of valuation %s is ambiguous: entries unknown below "
                 "T^%s" % (pivot_val, unknown_floor))
-        q, p = pivot
-        pval = rows[q][p]
         pinv = pval.invert(work)
         # clear row q by column operations col_pp -= factor*col_p, each with
         # its dual row operation row_p += factor*row_pp
@@ -464,10 +485,10 @@ def _barcode(c: ChainComplex, work: Fraction) -> Barcode:
             factor = v * pinv
             for t in list(cols.get(p, ())):
                 w = rows[t][p]
-                cur = rows.get(t, {}).get(pp, NovikovScalar.zero())
+                cur = rows.get(t, {}).get(pp, ZERO)
                 put(t, pp, cur - factor * w)
             for s, w in list(rows.get(pp, {}).items()):
-                cur = rows.get(p, {}).get(s, NovikovScalar.zero())
+                cur = rows.get(p, {}).get(s, ZERO)
                 put(p, s, cur + factor * w)
         # clear column p by row operations row_qq -= factor*row_q (row q now
         # holds only the pivot), each with its dual col_q += factor*col_qq
@@ -477,7 +498,7 @@ def _barcode(c: ChainComplex, work: Fraction) -> Barcode:
             put(qq, p, v - factor * pval)
             for t in list(cols.get(qq, ())):
                 w = rows[t][qq]
-                cur = rows.get(t, {}).get(q, NovikovScalar.zero())
+                cur = rows.get(t, {}).get(q, ZERO)
                 put(t, q, cur + factor * w)
         # split off generators p and q; d*d = 0 makes their remaining row
         # and column vanish at (slightly reduced) precision

@@ -19,12 +19,14 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .chain import Barcode, NotChainMap
-from .cubes import (CubeDiagram, NotConiform, NotGluable, cone, compose,
-                    cube_from_json, cube_to_json, verify_cube)
-from .morse import (Inadmissible, InadmissibleSubset, StageCheckFailed,
-                    bundled_model, empty_set, global_sections,
-                    involutive_descent_instance, minmax_square,
-                    model_from_json, relative_sh)
+from .cubes import (CubeDiagram, InvalidDirection, NotConiform, NotGluable,
+                    cone, compose, cube_from_json, cube_to_json,
+                    entry_violations, verify_cube)
+from .morse import (Inadmissible, InadmissibleSubset, NotMonotone,
+                    NotNegative, StageCheckFailed, bundled_model, empty_set,
+                    global_sections, involutive_descent_instance,
+                    minmax_square, model_from_json, relative_sh,
+                    resolve_region)
 from .novikov import NegativeValuation, PrecisionExhausted, rat
 from .rays import (NotAcyclic, NotCoherent, Ray, SliceNotAcyclic, TailSpec,
                    completed_homology, descent_complex, mayer_vietoris,
@@ -34,8 +36,13 @@ FORMAT_VERSION = 1
 
 # failures of the mathematics on a well-formed input: exit 1, not 3
 DOMAIN_ERRORS = (NotAcyclic, NotCoherent, SliceNotAcyclic, Inadmissible,
-                 InadmissibleSubset, NotChainMap, NotConiform, NotGluable,
-                 StageCheckFailed, PrecisionExhausted, NegativeValuation)
+                 InadmissibleSubset, NotMonotone, NotNegative, NotChainMap,
+                 NotConiform, NotGluable, StageCheckFailed,
+                 PrecisionExhausted, NegativeValuation)
+
+# what a JSON value of the wrong shape raises on its way into the library
+SHAPE_ERRORS = (KeyError, IndexError, TypeError, AttributeError, ValueError,
+                ZeroDivisionError)
 
 # the top-level keys each kind of input file may have
 CUBE_KEYS = {"n", "positive", "partial", "vertices", "faces"}
@@ -66,7 +73,7 @@ def _load_model(path: str):
     data, digest = _read_json(path)
     try:
         return model_from_json(data), digest
-    except (KeyError, ValueError) as exc:
+    except SHAPE_ERRORS as exc:
         raise InputError("bad model file %s: %s" % (path, exc))
 
 
@@ -87,8 +94,19 @@ def _load_cube(path: str) -> Tuple[CubeDiagram, str]:
     data, digest = _read_object(path, "cube", CUBE_KEYS)
     try:
         return cube_from_json(data), digest
-    except (KeyError, ValueError) as exc:
+    except SHAPE_ERRORS as exc:
         raise InputError("bad cube file %s: %s" % (path, exc))
+
+
+def _load_sound_cube(path: str) -> Tuple[CubeDiagram, str]:
+    """A cube whose face entries lie in their complexes, with the right
+    parity and nonnegative valuation, as the commands that build new
+    complexes from it need."""
+    cube, digest = _load_cube(path)
+    bad = entry_violations(cube)
+    if bad:
+        raise InputError("bad cube file %s: face %r: %s" % ((path,) + bad[0]))
+    return cube, digest
 
 
 def _load_ray(path: str) -> Tuple[Ray, str]:
@@ -103,12 +121,10 @@ def _load_ray(path: str) -> Tuple[Ray, str]:
         elif kind == "stationary":
             tail = TailSpec.stationary(cube_from_json(taildata["cube"]))
         else:
-            raise InputError("file rays support tails 'finite' and "
-                             "'stationary', got %r" % kind)
+            raise ValueError("file rays support tails 'finite' and "
+                             "'stationary', got %r" % (kind,))
         return Ray(n, prefix, tail), digest
-    except InputError:
-        raise
-    except (KeyError, ValueError) as exc:
+    except SHAPE_ERRORS as exc:
         raise InputError("bad ray file %s: %s" % (path, exc))
 
 
@@ -156,9 +172,15 @@ def cmd_verify_cube(args, path):
 
 
 def cmd_cone(args, path):
-    cube, digest = _load_cube(path)
+    cube, digest = _load_sound_cube(path)
     work = _parse_fraction(args.work, "--work")
-    out = cone(cube, args.direction)
+    if cube.positive:
+        raise InputError("cone of %s: cone applies to cubes in signed form"
+                         % path)
+    try:
+        out = cone(cube, args.direction)
+    except InvalidDirection as exc:
+        raise InputError("--direction for %s: %s" % (path, exc))
     rep = verify_cube(out, work)
     report = {
         "command": "cone",
@@ -179,8 +201,8 @@ def _flatten_label(label) -> str:
 
 
 def cmd_compose(args, paths):
-    first, d1 = _load_cube(paths[0])
-    second, d2 = _load_cube(paths[1])
+    first, d1 = _load_sound_cube(paths[0])
+    second, d2 = _load_sound_cube(paths[1])
     work = _parse_fraction(args.work, "--work")
     out = compose(first, second)
     rep = verify_cube(out, work)
@@ -298,6 +320,10 @@ def cmd_morse(args, path):
         if args.subset is None:
             raise InputError("relative-sh needs --subset")
         labels = [s for s in args.subset.split(",") if s]
+        try:
+            resolve_region(model, labels)
+        except KeyError as exc:
+            raise InputError("--subset for %s: %s" % (path, exc.args[0]))
         rep = relative_sh(model, labels, precision, args.depth)
         report = {
             "command": "morse relative-sh",
@@ -315,7 +341,7 @@ def cmd_morse(args, path):
             model = model_from_json(data["model"])
             hx = {l: rat(v) for l, v in data["hx"].items()}
             hy = {l: rat(v) for l, v in data["hy"].items()}
-        except (KeyError, ValueError) as exc:
+        except SHAPE_ERRORS as exc:
             raise InputError("bad minmax file %s: %s" % (path, exc))
         rep = minmax_square(model, hx, hy)
         mv = mayer_vietoris(rep.square,
@@ -340,7 +366,7 @@ def cmd_morse(args, path):
         try:
             model = model_from_json(data["model"])
             regions = [set(r) for r in data["regions"]]
-        except (KeyError, ValueError) as exc:
+        except SHAPE_ERRORS as exc:
             raise InputError("bad descent file %s: %s" % (path, exc))
         precision = _parse_fraction(args.precision, "--precision")
         rep = involutive_descent_instance(model, regions, precision,

@@ -236,24 +236,35 @@ class CubeDiagram:
         return CubeDiagram(self.n, verts, faces, self.positive, self.partial)
 
 
-def verify_cube(cube: CubeDiagram, work) -> Report:
-    """Parity, valuations and every face's coherence equation mod T^work."""
-    work = rat(work)
+def entry_violations(cube: CubeDiagram) -> List[Tuple[str, str]]:
+    """Face entries outside their complexes, of the wrong parity or of
+    negative valuation, as ``(face code, detail)``; no precision needed."""
     bad: List[Tuple[str, str]] = []
+    parity = {w: {g.label: g.parity for g in c.generators}
+              for w, c in cube.vertices.items()}
     for code, entries in cube.faces.items():
+        if not entries:
+            continue
         want = (face_dim(code) + 1) % 2
-        src = cube.vertices[initial_vertex(code)]
-        tgt = cube.vertices[terminal_vertex(code)]
+        src = parity[initial_vertex(code)]
+        tgt = parity[terminal_vertex(code)]
         for (t, s), v in entries.items():
-            if s not in src.labels or t not in tgt.labels:
+            if s not in src or t not in tgt:
                 bad.append((code, "entry (%r, %r) outside its complexes"
                             % (t, s)))
                 continue
-            if (tgt.parity(t) - src.parity(s)) % 2 != want:
+            if (tgt[t] - src[s]) % 2 != want:
                 bad.append((code, "entry (%r, %r) has wrong parity" % (t, s)))
             if v.val() < 0:
                 bad.append((code, "entry (%r, %r) has negative valuation %s"
                             % (t, s, v.val())))
+    return bad
+
+
+def verify_cube(cube: CubeDiagram, work) -> Report:
+    """Parity, valuations and every face's coherence equation mod T^work."""
+    work = rat(work)
+    bad = entry_violations(cube)
     for code in face_codes(cube.n):
         if not cube.defined(code):
             continue

@@ -21,7 +21,9 @@ class Elimination:
     """The RREF of one rational matrix, factored once, solved many times.
 
     Rows (zeros dropped) are taken sparsest first and reduced against the
-    row holding their leading column, then cleared above every pivot.
+    row holding their leading column; that forward pass fixes ``pivots``.
+    Clearing above every pivot is left until ``rows``, ``solve`` or
+    ``nullspace`` first needs it, so a rank costs the forward pass alone.
     ``solve`` replays the logged row operations on a right-hand side; the
     rows that reduce to zero give the consistency conditions.  The RREF is
     unique for a fixed column order, so no result depends on the row order.
@@ -41,16 +43,25 @@ class Elimination:
             else:
                 self._null.append(i)
         self.pivots = sorted(lead)
-        for c in reversed(self.pivots):
-            for j in [j for j in rows[lead[c]] if j != c and j in lead]:
-                self._reduce(rows, lead[c], j, lead[j])
+        # clearing above a pivot never changes a pivot value
         self._lead = [(lead[c], rows[lead[c]][c]) for c in self.pivots]
         self._rows = rows
 
     @cached_property
+    def _cleared(self) -> List[Vector]:
+        """The rows with every pivot cleared above, on first use; these
+        row operations are logged after the forward ones."""
+        rows = self._rows
+        lead = {c: i for c, (i, _) in zip(self.pivots, self._lead)}
+        for c in reversed(self.pivots):
+            for j in [j for j in rows[lead[c]] if j != c and j in lead]:
+                self._reduce(rows, lead[c], j, lead[j])
+        return rows
+
+    @cached_property
     def rows(self) -> List[Vector]:
         """The nonzero rows of the RREF, in pivot order."""
-        return [{k: v / p for k, v in self._rows[i].items()}
+        return [{k: v / p for k, v in self._cleared[i].items()}
                 for i, p in self._lead]
 
     def _reduce(self, rows: List[Vector], i: int, c: int, k: int) -> None:
@@ -67,6 +78,7 @@ class Elimination:
     def solve(self, rhs: Vector) -> Optional[Vector]:
         """The solution of mat @ x = rhs whose free variables are 0, or
         None if the system is inconsistent."""
+        self._cleared  # clear above the pivots first: solve replays that too
         b = dict(rhs)
         for i, f, k in self._ops:
             if b.get(k):

@@ -132,14 +132,36 @@ class NovikovScalar:
 
     # -- ring structure ----------------------------------------------------
 
-    def _joint_mod(self, other: "NovikovScalar"):
-        mods = [m for m in (self.mod, other.mod) if m is not None]
-        return min(mods) if mods else None
-
     def __add__(self, other: "NovikovScalar") -> "NovikovScalar":
         if not isinstance(other, NovikovScalar):
             return NotImplemented
-        return NovikovScalar(self.terms + other.terms, self._joint_mod(other))
+        a, b, mod = self.terms, other.terms, self.mod
+        if other.mod is not None and (mod is None or other.mod < mod):
+            mod = other.mod
+        # merge the two increasing term tuples in one pass
+        out = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            ea, ca = a[i]
+            eb, cb = b[j]
+            if ea < eb:
+                out.append(a[i])
+                i += 1
+            elif eb < ea:
+                out.append(b[j])
+                j += 1
+            else:
+                c = ca + cb
+                if c:
+                    out.append((ea, c))
+                i += 1
+                j += 1
+        out.extend(a[i:])
+        out.extend(b[j:])
+        if mod is not None:
+            while out and out[-1][0] >= mod:
+                out.pop()
+        return _canonical(tuple(out), mod)
 
     def __neg__(self) -> "NovikovScalar":
         return _canonical(tuple([(e, -c) for e, c in self.terms]), self.mod)
@@ -163,9 +185,14 @@ class NovikovScalar:
             if mod is not None and e >= mod:
                 return _canonical((), mod)
             return _canonical(((e, c1 * c2),), mod)
-        prods = [(e1 + e2, c1 * c2)
-                 for e1, c1 in self.terms for e2, c2 in other.terms]
-        return NovikovScalar(prods, mod)
+        sums: dict = {}
+        for e1, c1 in self.terms:
+            for e2, c2 in other.terms:
+                e = e1 + e2
+                if mod is None or e < mod:
+                    sums[e] = sums[e] + c1 * c2 if e in sums else c1 * c2
+        return _canonical(tuple(sorted((e, c) for e, c in sums.items() if c)),
+                          mod)
 
     def scale(self, c: RationalLike) -> "NovikovScalar":
         c = rat(c)
@@ -205,7 +232,7 @@ class NovikovScalar:
         if r <= 0:
             raise ValueError("truncation precision must be positive")
         mod = r if self.mod is None else min(r, self.mod)
-        return NovikovScalar(self.terms, mod)
+        return _canonical(tuple([t for t in self.terms if t[0] < mod]), mod)
 
     def reduce_t0(self) -> Fraction:
         """Constant term, defined on scalars of nonnegative valuation."""
@@ -261,7 +288,11 @@ def _canonical(terms: Tuple[Tuple[Fraction, Fraction], ...],
 
     The caller guarantees what ``NovikovScalar.__init__`` would establish:
     Fraction exponents strictly increasing and all below ``mod``, nonzero
-    Fraction coefficients, and ``mod`` either None or a Fraction.
+    Fraction coefficients, and ``mod`` either None or a Fraction.  The
+    callers are ``monomial`` (and so ``one`` and ``rational``),
+    ``__neg__``, ``__add__`` (which merges two canonical tuples),
+    ``__mul__`` (one product, or the products summed per exponent and
+    sorted once), nonzero ``scale``, ``shift`` and ``truncate``.
     """
     x = NovikovScalar.__new__(NovikovScalar)
     _set_terms(x, terms)

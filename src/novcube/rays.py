@@ -27,8 +27,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .chain import (Barcode, ChainComplex, Generator, MatrixEntries,
                     NotChainMap, cone_of_map, is_chain_map, mat_clean,
                     mat_compose, mat_equal, mat_identity, reduce_map_t0)
-from .cubes import (CubeDiagram, cone, compose_many, face_codes, glueable,
-                    total_complex, verify_cube, vertex_codes)
+from .cubes import (CubeDiagram, cone, compose_many, entry_violations,
+                    face_codes, glueable, total_complex, verify_cube,
+                    vertex_codes)
 from .linalg import Elimination, rank
 from .novikov import INFINITY, NovikovScalar, rat
 
@@ -121,6 +122,14 @@ class Ray:
                 if cube.n != n:
                     raise ValueError("prefix cube %d has dimension %d"
                                      % (k + 1, cube.n))
+            named = [("prefix cube %d" % (k + 1), cube)
+                     for k, cube in enumerate(self.prefix)]
+            if tail.kind == "stationary":
+                named.append(("tail cube", tail.cube))
+            for name, cube in named:
+                bad = entry_violations(cube)
+                if bad:
+                    raise ValueError("%s, face %r: %s" % ((name,) + bad[0]))
             for a, b in zip(self.prefix, self.prefix[1:]):
                 if not glueable(a, b, n):
                     raise ValueError("consecutive prefix cubes do not glue")
@@ -532,9 +541,16 @@ def mayer_vietoris(square: CubeDiagram, work) -> ExactnessReport:
     rep = verify_cube(square, work)
     if not rep:
         raise NotCoherent("square does not verify: %s" % (rep.violations,))
-    tot = total_complex(square)
-    tq = tot.reduce_t0()
-    if not tq.is_acyclic():
+    tq = total_complex(square).reduce_t0()
+    # T=0 differential of the total complex, factored once to lift cycles
+    tot_idx = {g.label: i for i, g in enumerate(tq.generators)}
+    tot_rows: List[Dict[int, Fraction]] = [{} for _ in tot_idx]
+    for (t, s), v in tq.differential.items():
+        tot_rows[tot_idx[t]][tot_idx[s]] = v
+    lift = Elimination(tot_rows, len(tot_idx))
+    # d^2 = 0 and d is odd, so its even and odd blocks are disjoint and the
+    # homology has dimension (generators - 2 rank d)
+    if 2 * len(lift.pivots) != len(tq.generators):
         raise NotAcyclic("the square's iterated cone has T=0 homology %r"
                          % (tq.homology_ranks(),))
     corners = {w: square.vertex(w).reduce_t0()
@@ -543,13 +559,6 @@ def mayer_vietoris(square: CubeDiagram, work) -> ExactnessReport:
     e01 = reduce_map_t0(square.face("0-"))
     f11a = reduce_map_t0(square.face("1-"))   # from corner 10
     f11b = reduce_map_t0(square.face("-1"))   # from corner 01
-
-    # T=0 differential of the total complex, factored once to lift cycles
-    tot_idx = {g.label: i for i, g in enumerate(tq.generators)}
-    tot_rows: List[Dict[int, Fraction]] = [{} for _ in tot_idx]
-    for (t, s), v in tq.differential.items():
-        tot_rows[tot_idx[t]][tot_idx[s]] = v
-    lift = Elimination(tot_rows, len(tot_idx))
 
     spaces = {w: {p: q.homology_space(p) for p in (0, 1)}
               for w, q in corners.items()}

@@ -194,6 +194,82 @@ def test_cube_file_that_is_not_an_object_exits_2(tmp_path, capsys):
     assert str(path) in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("command,data", [
+    (("sh", "--precision", "1"), {"n": 1, "prefix": [], "tail": []}),
+    (("sh", "--precision", "1"), {"n": 1, "prefix": 5}),
+    (("tel", "--depth", "1", "--work", "2"), {"n": [1], "prefix": []}),
+    (("verify-cube",), {"n": 1, "vertices": 3}),
+    (("verify-cube",), {"n": 1, "vertices": {"0": {"generators": 1}}}),
+    (("morse", "global-sections", "--precision", "1", "--depth", "1"),
+     {"cells": [{"label": "a", "parity": 0, "value": []}]}),
+    (("morse", "empty-set", "--precision", "1"), {"cells": 7}),
+])
+def test_badly_shaped_file_exits_2(command, data, tmp_path, capsys):
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(data))
+    code, out = run_cli(capsys, *command, str(path), "--format", "json")
+    assert code == 2
+    assert str(path) in json.loads(out)["error"]
+
+
+def test_ray_with_a_face_of_wrong_parity_exits_2(tmp_path, capsys):
+    # generator a at vertex "1" made odd: its differential entry and the
+    # identity entry into it both have the wrong parity
+    c = ChainComplex([Generator("a", 0), Generator("b", 1)],
+                     {("b", "a"): NovikovScalar.one()})
+    edge = CubeDiagram(1, {"0": c, "1": c}, {"-": mat_identity(c.labels)})
+    data = cube_to_json(edge)
+    data["vertices"]["1"]["generators"][0]["parity"] = 1
+    path = tmp_path / "parity_ray.json"
+    path.write_text(json.dumps({"n": 1, "prefix": [data]}))
+    code, out = run_cli(capsys, "sh", str(path), "--precision", "1",
+                        "--format", "json")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert str(path) in error
+    assert "prefix cube 1, face " in error
+    assert "wrong parity" in error
+
+
+def test_cone_needs_a_direction_in_range_and_signed_form(square_file,
+                                                         tmp_path, capsys):
+    code, out = run_cli(capsys, "cone", square_file, "--direction", "3",
+                        "--format", "json")
+    assert code == 2
+    assert square_file in json.loads(out)["error"]
+    data = json.loads(open(square_file).read())
+    data["positive"] = True
+    path = tmp_path / "positive.json"
+    path.write_text(json.dumps(data))
+    code, out = run_cli(capsys, "cone", str(path), "--direction", "1",
+                        "--format", "json")
+    assert code == 2
+    assert str(path) in json.loads(out)["error"]
+
+
+def test_relative_sh_with_unknown_subset_labels_exits_2(capsys):
+    code, out = run_cli(capsys, "morse", "relative-sh", "bundled:grid9",
+                        "--precision", "1", "--depth", "2",
+                        "--subset", "nowhere", "--format", "json")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert "bundled:grid9" in error and "nowhere" in error
+
+
+def test_global_sections_of_nonnegative_values_is_a_domain_failure(
+        tmp_path, capsys):
+    data = model_to_json(bundled_model("interval"))
+    data["cells"][0]["value"] = "2"
+    path = tmp_path / "nonnegative.json"
+    path.write_text(json.dumps(data))
+    code, out = run_cli(capsys, "morse", "global-sections", str(path),
+                        "--precision", "1", "--depth", "1",
+                        "--format", "json")
+    assert code == 1
+    assert json.loads(out)["error"].startswith(
+        "%s: NotNegative: " % path)
+
+
 @pytest.mark.parametrize("argv", [
     ("morse", "empty-set", "bundled:circle", "--precision", "0"),
     ("morse", "empty-set", "bundled:circle", "--precision", "-1"),

@@ -1,0 +1,121 @@
+"""Fuzz the JSON loaders: a badly shaped input file is a usage error.
+
+Valid cube, ray and model files get keys dropped and values swapped for
+values of another JSON type; whatever the result, the command line must
+answer 0, 1 or 2, never 3 (internal error).
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from novcube import cli
+from novcube.chain import ChainComplex, Generator
+from novcube.cubes import CubeDiagram, cube_to_json
+from novcube.morse import bundled_model, cf, model_to_json
+from novcube.novikov import NovikovScalar
+
+# one value of each JSON type, none of them large
+SWAPS = [None, True, 2, 1.5, "x", "", [], [1], {}, {"k": 1}]
+
+
+def _square():
+    c = ChainComplex([Generator("a", 0), Generator("b", 1)],
+                     {("b", "a"): NovikovScalar.monomial(1, 1)})
+    edge = {("a", "a"): NovikovScalar.one(), ("b", "b"): NovikovScalar.one()}
+    return CubeDiagram(2, {w: c for w in ("00", "10", "01", "11")},
+                       {"-0": edge, "-1": edge, "0-": edge, "1-": edge})
+
+
+def _ray():
+    m = bundled_model("interval")
+    c = cf(m, dict(m.values))
+    cube = CubeDiagram(1, {"0": c, "1": c},
+                       {"-": {(l, l): NovikovScalar.monomial(1, 1)
+                              for l in m.labels}})
+    return {"n": 1, "prefix": [cube_to_json(cube)],
+            "tail": {"kind": "stationary", "cube": cube_to_json(cube)}}
+
+
+# a valid document, then the command lines that read it
+CASES = {
+    "cube": (cube_to_json(_square()),
+             [["verify-cube"], ["cone", "--direction", "1"], ["mv"]]),
+    "ray": (_ray(), [["sh", "--precision", "1"],
+                     ["tel", "--depth", "1", "--work", "2"]]),
+    "model": (model_to_json(bundled_model("interval")),
+              [["morse", "global-sections", "--precision", "1",
+                "--depth", "1"],
+               ["morse", "empty-set", "--precision", "1"]]),
+}
+
+
+def _paths(doc, prefix=()):
+    """Every position in a JSON document, as a key path."""
+    if prefix:
+        yield prefix
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for k, v in items:
+        yield from _paths(v, prefix + (k,))
+
+
+def _value_at(doc, path):
+    for k in path:
+        doc = doc[k]
+    return doc
+
+
+DROP = "<drop>"
+
+
+def _mutate(doc, path, value):
+    """A copy of doc with the value at path dropped or replaced."""
+    doc = json.loads(json.dumps(doc))
+    parent = _value_at(doc, path[:-1])
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@st.composite
+def mutants(draw):
+    """A valid document with one to three positions dropped or given a
+    value of another type, and a command line that reads it."""
+    kind = draw(st.sampled_from(sorted(CASES)))
+    doc, commands = CASES[kind]
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        old = _value_at(doc, path)
+        value = draw(st.sampled_from(
+            [DROP] + [v for v in SWAPS if type(v) is not type(old)]))
+        doc = _mutate(doc, path, value)
+    return doc, draw(st.sampled_from(commands))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutants())
+def test_badly_shaped_input_never_exits_3(case):
+    doc, argv = case
+    fd, path = tempfile.mkstemp(suffix=".json")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(doc, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv + [path, "--format", "json"])
+    finally:
+        os.unlink(path)
+    assert code in (0, 1, 2), out.getvalue()
+    if code == 2:
+        assert path in json.loads(out.getvalue())["error"]

@@ -203,9 +203,8 @@ def test_neg_scale_shift_fast_paths(x, c, e):
                              None if x.mod is None else x.mod + e))
 
 
-@settings(max_examples=100)
-@given(stored_scalars(max_terms=1), stored_scalars(max_terms=1))
-def test_single_term_product_fast_path(x, y):
+def product(x, y):
+    """x * y through the general constructor."""
     mods = []
     if x.mod is not None and y.val_floor() is not INFINITY:
         mods.append(x.mod + y.val_floor())
@@ -213,7 +212,76 @@ def test_single_term_product_fast_path(x, y):
         mods.append(y.mod + x.val_floor())
     mod = min(mods) if mods else None
     prods = [(e1 + e2, c1 * c2) for e1, c1 in x.terms for e2, c2 in y.terms]
-    same(x * y, general(prods, mod))
+    return general(prods, mod)
+
+
+def joint_mod(x, y):
+    mods = [m for m in (x.mod, y.mod) if m is not None]
+    return min(mods) if mods else None
+
+
+@settings(max_examples=100)
+@given(stored_scalars(max_terms=1), stored_scalars(max_terms=1))
+def test_single_term_product_fast_path(x, y):
+    same(x * y, product(x, y))
+
+
+@settings(max_examples=150, deadline=None)
+@given(stored_scalars(max_terms=4), stored_scalars(max_terms=4))
+def test_multi_term_product_fast_path(x, y):
+    same(x * y, product(x, y))
+    # a factor with a term of each sign that cancel in the product
+    z = general([(F(0), F(1)), (F(1), F(1))])
+    w = general([(F(0), F(1)), (F(1), F(-1))])
+    same(z * w, general([(F(0), F(1)), (F(2), F(-1))]))
+    same((x * z) * w, product(product(x, z), w))
+
+
+@settings(max_examples=150, deadline=None)
+@given(stored_scalars(max_terms=4), stored_scalars(max_terms=4),
+       st.lists(st.booleans(), min_size=4, max_size=4))
+def test_add_and_sub_merge_fast_paths(x, y, cancel):
+    same(x + y, general(x.terms + y.terms, joint_mod(x, y)))
+    same(x - y, general(x.terms + tuple((e, -c) for e, c in y.terms),
+                        joint_mod(x, y)))
+    # some of x's terms cancel exactly against z's
+    z = general([(e, -c) for (e, c), k in zip(x.terms, cancel) if k]
+                + list(y.terms), y.mod)
+    same(x + z, general(x.terms + z.terms, joint_mod(x, z)))
+    same(x - x, general([], x.mod))
+    same(x + (-x), general([], x.mod))
+
+
+@settings(max_examples=150, deadline=None)
+@given(stored_scalars(max_terms=4),
+       st.fractions(max_denominator=4, min_value=F(1, 4), max_value=4))
+def test_truncate_fast_path(x, r):
+    same(x.truncate(r), general(x.terms, r if x.mod is None
+                                else min(r, x.mod)))
+
+
+def test_merge_fast_paths_at_the_edges():
+    # terms at or above the joint precision are dropped, from either side
+    x = general([(F(-1), F(2)), (F(1), F(1))], F(3, 2))
+    y = general([(F(1), F(-1)), (F(3, 2), F(5)), (F(2), F(1))])
+    same(x + y, general([(F(-1), F(2))], F(3, 2)))
+    same(y + x, general([(F(-1), F(2))], F(3, 2)))
+    same(y - x, general([(F(-1), F(-2)), (F(1), F(-2))], F(3, 2)))
+    # a precision on both sides: the smaller one wins
+    u = general([(F(0), F(1))], F(2))
+    v = general([(F(1), F(1))], F(1))
+    same(u + v, general([(F(0), F(1))], F(1)))
+    # everything cancels, exact or at a precision
+    same(y - y, general([]))
+    same(x - x, general([], F(3, 2)))
+    # the precision may be <= 0 and then nothing is stored
+    same(general([], F(-1)) + y, general([], F(-1)))
+    # products land on one exponent from two pairs and cancel there
+    a = general([(F(0), F(1)), (F(1, 2), F(1))])
+    b = general([(F(1, 2), F(1)), (F(0), F(-1))])
+    same(a * b, general([(F(0), F(-1)), (F(1), F(1))]))
+    same(a.truncate(F(1, 2)), general([(F(0), F(1))], F(1, 2)))
+    same(a.truncate(F(1, 2)).truncate(1), general([(F(0), F(1))], F(1, 2)))
 
 
 def test_fast_paths_at_the_edges():
