@@ -138,10 +138,6 @@ class ChainComplex:
     def parity(self, label: Label) -> int:
         return self._parity[label]
 
-    def rank_by_parity(self) -> Tuple[int, int]:
-        even = sum(1 for g in self.generators if g.parity == 0)
-        return even, len(self.generators) - even
-
     def __eq__(self, other):
         """Semantic equality: same generator set (with parities) and the
         same label-keyed differential; generator order is presentation."""
@@ -387,18 +383,6 @@ class Barcode:
             "free_at_precision": self.free_at_precision,
         }
 
-    def to_text(self) -> str:
-        lines = ["kind     parity  length"]
-        for p in self.free_bars:
-            lines.append("free     %-7d -" % p)
-        for p in self.open_bars:
-            lines.append("open     %-7d (0, precision)" % p)
-        for p, l in self.torsion_bars:
-            lines.append("torsion  %-7d %s" % (p, l))
-        if len(lines) == 1:
-            lines.append("(empty)")
-        return "\n".join(lines)
-
 
 def _barcode(c: ChainComplex, work: Fraction) -> Barcode:
     """Valuation-pivot reduction over the quotient ring at T^work.
@@ -551,8 +535,18 @@ def complex_to_json(c: ChainComplex) -> dict:
     }
 
 
+def json_field(data: dict, key: str, kind: type, default=None):
+    """``data[key]``, or ``default`` (when given) for a missing key, which
+    must be of exactly the type ``kind``: a bool is not an int here."""
+    value = data[key] if default is None or key in data else default
+    if type(value) is not kind:
+        raise ValueError("key %r must be of type %s, got %r"
+                         % (key, kind.__name__, value))
+    return value
+
+
 def complex_from_json(data: dict) -> ChainComplex:
-    gens = [Generator(g["label"], int(g["parity"]))
+    gens = [Generator(g["label"], json_field(g, "parity", int))
             for g in data["generators"]]
     diff: MatrixEntries = {}
     for e in data.get("differential", ()):

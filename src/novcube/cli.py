@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .chain import Barcode, NotChainMap
+from .chain import NotChainMap, json_field
 from .cubes import (CubeDiagram, InvalidDirection, NotConiform, NotGluable,
                     cone, compose, cube_from_json, cube_to_json,
                     entry_violations, verify_cube)
@@ -99,10 +99,13 @@ def _load_cube(path: str) -> Tuple[CubeDiagram, str]:
 
 
 def _load_sound_cube(path: str) -> Tuple[CubeDiagram, str]:
-    """A cube whose face entries lie in their complexes, with the right
-    parity and nonnegative valuation, as the commands that build new
+    """A total cube whose face entries lie in their complexes, with the
+    right parity and nonnegative valuation, as the commands that build new
     complexes from it need."""
     cube, digest = _load_cube(path)
+    if cube.partial:
+        raise InputError("bad cube file %s: a partial cube cannot be "
+                         "coned or composed" % path)
     bad = entry_violations(cube)
     if bad:
         raise InputError("bad cube file %s: face %r: %s" % ((path,) + bad[0]))
@@ -112,7 +115,7 @@ def _load_sound_cube(path: str) -> Tuple[CubeDiagram, str]:
 def _load_ray(path: str) -> Tuple[Ray, str]:
     data, digest = _read_object(path, "ray", RAY_KEYS)
     try:
-        n = int(data["n"])
+        n = json_field(data, "n", int)
         prefix = [cube_from_json(c) for c in data.get("prefix", ())]
         taildata = data.get("tail", {"kind": "finite"})
         kind = taildata.get("kind", "finite")
@@ -148,10 +151,6 @@ def _provenance(digests, args, **extra):
     return prov
 
 
-def _barcode_json(code: Barcode):
-    return code.to_json()
-
-
 # ---------------------------------------------------------------------------
 # command handlers: return (report_dict, exit_code)
 
@@ -164,7 +163,7 @@ def cmd_verify_cube(args, path):
         "command": "verify-cube",
         "input": path,
         "status": "ok" if rep.ok else "violation",
-        "faces_checked": len(cube.faces),
+        "faces_checked": len(cube.codes),
         "violations": [{"face": f, "detail": d} for f, d in rep.violations],
         "provenance": _provenance([digest], args),
     }
@@ -243,7 +242,7 @@ def cmd_sh(args, path):
         "command": "sh",
         "input": path,
         "status": "ok",
-        "barcode": _barcode_json(code),
+        "barcode": code.to_json(),
         "provenance": _provenance([digest], args),
     }
     return report, 0
@@ -296,7 +295,7 @@ def cmd_morse(args, path):
             "command": "morse global-sections",
             "input": path,
             "status": "ok",
-            "barcode": _barcode_json(rep.barcode),
+            "barcode": rep.barcode.to_json(),
             "betti": list(rep.betti),
             "stage_weights_checked": rep.stage_weights_checked,
             "provenance": _provenance([digest], args),
@@ -310,7 +309,7 @@ def cmd_morse(args, path):
             "command": "morse empty-set",
             "input": path,
             "status": "ok" if code.is_zero else "violation",
-            "barcode": _barcode_json(code),
+            "barcode": code.to_json(),
             "provenance": _provenance([digest], args),
         }
         return report, 0 if code.is_zero else 1
@@ -330,7 +329,7 @@ def cmd_morse(args, path):
             "input": path,
             "status": "ok",
             "subset": sorted(labels),
-            "barcode": _barcode_json(rep.barcode),
+            "barcode": rep.barcode.to_json(),
             "betti": list(rep.betti),
             "provenance": _provenance([digest], args),
         }

@@ -10,22 +10,33 @@ coherence equation must vanish: summing over the pairs of adjacent faces
     sum (-1)^(#(1,v) + #(01,v)) f_F'' . f_F'  =  0,
 
 where v records, on the dashes of F, which half of the pair carries the
-dash.  Converting every map by the sign (-1)^(#(0-,mu) + #(0,mu)) turns all
-equations into plain sums; in that positive form a cube is nothing but a
-square-zero block matrix that is triangular along the vertex order, which
-is what the cone and total-complex operations exploit.
+dash.  One sign rule, multiplying each f_F by (-1)^(#(0-,F) + #(0,F))
+(:func:`positive_sign_exponent`), turns every equation into a plain sum.
+
+Data model.  In that positive form a cube is nothing but a square-zero
+block matrix D that is triangular along the vertex order, and that is how
+a :class:`CubeDiagram` is stored: the generators of each vertex complex
+plus D, keyed ``((w_t, t), (w_s, s))``, whose (w_s, w_t) block is the
+positive-form map of the face from w_s to w_t.  Face maps, vertex
+complexes and JSON are views of D; ``positive`` only chooses whether
+those views are signed.  The (w', w) block of D.D is the coherence
+equation of the face F = [w, w'] times (-1)^(#(0-,F) + dim F), so
+:func:`verify_cube` is one matrix product; :func:`cone`, :func:`compose`
+and telescopes relabel or multiply D, and :func:`total_complex` is D with
+shifted parities.
 """
 
 from __future__ import annotations
 
+from functools import cached_property, lru_cache, reduce
 from itertools import product
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .chain import (ChainComplex, Generator, MatrixEntries, Report,
-                    mat_add, mat_clean, mat_compose, mat_equal, mat_identity,
-                    mat_neg, matrix_from_json, matrix_to_json,
-                    complex_from_json, complex_to_json, residual_violations)
-from .novikov import rat
+                    complex_from_json, complex_to_json, json_field,
+                    mat_clean, mat_compose, mat_equal, mat_neg,
+                    matrix_from_json, matrix_to_json, residual_violations)
+from .novikov import NovikovScalar, rat
 
 
 class InvalidDirection(ValueError):
@@ -71,6 +82,11 @@ def terminal_vertex(code: str) -> str:
     return code.replace("-", "1")
 
 
+def face_between(ws: str, wt: str) -> str:
+    """The code of the face from vertex ws up to vertex wt."""
+    return "".join(a if a == b else "-" for a, b in zip(ws, wt))
+
+
 def vertex_codes(n: int) -> List[str]:
     return ["".join(bits) for bits in product("01", repeat=n)]
 
@@ -79,13 +95,8 @@ def face_codes(n: int) -> List[str]:
     return ["".join(cs) for cs in product("01-", repeat=n)]
 
 
-def insert_coord(code: str, i: int, ch: str) -> str:
-    """Insert ch as the i-th coordinate (1-based)."""
-    return code[:i - 1] + ch + code[i - 1:]
-
-
-def drop_coord(code: str, i: int) -> str:
-    return code[:i - 1] + code[i:]
+# face codes translated so that string order is :func:`face_codes` order
+_FACE_ORDER = str.maketrans("01-", "012")
 
 
 def boundary_pairs(code: str) -> List[Tuple[str, str, str]]:
@@ -112,21 +123,12 @@ def boundary_pairs(code: str) -> List[Tuple[str, str, str]]:
 
 def pair_sign_word(fprime: str, face: str) -> str:
     """The word v(F', F) read off the dashes of F."""
-    if len(fprime) != len(face):
-        raise ValueError("face codes of different dimension")
-    bits = []
-    for a, b in zip(fprime, face):
-        if b == "-":
-            if a == "-":
-                bits.append("1")
-            elif a == "0":
-                bits.append("0")
-            else:
-                raise ValueError("%r does not start a boundary pair of %r"
-                                 % (fprime, face))
-        elif a != b:
-            raise ValueError("%r is not contained in %r" % (fprime, face))
-    return "".join(bits)
+    pairs = list(zip(fprime, face))
+    if len(fprime) != len(face) or any(
+            (a, b) == ("1", "-") or a != b != "-" for a, b in pairs):
+        raise ValueError("%r does not start a boundary pair of %r"
+                         % (fprime, face))
+    return "".join("1" if a == "-" else "0" for a, b in pairs if b == "-")
 
 
 def cube_sign(fprime: str, face: str) -> int:
@@ -140,150 +142,258 @@ def positive_sign_exponent(code: str) -> int:
     return subtuple_count("0-", code) + subtuple_count("0", code)
 
 
+@lru_cache(maxsize=4096)
+def _flips(ws: str, wt: str) -> bool:
+    """Whether the signed and the positive form differ on the face from
+    ws to wt."""
+    return positive_sign_exponent(face_between(ws, wt)) % 2 == 1
+
+
 def face_equation_terms(code: str, positive: bool = False):
     """The signed terms of the coherence equation at ``code``.
 
     Returns a list of (sign, F'', F') with the composite read right to
     left: f_F' first.
     """
-    out = []
-    for fp, fpp, v in boundary_pairs(code):
-        if positive:
-            sign = 1
-        else:
-            sign = -1 if (subtuple_count("1", v) + subtuple_count("01", v)) % 2 \
-                else 1
-        out.append((sign, fpp, fp))
-    return out
+    return [(1 if positive else cube_sign(fp, code), fpp, fp)
+            for fp, fpp, _ in boundary_pairs(code)]
 
 
 # ---------------------------------------------------------------------------
 
+Gens = Dict[str, Tuple[Generator, ...]]
+
+
+def _put(D: MatrixEntries, code: str, entries: MatrixEntries,
+         positive: bool, keys: dict) -> None:
+    """Add the face map ``entries`` at ``code`` to D in positive form.
+
+    ``keys`` hands out one (vertex, label) tuple per generator, so that
+    the entries of D share them."""
+    flip = entries and not positive and positive_sign_exponent(code) % 2
+    ws, wt = initial_vertex(code), terminal_vertex(code)
+    for (t, s), v in entries.items():
+        D[(keys.setdefault((wt, t), (wt, t)),
+           keys.setdefault((ws, s), (ws, s)))] = -v if flip else v
+
 
 class CubeDiagram:
-    """An n-cube of complexes; ``positive=True`` marks all-plus signs."""
+    """An n-cube of complexes, stored as its positive-form total matrix.
+
+    ``gens[w]`` holds the generators of the complex at vertex w and ``D``
+    the positive-form total differential (see the module docstring).  The
+    constructor takes face maps in the convention ``positive`` names,
+    signed by default.  A partial cube defines only the given faces and
+    the vertices; verification skips the equations that need any other.
+    """
 
     def __init__(self, n: int, vertices: Dict[str, ChainComplex],
                  faces: Dict[str, MatrixEntries], positive: bool = False,
                  partial: bool = False):
-        self.n = n
-        self.positive = positive
-        self.partial = partial
-        self.vertices = dict(vertices)
         for w in vertex_codes(n):
-            if w not in self.vertices:
+            if w not in vertices:
                 raise ValueError("missing vertex complex %r" % w)
-        self.faces: Dict[str, MatrixEntries] = {}
-        for code, entries in faces.items():
+        for code in faces:
             if len(code) != n or any(ch not in "01-" for ch in code):
                 raise ValueError("bad face code %r" % code)
-            self.faces[code] = mat_clean(entries)
+        given = dict(faces)
         for w in vertex_codes(n):
-            given = self.faces.get(w)
-            diff = self.vertices[w].differential
-            if given is not None and not mat_equal(given, diff):
+            diff = vertices[w].differential
+            if w in given and not mat_equal(given[w], diff):
                 raise ValueError("vertex face %r disagrees with the "
                                  "complex differential" % w)
-            self.faces[w] = dict(diff)
-        if not partial:
-            for code in face_codes(n):
-                self.faces.setdefault(code, {})
+            given[w] = diff
+        D: MatrixEntries = {}
+        keys: dict = {}
+        for code, entries in given.items():
+            _put(D, code, entries, positive, keys)
+        self._init(n, {w: vertices[w].generators for w in vertex_codes(n)},
+                   D, positive, set(given) if partial else None)
+        # the given complexes already are the vertex views of D
+        self._vertices = {w: vertices[w] for w in vertex_codes(n)}
+
+    @classmethod
+    def from_matrix(cls, n: int, gens: Gens, D: MatrixEntries,
+                    positive: bool = False,
+                    defined: Optional[set] = None) -> "CubeDiagram":
+        """The cube with vertex generators ``gens`` and positive-form D,
+        which it keeps; ``defined`` lists a partial cube's face codes."""
+        cube = cls.__new__(cls)
+        cube._init(n, gens, D, positive, defined)
+        return cube
+
+    def _init(self, n, gens, D, positive, defined):
+        self.n = n
+        self.positive = positive
+        self.gens: Gens = {w: tuple(gens[w]) for w in sorted(gens)}
+        # entries that vanish only at their precision stay in the vertex
+        # blocks, as they do in a complex's differential
+        if not all(v.terms or (v.mod is not None and k[0][0] == k[1][0])
+                   for k, v in D.items()):
+            D = {k: v for k, v in D.items()
+                 if v.terms or (v.mod is not None and k[0][0] == k[1][0])}
+        self.D: MatrixEntries = D
+        self._defined = defined
+        self._vertices: Dict[str, ChainComplex] = {}
+
+    # -- views of D ------------------------------------------------------
+
+    @property
+    def partial(self) -> bool:
+        return self._defined is not None
 
     def defined(self, code: str) -> bool:
-        return code in self.faces
+        if self._defined is not None:
+            return code in self._defined
+        return len(code) == self.n and all(ch in "01-" for ch in code)
+
+    @property
+    def codes(self) -> List[str]:
+        """The defined face codes."""
+        if self._defined is None:
+            return face_codes(self.n)
+        return sorted(self._defined, key=lambda c: c.translate(_FACE_ORDER))
+
+    @cached_property
+    def _blocks(self) -> Dict[Tuple[str, str], MatrixEntries]:
+        """D cut into face blocks keyed (initial vertex, terminal vertex),
+        in the order of D."""
+        out: Dict[Tuple[str, str], MatrixEntries] = {}
+        for ((wt, t), (ws, s)), v in self.D.items():
+            out.setdefault((ws, wt), {})[(t, s)] = v
+        return out
+
+    def _view(self, ws: str, wt: str) -> MatrixEntries:
+        block = self._blocks.get((ws, wt), {})
+        if self.positive or not _flips(ws, wt):
+            return dict(block)
+        return mat_neg(block)
 
     def face(self, code: str) -> MatrixEntries:
-        return self.faces[code]
+        if not self.defined(code):
+            raise KeyError(code)
+        return self._view(initial_vertex(code), terminal_vertex(code))
+
+    @property
+    def faces(self) -> Dict[str, MatrixEntries]:
+        """Every defined face map: those with entries first, in the order
+        of D, then the others."""
+        out = {face_between(ws, wt): self._view(ws, wt)
+               for ws, wt in self._blocks}
+        out.update((code, {}) for code in self.codes if code not in out)
+        return out
 
     def vertex(self, code: str) -> ChainComplex:
-        return self.vertices[code]
+        c = self._vertices.get(code)
+        if c is None:
+            c = ChainComplex(self.gens[code], self._view(code, code))
+            self._vertices[code] = c
+        return c
+
+    @property
+    def vertices(self) -> Dict[str, ChainComplex]:
+        return {w: self.vertex(w) for w in self.gens}
 
     def __eq__(self, other):
         if not isinstance(other, CubeDiagram):
             return NotImplemented
         return (self.n == other.n and self.positive == other.positive
+                and self._defined == other._defined
                 and self.vertices == other.vertices
-                and {k: mat_clean(v) for k, v in self.faces.items()}
-                == {k: mat_clean(v) for k, v in other.faces.items()})
+                and mat_clean(self.D) == mat_clean(other.D))
 
     def __repr__(self):
         return "CubeDiagram(n=%d, %s)" % (
             self.n, "positive" if self.positive else "signed")
 
+    # -- relabellings of D -------------------------------------------------
+
+    def recode(self, move: Callable[[str], Optional[str]]
+               ) -> Tuple[Gens, MatrixEntries]:
+        """Generators and D carried to the vertex codes ``move`` gives
+        (vertices it maps to None are dropped), re-signed so that every
+        face map keeps its value in this cube's convention."""
+        gens = {move(w): g for w, g in self.gens.items()}
+        gens.pop(None, None)
+        D: MatrixEntries = {}
+        for ((wt, t), (ws, s)), v in self.D.items():
+            a, b = move(ws), move(wt)
+            if a is None or b is None:
+                continue
+            if not self.positive and _flips(ws, wt) != _flips(a, b):
+                v = -v
+            D[((b, t), (a, s))] = v
+        return gens, D
+
     def subcube(self, i: int, value: str) -> "CubeDiagram":
         """The (n-1)-cube sitting at {x_i = value}, value in '01'."""
         if not 1 <= i <= self.n:
             raise InvalidDirection("direction %d out of range" % i)
-        m = self.n - 1
-        vertices = {w: self.vertices[insert_coord(w, i, value)]
-                    for w in vertex_codes(m)}
-        faces = {}
-        for code in face_codes(m):
-            big = insert_coord(code, i, value)
-            if big in self.faces:
-                faces[code] = self.faces[big]
-        return CubeDiagram(m, vertices, faces, self.positive, self.partial)
+
+        def at(code):
+            return code[:i - 1] + code[i:] if code[i - 1] == value else None
+
+        defined = None if self._defined is None else \
+            {at(c) for c in self._defined if at(c) is not None}
+        gens, D = self.recode(at)
+        return CubeDiagram.from_matrix(self.n - 1, gens, D, self.positive,
+                                       defined)
 
     def relabel_vertices(self, fn) -> "CubeDiagram":
         """Apply a per-vertex label map: fn(vertex_code, label) -> label."""
-        verts = {w: c.relabel(lambda l, w=w: fn(w, l))
-                 for w, c in self.vertices.items()}
-        faces = {}
-        for code, entries in self.faces.items():
-            wi, wt = initial_vertex(code), terminal_vertex(code)
-            faces[code] = {(fn(wt, t), fn(wi, s)): v
-                           for (t, s), v in entries.items()}
-        return CubeDiagram(self.n, verts, faces, self.positive, self.partial)
+        gens = {w: [Generator(fn(w, g.label), g.parity) for g in gs]
+                for w, gs in self.gens.items()}
+        D = {((wt, fn(wt, t)), (ws, fn(ws, s))): v
+             for ((wt, t), (ws, s)), v in self.D.items()}
+        return CubeDiagram.from_matrix(self.n, gens, D, self.positive,
+                                       self._defined)
 
 
 def entry_violations(cube: CubeDiagram) -> List[Tuple[str, str]]:
     """Face entries outside their complexes, of the wrong parity or of
     negative valuation, as ``(face code, detail)``; no precision needed."""
     bad: List[Tuple[str, str]] = []
-    parity = {w: {g.label: g.parity for g in c.generators}
-              for w, c in cube.vertices.items()}
-    for code, entries in cube.faces.items():
-        if not entries:
+    parity = {w: {g.label: g.parity for g in gs}
+              for w, gs in cube.gens.items()}
+    for ((wt, t), (ws, s)), v in cube.D.items():
+        code = face_between(ws, wt)
+        src, tgt = parity[ws], parity[wt]
+        if s not in src or t not in tgt:
+            bad.append((code, "entry (%r, %r) outside its complexes"
+                        % (t, s)))
             continue
-        want = (face_dim(code) + 1) % 2
-        src = parity[initial_vertex(code)]
-        tgt = parity[terminal_vertex(code)]
-        for (t, s), v in entries.items():
-            if s not in src or t not in tgt:
-                bad.append((code, "entry (%r, %r) outside its complexes"
-                            % (t, s)))
-                continue
-            if (tgt[t] - src[s]) % 2 != want:
-                bad.append((code, "entry (%r, %r) has wrong parity" % (t, s)))
-            if v.val() < 0:
-                bad.append((code, "entry (%r, %r) has negative valuation %s"
-                            % (t, s, v.val())))
+        if (tgt[t] - src[s]) % 2 != (face_dim(code) + 1) % 2:
+            bad.append((code, "entry (%r, %r) has wrong parity" % (t, s)))
+        if v.val() < 0:
+            bad.append((code, "entry (%r, %r) has negative valuation %s"
+                        % (t, s, v.val())))
     return bad
 
 
 def verify_cube(cube: CubeDiagram, work) -> Report:
-    """Parity, valuations and every face's coherence equation mod T^work."""
+    """Parity, valuations and every face's coherence equation mod T^work.
+
+    With D ordered by (source vertex, target vertex), D.D meets each
+    block's terms in the order of the face's boundary pairs; violations
+    then follow :func:`face_codes`.  A partial cube skips each face whose
+    equation needs an undefined one.
+    """
     work = rat(work)
-    bad = entry_violations(cube)
-    for code in face_codes(cube.n):
-        if not cube.defined(code):
+    D = dict(sorted(cube.D.items(), key=lambda kv: (kv[0][1][0],
+                                                    kv[0][0][0])))
+    residual: MatrixEntries = {}
+    for (t, s), v in mat_compose(D, D).items():
+        code = face_between(s[0], t[0])
+        if cube.partial and not all(cube.defined(f) for fp, fpp, _ in
+                                    boundary_pairs(code) for f in (fp, fpp)):
             continue
-        terms = []
-        skip = False
-        for sign, fpp, fp in face_equation_terms(code, cube.positive):
-            if not (cube.defined(fp) and cube.defined(fpp)):
-                skip = True
-                break
-            prod = mat_compose(cube.face(fpp), cube.face(fp))
-            terms.append(prod if sign > 0 else mat_neg(prod))
-        if skip:
-            if not cube.partial:
-                bad.append((code, "equation depends on undefined faces"))
-            continue
-        residual = mat_add(*terms) if terms else {}
-        for t, s, detail in residual_violations(residual, work):
-            bad.append((code, "equation residual at (%r, %r): %s"
-                        % (t, s, detail)))
+        odd = (subtuple_count("0-", code) + face_dim(code)) % 2
+        residual[(t, s)] = -v if odd and not cube.positive else v
+    found = [(face_between(s[0], t[0]), "equation residual at (%r, %r): %s"
+              % (t[1], s[1], detail))
+             for t, s, detail in residual_violations(residual, work)]
+    found.sort(key=lambda f: f[0].translate(_FACE_ORDER))
+    bad = entry_violations(cube) + found
     return Report(not bad, tuple(bad))
 
 
@@ -292,16 +402,8 @@ def verify_cube(cube: CubeDiagram, work) -> Report:
 
 
 def _toggle_signs(cube: CubeDiagram, positive: bool) -> CubeDiagram:
-    faces = {}
-    for code, entries in cube.faces.items():
-        if positive_sign_exponent(code) % 2:
-            entries = mat_neg(entries)
-        faces[code] = entries
-    vertices = {}
-    for w, c in cube.vertices.items():
-        d = faces[w]
-        vertices[w] = ChainComplex(c.generators, d)
-    return CubeDiagram(cube.n, vertices, faces, positive, cube.partial)
+    return CubeDiagram.from_matrix(cube.n, cube.gens, cube.D, positive,
+                                   cube._defined)
 
 
 def to_positive_signs(cube: CubeDiagram) -> CubeDiagram:
@@ -322,43 +424,32 @@ def from_positive_signs(cube: CubeDiagram) -> CubeDiagram:
 # cones
 
 
-def _shifted_generator(g: Generator, bit: str) -> Generator:
-    parity = 1 - g.parity if bit == "0" else g.parity
-    return Generator((bit, g.label), parity)
-
-
 def cone(cube: CubeDiagram, i: int) -> CubeDiagram:
     """Contract direction i, generalizing the mapping cone.
 
     Per vertex the module is C^(w,i,0)[1] (+) C^(w,i,1), generators being
-    relabelled ("0", l) and ("1", l); per face the map is the block
-    triangular combination of the three faces over it.  Signs enter only
-    through conversion to and from the positive form.
+    relabelled ("0", l) and ("1", l).  In positive form this only regroups
+    D: (w, l) becomes (w without coordinate i, (w_i, l)).
     """
     if cube.positive:
         raise ValueError("cone applies to cubes in signed form")
+    if cube.partial:
+        raise ValueError("cone applies to total cubes")
     if not 1 <= i <= cube.n:
         raise InvalidDirection("direction %d not in 1..%d" % (i, cube.n))
-    plus = to_positive_signs(cube)
-    m = cube.n - 1
-    faces: Dict[str, MatrixEntries] = {}
-    for code in face_codes(m):
-        blk: MatrixEntries = {}
-        for (t, s), v in plus.face(insert_coord(code, i, "0")).items():
-            blk[(("0", t), ("0", s))] = v
-        for (t, s), v in plus.face(insert_coord(code, i, "1")).items():
-            blk[(("1", t), ("1", s))] = v
-        for (t, s), v in plus.face(insert_coord(code, i, "-")).items():
-            blk[(("1", t), ("0", s))] = v
-        faces[code] = blk
-    vertices = {}
-    for w in vertex_codes(m):
-        gens = [_shifted_generator(g, "0")
-                for g in plus.vertex(insert_coord(w, i, "0")).generators]
-        gens += [_shifted_generator(g, "1")
-                 for g in plus.vertex(insert_coord(w, i, "1")).generators]
-        vertices[w] = ChainComplex(gens, faces[w])
-    return from_positive_signs(CubeDiagram(m, vertices, faces, positive=True))
+
+    def cut(key):
+        w, l = key
+        return w[:i - 1] + w[i:], (w[i - 1], l)
+
+    gens: Dict[str, List[Generator]] = {}
+    for w, gs in cube.gens.items():
+        bit = w[i - 1]
+        gens.setdefault(w[:i - 1] + w[i:], []).extend(
+            Generator((bit, g.label), 1 - g.parity if bit == "0" else g.parity)
+            for g in gs)
+    D = {(cut(t), cut(s)): v for (t, s), v in cube.D.items()}
+    return CubeDiagram.from_matrix(cube.n - 1, gens, D)
 
 
 def decone(cube: CubeDiagram, i: int,
@@ -378,71 +469,46 @@ def decone(cube: CubeDiagram, i: int,
     if splittings is None:
         splittings = {}
         for w, c in cube.vertices.items():
-            a = {l for l in c.labels
-                 if isinstance(l, tuple) and len(l) == 2 and l[0] == "0"}
-            b = {l for l in c.labels
-                 if isinstance(l, tuple) and len(l) == 2 and l[0] == "1"}
+            a, b = ({l for l in c.labels if isinstance(l, tuple)
+                     and len(l) == 2 and l[0] == bit} for bit in "01")
             if a | b != set(c.labels):
                 raise NotConiform("vertex %r has no declared splitting and "
                                   "labels are not cone-shaped" % w)
             splittings[w] = (a, b)
-    plus = to_positive_signs(cube)
-    n = cube.n + 1
     unwrap = (lambda l: l[1]) if strip else (lambda l: l)
 
-    faces: Dict[str, MatrixEntries] = {}
-    for code in face_codes(cube.n):
-        a_in, b_in = splittings[initial_vertex(code)]
-        a_ter, b_ter = splittings[terminal_vertex(code)]
-        blocks = {"0": {}, "1": {}, "-": {}}
-        for (t, s), v in plus.face(code).items():
-            if s in a_in and t in a_ter:
-                blocks["0"][(unwrap(t), unwrap(s))] = v
-            elif s in b_in and t in b_ter:
-                blocks["1"][(unwrap(t), unwrap(s))] = v
-            elif s in a_in and t in b_ter:
-                blocks["-"][(unwrap(t), unwrap(s))] = v
-            else:
-                raise NotConiform(
-                    "face %r has an upper-triangular entry (%r, %r)"
-                    % (code, t, s))
-        for ch in "01-":
-            faces[insert_coord(code, i, ch)] = blocks[ch]
-    vertices = {}
-    for w in vertex_codes(cube.n):
+    def side(w, l):
         a, b = splittings[w]
-        c = cube.vertex(w)
-        for bit, part in (("0", a), ("1", b)):
-            code = insert_coord(w, i, bit)
-            gens = [Generator(unwrap(g.label),
-                              (1 - g.parity) if bit == "0" else g.parity)
-                    for g in c.generators if g.label in part]
-            vertices[code] = ChainComplex(gens, faces[code])
-    return from_positive_signs(
-        CubeDiagram(n, vertices, faces, positive=True))
+        return "0" if l in a else "1" if l in b else None
+
+    def grow(w, bit):
+        return w[:i - 1] + bit + w[i - 1:]
+
+    D: MatrixEntries = {}
+    for ((wt, t), (ws, s)), v in cube.D.items():
+        bs, bt = side(ws, s), side(wt, t)
+        if bs is None or bt is None or (bs, bt) == ("1", "0"):
+            raise NotConiform("face %r has an upper-triangular entry "
+                              "(%r, %r)" % (face_between(ws, wt), t, s))
+        D[((grow(wt, bt), unwrap(t)), (grow(ws, bs), unwrap(s)))] = v
+    gens = {grow(w, bit): [Generator(unwrap(g.label),
+                                     1 - g.parity if bit == "0" else g.parity)
+                           for g in gs if side(w, g.label) == bit]
+            for w, gs in cube.gens.items() for bit in "01"}
+    return CubeDiagram.from_matrix(cube.n + 1, gens, D)
 
 
 def total_complex(cube: CubeDiagram) -> ChainComplex:
-    """The maximally iterated cone, in one step.
+    """The maximally iterated cone, in one step: D itself.
 
     Generators are (vertex_code, label) with parity shifted by the number
-    of zeros of the vertex; the differential assembles every face map with
-    its positive-form sign.  Iterating :func:`cone` over all directions in
+    of zeros of the vertex.  Iterating :func:`cone` over all directions in
     any order gives the same complex after the canonical regrouping of
     labels.
     """
-    gens: List[Generator] = []
-    for w in vertex_codes(cube.n):
-        z = w.count("0")
-        for g in cube.vertex(w).generators:
-            gens.append(Generator((w, g.label), (g.parity + z) % 2))
-    diff: MatrixEntries = {}
-    for code, entries in cube.faces.items():
-        flip = (not cube.positive) and positive_sign_exponent(code) % 2
-        wi, wt = initial_vertex(code), terminal_vertex(code)
-        for (t, s), v in entries.items():
-            diff[((wt, t), (wi, s))] = -v if flip else v
-    return ChainComplex(gens, diff)
+    gens = [Generator((w, g.label), (g.parity + w.count("0")) % 2)
+            for w, gs in cube.gens.items() for g in gs]
+    return ChainComplex(gens, cube.D)
 
 
 def cone_labels_canonical(label, order: List[int]):
@@ -464,12 +530,10 @@ def cone_labels_canonical(label, order: List[int]):
 def iterated_cone(cube: CubeDiagram) -> ChainComplex:
     """Cone away direction 1 repeatedly, then canonicalize the labels."""
     c = cube
-    n = cube.n
     while c.n > 0:
         c = cone(c, 1)
-    cx = c.vertex("")
-    order = list(range(1, n + 1))
-    return cx.relabel(lambda l: cone_labels_canonical(l, order))
+    order = list(range(1, cube.n + 1))
+    return c.vertex("").relabel(lambda l: cone_labels_canonical(l, order))
 
 
 # ---------------------------------------------------------------------------
@@ -484,69 +548,58 @@ def id_cube(cube: CubeDiagram) -> CubeDiagram:
     """
     if cube.positive:
         raise ValueError("id_cube applies to cubes in signed form")
-    n = cube.n
-    vertices = {}
-    for w in vertex_codes(n + 1):
-        vertices[w] = cube.vertex(w[:-1])
-    faces: Dict[str, MatrixEntries] = {}
-    for code in face_codes(n):
-        for bit in "01":
-            faces[code + bit] = dict(cube.face(code))
-    for w in vertex_codes(n):
-        faces[w + "-"] = mat_identity(cube.vertex(w).labels)
-    return CubeDiagram(n + 1, vertices, faces)
+    gens, D = cube.recode(lambda w: w + "0")
+    top_gens, top_D = cube.recode(lambda w: w + "1")
+    gens.update(top_gens)
+    D.update(top_D)
+    one = NovikovScalar.one()
+    for w, gs in cube.gens.items():
+        for g in gs:
+            D[((w + "1", g.label), (w + "0", g.label))] = one
+    return CubeDiagram.from_matrix(cube.n + 1, gens, D)
 
 
 def glueable(first: CubeDiagram, second: CubeDiagram, k: Optional[int] = None
              ) -> bool:
     """Whether ``second`` can be glued after ``first`` in direction k."""
-    if first.n != second.n:
-        return False
-    if k is None:
-        k = first.n
-    try:
-        a = first.subcube(k, "1")
-        b = second.subcube(k, "0")
-    except InvalidDirection:
-        return False
-    return a == b
+    k = first.n if k is None else k
+    return (first.n == second.n and 1 <= k <= first.n
+            and first.subcube(k, "1") == second.subcube(k, "0"))
+
+
+def _straddles(key) -> bool:
+    """Whether a D entry goes from x_n = 0 to x_n = 1."""
+    (wt, _), (ws, _) = key
+    return ws[-1] == "0" and wt[-1] == "1"
 
 
 def compose(first: CubeDiagram, second: CubeDiagram) -> CubeDiagram:
     """Composition of two maps of (n-1)-cubes glued in the last direction.
 
-    The faces that straddle the gluing carry the signed sum over the
-    boundary pairs of the underlying (n-1)-face, composing a face of the
-    first cube with one of the second; the iterated cone of the result in
-    the other directions is the plain composite of the iterated cones.
+    In positive form the result is ``first`` on x_n = 0, ``second`` on
+    x_n = 1, and the product of their straddling blocks in between; the
+    iterated cone of the result in the other directions is the plain
+    composite of the iterated cones.
     """
     n = first.n
     if second.n != n:
         raise NotGluable("dimensions differ")
     if not glueable(first, second, n):
         raise NotGluable("shared face differs")
-    vertices = {}
-    for w in vertex_codes(n):
-        vertices[w] = (first if w[-1] == "0" else second).vertex(w)
-    faces: Dict[str, MatrixEntries] = {}
-    for code in face_codes(n - 1):
-        faces[code + "0"] = first.face(code + "0")
-        faces[code + "1"] = second.face(code + "1")
-        acc: List[MatrixEntries] = []
-        for fp, fpp, v in boundary_pairs(code):
-            term = mat_compose(second.face(fpp + "-"), first.face(fp + "-"))
-            if subtuple_count("01", v) % 2:
-                term = mat_neg(term)
-            acc.append(term)
-        faces[code + "-"] = mat_add(*acc) if acc else {}
-    return CubeDiagram(n, vertices, faces)
+    D = {k: v for k, v in first.D.items() if k[0][0][-1] == "0"}
+    D.update((k, v) for k, v in second.D.items() if k[1][0][-1] == "1")
+    # first's straddling targets are second's x_n = 0 vertices
+    into = {((t[0][:-1] + "0", t[1]), s): v
+            for (t, s), v in first.D.items() if _straddles((t, s))}
+    onto = {k: v for k, v in second.D.items() if _straddles(k)}
+    D.update(mat_compose(onto, into))
+    gens = {w: (first if w[-1] == "0" else second).gens[w]
+            for w in first.gens}
+    return CubeDiagram.from_matrix(n, gens, D)
 
 
 def compose_many(cubes: List[CubeDiagram]) -> CubeDiagram:
-    out = cubes[0]
-    for nxt in cubes[1:]:
-        out = compose(out, nxt)
-    return out
+    return reduce(compose, cubes)
 
 
 # ---------------------------------------------------------------------------
@@ -555,19 +608,13 @@ def compose_many(cubes: List[CubeDiagram]) -> CubeDiagram:
 
 def is_id_cube(cube: CubeDiagram, work) -> bool:
     """Outer faces equal, identity edges in the last direction, no fillers."""
-    if cube.n < 1:
+    if cube.n < 1 or cube.subcube(cube.n, "0") != cube.subcube(cube.n, "1"):
         return False
-    n = cube.n
-    if cube.subcube(n, "0") != cube.subcube(n, "1"):
-        return False
-    for w in vertex_codes(n - 1):
-        if not mat_equal(cube.face(w + "-"),
-                         mat_identity(cube.vertex(w + "0").labels)):
-            return False
-    for code in face_codes(n - 1):
-        if face_dim(code) > 0 and mat_clean(cube.face(code + "-")):
-            return False
-    return True
+    one = NovikovScalar.one()
+    ident = {((w[:-1] + "1", g.label), (w, g.label)): one
+             for w, gs in cube.gens.items() if w[-1] == "0" for g in gs}
+    return mat_clean({k: v for k, v in cube.D.items()
+                      if _straddles(k)}) == ident
 
 
 def is_slit(cube: CubeDiagram, work) -> bool:
@@ -598,37 +645,35 @@ def triangle_to_slit(tri: CubeDiagram, work=1) -> CubeDiagram:
     f = tri.subcube(n - 1, "0")        # map C -> C', last coord is x_n
     fprime = tri.subcube(n, "1")       # map C' -> C'', last coord is x_(n-1)
     g = tri.subcube(n - 1, "1")        # map C -> C''
-    comp = compose(f, fprime)
     source = f.subcube(n - 1, "0")     # the cube C
     target = fprime.subcube(n - 1, "1")  # the cube C''
-    vertices = {}
-    for w in vertex_codes(n):
-        vertices[w] = (source if w[-1] == "0" else target).vertex(w[:-2])
-    faces: Dict[str, MatrixEntries] = {}
-    for code in face_codes(n - 2):
-        for b in "01-":
-            faces[code + "0" + b] = comp.face(code + b)
-            faces[code + "1" + b] = g.face(code + b)
-        faces[code + "--"] = dict(tri.face(code + "--"))
+    _, D = compose(f, fprime).recode(lambda w: w[:-1] + "0" + w[-1])
+    D.update(g.recode(lambda w: w[:-1] + "1" + w[-1])[1])
+    D.update((k, v) for k, v in tri.D.items()
+             if k[1][0][-2:] == "00" and k[0][0][-2:] == "11")
+    gens = {w: (source if w[-1] == "0" else target).gens[w[:-2]]
+            for w in vertex_codes(n)}
     for w in vertex_codes(n - 2):
-        faces[w + "-0"] = mat_identity(source.vertex(w).labels)
-        faces[w + "-1"] = mat_identity(target.vertex(w).labels)
-    return CubeDiagram(n, vertices, faces)
+        for last, cx in (("0", source), ("1", target)):
+            _put(D, w + "-" + last, {(l, l): NovikovScalar.one()
+                                     for l in cx.vertex(w).labels}, False, {})
+    return CubeDiagram.from_matrix(n, gens, D)
 
 
 # ---------------------------------------------------------------------------
-# JSON
+# JSON: the signed (or positive) view of D
 
 
 def cube_to_json(cube: CubeDiagram) -> dict:
+    faces = {face_between(ws, wt): cube._view(ws, wt)
+             for ws, wt in cube._blocks if ws != wt}
     return {
         "n": cube.n,
         "positive": cube.positive,
         "vertices": {w: complex_to_json(c)
                      for w, c in sorted(cube.vertices.items())},
         "faces": {code: matrix_to_json(m)
-                  for code, m in sorted(cube.faces.items())
-                  if face_dim(code) > 0 and m},
+                  for code, m in sorted(faces.items()) if m},
     }
 
 
@@ -637,6 +682,6 @@ def cube_from_json(data: dict) -> CubeDiagram:
                 for w, c in data["vertices"].items()}
     faces = {code: matrix_from_json(m)
              for code, m in data.get("faces", {}).items()}
-    return CubeDiagram(int(data["n"]), vertices, faces,
-                       positive=bool(data.get("positive", False)),
-                       partial=bool(data.get("partial", False)))
+    return CubeDiagram(json_field(data, "n", int), vertices, faces,
+                       positive=json_field(data, "positive", bool, False),
+                       partial=json_field(data, "partial", bool, False))

@@ -163,13 +163,9 @@ def hamiltonian_cube(model: MorseModel,
     """
     n = len(next(iter(assign)))
     vertices = {w: cf(model, assign[w]) for w in vertex_codes(n)}
-    faces: Dict[str, MatrixEntries] = {}
-    for code in face_codes(n):
-        if code.count("-") == 1:
-            faces[code] = continuation(model, assign[initial_vertex(code)],
-                                       assign[terminal_vertex(code)])
-        elif code.count("-") > 1:
-            faces[code] = {}
+    faces = {code: continuation(model, assign[initial_vertex(code)],
+                                assign[terminal_vertex(code)])
+             for code in face_codes(n) if code.count("-") == 1}
     return CubeDiagram(n, vertices, faces)
 
 

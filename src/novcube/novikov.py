@@ -98,10 +98,6 @@ class NovikovScalar:
         """True when no term is stored (exact zero, or zero at precision)."""
         return not self.terms
 
-    @property
-    def is_exact(self) -> bool:
-        return self.mod is None
-
     def val(self):
         """Minimum stored exponent; +inf for (apparent) zero."""
         if not self.terms:

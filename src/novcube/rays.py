@@ -24,12 +24,11 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .chain import (Barcode, ChainComplex, Generator, MatrixEntries,
-                    NotChainMap, cone_of_map, is_chain_map, mat_clean,
-                    mat_compose, mat_equal, mat_identity, reduce_map_t0)
+from .chain import (Barcode, ChainComplex, MatrixEntries, NotChainMap,
+                    cone_of_map, is_chain_map, mat_clean, mat_compose,
+                    mat_equal, mat_identity, reduce_map_t0)
 from .cubes import (CubeDiagram, cone, compose_many, entry_violations,
-                    face_codes, glueable, total_complex, verify_cube,
-                    vertex_codes)
+                    glueable, total_complex, verify_cube, vertex_codes)
 from .linalg import Elimination, rank
 from .novikov import INFINITY, NovikovScalar, rat
 
@@ -51,19 +50,13 @@ class NotCoherent(ValueError):
 
 
 def zero_cube(n: int) -> CubeDiagram:
-    zero = ChainComplex([], {})
-    return CubeDiagram(n, {w: zero for w in vertex_codes(n)}, {})
+    return CubeDiagram.from_matrix(n, {w: () for w in vertex_codes(n)}, {})
 
 
 def map_cube_gap(cube: CubeDiagram) -> Fraction:
     """Least valuation among the mapping faces (last coordinate a dash)."""
-    gap = INFINITY
-    for code, entries in cube.faces.items():
-        if code[-1] != "-":
-            continue
-        for v in entries.values():
-            gap = min(gap, v.val())
-    return gap
+    return min((v.val() for ((wt, _), (ws, _)), v in cube.D.items()
+                if ws[-1] == "0" and wt[-1] == "1"), default=INFINITY)
 
 
 @dataclass(frozen=True)
@@ -127,6 +120,9 @@ class Ray:
             if tail.kind == "stationary":
                 named.append(("tail cube", tail.cube))
             for name, cube in named:
+                if cube.partial:
+                    raise ValueError("%s is partial; a ray needs total "
+                                     "cubes" % name)
                 bad = entry_violations(cube)
                 if bad:
                     raise ValueError("%s, face %r: %s" % ((name,) + bad[0]))
@@ -171,25 +167,9 @@ class Ray:
 
 def map_to_zero(slice_cube: CubeDiagram) -> CubeDiagram:
     """The map-cube from a slice to the zero slice."""
-    n = slice_cube.n + 1
-    zero = ChainComplex([], {})
-    vertices = {}
-    for w in vertex_codes(n):
-        vertices[w] = slice_cube.vertex(w[:-1]) if w[-1] == "0" else zero
-    faces = {code + "0": dict(slice_cube.face(code))
-             for code in face_codes(n - 1)}
-    return CubeDiagram(n, vertices, faces)
-
-
-def map_from_zero(slice_cube: CubeDiagram) -> CubeDiagram:
-    n = slice_cube.n + 1
-    zero = ChainComplex([], {})
-    vertices = {}
-    for w in vertex_codes(n):
-        vertices[w] = slice_cube.vertex(w[:-1]) if w[-1] == "1" else zero
-    faces = {code + "1": dict(slice_cube.face(code))
-             for code in face_codes(n - 1)}
-    return CubeDiagram(n, vertices, faces)
+    gens, D = slice_cube.recode(lambda w: w + "0")
+    gens.update((w + "1", ()) for w in slice_cube.gens)
+    return CubeDiagram.from_matrix(slice_cube.n + 1, gens, D)
 
 
 def glue_check(d1: CubeDiagram, d2: CubeDiagram) -> bool:
@@ -204,49 +184,32 @@ def glue_check(d1: CubeDiagram, d2: CubeDiagram) -> bool:
 def telescope(ray: Ray, depth: int) -> CubeDiagram:
     """Materialized telescope: stages 1..depth shifted + 1..depth+1 plain.
 
-    Built from the last-direction cones of the map-cubes; the only extra
-    data is the copy map from each shifted summand to its plain summand,
-    weighted by (-1) to the number of zeros of the vertex -- the sign that
-    makes contracting the telescope literally equal to the telescope of
-    the contracted ray.  The result is a valid (n-1)-cube
-    quasi-isomorphic to slice depth+1 (for a finite tail materialized in
-    full, to the zero complex).
+    Slice 1 and the last-direction cones of the map-cubes, relabelled;
+    the only extra data is the copy map from each shifted summand to its
+    plain summand, signed (-1)^(number of zeros of the vertex) -- the sign
+    that makes contracting the telescope literally equal to the telescope
+    of the contracted ray, and +1 in positive form.  The result is a valid
+    (n-1)-cube quasi-isomorphic to slice depth+1 (for a finite tail
+    materialized in full, to the zero complex).
     """
     n = ray.n
-    m = n - 1
-    stages = [ray.map_cube(k) for k in range(1, depth + 1)]
-    cones = [cone(map_from_zero(ray.slice(1)), n)]
-    cones.extend(cone(stage, n) for stage in stages)
-
-    def relab(k, l):
-        bit, base = l
-        if bit == "0":
-            return ("tel", k, "s", base)
-        return ("tel", k + 1, "u", base)
-
-    vertices: Dict[str, ChainComplex] = {}
-    faces: Dict[str, MatrixEntries] = {}
-    for code in face_codes(m):
-        entries: MatrixEntries = {}
-        for k, cn in enumerate(cones):
-            for (t, s), v in cn.face(code).items():
-                entries[(relab(k, t), relab(k, s))] = v
-        if code.count("-") == 0:
-            w = code
-            copy_sign = NovikovScalar.rational(-1 if w.count("0") % 2 else 1)
-            for k, stage in enumerate(stages, 1):
-                # slice k's vertex w is vertex w0 of map-cube k
-                for l in stage.vertex(w + "0").labels:
-                    entries[(("tel", k, "u", l), ("tel", k, "s", l))] = \
-                        copy_sign
-        faces[code] = entries
-    for w in vertex_codes(m):
-        gens: List[Generator] = []
-        for k, cn in enumerate(cones):
-            for g in cn.vertex(w).generators:
-                gens.append(Generator(relab(k, g.label), g.parity))
-        vertices[w] = ChainComplex(gens, faces[w])
-    return CubeDiagram(m, vertices, faces)
+    first = ray.slice(1).relabel_vertices(lambda w, l: ("tel", 1, "u", l))
+    gens = {w: list(gs) for w, gs in first.gens.items()}
+    D = dict(first.D)
+    one = NovikovScalar.one()
+    for k in range(1, depth + 1):
+        stage = ray.map_cube(k)
+        cn = cone(stage, n).relabel_vertices(
+            lambda w, l: ("tel", k, "s", l[1]) if l[0] == "0"
+            else ("tel", k + 1, "u", l[1]))
+        D.update(cn.D)
+        for w in gens:
+            gens[w].extend(cn.gens[w])
+            # slice k's vertex w is vertex w0 of map-cube k
+            for g in stage.gens[w + "0"]:
+                D[((w, ("tel", k, "u", g.label)),
+                   (w, ("tel", k, "s", g.label)))] = one
+    return CubeDiagram.from_matrix(n - 1, gens, D)
 
 
 def telescope_complex(ray: Ray, depth: int) -> ChainComplex:
@@ -353,7 +316,6 @@ def compression(ray: Ray, indices: List[int]) -> CompressionResult:
             "-1": subray.map_cube(k).face("-"),
             "0-": stage_composite(ray, k, indices[k - 1]),
             "1-": stage_composite(ray, k + 1, indices[k]),
-            "--": {},
         }
         squares.append(CubeDiagram(2, vert, faces))
 
@@ -637,25 +599,17 @@ def _mat_mul(a, b, inner):
 
 def vertex_ray(ray: Ray, w: str) -> Ray:
     """The 1-ray sitting over one vertex of the slice cube."""
-    prefix = []
-    for k in range(1, len(ray.prefix) + 1):
-        big = ray.map_cube(k)
-        vertices = {"0": big.vertex(w + "0"), "1": big.vertex(w + "1")}
-        prefix.append(CubeDiagram(1, vertices, {"-": big.face(w + "-")}))
+    def edge(big):
+        return CubeDiagram(
+            1, {"0": big.vertex(w + "0"), "1": big.vertex(w + "1")},
+            {"-": big.face(w + "-")})
+
+    prefix = [edge(ray.map_cube(k)) for k in range(1, len(ray.prefix) + 1)]
     tail = ray.tail
     if tail.kind == "stationary":
-        big = tail.cube
-        tail = TailSpec.stationary(CubeDiagram(
-            1, {"0": big.vertex(w + "0"), "1": big.vertex(w + "1")},
-            {"-": big.face(w + "-")}))
+        tail = TailSpec.stationary(edge(tail.cube))
     elif tail.kind == "model":
-        def stage(k):
-            big = ray.map_cube(k)
-            return CubeDiagram(
-                1, {"0": big.vertex(w + "0"), "1": big.vertex(w + "1")},
-                {"-": big.face(w + "-")})
-
-        tail = TailSpec.model(stage)
+        tail = TailSpec.model(lambda k: edge(ray.map_cube(k)))
     return Ray(1, prefix, tail, check=False)
 
 

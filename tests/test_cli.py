@@ -354,3 +354,64 @@ def test_jobs_batch_matches_sequential(square_file, tmp_path, capsys):
     _, par = run_cli(capsys, "verify-cube", square_file, str(path2),
                      "--format", "json", "--jobs", "2")
     assert seq == par
+
+
+def _edited(tmp_path, square_file, edit):
+    data = json.loads(open(square_file).read())
+    edit(data)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _first_generator(data):
+    return data["vertices"][sorted(data["vertices"])[0]]["generators"][0]
+
+
+@pytest.mark.parametrize("key,edit", [
+    ("n", lambda d: d.update(n=5.7)),
+    ("n", lambda d: d.update(n=True)),
+    ("positive", lambda d: d.update(positive="yes")),
+    ("partial", lambda d: d.update(partial=1)),
+    ("parity", lambda d: _first_generator(d).update(parity=1.0)),
+], ids=["n-float", "n-bool", "positive-string", "partial-int",
+        "parity-float"])
+def test_wrongly_typed_cube_value_exits_2(tmp_path, square_file, capsys,
+                                          key, edit):
+    # a float, string or bool where the format has an int or a bool is
+    # refused, not coerced: each of these used to verify as ok
+    path = _edited(tmp_path, square_file, edit)
+    code, out = run_cli(capsys, "verify-cube", path, "--format", "json")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert path in error and repr(key) in error
+
+
+def test_wrongly_typed_ray_dimension_exits_2(tmp_path, capsys):
+    c = ChainComplex([Generator("a", 0), Generator("b", 1)],
+                     {("b", "a"): NovikovScalar.one()})
+    edge = CubeDiagram(1, {"0": c, "1": c}, {"-": mat_identity(c.labels)})
+    path = tmp_path / "ray.json"
+    path.write_text(json.dumps({"n": 1.0, "prefix": [cube_to_json(edge)]}))
+    code, out = run_cli(capsys, "tel", str(path), "--depth", "1",
+                        "--work", "1", "--format", "json")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert str(path) in error and "'n'" in error
+
+
+def test_partial_cube_cannot_be_coned_or_telescoped(tmp_path, square_file,
+                                                    capsys):
+    path = _edited(tmp_path, square_file, lambda d: d.update(partial=True))
+    code, out = run_cli(capsys, "cone", path, "--direction", "1",
+                        "--format", "json")
+    assert code == 2
+    assert "partial" in json.loads(out)["error"]
+    ray = tmp_path / "ray.json"
+    cube = json.loads(open(path).read())
+    ray.write_text(json.dumps({"n": 2, "prefix": [cube]}))
+    code, out = run_cli(capsys, "tel", str(ray), "--depth", "1",
+                        "--work", "1", "--format", "json")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert str(ray) in error and "partial" in error

@@ -2,7 +2,10 @@
 
 Valid cube, ray and model files get keys dropped and values swapped for
 values of another JSON type; whatever the result, the command line must
-answer 0, 1 or 2, never 3 (internal error).
+answer 0, 1 or 2, never 3 (internal error).  Where a cube or ray file
+holds an integer or a boolean (a dimension, a parity, a sign-form or
+partial flag), a float, a string or the other kind of value in its place
+must be refused with exit 2.
 """
 
 import contextlib
@@ -119,3 +122,44 @@ def test_badly_shaped_input_never_exits_3(case):
     assert code in (0, 1, 2), out.getvalue()
     if code == 2:
         assert path in json.loads(out.getvalue())["error"]
+
+
+def _typed_paths(doc):
+    """The positions of a cube or ray document that hold an int or a bool."""
+    return [p for p in _paths(doc)
+            if type(_value_at(doc, p)) in (int, bool)]
+
+
+@st.composite
+def mistyped(draw):
+    """A valid cube or ray document with one int or bool swapped for a
+    float, a string or a value of the other of the two types."""
+    kind = draw(st.sampled_from(["cube", "ray"]))
+    doc, commands = CASES[kind]
+    path = draw(st.sampled_from(_typed_paths(doc)))
+    old = _value_at(doc, path)
+    if type(old) is int:
+        value = draw(st.sampled_from(
+            [float(old), old + 0.5, str(old), True, False]))
+    else:
+        value = draw(st.sampled_from(
+            [int(old), float(old), str(old).lower(), "yes", ""]))
+    return _mutate(doc, path, value), draw(st.sampled_from(commands)), path
+
+
+@settings(max_examples=100, deadline=None)
+@given(mistyped())
+def test_float_string_or_bool_for_int_or_bool_exits_2(case):
+    doc, argv, key_path = case
+    fd, path = tempfile.mkstemp(suffix=".json")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(doc, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv + [path, "--format", "json"])
+    finally:
+        os.unlink(path)
+    assert code == 2, out.getvalue()
+    error = json.loads(out.getvalue())["error"]
+    assert path in error and repr(key_path[-1]) in error
