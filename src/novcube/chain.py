@@ -14,18 +14,16 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
+from .errors import NotChainMap, PrecisionExhausted
 from .linalg import Elimination, QuotientSpace, sparse_rank
-from .novikov import (INFINITY, ZERO, NovikovScalar, PrecisionExhausted,
-                      rat, format_scalar, parse_scalar, scalar_from_json)
+from .novikov import (INFINITY, ZERO, NovikovScalar, rat, format_scalar,
+                      parse_scalar, scalar_from_json)
 
 Label = Hashable
 MatrixEntries = Dict[Tuple[Label, Label], NovikovScalar]
-
-
-class NotChainMap(ValueError):
-    """The given matrix does not commute with the differentials."""
 
 
 @dataclass(frozen=True)
@@ -43,7 +41,7 @@ class Generator:
 
 
 def mat_clean(m: MatrixEntries) -> MatrixEntries:
-    return {k: v for k, v in m.items() if v.terms}
+    return {k: v for k, v in m.items() if v}
 
 
 def mat_add(*ms: MatrixEntries) -> MatrixEntries:
@@ -88,12 +86,16 @@ def residual_violations(m: MatrixEntries, work) -> List[Tuple[Label, Label, str]
     undetermined.
     """
     work = rat(work)
+    wn, wd = work.numerator, work.denominator
     bad = []
     for (t, s), v in m.items():
-        if v.terms and v.terms[0][0] < work:
-            bad.append((t, s, format_scalar(v)))
-        elif not v.terms and v.mod is not None and v.mod < work:
-            bad.append((t, s, "undetermined below T^%s" % v.mod))
+        # v.floor / v.den < wn / wd, cross-multiplied
+        floor = v.floor
+        if floor is not None and floor * wd < wn * v.den:
+            if v:
+                bad.append((t, s, format_scalar(v)))
+            else:
+                bad.append((t, s, "undetermined below T^%s" % v.mod))
     return bad
 
 
@@ -122,7 +124,7 @@ class ChainComplex:
         # keep entries that vanish only at their precision: they record
         # that the true value is merely bounded below
         diff = {k: v for k, v in differential.items()
-                if v.terms or v.mod is not None}
+                if v.floor is not None}
         for (t, s) in diff:
             if t not in self._parity or s not in self._parity:
                 raise ValueError("differential entry (%r, %r) uses unknown "
@@ -158,7 +160,8 @@ class ChainComplex:
         for (t, s), v in self.differential.items():
             if (self._parity[t] - self._parity[s]) % 2 != 1:
                 bad.append(("parity", "entry (%r, %r) is even" % (t, s)))
-            if v.val() < 0:
+            lead = v.lead
+            if lead is not None and lead < 0:
                 bad.append(("NegativeValuation",
                             "entry (%r, %r) has val %s" % (t, s, v.val())))
         square = mat_compose(self.differential, self.differential)
@@ -401,6 +404,11 @@ def _barcode(c: ChainComplex, work: Fraction) -> Barcode:
     write pushes the new scalar, and an entry is checked only when it
     reaches the top, where it is dropped unless it is still the scalar at
     its position.
+
+    Every entry is moved on entry to one exponent lattice ``(1/L) Z`` that
+    also holds ``work``, and the arithmetic keeps it there, so valuations,
+    precisions and the heap keys are ``int`` numerators over L; bars and
+    the valid precision become Fractions at the end.
     """
     report = c.verify(work)
     if not report:
@@ -416,13 +424,14 @@ def _barcode(c: ChainComplex, work: Fraction) -> Barcode:
     seq = itertools.count()
 
     def put(t, s, v):
-        if v.terms:
+        lead = v.lead
+        if lead is not None:
             key = reprs.get((t, s))
             if key is None:
                 key = reprs[(t, s)] = repr((t, s))
-            heapq.heappush(known, (v.terms[0][0], key, next(seq), t, s, v))
-        elif v.mod is not None:
-            heapq.heappush(unknown, (v.mod, next(seq), t, s, v))
+            heapq.heappush(known, (lead, key, next(seq), t, s, v))
+        elif v.floor is not None:
+            heapq.heappush(unknown, (v.floor, next(seq), t, s, v))
         else:
             if s in rows.get(t, {}):
                 del rows[t][s]
@@ -440,12 +449,14 @@ def _barcode(c: ChainComplex, work: Fraction) -> Barcode:
             heapq.heappop(heap)
         return None
 
+    L = lcm(work.denominator, *[v.den for v in c.differential.values()])
     for (t, s), v in c.differential.items():
-        put(t, s, v.truncate(work))
+        put(t, s, v.on(L).truncate(work))
 
     alive = set(c.labels)
-    torsion: List[Tuple[int, Fraction, str]] = []
-    valid_mod = work
+    torsion: List[Tuple[int, int, str]] = []
+    wn = work.numerator * (L // work.denominator)
+    valid_mod = wn
     imprecise = False
 
     while True:
@@ -461,7 +472,7 @@ def _barcode(c: ChainComplex, work: Fraction) -> Barcode:
         if unknown_floor < pivot_val:
             raise PrecisionExhausted(
                 "pivot of valuation %s is ambiguous: entries unknown below "
-                "T^%s" % (pivot_val, unknown_floor))
+                "T^%s" % (Fraction(pivot_val, L), Fraction(unknown_floor, L)))
         pinv = pval.invert(work)
         # clear row q by column operations col_pp -= factor*col_p, each with
         # its dual row operation row_p += factor*row_pp
@@ -499,24 +510,22 @@ def _barcode(c: ChainComplex, work: Fraction) -> Barcode:
                 cols[s].discard(t)
                 leftovers.append(v)
         for v in leftovers:
-            if v.terms:
-                if v.terms[0][0] < work - pivot_val:
-                    raise ValueError(
-                        "input is not a chain complex: residual %s"
-                        % format_scalar(v))
-                imprecise = True
-                valid_mod = min(valid_mod, v.terms[0][0])
-            elif v.mod is not None:
-                imprecise = True
-                valid_mod = min(valid_mod, v.mod)
+            floor = v.floor
+            if floor is None:
+                continue
+            if v and floor < wn - pivot_val:
+                raise ValueError(
+                    "input is not a chain complex: residual %s"
+                    % format_scalar(v))
+            imprecise = True
+            valid_mod = min(valid_mod, floor)
         alive.discard(p)
         alive.discard(q)
         if pivot_val > 0:
             torsion.append((c.parity(q), pivot_val, repr(q)))
     free = sorted(c.parity(l) for l in alive)
-    torsion_sorted = tuple((p, l) for p, l, _ in
-                           sorted(torsion, key=lambda t: (t[0], t[1], t[2])))
-    return Barcode(tuple(free), torsion_sorted, valid_mod,
+    torsion_sorted = tuple((p, Fraction(l, L)) for p, l, _ in sorted(torsion))
+    return Barcode(tuple(free), torsion_sorted, Fraction(valid_mod, L),
                    free_at_precision=imprecise and bool(free))
 
 
@@ -543,6 +552,16 @@ def json_field(data: dict, key: str, kind: type, default=None):
         raise ValueError("key %r must be of type %s, got %r"
                          % (key, kind.__name__, value))
     return value
+
+
+def json_rational(data: dict, key: str) -> Fraction:
+    """``data[key]`` as an exact rational; it must be a ``"p/q"`` string or
+    an int, since a JSON float is a binary fraction."""
+    value = data[key]
+    if type(value) not in (str, int):
+        raise ValueError("key %r must be a string p/q or an int, got %r"
+                         % (key, value))
+    return rat(value)
 
 
 def complex_from_json(data: dict) -> ChainComplex:

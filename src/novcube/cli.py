@@ -6,6 +6,9 @@ carries a provenance block with the input hashes and the quotient
 parameters the result is valid under.  Exit codes: 0 ok, 1 violation
 or domain failure (:data:`DOMAIN_ERRORS`, reported with the input file),
 2 usage or parse error, 3 internal error.
+
+``morse`` and ``rays`` are imported by the handlers that use them, so
+``verify-cube``, ``cone`` and ``compose`` start without them.
 """
 
 from __future__ import annotations
@@ -16,29 +19,20 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from .chain import NotChainMap, json_field
-from .cubes import (CubeDiagram, InvalidDirection, NotConiform, NotGluable,
-                    cone, compose, cube_from_json, cube_to_json,
-                    entry_violations, verify_cube)
-from .morse import (Inadmissible, InadmissibleSubset, NotMonotone,
-                    NotNegative, StageCheckFailed, bundled_model, empty_set,
-                    global_sections, involutive_descent_instance,
-                    minmax_square, model_from_json, relative_sh,
-                    resolve_region)
-from .novikov import NegativeValuation, PrecisionExhausted, rat
-from .rays import (NotAcyclic, NotCoherent, Ray, SliceNotAcyclic, TailSpec,
-                   completed_homology, descent_complex, mayer_vietoris,
-                   telescope)
+from .chain import json_field, json_rational
+from .cubes import (CubeDiagram, InvalidDirection, cone, compose,
+                    cube_from_json, cube_to_json, entry_violations,
+                    verify_cube)
+# failures of the mathematics on a well-formed input: exit 1, not 3
+from .errors import DOMAIN_ERRORS
+from .novikov import rat
+
+if TYPE_CHECKING:
+    from .rays import Ray
 
 FORMAT_VERSION = 1
-
-# failures of the mathematics on a well-formed input: exit 1, not 3
-DOMAIN_ERRORS = (NotAcyclic, NotCoherent, SliceNotAcyclic, Inadmissible,
-                 InadmissibleSubset, NotMonotone, NotNegative, NotChainMap,
-                 NotConiform, NotGluable, StageCheckFailed,
-                 PrecisionExhausted, NegativeValuation)
 
 # what a JSON value of the wrong shape raises on its way into the library
 SHAPE_ERRORS = (KeyError, IndexError, TypeError, AttributeError, ValueError,
@@ -66,6 +60,7 @@ def _read_json(path: str):
 
 
 def _load_model(path: str):
+    from .morse import bundled_model, model_from_json
     if path.startswith("bundled:"):
         model = bundled_model(path.split(":", 1)[1])
         digest = "bundled:" + path.split(":", 1)[1]
@@ -113,6 +108,7 @@ def _load_sound_cube(path: str) -> Tuple[CubeDiagram, str]:
 
 
 def _load_ray(path: str) -> Tuple[Ray, str]:
+    from .rays import Ray, TailSpec
     data, digest = _read_object(path, "ray", RAY_KEYS)
     try:
         n = json_field(data, "n", int)
@@ -217,6 +213,7 @@ def cmd_compose(args, paths):
 
 
 def cmd_tel(args, path):
+    from .rays import telescope
     ray, digest = _load_ray(path)
     work = _parse_fraction(args.work, "--work")
     tel = telescope(ray, args.depth)
@@ -234,6 +231,7 @@ def cmd_tel(args, path):
 
 
 def cmd_sh(args, path):
+    from .rays import completed_homology
     ray, digest = _load_ray(path)
     precision = _parse_fraction(args.precision, "--precision")
     work = _parse_fraction(args.work, "--work") if args.work else None
@@ -249,7 +247,14 @@ def cmd_sh(args, path):
 
 
 def cmd_mv(args, path):
+    from .rays import mayer_vietoris
     cube, digest = _load_cube(path)
+    if cube.n != 2:
+        raise InputError("mv of %s: the six-term sequence is of a square "
+                         "(n = 2), got an n = %d cube" % (path, cube.n))
+    if cube.partial:
+        raise InputError("mv of %s: a partial square has no six-term "
+                         "sequence" % path)
     work = _parse_fraction(args.work, "--work") if args.work \
         else _parse_fraction(args.precision, "--precision")
     rep = mayer_vietoris(cube, work)
@@ -266,6 +271,7 @@ def cmd_mv(args, path):
 
 
 def cmd_descent(args, path):
+    from .rays import descent_complex
     ray, digest = _load_ray(path)
     precision = _parse_fraction(args.precision, "--precision")
     work = _parse_fraction(args.work, "--work") if args.work else precision
@@ -286,6 +292,10 @@ def cmd_descent(args, path):
 
 
 def cmd_morse(args, path):
+    from .morse import (empty_set, global_sections,
+                        involutive_descent_instance, minmax_square,
+                        model_from_json, relative_sh, resolve_region)
+    from .rays import mayer_vietoris
     action = args.action
     if action == "global-sections":
         model, digest = _load_model(path)
@@ -338,8 +348,8 @@ def cmd_morse(args, path):
         data, digest = _read_json(path)
         try:
             model = model_from_json(data["model"])
-            hx = {l: rat(v) for l, v in data["hx"].items()}
-            hy = {l: rat(v) for l, v in data["hy"].items()}
+            hx = {l: json_rational(data["hx"], l) for l in data["hx"]}
+            hy = {l: json_rational(data["hy"], l) for l in data["hy"]}
         except SHAPE_ERRORS as exc:
             raise InputError("bad minmax file %s: %s" % (path, exc))
         rep = minmax_square(model, hx, hy)

@@ -36,18 +36,11 @@ from .chain import (ChainComplex, Generator, MatrixEntries, Report,
                     complex_from_json, complex_to_json, json_field,
                     mat_clean, mat_compose, mat_equal, mat_neg,
                     matrix_from_json, matrix_to_json, residual_violations)
+from .errors import NotConiform, NotGluable
 from .novikov import NovikovScalar, rat
 
 
 class InvalidDirection(ValueError):
-    pass
-
-
-class NotConiform(ValueError):
-    pass
-
-
-class NotGluable(ValueError):
     pass
 
 
@@ -228,10 +221,10 @@ class CubeDiagram:
         self.gens: Gens = {w: tuple(gens[w]) for w in sorted(gens)}
         # entries that vanish only at their precision stay in the vertex
         # blocks, as they do in a complex's differential
-        if not all(v.terms or (v.mod is not None and k[0][0] == k[1][0])
+        if not all(v or (v.floor is not None and k[0][0] == k[1][0])
                    for k, v in D.items()):
             D = {k: v for k, v in D.items()
-                 if v.terms or (v.mod is not None and k[0][0] == k[1][0])}
+                 if v or (v.floor is not None and k[0][0] == k[1][0])}
         self.D: MatrixEntries = D
         self._defined = defined
         self._vertices: Dict[str, ChainComplex] = {}
@@ -364,7 +357,8 @@ def entry_violations(cube: CubeDiagram) -> List[Tuple[str, str]]:
             continue
         if (tgt[t] - src[s]) % 2 != (face_dim(code) + 1) % 2:
             bad.append((code, "entry (%r, %r) has wrong parity" % (t, s)))
-        if v.val() < 0:
+        lead = v.lead
+        if lead is not None and lead < 0:
             bad.append((code, "entry (%r, %r) has negative valuation %s"
                         % (t, s, v.val())))
     return bad

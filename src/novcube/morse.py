@@ -18,32 +18,14 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .chain import (Barcode, ChainComplex, Generator, Label,
-                    MatrixEntries, QComplex)
+                    MatrixEntries, QComplex, json_field, json_rational)
 from .cubes import (CubeDiagram, face_codes, initial_vertex,
                     terminal_vertex, total_complex, vertex_codes)
+from .errors import (Inadmissible, InadmissibleSubset, NotMonotone,
+                     NotNegative, StageCheckFailed)
 from .novikov import NovikovScalar, rat
 from .rays import (DescentReport, Ray, TailSpec, completed_homology,
                    descent_complex)
-
-
-class Inadmissible(ValueError):
-    pass
-
-
-class NotMonotone(ValueError):
-    pass
-
-
-class NotNegative(ValueError):
-    pass
-
-
-class InadmissibleSubset(ValueError):
-    pass
-
-
-class StageCheckFailed(ValueError):
-    """A materialized finite stage disagrees with the closed form."""
 
 
 Hamiltonian = Dict[Label, Fraction]
@@ -552,13 +534,14 @@ def model_to_json(model: MorseModel) -> dict:
 
 
 def model_from_json(data: dict) -> MorseModel:
-    cells = [Generator(c["label"], int(c["parity"])) for c in data["cells"]]
-    values = {c["label"]: rat(c["value"]) for c in data["cells"]}
+    cells = [Generator(c["label"], json_field(c, "parity", int))
+             for c in data["cells"]]
+    values = {c["label"]: json_rational(c, "value") for c in data["cells"]}
     base = None
     if any("base" in c for c in data["cells"]):
         base = {c["label"]: c.get("base", c["label"])
                 for c in data["cells"]}
-    boundary = {(b["target"], b["source"]): int(b["coeff"])
+    boundary = {(b["target"], b["source"]): json_field(b, "coeff", int)
                 for b in data.get("boundary", ())}
     return MorseModel(cells, boundary, values, base)
 

@@ -6,6 +6,20 @@ for a rational working precision ``R``.  Exponents are kept exact: every
 finite computation here involves finitely many exponents, so rationals
 suffice and all comparisons are decidable.
 
+Exponents are stored on a lattice ``(1/den) Z``: a scalar keeps one
+positive ``int`` denominator ``den``, the ``int`` numerator of each
+exponent over it, and ``R`` as an ``int`` numerator over the same ``den``.
+Two scalars on one lattice are added, multiplied, compared and truncated
+with ``int`` exponent arithmetic only; scalars on different lattices first
+meet at the lcm of their denominators, so a computation whose inputs share
+a lattice never leaves it.  The lattice is a storage detail and need not
+be the coarsest one: ``monomial(1, 1/2) * monomial(1, 1/2)`` is stored over
+2 and ``monomial(1, 1)`` over 1, and the two are equal and hash alike.
+``terms``, ``mod``, ``val``, ``val_floor``, ``coefficient`` and the text
+and JSON forms give ``Fraction`` exponents.  Code that runs hot loops over
+scalars reads the integer views ``den``, ``lead`` and ``floor`` and moves
+its scalars to one lattice with :meth:`NovikovScalar.on`.
+
 The nonnegative part (all exponents >= 0) is a valuation ring; its
 fraction field is obtained by allowing negative exponents.  ``val`` is
 the minimum exponent, with ``val(0) = +inf``.
@@ -16,23 +30,21 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Tuple, Union
+
+from .errors import NegativeValuation, PrecisionExhausted
 
 INFINITY = math.inf
 
 RationalLike = Union[int, str, Fraction]
 
-
-class NegativeValuation(ValueError):
-    """Raised when an operation requires valuation >= 0 and it is not."""
+_F0 = Fraction(0)
+_F1 = Fraction(1)
 
 
 class ZeroDivisor(ZeroDivisionError):
     """Raised when inverting a scalar that is zero at the working precision."""
-
-
-class PrecisionExhausted(ArithmeticError):
-    """Raised when the stored precision is too coarse to answer a question."""
 
 
 def rat(x: RationalLike) -> Fraction:
@@ -49,23 +61,31 @@ class NovikovScalar:
     increasing exponents and nonzero coefficients.  ``mod`` is ``None`` for
     an exact scalar, or a rational ``R`` meaning the scalar is only known
     modulo ``T^R`` (all stored exponents are then < R).
+
+    Both are views: the scalar stores the pairs with ``int`` exponent
+    numerators over the denominator ``den``, and ``R`` as an ``int``
+    numerator over ``den``.
     """
 
-    __slots__ = ("terms", "mod")
+    __slots__ = ("_t", "_d", "_m")
 
     def __init__(self, terms: Iterable[Tuple[Fraction, Fraction]] = (),
                  mod: Optional[Fraction] = None):
         merged: dict = {}
         for e, c in terms:
             e = rat(e)
-            c = rat(c)
-            merged[e] = merged.get(e, Fraction(0)) + c
+            merged[e] = merged.get(e, _F0) + rat(c)
         if mod is not None:
             mod = rat(mod)
-        pairs = sorted((e, c) for e, c in merged.items()
-                       if c != 0 and (mod is None or e < mod))
-        object.__setattr__(self, "terms", tuple(pairs))
-        object.__setattr__(self, "mod", mod)
+        kept = [(e, c) for e, c in merged.items()
+                if c and (mod is None or e < mod)]
+        d = lcm(*[e.denominator for e, _ in kept],
+                1 if mod is None else mod.denominator)
+        _set_t(self, tuple(sorted((e.numerator * (d // e.denominator), c)
+                                  for e, c in kept)))
+        _set_d(self, d)
+        _set_m(self, None if mod is None
+               else mod.numerator * (d // mod.denominator))
 
     def __setattr__(self, *a):
         raise AttributeError("NovikovScalar is immutable")
@@ -74,7 +94,7 @@ class NovikovScalar:
 
     @staticmethod
     def zero() -> "NovikovScalar":
-        return NovikovScalar()
+        return _make((), 1)
 
     @staticmethod
     def one() -> "NovikovScalar":
@@ -88,21 +108,65 @@ class NovikovScalar:
     def monomial(c: RationalLike, e: RationalLike) -> "NovikovScalar":
         c = rat(c)
         if not c:
-            return _canonical(())
-        return _canonical(((rat(e), c),))
+            return _make((), 1)
+        e = rat(e)
+        return _make(((e.numerator, c),), e.denominator)
+
+    # -- Fraction views ----------------------------------------------------
+
+    @property
+    def terms(self) -> Tuple[Tuple[Fraction, Fraction], ...]:
+        d = self._d
+        return tuple([(Fraction(e, d), c) for e, c in self._t])
+
+    @property
+    def mod(self) -> Optional[Fraction]:
+        return None if self._m is None else Fraction(self._m, self._d)
+
+    # -- the lattice -------------------------------------------------------
+
+    @property
+    def den(self) -> int:
+        """Denominator of the lattice the exponents are stored on."""
+        return self._d
+
+    @property
+    def lead(self) -> Optional[int]:
+        """Numerator over ``den`` of ``val()``; None when no term is stored."""
+        t = self._t
+        return t[0][0] if t else None
+
+    @property
+    def floor(self) -> Optional[int]:
+        """Numerator over ``den`` of ``val_floor()``; None when it is +inf."""
+        t = self._t
+        return t[0][0] if t else self._m
+
+    def on(self, den: int) -> "NovikovScalar":
+        """The same scalar stored on the lattice ``(1/den) Z``, which must
+        contain the current one (``den`` a multiple of ``self.den``)."""
+        d = self._d
+        if den == d:
+            return self
+        k, r = divmod(den, d)
+        if r or k <= 0:
+            raise ValueError("lattice 1/%d does not contain 1/%d" % (den, d))
+        m = self._m
+        return _make(tuple([(e * k, c) for e, c in self._t]), den,
+                     None if m is None else m * k)
 
     # -- basic queries ---------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
         """True when no term is stored (exact zero, or zero at precision)."""
-        return not self.terms
+        return not self._t
 
     def val(self):
         """Minimum stored exponent; +inf for (apparent) zero."""
-        if not self.terms:
+        if not self._t:
             return INFINITY
-        return self.terms[0][0]
+        return Fraction(self._t[0][0], self._d)
 
     def val_floor(self):
         """A lower bound for the true valuation, honouring precision.
@@ -111,33 +175,44 @@ class NovikovScalar:
         true value may be any element of ``T^R * (ring)``, so the floor is
         ``R`` rather than +inf.
         """
-        if self.terms:
-            return self.terms[0][0]
-        if self.mod is not None:
-            return self.mod
-        return INFINITY
+        f = self.floor
+        return INFINITY if f is None else Fraction(f, self._d)
 
     def coefficient(self, e: RationalLike) -> Fraction:
         e = rat(e)
-        for ee, c in self.terms:
-            if ee == e:
+        n, r = divmod(e.numerator * self._d, e.denominator)
+        if r:
+            return _F0
+        for ee, c in self._t:
+            if ee == n:
                 return c
-            if ee > e:
+            if ee > n:
                 break
-        return Fraction(0)
+        return _F0
 
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other: "NovikovScalar") -> "NovikovScalar":
         if not isinstance(other, NovikovScalar):
             return NotImplemented
-        a, b, mod = self.terms, other.terms, self.mod
-        if other.mod is not None and (mod is None or other.mod < mod):
-            mod = other.mod
+        b, mod = other._t, other._m
+        if not b and mod is None:
+            return self
+        a = self._t
+        if not a and self._m is None:
+            return other
+        d = self._d
+        if other._d != d:
+            self, other, d = _meet(self, other)
+            a, b, mod = self._t, other._t, other._m
+        m = self._m
+        if m is not None and (mod is None or m < mod):
+            mod = m
         # merge the two increasing term tuples in one pass
         out = []
         i = j = 0
-        while i < len(a) and j < len(b):
+        na, nb = len(a), len(b)
+        while i < na and j < nb:
             ea, ca = a[i]
             eb, cb = b[j]
             if ea < eb:
@@ -157,10 +232,10 @@ class NovikovScalar:
         if mod is not None:
             while out and out[-1][0] >= mod:
                 out.pop()
-        return _canonical(tuple(out), mod)
+        return _make(tuple(out), d, mod)
 
     def __neg__(self) -> "NovikovScalar":
-        return _canonical(tuple([(e, -c) for e, c in self.terms]), self.mod)
+        return _make(tuple([(e, -c) for e, c in self._t]), self._d, self._m)
 
     def __sub__(self, other: "NovikovScalar") -> "NovikovScalar":
         return self + (-other)
@@ -168,51 +243,78 @@ class NovikovScalar:
     def __mul__(self, other: "NovikovScalar") -> "NovikovScalar":
         if not isinstance(other, NovikovScalar):
             return NotImplemented
-        mods = []
-        if self.mod is not None and other.val_floor() is not INFINITY:
-            mods.append(self.mod + other.val_floor())
-        if other.mod is not None and self.val_floor() is not INFINITY:
-            mods.append(other.mod + self.val_floor())
-        mod = min(mods) if mods else None
-        if len(self.terms) == 1 and len(other.terms) == 1:
-            (e1, c1), = self.terms
-            (e2, c2), = other.terms
+        a, b = self._t, other._t
+        if not b and other._m is None:
+            return other
+        if not a and self._m is None:
+            return self
+        d = self._d
+        if other._d != d:
+            self, other, d = _meet(self, other)
+            a, b = self._t, other._t
+        am, bm = self._m, other._m
+        # neither side is an exact zero, so both floors are finite
+        mod = None
+        if am is not None:
+            mod = am + (b[0][0] if b else bm)
+        if bm is not None:
+            m = bm + (a[0][0] if a else am)
+            if mod is None or m < mod:
+                mod = m
+        if len(a) == 1 and len(b) == 1:
+            (e1, c1), = a
+            (e2, c2), = b
             e = e1 + e2
             if mod is not None and e >= mod:
-                return _canonical((), mod)
-            return _canonical(((e, c1 * c2),), mod)
+                return _make((), d, mod)
+            return _make(((e, c1 * c2),), d, mod)
         sums: dict = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
+        for e1, c1 in a:
+            for e2, c2 in b:
                 e = e1 + e2
                 if mod is None or e < mod:
                     sums[e] = sums[e] + c1 * c2 if e in sums else c1 * c2
-        return _canonical(tuple(sorted((e, c) for e, c in sums.items() if c)),
-                          mod)
+        return _make(tuple(sorted([(e, c) for e, c in sums.items() if c])),
+                     d, mod)
 
     def scale(self, c: RationalLike) -> "NovikovScalar":
         c = rat(c)
         if not c:
-            return NovikovScalar((), self.mod)
-        return _canonical(tuple([(e, c * cc) for e, cc in self.terms]),
-                          self.mod)
+            return _make((), self._d, self._m)
+        return _make(tuple([(e, c * cc) for e, cc in self._t]), self._d,
+                     self._m)
 
     def shift(self, e: RationalLike) -> "NovikovScalar":
         """Multiply by the monomial T^e."""
         e = rat(e)
-        mod = None if self.mod is None else self.mod + e
-        return _canonical(tuple([(ee + e, c) for ee, c in self.terms]), mod)
+        x = self.on(lcm(self._d, e.denominator))
+        k = e.numerator * (x._d // e.denominator)
+        m = x._m
+        return _make(tuple([(ee + k, c) for ee, c in x._t]), x._d,
+                     None if m is None else m + k)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NovikovScalar):
             return NotImplemented
-        return self.terms == other.terms and self.mod == other.mod
+        if self._d == other._d:
+            return self._t == other._t and self._m == other._m
+        return self._reduced() == other._reduced()
 
     def __hash__(self):
-        return hash((self.terms, self.mod))
+        return hash(self._reduced())
+
+    def _reduced(self):
+        """(pairs, mod numerator, den) on the coarsest lattice that holds
+        every exponent and the precision."""
+        t, d, m = self._t, self._d, self._m
+        g = gcd(d, *[e for e, _ in t], 0 if m is None else m)
+        if g == 1:
+            return t, m, d
+        return (tuple([(e // g, c) for e, c in t]),
+                None if m is None else m // g, d // g)
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._t)
 
     def __repr__(self):
         return "NovikovScalar(%s)" % format_scalar(self)
@@ -225,19 +327,31 @@ class NovikovScalar:
         The result records precision ``min(r, existing)``.
         """
         r = rat(r)
-        if r <= 0:
+        if r.numerator <= 0:
             raise ValueError("truncation precision must be positive")
-        mod = r if self.mod is None else min(r, self.mod)
-        return _canonical(tuple([t for t in self.terms if t[0] < mod]), mod)
+        x = self
+        if self._d % r.denominator:
+            x = self.on(lcm(self._d, r.denominator))
+        return x._cut(r.numerator * (x._d // r.denominator))
+
+    def _cut(self, w: int) -> "NovikovScalar":
+        """``truncate`` at the exponent numerator ``w`` over ``den``."""
+        m = self._m
+        mod = w if m is None or w < m else m
+        t = self._t
+        if t and t[-1][0] >= mod:
+            t = tuple([p for p in t if p[0] < mod])
+        return _make(t, self._d, mod)
 
     def reduce_t0(self) -> Fraction:
         """Constant term, defined on scalars of nonnegative valuation."""
-        if self.terms and self.terms[0][0] < 0:
+        t = self._t
+        if t and t[0][0] < 0:
             raise NegativeValuation(
-                "reduce_t0 needs val >= 0, got %s" % (self.terms[0][0],))
-        if self.mod is not None and self.mod <= 0:
+                "reduce_t0 needs val >= 0, got %s" % (self.val(),))
+        if self._m is not None and self._m <= 0:
             raise PrecisionExhausted("constant term not determined at precision")
-        return self.coefficient(0)
+        return t[0][1] if t and t[0][0] == 0 else _F0
 
     def invert(self, work: Optional[RationalLike] = None) -> "NovikovScalar":
         """Multiplicative inverse, modulo T^work after valuation shift.
@@ -246,54 +360,71 @@ class NovikovScalar:
         geometric series for ``(1+n)^{-1}``, truncated at ``work``.  For a
         monomial the series terminates and ``work`` may be omitted.
         """
-        if not self.terms:
+        t = self._t
+        if not t:
             raise ZeroDivisor("cannot invert zero (at this precision)")
-        v, c = self.terms[0]
-        # known precision of 1 + n, after factoring out c T^v
-        avail = INFINITY if self.mod is None else self.mod - v
-        w = avail if work is None else min(rat(work), avail)
-        n = NovikovScalar([(e - v, cc / c) for e, cc in self.terms[1:]])
-        if not n.terms:
-            unit = NovikovScalar.one()
-            if self.mod is None:
-                w = INFINITY  # exact monomial: the inverse is exact
-        elif w is INFINITY:
+        x = self
+        if work is not None:
+            work = rat(work)
+            if self._d % work.denominator:
+                x = self.on(lcm(self._d, work.denominator))
+                t = x._t
+        d, m = x._d, x._m
+        v, c = t[0]
+        # known precision of 1 + n, after factoring out c T^v; None is +inf
+        w = None if m is None else m - v
+        if work is not None:
+            wn = work.numerator * (d // work.denominator)
+            if w is None or wn < w:
+                w = wn
+        if len(t) == 1:
+            if m is None:
+                w = None  # exact monomial: the inverse is exact
+            unit = ((0, _F1),) if w is None or w > 0 else ()
+        elif w is None:
             raise ValueError("working precision required: inverse is an "
                              "infinite series")
+        elif w <= 0:
+            raise ValueError("truncation precision must be positive")
         else:
-            unit = NovikovScalar.one()
-            power = NovikovScalar.one()
-            step = n.val()
+            n = _make(tuple([(e - v, cc / c) for e, cc in t[1:]]), d)
+            step = t[1][0] - v
+            unit = power = _make(((0, _F1),), d)
             k = 1
             while k * step < w:
-                power = (power * n).truncate(w)
+                power = (power * n)._cut(w)
                 unit = unit + (-power if k % 2 else power)
                 k += 1
-            unit = unit.truncate(w)
-        out_mod = None if w is INFINITY else w - v
-        return NovikovScalar([(e - v, cc / c) for e, cc in unit.terms], out_mod)
+            unit = unit._cut(w)._t
+        return _make(tuple([(e - v, cc / c) for e, cc in unit]), d,
+                     None if w is None else w - v)
 
 
-_set_terms = NovikovScalar.terms.__set__
-_set_mod = NovikovScalar.mod.__set__
+_set_t = NovikovScalar._t.__set__
+_set_d = NovikovScalar._d.__set__
+_set_m = NovikovScalar._m.__set__
 
 
-def _canonical(terms: Tuple[Tuple[Fraction, Fraction], ...],
-               mod: Optional[Fraction] = None) -> NovikovScalar:
-    """Wrap a term tuple that is already canonical, skipping the merge.
+def _make(t: Tuple[Tuple[int, Fraction], ...], d: int,
+          m: Optional[int] = None) -> NovikovScalar:
+    """Wrap pairs that are already canonical on the lattice ``(1/d) Z``.
 
     The caller guarantees what ``NovikovScalar.__init__`` would establish:
-    Fraction exponents strictly increasing and all below ``mod``, nonzero
-    Fraction coefficients, and ``mod`` either None or a Fraction.  The
-    callers are ``monomial`` (and so ``one`` and ``rational``),
-    ``__neg__``, ``__add__`` (which merges two canonical tuples),
-    ``__mul__`` (one product, or the products summed per exponent and
-    sorted once), nonzero ``scale``, ``shift`` and ``truncate``.
+    ``int`` exponent numerators strictly increasing and all below ``m``,
+    nonzero Fraction coefficients, and ``m`` either None or an ``int``.
+    Every scalar is still made by ``NovikovScalar.__new__``.
     """
     x = NovikovScalar.__new__(NovikovScalar)
-    _set_terms(x, terms)
-    _set_mod(x, mod)
+    _set_t(x, t)
+    _set_d(x, d)
+    _set_m(x, m)
     return x
+
+
+def _meet(x: NovikovScalar, y: NovikovScalar):
+    """``x`` and ``y`` on the lcm of their lattices, and that denominator."""
+    d = lcm(x._d, y._d)
+    return x.on(d), y.on(d), d
 
 
 ZERO = NovikovScalar.zero()
@@ -312,13 +443,14 @@ def format_exponent(e: Fraction) -> str:
 
 def format_scalar(x: NovikovScalar) -> str:
     """Canonical text form, e.g. ``3*T^0 + -1/2*T^{1/3} mod T^{3/2}``."""
-    if not x.terms:
+    if not x:
         body = "0"
     else:
         body = " + ".join("%s*T^%s" % (c, format_exponent(e))
                           for e, c in x.terms)
-    if x.mod is not None:
-        body += " mod T^%s" % format_exponent(x.mod)
+    mod = x.mod
+    if mod is not None:
+        body += " mod T^%s" % format_exponent(mod)
     return body
 
 
@@ -354,9 +486,10 @@ def scalar_to_json(x: NovikovScalar):
     arr = [{"num": c.numerator, "den": c.denominator,
             "exp_num": e.numerator, "exp_den": e.denominator}
            for e, c in x.terms]
-    if x.mod is None:
+    mod = x.mod
+    if mod is None:
         return arr
-    return {"terms": arr, "mod": str(x.mod)}
+    return {"terms": arr, "mod": str(mod)}
 
 
 def scalar_from_json(data) -> NovikovScalar:

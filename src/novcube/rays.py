@@ -24,29 +24,17 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .chain import (Barcode, ChainComplex, MatrixEntries, NotChainMap,
-                    cone_of_map, is_chain_map, mat_clean, mat_compose,
+from .chain import (Barcode, ChainComplex, MatrixEntries, cone_of_map, is_chain_map, mat_clean, mat_compose,
                     mat_equal, mat_identity, reduce_map_t0)
 from .cubes import (CubeDiagram, cone, compose_many, entry_violations,
                     glueable, total_complex, verify_cube, vertex_codes)
+from .errors import NotAcyclic, NotChainMap, NotCoherent, SliceNotAcyclic
 from .linalg import Elimination, rank
 from .novikov import INFINITY, NovikovScalar, rat
 
 
 class UnsupportedTail(ValueError):
     pass
-
-
-class SliceNotAcyclic(ValueError):
-    pass
-
-
-class NotAcyclic(ValueError):
-    pass
-
-
-class NotCoherent(ValueError):
-    """A square's faces break the coherence equations of a cube."""
 
 
 def zero_cube(n: int) -> CubeDiagram:

@@ -10,7 +10,7 @@ from helpers import (null_homotopic_map, random_acyclic_t0_complex,
 from novcube.chain import (ChainComplex, Generator, NotChainMap, QComplex,
                            cone_of_map, direct_sum, is_chain_map, mat_add,
                            mat_clean, complex_from_json, complex_to_json,
-                           reduce_map_t0)
+                           reduce_map_t0, residual_violations)
 from novcube.novikov import NovikovScalar, parse_scalar
 
 WORK = F(10)
@@ -265,3 +265,20 @@ def test_json_roundtrip():
         c = random_complex(rng)
         c_str = c.relabel(str)
         assert complex_from_json(complex_to_json(c_str)) == c_str
+
+
+def test_residual_violations_compare_across_lattices():
+    # entries on the lattices (1/2)Z, (1/3)Z and Z against a working
+    # precision on (1/4)Z: the integer test must agree with the rationals
+    work = F(3, 4)
+    m = {("a", str(k)): v for k, v in enumerate([
+        NovikovScalar.monomial(1, F(1, 2)),
+        NovikovScalar.monomial(1, F(2, 3)),
+        NovikovScalar.monomial(1, F(3, 4)),
+        NovikovScalar.monomial(1, 1),
+        NovikovScalar((), F(1, 3)),
+        NovikovScalar((), F(5, 6)),
+        NovikovScalar([(F(5, 6), 2)], F(1)).on(12)])}
+    got = {s for _, s, _ in residual_violations(m, work)}
+    assert got == {s for (_, s), v in m.items() if v.val_floor() < work}
+    assert got == {"0", "1", "4"}

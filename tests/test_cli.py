@@ -415,3 +415,94 @@ def test_partial_cube_cannot_be_coned_or_telescoped(tmp_path, square_file,
     assert code == 2
     error = json.loads(out)["error"]
     assert str(ray) in error and "partial" in error
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_mv_of_a_cube_that_is_not_a_square_exits_2(tmp_path, capsys, n):
+    # the six-term sequence is of a 2-cube; any other n is a usage error
+    # naming the file, not an internal error
+    rng = random.Random(83)
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps(cube_to_json(random_cube(rng, n))))
+    code, out = run_cli(capsys, "mv", str(path), "--format", "json")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert str(path) in error and "n = %d" % n in error
+
+
+def test_mv_of_a_partial_square_exits_2(tmp_path, square_file, capsys):
+    # verify_cube skips a partial cube's missing faces, so the sequence
+    # would be read off a square that was never checked
+    path = _edited(tmp_path, square_file, lambda d: d.update(partial=True))
+    code, out = run_cli(capsys, "mv", path, "--format", "json")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert path in error and "partial" in error
+
+
+def _model_file(tmp_path, edit):
+    data = model_to_json(bundled_model("interval"))
+    edit(data)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("key,edit", [
+    ("parity", lambda d: d["cells"][0].update(parity=1.7)),
+    ("parity", lambda d: d["cells"][2].update(parity=True)),
+    ("coeff", lambda d: d["boundary"][0].update(coeff=1.0)),
+    ("coeff", lambda d: d["boundary"][1].update(coeff="-1")),
+    ("value", lambda d: d["cells"][2].update(value=-0.5)),
+    ("value", lambda d: d["cells"][0].update(value=False)),
+], ids=["parity-float", "parity-bool", "coeff-float", "coeff-string",
+        "value-float", "value-bool"])
+def test_wrongly_typed_model_value_exits_2(tmp_path, capsys, key, edit):
+    # a model file's parities and coefficients are ints and its values
+    # strings p/q or ints; anything else is refused, not coerced
+    path = _model_file(tmp_path, edit)
+    code, out = run_cli(capsys, "morse", "empty-set", path,
+                        "--precision", "1", "--format", "json")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert path in error and repr(key) in error
+
+
+def test_model_values_as_strings_or_ints_load(tmp_path, capsys):
+    def edit(d):
+        d["cells"][0]["value"] = -1
+        d["cells"][2]["value"] = "-1/2"
+    path = _model_file(tmp_path, edit)
+    code, out = run_cli(capsys, "morse", "empty-set", path,
+                        "--precision", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["status"] == "ok"
+
+
+def test_cube_commands_import_neither_morse_nor_rays():
+    # verify-cube, cone and compose run without the Morse and ray layers;
+    # the handlers that need them import them
+    import subprocess
+    import sys
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    code = ("import sys, novcube.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m in ('novcube.morse', 'novcube.rays')))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_float_weight_in_minmax_file_exits_2(tmp_path, capsys):
+    data = json.loads(open(os.path.join(
+        os.path.dirname(__file__), "data", "cli", "minmax_circle.json")).read())
+    data["hy"]["v0"] = -3.0
+    path = tmp_path / "minmax.json"
+    path.write_text(json.dumps(data))
+    code, out = run_cli(capsys, "morse", "minmax", str(path),
+                        "--precision", "1", "--format", "json")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert str(path) in error and "'v0'" in error

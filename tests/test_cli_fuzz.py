@@ -2,10 +2,11 @@
 
 Valid cube, ray and model files get keys dropped and values swapped for
 values of another JSON type; whatever the result, the command line must
-answer 0, 1 or 2, never 3 (internal error).  Where a cube or ray file
-holds an integer or a boolean (a dimension, a parity, a sign-form or
-partial flag), a float, a string or the other kind of value in its place
-must be refused with exit 2.
+answer 0, 1 or 2, never 3 (internal error).  Where a cube, ray or model
+file holds an integer or a boolean (a dimension, a parity, a boundary
+coefficient, a sign-form or partial flag), a float, a string or the other
+kind of value in its place must be refused with exit 2, and so must a
+float or a boolean in place of a model cell's value (a string p/q).
 """
 
 import contextlib
@@ -13,6 +14,7 @@ import io
 import json
 import os
 import tempfile
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -125,20 +127,26 @@ def test_badly_shaped_input_never_exits_3(case):
 
 
 def _typed_paths(doc):
-    """The positions of a cube or ray document that hold an int or a bool."""
+    """The positions of a document that hold an int or a bool, or a model
+    cell's value."""
     return [p for p in _paths(doc)
-            if type(_value_at(doc, p)) in (int, bool)]
+            if type(_value_at(doc, p)) in (int, bool) or p[-1] == "value"]
 
 
 @st.composite
 def mistyped(draw):
-    """A valid cube or ray document with one int or bool swapped for a
-    float, a string or a value of the other of the two types."""
-    kind = draw(st.sampled_from(["cube", "ray"]))
+    """A valid cube, ray or model document with one int or bool swapped
+    for a float, a string or a value of the other of the two types, or a
+    model cell's value swapped for a float or a bool."""
+    kind = draw(st.sampled_from(["cube", "ray", "model"]))
     doc, commands = CASES[kind]
     path = draw(st.sampled_from(_typed_paths(doc)))
     old = _value_at(doc, path)
-    if type(old) is int:
+    if path[-1] == "value":
+        value = draw(st.sampled_from(
+            [float(Fraction(old)), float(Fraction(old)) + 0.25, True,
+             False]))
+    elif type(old) is int:
         value = draw(st.sampled_from(
             [float(old), old + 0.5, str(old), True, False]))
     else:
