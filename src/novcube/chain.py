@@ -57,7 +57,10 @@ def mat_neg(m: MatrixEntries) -> MatrixEntries:
 
 
 def mat_compose(second: MatrixEntries, first: MatrixEntries) -> MatrixEntries:
-    """Matrix of (second after first)."""
+    """Matrix of (second after first).
+
+    Entries need only ``*`` and ``+``, so Fractions and ints serve too.
+    """
     by_source: Dict[Label, List[Tuple[Label, NovikovScalar]]] = {}
     for (t, s), v in second.items():
         by_source.setdefault(s, []).append((t, v))
@@ -279,18 +282,9 @@ class QComplex:
         return self._parity[label]
 
     def verify(self) -> Report:
-        bad = []
-        sq: Dict[Tuple[Label, Label], Fraction] = {}
-        by_source: Dict[Label, List[Tuple[Label, Fraction]]] = {}
-        for (t, s), v in self.differential.items():
-            by_source.setdefault(s, []).append((t, v))
-        for (mid, s), v1 in self.differential.items():
-            for t, v2 in by_source.get(mid, ()):
-                sq[(t, s)] = sq.get((t, s), Fraction(0)) + v2 * v1
-        for k, v in sq.items():
-            if v != 0:
-                bad.append(("d_squared", repr(k)))
-        return Report(not bad, tuple(bad))
+        sq = mat_compose(self.differential, self.differential)
+        bad = tuple(("d_squared", repr(k)) for k, v in sq.items() if v != 0)
+        return Report(not bad, bad)
 
     def homology_ranks(self) -> Tuple[int, int]:
         """Betti numbers (even, odd) by exact elimination."""

@@ -2,8 +2,9 @@
 
 :class:`Elimination` is the one elimination: it factors a matrix, given as
 sparse rows ``{column: value}`` and a column count, once into its reduced
-row echelon form.  :class:`QuotientSpace` and ``sparse_rank`` are sparse
-views of it; ``rref``, ``rank``, ``nullspace``, ``solve`` and
+row echelon form.  :class:`QuotientSpace`, ``sparse_rank`` and
+``is_exact`` (exactness of a pair of maps given as sparse columns) are
+sparse views of it; ``rref``, ``rank``, ``nullspace``, ``solve`` and
 ``column_space_selector`` convert dense lists at their edge.
 """
 
@@ -170,3 +171,28 @@ def sparse_rank(entries: Dict[Tuple[Hashable, Hashable], Fraction]) -> int:
     for (r, c), v in entries.items():
         rows.setdefault(r, {})[cols.setdefault(c, len(cols))] = v
     return len(Elimination(rows.values(), len(cols)).pivots)
+
+
+def is_exact(incoming: Sequence[Vector], outgoing: Sequence[Vector],
+             dim: int) -> bool:
+    """Whether im(incoming) = ker(outgoing) inside Q^dim.
+
+    Both maps are lists of sparse columns: ``incoming`` has columns in
+    Q^dim and ``outgoing`` one column per coordinate of Q^dim.  Exact
+    means the composite vanishes and rank(incoming) + rank(outgoing) =
+    dim; a column rank is a row rank, so each map's columns enter the
+    elimination as its rows.
+    """
+    if len(outgoing) != dim:
+        raise ValueError("outgoing has %d columns, not %d"
+                         % (len(outgoing), dim))
+    for col in incoming:
+        image: Vector = {}
+        for i, x in col.items():
+            for j, v in outgoing[i].items():
+                image[j] = image.get(j, 0) + v * x
+        if any(image.values()):
+            return False
+    width = 1 + max((j for col in outgoing for j in col), default=-1)
+    return (len(Elimination(incoming, dim).pivots)
+            + len(Elimination(outgoing, width).pivots)) == dim

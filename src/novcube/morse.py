@@ -18,7 +18,8 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .chain import (Barcode, ChainComplex, Generator, Label,
-                    MatrixEntries, QComplex, json_field, json_rational)
+                    MatrixEntries, QComplex, json_field, json_rational,
+                    mat_compose)
 from .cubes import (CubeDiagram, face_codes, initial_vertex,
                     terminal_vertex, total_complex, vertex_codes)
 from .errors import (Inadmissible, InadmissibleSubset, NotMonotone,
@@ -47,14 +48,7 @@ class MorseModel:
             if (self._parity[t] - self._parity[s]) % 2 != 1:
                 raise ValueError("boundary entry (%r, %r) has even parity"
                                  % (t, s))
-        into: Dict[Label, List[Tuple[Label, int]]] = {}
-        for (t, m), b in self.boundary.items():
-            into.setdefault(m, []).append((t, b))
-        square: Dict[Tuple[Label, Label], int] = {}
-        for (m, s), a in self.boundary.items():
-            for t, b in into.get(m, ()):
-                square[(t, s)] = square.get((t, s), 0) + a * b
-        if any(square.values()):
+        if any(mat_compose(self.boundary, self.boundary).values()):
             raise ValueError("boundary does not square to zero")
         if self.base_map is not None and \
                 set(self.base_map) != set(self._parity):
@@ -264,21 +258,22 @@ def subset_violations(model: MorseModel, cells: Set[Label]):
 
 def cofinal_family(model: MorseModel, region: Iterable[Label], stages: int
                    ) -> List[Hamiltonian]:
-    """Weight functions -1/i on the region and +i outside, i = 1..stages."""
+    """Weight functions -1/i on the region and +i outside, i = 1..stages.
+
+    This is where a region is checked: no arrow may enter it from outside.
+    """
     cells = resolve_region(model, region)
     bad = subset_violations(model, cells)
     if bad:
         raise InadmissibleSubset(
             "arrows %r enter the region from outside" % (bad,))
-    out = []
-    for i in range(1, stages + 1):
-        out.append({l: Fraction(-1, i) if l in cells else Fraction(i)
-                    for l in model.labels})
-    return out
+    return [region_hamiltonian(model, cells, i)
+            for i in range(1, stages + 1)]
 
 
 def region_hamiltonian(model: MorseModel, cells: Set[Label], i: int
                        ) -> Hamiltonian:
+    """Weight -1/i on the cells and +i outside them."""
     return {l: Fraction(-1, i) if l in cells else Fraction(i)
             for l in model.labels}
 
@@ -291,13 +286,9 @@ def projected_betti(model: MorseModel, cells: Set[Label]) -> Tuple[int, int]:
     return QComplex(gens, diff).homology_ranks()
 
 
-def subset_ray(model: MorseModel, region: Iterable[Label], r0) -> Ray:
-    cells = resolve_region(model, region)
-    bad = subset_violations(model, cells)
-    if bad:
-        raise InadmissibleSubset(
-            "arrows %r enter the region from outside" % (bad,))
-
+def subset_ray(model: MorseModel, cells: Set[Label]) -> Ray:
+    """The 1-ray of the cofinal family of a region with these cells,
+    which :func:`cofinal_family` has found admissible."""
     def stage(k):
         return continuation_cube(model, region_hamiltonian(model, cells, k),
                                  region_hamiltonian(model, cells, k + 1))
@@ -330,10 +321,10 @@ def relative_sh(model: MorseModel, region: Iterable[Label], r0, depth: int
     """
     r0 = rat(r0)
     region = list(region)
-    cells = resolve_region(model, region)
-    ray = subset_ray(model, cells if model.base_map is None else region, r0)
-    checked = 0
     fam = cofinal_family(model, region, depth + 1)
+    cells = resolve_region(model, region)
+    ray = subset_ray(model, cells)
+    checked = 0
     for i in range(depth):
         report = cf(model, fam[i]).verify(3)
         if not report.ok:

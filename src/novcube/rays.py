@@ -24,12 +24,13 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .chain import (Barcode, ChainComplex, MatrixEntries, cone_of_map, is_chain_map, mat_clean, mat_compose,
-                    mat_equal, mat_identity, reduce_map_t0)
+from .chain import (Barcode, ChainComplex, Label, MatrixEntries, cone_of_map,
+                    is_chain_map, mat_clean, mat_compose, mat_equal,
+                    mat_identity, reduce_map_t0)
 from .cubes import (CubeDiagram, cone, compose_many, entry_violations,
                     glueable, total_complex, verify_cube, vertex_codes)
 from .errors import NotAcyclic, NotChainMap, NotCoherent, SliceNotAcyclic
-from .linalg import Elimination, rank
+from .linalg import Elimination, Vector, is_exact
 from .novikov import INFINITY, NovikovScalar, rat
 
 
@@ -236,6 +237,22 @@ def stage_composite(ray: Ray, start: int, stop: int) -> MatrixEntries:
     return out
 
 
+def _to_last_slice(ray: Ray, stop: int, target: Callable[[Label], Label]
+                   ) -> MatrixEntries:
+    """The map from the telescope of stages 1..stop-1 to slice ``stop``.
+
+    The plain copy of stage k goes through the sign-alternating composite
+    ``stage_composite(ray, k, stop)``, shifted copies go to zero, and
+    ``target`` labels the image of a generator of slice ``stop``.
+    """
+    out: MatrixEntries = {}
+    for k in range(1, stop + 1):
+        sign = -1 if (stop - k) % 2 else 1
+        for (t, s), v in stage_composite(ray, k, stop).items():
+            out[(target(t), ("tel", k, "u", s))] = v.scale(sign)
+    return out
+
+
 def colimit_t0(ray: Ray, depth: int):
     """Direct limit at T = 0 with the comparison map from the telescope.
 
@@ -248,12 +265,7 @@ def colimit_t0(ray: Ray, depth: int):
         raise ValueError("direct limits are computed for 1-rays")
     tel = telescope_complex(ray, depth)
     last = ray.slice(depth + 1).vertex("")
-    comparison: MatrixEntries = {}
-    for k in range(1, depth + 2):
-        comp = stage_composite(ray, k, depth + 1)
-        sign = -1 if (depth + 1 - k) % 2 else 1
-        for (t, s), v in comp.items():
-            comparison[(t, ("tel", k, "u", s))] = v.scale(sign)
+    comparison = _to_last_slice(ray, depth + 1, lambda t: t)
     if not is_chain_map(comparison, tel, last):
         raise NotChainMap("colimit comparison does not commute with the "
                           "differentials")
@@ -312,14 +324,8 @@ def compression(ray: Ray, indices: List[int]) -> CompressionResult:
     src_depth = indices[-1] - 1
     src = telescope_complex(ray, src_depth)
     dst = telescope_complex(subray, m - 1)
-    last = ray.slice(indices[-1]).vertex("")
-    tel_map: MatrixEntries = {}
-    for k in range(1, src_depth + 2):
-        comp = stage_composite(ray, k, indices[-1])
-        sign = -1 if (indices[-1] - k) % 2 else 1
-        for (t, s), v in comp.items():
-            tel_map[(("tel", m, "u", t), ("tel", k, "u", s))] = v.scale(sign)
-    tel_map = mat_clean(tel_map)
+    tel_map = mat_clean(_to_last_slice(ray, indices[-1],
+                                       lambda t: ("tel", m, "u", t)))
     if not is_chain_map(tel_map, src, dst):
         raise NotChainMap("compression telescope map does not commute "
                           "with the differentials")
@@ -457,23 +463,23 @@ class ExactnessReport:
         return self.ok
 
 
-def _hom_map_matrix(qmap, src_labels, src_space, dst_labels, dst_space):
-    """Matrix of the induced map on homology, in the chosen bases."""
+def _induced(qmap, src_labels, src_space, dst_labels, dst_space
+             ) -> List[Vector]:
+    """The induced map on homology: for each rep of ``src_space``, the
+    ``dst_space`` coordinates of its image under ``qmap``."""
     idx = {l: i for i, l in enumerate(dst_labels)}
+    by_source: Dict[Label, List[Tuple[int, Fraction]]] = {}
+    for (t, s), v in qmap.items():
+        if t in idx:
+            by_source.setdefault(s, []).append((idx[t], v))
     cols = []
     for rep in src_space.reps:
-        rep_by_label = {src_labels[i]: v for i, v in rep.items()}
-        image: Dict[int, Fraction] = {}
-        for (t, s), v in qmap.items():
-            if t in idx and s in rep_by_label:
-                image[idx[t]] = image.get(idx[t], 0) + v * rep_by_label[s]
+        image: Vector = {}
+        for i, x in rep.items():
+            for j, v in by_source.get(src_labels[i], ()):
+                image[j] = image.get(j, 0) + v * x
         cols.append(dst_space.coords(image))
-    return _dense_cols(cols, dst_space.dim)
-
-
-def _dense_cols(cols, dim):
-    """The dim-row dense matrix whose columns are the sparse ``cols``."""
-    return [[col.get(i, Fraction(0)) for col in cols] for i in range(dim)]
+    return cols
 
 
 def mayer_vietoris(square: CubeDiagram, work) -> ExactnessReport:
@@ -482,9 +488,11 @@ def mayer_vietoris(square: CubeDiagram, work) -> ExactnessReport:
     The degree-preserving maps are x -> (e10 x, e01 x) and (a, b) ->
     e11 a - e11' b; the connecting map lifts a cycle of the terminal
     corner through the acyclic total complex and reads off its initial
-    component.  Exactness is verified at all three spots, per parity, by
-    composite-vanishing plus kernel/image rank bookkeeping over the
-    residue field.
+    component.  Each map is kept as sparse columns of homology
+    coordinates over the residue field, and each of the three spots, per
+    parity, is tested by ``linalg.is_exact``: exact iff the composite of
+    the incoming and the outgoing map vanishes and their ranks add up to
+    the dimension of the homology at the spot.
     """
     if square.n != 2:
         raise ValueError("mayer_vietoris expects a 2-cube")
@@ -522,12 +530,12 @@ def mayer_vietoris(square: CubeDiagram, work) -> ExactnessReport:
         l10, h10 = spaces["10"][p]
         l01, h01 = spaces["01"][p]
         l11, h11 = spaces["11"][p]
-        m10 = _hom_map_matrix(e10, l00, h00, l10, h10)
-        m01 = _hom_map_matrix(e01, l00, h00, l01, h01)
-        rho[p] = [row[:] for row in m10] + [row[:] for row in m01]
-        s10 = _hom_map_matrix(f11a, l10, h10, l11, h11)
-        s01 = _hom_map_matrix(f11b, l01, h01, l11, h11)
-        sigma[p] = [s10[i] + [-x for x in s01[i]] for i in range(h11.dim)]
+        rho[p] = [{**a, **{h10.dim + k: v for k, v in b.items()}}
+                  for a, b in zip(_induced(e10, l00, h00, l10, h10),
+                                  _induced(e01, l00, h00, l01, h01))]
+        sigma[p] = (_induced(f11a, l10, h10, l11, h11)
+                    + [{k: -v for k, v in col.items()}
+                       for col in _induced(f11b, l01, h01, l11, h11)])
 
     delta = {}
     for p in (0, 1):
@@ -542,43 +550,17 @@ def mayer_vietoris(square: CubeDiagram, work) -> ExactnessReport:
                 raise NotAcyclic("cycle failed to lift in the total complex")
             delta_cols.append(h00s.coords(
                 {k: sol[j] for k, j in enumerate(at00) if j in sol}))
-        delta[p] = _dense_cols(delta_cols, h00s.dim)
+        delta[p] = delta_cols
 
     spots: Dict[str, Dict[int, bool]] = {"sum": {}, "terminal": {},
                                          "initial": {}}
     for p in (0, 1):
         dim_sum = ranks["10"][p] + ranks["01"][p]
-        spots["sum"][p] = _exact_at(rho[p], sigma[p], dim_sum)
-        spots["terminal"][p] = _exact_at(sigma[p], delta[p], ranks["11"][p])
-        spots["initial"][p] = _exact_at(delta[1 - p], rho[p], ranks["00"][p])
+        spots["sum"][p] = is_exact(rho[p], sigma[p], dim_sum)
+        spots["terminal"][p] = is_exact(sigma[p], delta[p], ranks["11"][p])
+        spots["initial"][p] = is_exact(delta[1 - p], rho[p], ranks["00"][p])
     ok = all(all(v.values()) for v in spots.values())
     return ExactnessReport(ok, spots, ranks)
-
-
-def _exact_at(incoming, outgoing, dim_mid) -> bool:
-    """Exactness at mid: im(incoming) = ker(outgoing) inside Q^dim_mid.
-
-    ``incoming`` has dim_mid rows, ``outgoing`` has dim_mid columns.
-    """
-    comp = _mat_mul(outgoing, incoming, dim_mid)
-    if any(any(x != 0 for x in row) for row in comp):
-        return False
-    r_in = rank(incoming) if incoming and incoming[0] else 0
-    r_out = rank(outgoing) if outgoing and outgoing[0] else 0
-    return r_in == dim_mid - r_out
-
-
-def _mat_mul(a, b, inner):
-    rows = len(a)
-    cols = len(b[0]) if b else 0
-    out = [[Fraction(0)] * cols for _ in range(rows)]
-    for i in range(rows):
-        for k in range(min(inner, len(b))):
-            aik = a[i][k] if k < len(a[i]) else 0
-            if aik:
-                for j in range(cols):
-                    out[i][j] += aik * b[k][j]
-    return out
 
 
 # ---------------------------------------------------------------------------

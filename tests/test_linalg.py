@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction as F
 
+import pytest
 import sympy
 from helpers import random_cube
 from hypothesis import given, settings
@@ -12,7 +13,8 @@ from novcube import linalg, rays
 from novcube.chain import ChainComplex, Generator, QComplex
 from novcube.cubes import CubeDiagram, id_cube, total_complex
 from novcube.linalg import (Elimination, QuotientSpace, column_space_selector,
-                            nullspace, rank, rref, solve, sparse_rank)
+                            is_exact, nullspace, rank, rref, solve,
+                            sparse_rank)
 from novcube.morse import bundled_model, minmax_square
 from novcube.rays import mayer_vietoris
 
@@ -232,6 +234,68 @@ def test_homology_space_dims_and_coords_round_trip(cx, data):
                     x = q.differential.get((t, g.label), F(0)) * b
                     v[idx[t]] = v.get(idx[t], F(0)) + x
         assert space.coords(v) == {k: c for k, c in enumerate(coeffs) if c}
+
+
+def test_is_exact_direct_cases():
+    # rank(in) + rank(out) = dim, but out kills nothing of im(in)
+    assert not is_exact([{0: F(1)}], [{0: F(1)}, {}], 2)
+    # the composite vanishes, but im(in) is a line in the plane ker(out)
+    assert not is_exact([{0: F(1)}], [{}, {}], 2)
+    assert is_exact([{0: F(1), 1: F(0)}], [{0: F(0)}, {0: F(3)}], 2)
+    # dimension 0: every pair is exact
+    assert is_exact([], [], 0)
+    assert is_exact([{}, {}], [], 0)
+    # no incoming columns: exact iff out is injective
+    assert is_exact([], [{0: F(1)}, {1: F(2)}], 2)
+    assert not is_exact([], [{0: F(1)}, {0: F(2)}], 2)
+    # out maps onto zero: exact iff in is onto
+    assert is_exact([{0: F(1)}, {1: F(-1)}], [{}, {}], 2)
+    assert not is_exact([{0: F(1)}, {0: F(2)}], [{}, {}], 2)
+    with pytest.raises(ValueError, match="outgoing has 1 columns, not 2"):
+        is_exact([], [{}], 2)
+
+
+@st.composite
+def map_pairs(draw):
+    """(dim, A, B): A a dense dim x a matrix, B a dense b x dim matrix.
+
+    A third of the pairs are exact (the rows of B are a basis of the left
+    null space of A), a third have B A = 0 with one row of such a B or
+    one column of A dropped, and the rest are random.
+    """
+    dim = draw(st.integers(0, 4))
+    a = draw(st.integers(0, 4))
+    A = [[draw(entries) for _ in range(a)] for _ in range(dim)]
+    mode = draw(st.sampled_from(["exact", "dropped", "random"]))
+    if mode == "random":
+        B = [[draw(entries) for _ in range(dim)]
+             for _ in range(draw(st.integers(0, 4)))]
+        return dim, A, B
+    left = Elimination([{i: A[i][j] for i in range(dim)} for j in range(a)],
+                       dim).nullspace()
+    B = [[v.get(i, F(0)) for i in range(dim)] for v in left]
+    if mode == "dropped":
+        if B and draw(st.booleans()):
+            del B[draw(st.integers(0, len(B) - 1))]
+        elif a:
+            k = draw(st.integers(0, a - 1))
+            A = [row[:k] + row[k + 1:] for row in A]
+    return dim, A, B
+
+
+@SETTINGS
+@given(map_pairs())
+def test_is_exact_matches_a_dense_reference(pair):
+    dim, A, B = pair
+    a = len(A[0]) if A else 0
+    product = [[sum((B[i][k] * A[k][j] for k in range(dim)), F(0))
+                for j in range(a)] for i in range(len(B))]
+    expected = (all(x == 0 for row in product for x in row)
+                and rank(A) + rank(B) == dim)
+    incoming = [sparse([A[i][j] for i in range(dim)]) for j in range(a)]
+    outgoing = [sparse([B[i][j] for i in range(len(B))])
+                for j in range(dim)]
+    assert is_exact(incoming, outgoing, dim) == expected
 
 
 def test_mayer_vietoris_factors_the_total_complex_once(monkeypatch):
