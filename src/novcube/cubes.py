@@ -32,7 +32,7 @@ from functools import cached_property, lru_cache, reduce
 from itertools import product
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .chain import (ChainComplex, Generator, MatrixEntries, Report,
+from .chain import (ChainComplex, Generator, MatrixEntries, QComplex, Report,
                     complex_from_json, complex_to_json, json_field,
                     mat_clean, mat_compose, mat_equal, mat_neg,
                     matrix_from_json, matrix_to_json, residual_violations)
@@ -286,6 +286,13 @@ class CubeDiagram:
     @property
     def vertices(self) -> Dict[str, ChainComplex]:
         return {w: self.vertex(w) for w in self.gens}
+
+    @cached_property
+    def total_t0(self) -> QComplex:
+        """The total complex at T = 0, reduced on first use and kept, so
+        that the min/max check of a square and its Mayer–Vietoris
+        sequence reduce it once."""
+        return total_complex(self).reduce_t0()
 
     def __eq__(self, other):
         if not isinstance(other, CubeDiagram):

@@ -21,7 +21,7 @@ from .chain import (Barcode, ChainComplex, Generator, Label,
                     MatrixEntries, QComplex, json_field, json_rational,
                     mat_compose)
 from .cubes import (CubeDiagram, face_codes, initial_vertex,
-                    terminal_vertex, total_complex, vertex_codes)
+                    terminal_vertex, vertex_codes)
 from .errors import (Inadmissible, InadmissibleSubset, NotMonotone,
                      NotNegative, StageCheckFailed)
 from .novikov import NovikovScalar, rat
@@ -378,7 +378,7 @@ def minmax_square(model: MorseModel, h_x: Hamiltonian, h_y: Hamiltonian
     rhs = {l: h_max[l] - h_y[l] + (h_y[l] - h_min[l]) for l in model.labels}
     strict = lhs == rhs
 
-    tot = total_complex(square).reduce_t0()
+    tot = square.total_t0
     pieces: Dict[Label, str] = {}
     ok = True
     for l in model.labels:

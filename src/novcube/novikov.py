@@ -6,6 +6,17 @@ for a rational working precision ``R``.  Exponents are kept exact: every
 finite computation here involves finitely many exponents, so rationals
 suffice and all comparisons are decidable.
 
+A coefficient is stored as an ``int`` when it is integral and as a
+``Fraction`` otherwise.  The cell model's differentials and continuation
+maps have integer coefficients, so their products, sums and negations run
+on ``int`` arithmetic with no gcd; a sum or product of two ``Fraction``
+values may stay stored as an integral ``Fraction``.  Since
+``3 == Fraction(3)`` and the two hash alike, equality and hashing do not
+depend on the storage.  No float ever arises: the one division, in
+:meth:`NovikovScalar.invert`, goes through ``Fraction``.  The views
+``terms``, ``coefficient`` and ``reduce_t0`` give ``Fraction``
+coefficients.
+
 Exponents are stored on a lattice ``(1/den) Z``: a scalar keeps one
 positive ``int`` denominator ``den``, the ``int`` numerator of each
 exponent over it, and ``R`` as an ``int`` numerator over the same ``den``.
@@ -40,7 +51,6 @@ INFINITY = math.inf
 RationalLike = Union[int, str, Fraction]
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 class ZeroDivisor(ZeroDivisionError):
@@ -54,6 +64,20 @@ def rat(x: RationalLike) -> Fraction:
     return Fraction(x)
 
 
+def _coeff(x: RationalLike) -> Union[int, Fraction]:
+    """``x`` as a stored coefficient: an ``int`` when it is integral, else
+    a ``Fraction``."""
+    if type(x) is int:
+        return x
+    x = rat(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _frac(c: Union[int, Fraction]) -> Fraction:
+    """A stored coefficient as a ``Fraction``."""
+    return c if type(c) is Fraction else Fraction(c)
+
+
 class NovikovScalar:
     """Immutable finite T-series with optional precision.
 
@@ -63,8 +87,8 @@ class NovikovScalar:
     modulo ``T^R`` (all stored exponents are then < R).
 
     Both are views: the scalar stores the pairs with ``int`` exponent
-    numerators over the denominator ``den``, and ``R`` as an ``int``
-    numerator over ``den``.
+    numerators over the denominator ``den`` and ``int`` or ``Fraction``
+    coefficients, and ``R`` as an ``int`` numerator over ``den``.
     """
 
     __slots__ = ("_t", "_d", "_m")
@@ -81,8 +105,8 @@ class NovikovScalar:
                 if c and (mod is None or e < mod)]
         d = lcm(*[e.denominator for e, _ in kept],
                 1 if mod is None else mod.denominator)
-        _set_t(self, tuple(sorted((e.numerator * (d // e.denominator), c)
-                                  for e, c in kept)))
+        _set_t(self, tuple(sorted((e.numerator * (d // e.denominator),
+                                   _coeff(c)) for e, c in kept)))
         _set_d(self, d)
         _set_m(self, None if mod is None
                else mod.numerator * (d // mod.denominator))
@@ -106,7 +130,7 @@ class NovikovScalar:
 
     @staticmethod
     def monomial(c: RationalLike, e: RationalLike) -> "NovikovScalar":
-        c = rat(c)
+        c = _coeff(c)
         if not c:
             return _make((), 1)
         e = rat(e)
@@ -117,7 +141,7 @@ class NovikovScalar:
     @property
     def terms(self) -> Tuple[Tuple[Fraction, Fraction], ...]:
         d = self._d
-        return tuple([(Fraction(e, d), c) for e, c in self._t])
+        return tuple([(Fraction(e, d), _frac(c)) for e, c in self._t])
 
     @property
     def mod(self) -> Optional[Fraction]:
@@ -185,7 +209,7 @@ class NovikovScalar:
             return _F0
         for ee, c in self._t:
             if ee == n:
-                return c
+                return _frac(c)
             if ee > n:
                 break
         return _F0
@@ -278,11 +302,11 @@ class NovikovScalar:
                      d, mod)
 
     def scale(self, c: RationalLike) -> "NovikovScalar":
-        c = rat(c)
+        c = _coeff(c)
         if not c:
             return _make((), self._d, self._m)
-        return _make(tuple([(e, c * cc) for e, cc in self._t]), self._d,
-                     self._m)
+        return _make(tuple([(e, _coeff(c * cc)) for e, cc in self._t]),
+                     self._d, self._m)
 
     def shift(self, e: RationalLike) -> "NovikovScalar":
         """Multiply by the monomial T^e."""
@@ -351,7 +375,7 @@ class NovikovScalar:
                 "reduce_t0 needs val >= 0, got %s" % (self.val(),))
         if self._m is not None and self._m <= 0:
             raise PrecisionExhausted("constant term not determined at precision")
-        return t[0][1] if t and t[0][0] == 0 else _F0
+        return _frac(t[0][1]) if t and t[0][0] == 0 else _F0
 
     def invert(self, work: Optional[RationalLike] = None) -> "NovikovScalar":
         """Multiplicative inverse, modulo T^work after valuation shift.
@@ -371,6 +395,7 @@ class NovikovScalar:
                 t = x._t
         d, m = x._d, x._m
         v, c = t[0]
+        ic = _coeff(Fraction(1, c))  # not 1 / c: int / int is a float
         # known precision of 1 + n, after factoring out c T^v; None is +inf
         w = None if m is None else m - v
         if work is not None:
@@ -380,23 +405,23 @@ class NovikovScalar:
         if len(t) == 1:
             if m is None:
                 w = None  # exact monomial: the inverse is exact
-            unit = ((0, _F1),) if w is None or w > 0 else ()
+            unit = ((0, 1),) if w is None or w > 0 else ()
         elif w is None:
             raise ValueError("working precision required: inverse is an "
                              "infinite series")
         elif w <= 0:
             raise ValueError("truncation precision must be positive")
         else:
-            n = _make(tuple([(e - v, cc / c) for e, cc in t[1:]]), d)
+            n = _make(tuple([(e - v, cc * ic) for e, cc in t[1:]]), d)
             step = t[1][0] - v
-            unit = power = _make(((0, _F1),), d)
+            unit = power = _make(((0, 1),), d)
             k = 1
             while k * step < w:
                 power = (power * n)._cut(w)
                 unit = unit + (-power if k % 2 else power)
                 k += 1
             unit = unit._cut(w)._t
-        return _make(tuple([(e - v, cc / c) for e, cc in unit]), d,
+        return _make(tuple([(e - v, _coeff(cc * ic)) for e, cc in unit]), d,
                      None if w is None else w - v)
 
 
@@ -411,7 +436,8 @@ def _make(t: Tuple[Tuple[int, Fraction], ...], d: int,
 
     The caller guarantees what ``NovikovScalar.__init__`` would establish:
     ``int`` exponent numerators strictly increasing and all below ``m``,
-    nonzero Fraction coefficients, and ``m`` either None or an ``int``.
+    nonzero ``int`` or ``Fraction`` coefficients (no float), and ``m``
+    either None or an ``int``.
     Every scalar is still made by ``NovikovScalar.__new__``.
     """
     x = NovikovScalar.__new__(NovikovScalar)

@@ -243,12 +243,17 @@ def _to_last_slice(ray: Ray, stop: int, target: Callable[[Label], Label]
 
     The plain copy of stage k goes through the sign-alternating composite
     ``stage_composite(ray, k, stop)``, shifted copies go to zero, and
-    ``target`` labels the image of a generator of slice ``stop``.
+    ``target`` labels the image of a generator of slice ``stop``.  The
+    composites are built backward from slice ``stop``, each from the next
+    by one product, so ``stop - 1`` products serve all of them.
     """
     out: MatrixEntries = {}
-    for k in range(1, stop + 1):
+    composite = mat_identity(ray.slice(stop).vertex("").labels)
+    for k in range(stop, 0, -1):
+        if k < stop:
+            composite = mat_compose(composite, ray.map_cube(k).face("-"))
         sign = -1 if (stop - k) % 2 else 1
-        for (t, s), v in stage_composite(ray, k, stop).items():
+        for (t, s), v in composite.items():
             out[(target(t), ("tel", k, "u", s))] = v.scale(sign)
     return out
 
@@ -499,7 +504,7 @@ def mayer_vietoris(square: CubeDiagram, work) -> ExactnessReport:
     rep = verify_cube(square, work)
     if not rep:
         raise NotCoherent("square does not verify: %s" % (rep.violations,))
-    tq = total_complex(square).reduce_t0()
+    tq = square.total_t0
     # T=0 differential of the total complex, factored once to lift cycles
     tot_idx = {g.label: i for i, g in enumerate(tq.generators)}
     tot_rows: List[Dict[int, Fraction]] = [{} for _ in tot_idx]

@@ -199,6 +199,32 @@ def test_barcode_ambiguous_pivot_raises():
         c.barcode(WORK)
 
 
+def test_barcode_residual_within_the_reduced_precision_is_kept():
+    # d(x) = T y and d(y) = T^(1/2) z: d*d = T^(3/2) z vanishes at work 3/2.
+    # Splitting off the pivot T^(1/2) leaves d(x) = T y behind, which is
+    # zero only below T^(work - 1/2) = T^1: the bars hold to precision 1.
+    c = cx([("x", 0), ("y", 1), ("z", 0)],
+           {("y", "x"): "1*T^1", ("z", "y"): "1*T^{1/2}"})
+    assert c.verify(F(3, 2)).ok
+    code = c.barcode(F(3, 2))
+    assert code.torsion_bars == ((0, F(1, 2)),)
+    assert code.free_bars == (0,)
+    assert code.precision == 1
+    assert code.free_at_precision
+
+
+def test_barcode_residual_of_a_non_complex_raises(monkeypatch):
+    from novcube.chain import Report
+    c = cx([("x", 0), ("y", 1), ("z", 0)],
+           {("y", "x"): "1*T^0", ("z", "y"): "1*T^0"})
+    assert not c.verify(WORK).ok
+    monkeypatch.setattr(ChainComplex, "verify",
+                        lambda self, work: Report(True, ()))
+    with pytest.raises(ValueError,
+                       match=r"^input is not a chain complex: residual "):
+        c.barcode(WORK)
+
+
 def test_barcode_invariant_under_unit_basis_change():
     from helpers import mix_basis
     rng = random.Random(6)

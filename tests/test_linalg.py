@@ -9,7 +9,7 @@ from helpers import random_cube
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from novcube import linalg, rays
+from novcube import cubes, linalg, rays
 from novcube.chain import ChainComplex, Generator, QComplex
 from novcube.cubes import CubeDiagram, id_cube, total_complex
 from novcube.linalg import (Elimination, QuotientSpace, column_space_selector,
@@ -319,6 +319,23 @@ def test_mayer_vietoris_factors_the_total_complex_once(monkeypatch):
         assert mayer_vietoris(minmax_square(m, h, hy).square, 3).ok
         assert len(built) == 1
         assert len(lifted) >= 2
+
+
+def test_minmax_and_mayer_vietoris_reduce_the_total_complex_once(
+        monkeypatch):
+    built = []
+    monkeypatch.setattr(cubes, "total_complex",
+                        lambda cube: built.append(cube) or total_complex(cube))
+    m = bundled_model("circle")
+    h = dict(m.values)
+    rep = minmax_square(m, h, {l: h[l] + F(1, 2) for l in m.labels})
+    assert rep.acyclic and mayer_vietoris(rep.square, 3).ok
+    assert built == [rep.square]
+    # the T = 0 total complex is a view of the square: equal to a fresh one
+    tq = rep.square.total_t0
+    fresh = total_complex(rep.square).reduce_t0()
+    assert tq.generators == fresh.generators
+    assert tq.differential == fresh.differential
 
 
 def test_quotient_space_factors_at_most_once(monkeypatch):

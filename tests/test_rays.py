@@ -5,11 +5,13 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from helpers import (random_acyclic_t0_complex, random_complex, random_cube,
-                     random_extension, random_ray_cubes)
+from helpers import (null_homotopic_map, random_acyclic_t0_complex,
+                     random_complex, random_cube, random_extension,
+                     random_ray_cubes)
 
-from novcube.chain import (ChainComplex, Generator, mat_equal,
-                           mat_identity, mat_neg)
+from novcube import rays
+from novcube.chain import (ChainComplex, Generator, mat_add, mat_clean,
+                           mat_equal, mat_identity, mat_neg)
 from novcube.cubes import (CubeDiagram, cone, id_cube, verify_cube,
                            vertex_codes)
 from novcube.novikov import NovikovScalar
@@ -17,8 +19,8 @@ from novcube.rays import (NotAcyclic, Ray, SliceNotAcyclic, TailSpec,
                           TailVerdict, acyclic_slices_implies_acyclic,
                           colimit_t0, completed_homology, compression,
                           cone_ray, degree_parts, descent_complex, glue_check,
-                          mayer_vietoris, telescope, telescope_complex,
-                          vertex_ray)
+                          mayer_vietoris, stage_composite, telescope,
+                          telescope_complex, vertex_ray)
 
 WORK = 10
 
@@ -146,6 +148,51 @@ def test_telescope_homology_is_colimit_on_random_rays():
         assert qiso
         tel = telescope_complex(r, depth)
         assert tel.reduce_t0().homology_ranks() == lim.homology_ranks()
+
+
+def composites_one_by_one(ray, stop, target):
+    """The map to slice ``stop`` with each stage's composite built from
+    scratch by ``stage_composite``: the reference for ``_to_last_slice``."""
+    out = {}
+    for k in range(1, stop + 1):
+        sign = -1 if (stop - k) % 2 else 1
+        for (t, s), v in stage_composite(ray, k, stop).items():
+            out[(target(t), ("tel", k, "u", s))] = v.scale(sign)
+    return mat_clean(out)
+
+
+def self_map_ray(rng, length):
+    """A finite 1-ray on one random complex whose edge maps are
+    id + d Y + Y d, so that every composite has entries."""
+    c = random_complex(rng, max_gens=5, prefix="sm")
+    while len(c.generators) < 3:
+        c = random_complex(rng, max_gens=5, prefix="sm")
+    ident = mat_identity(c.labels)
+    return Ray(1, [one_cube(c, c, mat_add(ident,
+                                          null_homotopic_map(rng, c, c)))
+                   for _ in range(length)], TailSpec.finite())
+
+
+@pytest.mark.parametrize("depth", [2, 4, 8])
+def test_maps_to_the_last_slice_compose_once_per_stage(depth, monkeypatch):
+    rng = random.Random(60 + depth)
+    for r in [Ray(1, random_ray_cubes(rng, 1, depth), TailSpec.finite())
+              for _ in range(3)] + [self_map_ray(rng, depth)
+                                    for _ in range(3)]:
+        _, comparison, qiso = colimit_t0(r, depth)
+        assert qiso
+        assert mat_clean(comparison) == composites_one_by_one(
+            r, depth + 1, lambda t: t)
+        res = compression(r, [1, depth // 2 + 1, depth + 1])
+        assert res.quasi_iso
+        assert res.telescope_map == composites_one_by_one(
+            r, depth + 1, lambda t: ("tel", 3, "u", t))
+    products = []
+    compose = rays.mat_compose
+    monkeypatch.setattr(rays, "mat_compose",
+                        lambda a, b: products.append(1) or compose(a, b))
+    rays._to_last_slice(r, depth + 1, lambda t: t)
+    assert len(products) == depth
 
 
 def test_compression_identity_reindexing():

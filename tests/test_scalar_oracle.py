@@ -8,6 +8,10 @@ Operands are drawn on different lattices, with a precision on either side,
 on both or on neither, with negative exponents, and with terms that cancel
 exactly.  Every operation must give the same terms, precision, text and
 JSON form, or raise the same exception with the same message.
+
+Integral coefficients are stored as ints or, when a sum of two Fractions
+made them, as integral Fractions; operands of both storages meet in every
+operation, and no stored coefficient may ever be a float.
 """
 
 from fractions import Fraction as F
@@ -54,6 +58,8 @@ def view(x):
     to_json = scalar_to_json if isinstance(x, NovikovScalar) \
         else oracle.scalar_to_json
     terms, mod = x.terms, x.mod
+    if isinstance(x, NovikovScalar):
+        assert all(type(c) in (int, F) for _, c in x._t)
     assert all(type(e) is F and type(c) is F for e, c in terms)
     assert mod is None or type(mod) is F
     return (terms, mod, fmt(x), to_json(x), x.is_zero, bool(x), x.val(),
@@ -153,3 +159,102 @@ def test_exact_zero_is_returned_as_is():
     zero = NovikovScalar.zero()
     assert (x + zero) is x and (zero + x) is x
     assert (x * zero) is zero and (zero * x) is zero
+
+
+mixed_coefficients = st.one_of(st.integers(-3, 3),
+                               st.integers(-3, 3).map(F), coefficients)
+
+
+def integral_as_fractions(terms, mod):
+    """The scalar of ``terms`` and ``mod`` as the sum of two scalars whose
+    coefficients are not integral, so that its integral coefficients are
+    stored as Fractions."""
+    return (NovikovScalar([(e, c - F(1, 2)) for e, c in terms], mod)
+            + NovikovScalar([(e, F(1, 2)) for e, _ in terms], mod))
+
+
+@st.composite
+def stored_pairs(draw, storage=None, coeffs=mixed_coefficients):
+    """(library scalar, oracle scalar) whose integral coefficients are
+    stored as ints, or as integral Fractions."""
+    den = draw(st.sampled_from(DENS))
+    nums = draw(st.lists(st.integers(-2 * den, 3 * den), max_size=4))
+    terms = [(F(n, den), draw(coeffs)) for n in nums]
+    mod = draw(st.one_of(st.none(),
+                         st.integers(-den, 4 * den).map(lambda n: F(n, den))))
+    if storage is None:
+        storage = draw(st.sampled_from(["int", "fraction"]))
+    x = NovikovScalar(terms, mod) if storage == "int" \
+        else integral_as_fractions(terms, mod)
+    return x, oracle.NovikovScalar(terms, mod)
+
+
+def stored(x):
+    return [c for _, c in x._t]
+
+
+@settings(max_examples=200, deadline=None)
+@given(stored_pairs(), stored_pairs(), st.integers(-3, 3), rationals,
+       st.one_of(st.none(), st.fractions(min_value=-1, max_value=4,
+                                         max_denominator=6)))
+def test_mixed_storage_operations_agree(x, y, k, e, work):
+    agree(lambda a, b: a + b, x, y)
+    agree(lambda a, b: a - b, x, y)
+    agree(lambda a, b: a * b, x, y)
+    agree(lambda a, b: (a + b) * (a - b), x, y)
+    agree(lambda a: -a, x)
+    agree(lambda a: a.scale(k), x)
+    agree(lambda a: a.scale(F(k, 2)), x)
+    agree(lambda a: a.shift(e), x)
+    agree(lambda a: a.truncate(e), x)
+    agree(lambda a: a.reduce_t0(), x)
+    agree(lambda a: a.coefficient(e), x)
+    agree(lambda a: a.invert(work), x)
+    agree(lambda a: a.invert(work) * a, x)
+    a, oa = x
+    assert view(a.on(a.den * 2)) == view(oa)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stored_pairs(storage="int"))
+def test_storages_are_equal_and_hash_alike(x):
+    as_int = x[0]
+    as_fraction = integral_as_fractions(as_int.terms, as_int.mod)
+    if any(c.denominator == 1 for _, c in as_int.terms):
+        assert any(type(c) is F and c.denominator == 1
+                   for c in stored(as_fraction))
+    assert as_int == as_fraction and as_fraction == as_int
+    assert hash(as_int) == hash(as_fraction)
+    key = object()
+    assert {as_int: key}[as_fraction] is key
+    on = as_fraction.on(as_fraction.den * 3)
+    assert on == as_int and hash(on) == hash(as_int)
+
+
+@settings(max_examples=100, deadline=None)
+@given(stored_pairs("int", st.integers(-3, 3)),
+       stored_pairs("int", st.integers(-3, 3)), st.integers(-3, 3))
+def test_integer_operands_give_integer_coefficients(x, y, k):
+    a, b = x[0], y[0]
+    for out in (a, b, a + b, a - b, a * b, -a, a.scale(k), a.shift(1),
+                a.on(a.den * 2)):
+        assert all(type(c) is int for c in stored(out))
+
+
+def test_inverting_a_non_unit_integer_stores_a_fraction():
+    half = NovikovScalar.monomial(2, 0).invert()
+    assert stored(half) == [F(1, 2)] and type(stored(half)[0]) is F
+    assert half.terms == ((F(0), F(1, 2)),)
+    minus = NovikovScalar.monomial(-1, F(1, 3)).invert()
+    assert stored(minus) == [-1] and type(stored(minus)[0]) is int
+    assert minus.terms == ((F(-1, 3), F(-1)),)
+    # 1/(2 + T) = 1/2 - T/4 + T^2/8 mod T^3
+    series = NovikovScalar([(0, 2), (1, 1)])
+    inv = series.invert(3)
+    assert all(type(c) is F for c in stored(inv))
+    assert inv.terms == ((F(0), F(1, 2)), (F(1), F(-1, 4)),
+                         (F(2), F(1, 8)))
+    assert inv * series == NovikovScalar([(0, 1)], F(3))
+    # an integral inverse is stored as an int again
+    three = NovikovScalar.monomial(F(1, 3), 0).invert()
+    assert stored(three) == [3] and type(stored(three)[0]) is int
