@@ -6,6 +6,8 @@ Entries live in the nonnegative part of the ring.  Homology is computed two
 ways: over the residue field by setting T = 0, and over the valuation ring
 as a barcode (free summands plus torsion summands of the form
 ``ring / T^length``), the latter modulo a declared working precision.
+At T = 0 a :class:`QComplex` factors its odd differential once; its Betti
+numbers, acyclicity and homology spaces are views of that elimination.
 """
 
 from __future__ import annotations
@@ -14,13 +16,14 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from .errors import NotChainMap, PrecisionExhausted
-from .linalg import Elimination, QuotientSpace, sparse_rank
+from .linalg import Elimination, QuotientSpace
 from .novikov import (INFINITY, ZERO, NovikovScalar, rat, format_scalar,
-                      parse_scalar, scalar_from_json)
+                      json_keys, parse_scalar, scalar_from_json)
 
 Label = Hashable
 MatrixEntries = Dict[Tuple[Label, Label], NovikovScalar]
@@ -269,14 +272,19 @@ def cone_of_map(source: ChainComplex, target: ChainComplex,
 
 
 class QComplex:
-    """Chain complex over the rationals (the residue field at T = 0)."""
+    """Chain complex over the rationals (the residue field at T = 0).
+
+    d is factored once, on first use (``factor``).  d is odd, so its even
+    and odd blocks share no row and no column: rank d is the sum of their
+    ranks, and each nullspace vector of d lies in one parity.
+    """
 
     def __init__(self, generators: Iterable[Generator],
                  differential: Dict[Tuple[Label, Label], Fraction]):
         self.generators = tuple(generators)
         self._parity = {g.label: g.parity for g in self.generators}
-        self.differential = {k: Fraction(v) for k, v in differential.items()
-                             if v != 0}
+        self.differential = {k: v if isinstance(v, Fraction) else Fraction(v)
+                             for k, v in differential.items() if v != 0}
 
     def parity(self, label: Label) -> int:
         return self._parity[label]
@@ -286,17 +294,24 @@ class QComplex:
         bad = tuple(("d_squared", repr(k)) for k, v in sq.items() if v != 0)
         return Report(not bad, bad)
 
+    @cached_property
+    def index(self) -> Dict[Label, int]:
+        """Each generator's position, the row and column it has in d."""
+        return {g.label: i for i, g in enumerate(self.generators)}
+
+    @cached_property
+    def factor(self) -> Elimination:
+        """d, with rows by target and columns by source, factored once."""
+        rows: List[Dict[int, Fraction]] = [{} for _ in self.generators]
+        for (t, s), v in self.differential.items():
+            rows[self.index[t]][self.index[s]] = v
+        return Elimination(rows, len(rows))
+
     def homology_ranks(self) -> Tuple[int, int]:
-        """Betti numbers (even, odd) by exact elimination."""
-        even = [g.label for g in self.generators if g.parity == 0]
-        odd = [g.label for g in self.generators if g.parity == 1]
-        d_from_even = {(t, s): v for (t, s), v in self.differential.items()
-                       if self._parity[s] == 0}
-        d_from_odd = {(t, s): v for (t, s), v in self.differential.items()
-                      if self._parity[s] == 1}
-        r_e = sparse_rank(d_from_even)
-        r_o = sparse_rank(d_from_odd)
-        return len(even) - r_e - r_o, len(odd) - r_o - r_e
+        """Betti numbers (even, odd): each parity's count less rank d."""
+        r = len(self.factor.pivots)
+        even = sum(1 for g in self.generators if g.parity == 0)
+        return even - r, len(self.generators) - even - r
 
     def is_acyclic(self) -> bool:
         return self.homology_ranks() == (0, 0)
@@ -307,19 +322,18 @@ class QComplex:
         Returns the ordered generator labels of that parity and a
         :class:`QuotientSpace` whose vectors are indexed by them.
         """
-        mine = [g.label for g in self.generators if g.parity == parity]
-        other = [g.label for g in self.generators if g.parity != parity]
+        gens = self.generators
+        mine = [g.label for g in gens if g.parity == parity]
         idx = {l: i for i, l in enumerate(mine)}
-        # d from this parity as rows keyed by target, and d into it as
-        # columns keyed by source; both are indexed like ``mine``
-        d_out: Dict[Label, Dict[int, Fraction]] = {l: {} for l in other}
-        d_in: Dict[Label, Dict[int, Fraction]] = {l: {} for l in other}
+        # the cycles are the nullspace vectors of d that lie in this parity
+        cycles = [{idx[gens[j].label]: v for j, v in vec.items()}
+                  for vec in self.factor.nullspace()
+                  if gens[next(iter(vec))].parity == parity]
+        # d into this parity as columns keyed by source, indexed like mine
+        d_in = {g.label: {} for g in gens if g.parity != parity}
         for (t, s), v in self.differential.items():
-            if s in idx:
-                d_out[t][idx[s]] = v
-            else:
+            if s not in idx:
                 d_in[s][idx[t]] = v
-        cycles = Elimination(d_out.values(), len(mine)).nullspace()
         boundaries = [col for col in d_in.values() if col]
         return mine, QuotientSpace(len(mine), cycles, boundaries)
 
@@ -559,15 +573,12 @@ def json_rational(data: dict, key: str) -> Fraction:
 
 
 def complex_from_json(data: dict) -> ChainComplex:
-    gens = [Generator(g["label"], json_field(g, "parity", int))
-            for g in data["generators"]]
-    diff: MatrixEntries = {}
-    for e in data.get("differential", ()):
-        scalar = e["scalar"]
-        v = parse_scalar(scalar) if isinstance(scalar, str) \
-            else scalar_from_json(scalar)
-        diff[(e["target"], e["source"])] = v
-    return ChainComplex(gens, diff)
+    json_keys(data, {"generators", "differential"}, "a complex")
+    gens = []
+    for g in data["generators"]:
+        json_keys(g, {"label", "parity"}, "a generator")
+        gens.append(Generator(g["label"], json_field(g, "parity", int)))
+    return ChainComplex(gens, matrix_from_json(data.get("differential", ())))
 
 
 def matrix_to_json(m: MatrixEntries) -> list:
@@ -578,6 +589,7 @@ def matrix_to_json(m: MatrixEntries) -> list:
 def matrix_from_json(data) -> MatrixEntries:
     out: MatrixEntries = {}
     for e in data:
+        json_keys(e, {"target", "source", "scalar"}, "an entry")
         scalar = e["scalar"]
         v = parse_scalar(scalar) if isinstance(scalar, str) \
             else scalar_from_json(scalar)

@@ -27,7 +27,7 @@ from .cubes import (CubeDiagram, InvalidDirection, cone, compose,
                     verify_cube)
 # failures of the mathematics on a well-formed input: exit 1, not 3
 from .errors import DOMAIN_ERRORS
-from .novikov import rat
+from .novikov import json_keys, rat
 
 if TYPE_CHECKING:
     from .rays import Ray
@@ -37,11 +37,6 @@ FORMAT_VERSION = 1
 # what a JSON value of the wrong shape raises on its way into the library
 SHAPE_ERRORS = (KeyError, IndexError, TypeError, AttributeError, ValueError,
                 ZeroDivisionError)
-
-# the top-level keys each kind of input file may have
-CUBE_KEYS = {"n", "positive", "partial", "vertices", "faces"}
-RAY_KEYS = {"n", "prefix", "tail"}
-
 
 class InputError(ValueError):
     pass
@@ -59,38 +54,27 @@ def _read_json(path: str):
         raise InputError("cannot parse %s: %s" % (path, exc))
 
 
+def _read_object(path: str, kind: str, parse) -> Tuple[object, str]:
+    """``parse`` of the JSON object in ``path``; a badly shaped object,
+    one with unknown keys included, makes a bad ``kind`` file."""
+    data, digest = _read_json(path)
+    try:
+        return parse(data), digest
+    except SHAPE_ERRORS as exc:
+        raise InputError("bad %s file %s: %s" % (kind, path, exc))
+
+
 def _load_model(path: str):
     from .morse import bundled_model, model_from_json
     if path.startswith("bundled:"):
         model = bundled_model(path.split(":", 1)[1])
         digest = "bundled:" + path.split(":", 1)[1]
         return model, digest
-    data, digest = _read_json(path)
-    try:
-        return model_from_json(data), digest
-    except SHAPE_ERRORS as exc:
-        raise InputError("bad model file %s: %s" % (path, exc))
-
-
-def _read_object(path: str, kind: str, keys) -> Tuple[dict, str]:
-    """A JSON object whose top-level keys are all among ``keys``."""
-    data, digest = _read_json(path)
-    if not isinstance(data, dict):
-        raise InputError("bad %s file %s: not a JSON object" % (kind, path))
-    unknown = sorted(set(data) - keys)
-    if unknown:
-        raise InputError("bad %s file %s: unknown key %s (allowed: %s)"
-                         % (kind, path, ", ".join(map(repr, unknown)),
-                            ", ".join(sorted(keys))))
-    return data, digest
+    return _read_object(path, "model", model_from_json)
 
 
 def _load_cube(path: str) -> Tuple[CubeDiagram, str]:
-    data, digest = _read_object(path, "cube", CUBE_KEYS)
-    try:
-        return cube_from_json(data), digest
-    except SHAPE_ERRORS as exc:
-        raise InputError("bad cube file %s: %s" % (path, exc))
+    return _read_object(path, "cube", cube_from_json)
 
 
 def _load_sound_cube(path: str) -> Tuple[CubeDiagram, str]:
@@ -107,24 +91,26 @@ def _load_sound_cube(path: str) -> Tuple[CubeDiagram, str]:
     return cube, digest
 
 
-def _load_ray(path: str) -> Tuple[Ray, str]:
+def _ray_from_json(data: dict) -> Ray:
     from .rays import Ray, TailSpec
-    data, digest = _read_object(path, "ray", RAY_KEYS)
-    try:
-        n = json_field(data, "n", int)
-        prefix = [cube_from_json(c) for c in data.get("prefix", ())]
-        taildata = data.get("tail", {"kind": "finite"})
-        kind = taildata.get("kind", "finite")
-        if kind == "finite":
-            tail = TailSpec.finite()
-        elif kind == "stationary":
-            tail = TailSpec.stationary(cube_from_json(taildata["cube"]))
-        else:
-            raise ValueError("file rays support tails 'finite' and "
-                             "'stationary', got %r" % (kind,))
-        return Ray(n, prefix, tail), digest
-    except SHAPE_ERRORS as exc:
-        raise InputError("bad ray file %s: %s" % (path, exc))
+    json_keys(data, {"n", "prefix", "tail"}, "a ray")
+    n = json_field(data, "n", int)
+    prefix = [cube_from_json(c) for c in data.get("prefix", ())]
+    taildata = json_keys(data.get("tail", {"kind": "finite"}),
+                         {"kind", "cube"}, "a ray tail")
+    kind = taildata.get("kind", "finite")
+    if kind == "finite":
+        tail = TailSpec.finite()
+    elif kind == "stationary":
+        tail = TailSpec.stationary(cube_from_json(taildata["cube"]))
+    else:
+        raise ValueError("file rays support tails 'finite' and "
+                         "'stationary', got %r" % (kind,))
+    return Ray(n, prefix, tail)
+
+
+def _load_ray(path: str) -> Tuple[Ray, str]:
+    return _read_object(path, "ray", _ray_from_json)
 
 
 def _parse_fraction(text: str, flag: str) -> Fraction:
@@ -345,13 +331,13 @@ def cmd_morse(args, path):
         }
         return report, 0
     if action == "minmax":
-        data, digest = _read_json(path)
-        try:
-            model = model_from_json(data["model"])
-            hx = {l: json_rational(data["hx"], l) for l in data["hx"]}
-            hy = {l: json_rational(data["hy"], l) for l in data["hy"]}
-        except SHAPE_ERRORS as exc:
-            raise InputError("bad minmax file %s: %s" % (path, exc))
+        def parse(data):
+            json_keys(data, {"model", "hx", "hy"}, "the top level")
+            return (model_from_json(data["model"]),
+                    {l: json_rational(data["hx"], l) for l in data["hx"]},
+                    {l: json_rational(data["hy"], l) for l in data["hy"]})
+
+        (model, hx, hy), digest = _read_object(path, "minmax", parse)
         rep = minmax_square(model, hx, hy)
         mv = mayer_vietoris(rep.square,
                             _parse_fraction(args.work or "3", "--work"))
@@ -371,12 +357,12 @@ def cmd_morse(args, path):
         }
         return report, 0 if report["status"] == "ok" else 1
     if action == "descent-involutive":
-        data, digest = _read_json(path)
-        try:
-            model = model_from_json(data["model"])
-            regions = [set(r) for r in data["regions"]]
-        except SHAPE_ERRORS as exc:
-            raise InputError("bad descent file %s: %s" % (path, exc))
+        def parse(data):
+            json_keys(data, {"model", "regions"}, "the top level")
+            return (model_from_json(data["model"]),
+                    [set(r) for r in data["regions"]])
+
+        (model, regions), digest = _read_object(path, "descent", parse)
         precision = _parse_fraction(args.precision, "--precision")
         rep = involutive_descent_instance(model, regions, precision,
                                           depth=args.depth)

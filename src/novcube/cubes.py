@@ -37,7 +37,7 @@ from .chain import (ChainComplex, Generator, MatrixEntries, QComplex, Report,
                     mat_clean, mat_compose, mat_equal, mat_neg,
                     matrix_from_json, matrix_to_json, residual_violations)
 from .errors import NotConiform, NotGluable
-from .novikov import NovikovScalar, rat
+from .novikov import NovikovScalar, json_keys, rat
 
 
 class InvalidDirection(ValueError):
@@ -679,6 +679,8 @@ def cube_to_json(cube: CubeDiagram) -> dict:
 
 
 def cube_from_json(data: dict) -> CubeDiagram:
+    json_keys(data, {"n", "positive", "partial", "vertices", "faces"},
+              "a cube")
     vertices = {w: complex_from_json(c)
                 for w, c in data["vertices"].items()}
     faces = {code: matrix_from_json(m)

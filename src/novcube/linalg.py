@@ -2,10 +2,11 @@
 
 :class:`Elimination` is the one elimination: it factors a matrix, given as
 sparse rows ``{column: value}`` and a column count, once into its reduced
-row echelon form.  :class:`QuotientSpace`, ``sparse_rank`` and
-``is_exact`` (exactness of a pair of maps given as sparse columns) are
-sparse views of it; ``rref``, ``rank``, ``nullspace``, ``solve`` and
-``column_space_selector`` convert dense lists at their edge.
+row echelon form, as ``chain.QComplex.factor`` does once per complex.
+:class:`QuotientSpace` and ``is_exact`` (exactness of a pair of maps given
+as sparse columns) are sparse views of it; ``sparse_rank`` and the dense
+``rref``, ``rank``, ``nullspace``, ``solve`` and ``column_space_selector``
+are views that nothing in the library calls.
 """
 
 from __future__ import annotations
@@ -165,7 +166,8 @@ class QuotientSpace:
 
 
 def sparse_rank(entries: Dict[Tuple[Hashable, Hashable], Fraction]) -> int:
-    """Rank of a sparse rational matrix keyed by (row, col) labels."""
+    """Rank of a sparse rational matrix keyed by (row, col) labels; no
+    library code calls it, as a complex's ranks come from its factor."""
     rows: Dict[Hashable, Vector] = {}
     cols: Dict[Hashable, int] = {}
     for (r, c), v in entries.items():

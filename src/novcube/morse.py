@@ -24,7 +24,7 @@ from .cubes import (CubeDiagram, face_codes, initial_vertex,
                     terminal_vertex, vertex_codes)
 from .errors import (Inadmissible, InadmissibleSubset, NotMonotone,
                      NotNegative, StageCheckFailed)
-from .novikov import NovikovScalar, rat
+from .novikov import NovikovScalar, json_keys, rat
 from .rays import (DescentReport, Ray, TailSpec, completed_homology,
                    descent_complex)
 
@@ -72,20 +72,18 @@ class MorseModel:
         return {l for l in self.labels if self.base_map[l] in base_labels}
 
     def q_complex(self) -> QComplex:
-        return QComplex(self.cells, {k: Fraction(v)
-                                     for k, v in self.boundary.items()})
+        return QComplex(self.cells, self.boundary)
 
     def betti(self) -> Tuple[int, int]:
         return self.q_complex().homology_ranks()
 
 
-def admissibility_violations(model: MorseModel, h: Hamiltonian):
-    """Entries where the weight function decreases along an arrow, plus a
+def admissibility(model: MorseModel, h: Hamiltonian):
+    """The step h(q) - h(p) of every arrow, each computed once, and the
+    violations: arrows along which the weight function decreases, plus a
     base-factoring violation when one is declared."""
-    bad = []
-    for (q, p), c in model.boundary.items():
-        if h[q] - h[p] < 0:
-            bad.append((q, p, h[q] - h[p]))
+    steps = {(q, p): h[q] - h[p] for (q, p) in model.boundary}
+    bad = [(q, p, e) for (q, p), e in steps.items() if e < 0]
     if model.base_map is not None:
         by_base: Dict[Label, Fraction] = {}
         for l in model.labels:
@@ -93,19 +91,18 @@ def admissibility_violations(model: MorseModel, h: Hamiltonian):
             if b in by_base and by_base[b] != h[l]:
                 bad.append((l, "base", b))
             by_base.setdefault(b, h[l])
-    return bad
+    return steps, bad
 
 
 def cf(model: MorseModel, h: Hamiltonian) -> ChainComplex:
     """The weighted complex: entry (q, p) is boundary * T^(h(q) - h(p))."""
     h = {l: rat(h[l]) for l in model.labels}
-    bad = admissibility_violations(model, h)
+    steps, bad = admissibility(model, h)
     if bad:
         raise Inadmissible("weight function decreases along %r" % (bad,))
-    diff: MatrixEntries = {}
-    for (q, p), c in model.boundary.items():
-        diff[(q, p)] = NovikovScalar.monomial(c, h[q] - h[p])
-    return ChainComplex(model.cells, diff)
+    return ChainComplex(model.cells, {
+        k: NovikovScalar.monomial(c, steps[k])
+        for k, c in model.boundary.items()})
 
 
 def continuation(model: MorseModel, h: Hamiltonian, h2: Hamiltonian
@@ -281,7 +278,7 @@ def region_hamiltonian(model: MorseModel, cells: Set[Label], i: int
 def projected_betti(model: MorseModel, cells: Set[Label]) -> Tuple[int, int]:
     """Rational homology of the boundary restricted to a closed region."""
     gens = [g for g in model.cells if g.label in cells]
-    diff = {k: Fraction(v) for k, v in model.boundary.items()
+    diff = {k: v for k, v in model.boundary.items()
             if k[0] in cells and k[1] in cells}
     return QComplex(gens, diff).homology_ranks()
 
@@ -369,7 +366,7 @@ def minmax_square(model: MorseModel, h_x: Hamiltonian, h_y: Hamiltonian
     h_min = {l: min(h_x[l], h_y[l]) for l in model.labels}
     h_max = {l: max(h_x[l], h_y[l]) for l in model.labels}
     for h in (h_x, h_y, h_min, h_max):
-        bad = admissibility_violations(model, h)
+        _, bad = admissibility(model, h)
         if bad:
             raise Inadmissible("violations %r" % (bad,))
     square = hamiltonian_cube(model, {"00": h_min, "10": h_x,
@@ -379,52 +376,44 @@ def minmax_square(model: MorseModel, h_x: Hamiltonian, h_y: Hamiltonian
     strict = lhs == rhs
 
     tot = square.total_t0
+    blocks: Dict[Label, Dict[Tuple[str, str], Fraction]] = {}
+    for (t, s), v in tot.differential.items():
+        if t[1] == s[1]:
+            blocks.setdefault(t[1], {})[(t[0], s[0])] = v
     pieces: Dict[Label, str] = {}
     ok = True
     for l in model.labels:
-        block = {(t[0], s[0]): v for (t, s), v in tot.differential.items()
-                 if t[1] == l and s[1] == l}
         if h_x[l] == h_y[l]:
-            pieces[l] = "four"
-            ok = ok and _match_rescaled(
-                block, {("10", "00"): 1, ("01", "00"): 1,
-                        ("11", "10"): 1, ("11", "01"): -1})
+            pieces[l], target = "four", _FOUR
         else:
             pieces[l] = "two+two"
-            if h_x[l] < h_y[l]:
-                expected = {("10", "00"): 1, ("11", "01"): 1}
-            else:
-                expected = {("01", "00"): 1, ("11", "10"): 1}
-            ok = ok and _match_rescaled(block, expected)
+            target = _TWO_X if h_x[l] < h_y[l] else _TWO_Y
+        ok = ok and _match_rescaled(blocks.get(l, {}), target)
     acyclic = tot.is_acyclic()
     return MinmaxReport(square, pieces, ok, strict, acyclic)
 
 
-def _match_rescaled(block, target) -> bool:
-    """Whether a diagonal rescaling carries ``block`` onto ``target``.
+# the normal forms of a cell's piece, on its four corner copies
+_FOUR = {("10", "00"): 1, ("01", "00"): 1, ("11", "10"): 1, ("11", "01"): -1}
+_TWO_X = {("10", "00"): 1, ("11", "01"): 1}
+_TWO_Y = {("01", "00"): 1, ("11", "10"): 1}
 
-    Both are maps on the four corner copies of one cell; the piece normal
-    forms are reached by scaling generators by units.
+
+def _match_rescaled(block, target) -> bool:
+    """Whether scaling the four corner copies of one cell by units carries
+    ``block`` onto ``target``, a map along arrows of the square.
+
+    The supports must agree.  Only a cycle constrains the scalars, and the
+    one cycle is the four-arrow square: there both paths 00 -> 11 must
+    have the target's ratio.
     """
     if set(block) != set(target):
         return False
-    # scale factors lambda per corner: entry (t, s) maps to
-    # lambda_t * entry / lambda_s = target
-    corners = {"00", "10", "01", "11"}
-    lam: Dict[str, Fraction] = {"00": Fraction(1)}
-    # propagate along entries until all constrained corners are fixed
-    for _ in range(4):
-        for (t, s), v in block.items():
-            want = Fraction(target[(t, s)])
-            if s in lam and t not in lam:
-                lam[t] = want * lam[s] / v
-            elif t in lam and s not in lam:
-                lam[s] = v * lam[t] / want
-    for (t, s), v in block.items():
-        if t in lam and s in lam:
-            if lam[t] * v / lam[s] != target[(t, s)]:
-                return False
-    return True
+    if set(target) != set(_FOUR):
+        return True
+    b, t = block, target
+    return (b["11", "10"] * b["10", "00"] * t["11", "01"] * t["01", "00"]
+            == b["11", "01"] * b["01", "00"] * t["11", "10"] * t["10", "00"])
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +514,11 @@ def model_to_json(model: MorseModel) -> dict:
 
 
 def model_from_json(data: dict) -> MorseModel:
+    json_keys(data, {"cells", "boundary"}, "a model")
+    for c in data["cells"]:
+        json_keys(c, {"label", "parity", "value", "base"}, "a cell")
+    for b in data.get("boundary", ()):
+        json_keys(b, {"target", "source", "coeff"}, "a boundary entry")
     cells = [Generator(c["label"], json_field(c, "parity", int))
              for c in data["cells"]]
     values = {c["label"]: json_rational(c, "value") for c in data["cells"]}

@@ -518,13 +518,27 @@ def scalar_to_json(x: NovikovScalar):
     return {"terms": arr, "mod": str(mod)}
 
 
+def json_keys(data, keys: set, what: str) -> dict:
+    """``data``, once it is a JSON object whose keys all lie in ``keys``;
+    ``what`` names the object in the error."""
+    if not isinstance(data, dict):
+        raise ValueError("%s must be a JSON object, not %s"
+                         % (what, type(data).__name__))
+    if not data.keys() <= keys:
+        raise ValueError("unknown key %s in %s (allowed: %s)"
+                         % (", ".join(map(repr, sorted(data.keys() - keys))),
+                            what, ", ".join(sorted(keys))))
+    return data
+
+
 def scalar_from_json(data) -> NovikovScalar:
+    mod = None
     if isinstance(data, dict):
-        mod = data.get("mod")
-        return NovikovScalar(
-            [(Fraction(t["exp_num"], t["exp_den"]), Fraction(t["num"], t["den"]))
-             for t in data["terms"]],
-            None if mod is None else rat(mod))
-    return NovikovScalar(
-        [(Fraction(t["exp_num"], t["exp_den"]), Fraction(t["num"], t["den"]))
-         for t in data])
+        mod = json_keys(data, {"terms", "mod"}, "a scalar").get("mod")
+        data = data["terms"]
+    terms = []
+    for t in data:
+        json_keys(t, {"num", "den", "exp_num", "exp_den"}, "a scalar term")
+        terms.append((Fraction(t["exp_num"], t["exp_den"]),
+                      Fraction(t["num"], t["den"])))
+    return NovikovScalar(terms, None if mod is None else rat(mod))

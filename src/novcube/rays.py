@@ -30,7 +30,7 @@ from .chain import (Barcode, ChainComplex, Label, MatrixEntries, cone_of_map,
 from .cubes import (CubeDiagram, cone, compose_many, entry_violations,
                     glueable, total_complex, verify_cube, vertex_codes)
 from .errors import NotAcyclic, NotChainMap, NotCoherent, SliceNotAcyclic
-from .linalg import Elimination, Vector, is_exact
+from .linalg import Vector, is_exact
 from .novikov import INFINITY, NovikovScalar, rat
 
 
@@ -504,16 +504,9 @@ def mayer_vietoris(square: CubeDiagram, work) -> ExactnessReport:
     rep = verify_cube(square, work)
     if not rep:
         raise NotCoherent("square does not verify: %s" % (rep.violations,))
+    # the T = 0 total complex, factored once; its factor lifts the cycles
     tq = square.total_t0
-    # T=0 differential of the total complex, factored once to lift cycles
-    tot_idx = {g.label: i for i, g in enumerate(tq.generators)}
-    tot_rows: List[Dict[int, Fraction]] = [{} for _ in tot_idx]
-    for (t, s), v in tq.differential.items():
-        tot_rows[tot_idx[t]][tot_idx[s]] = v
-    lift = Elimination(tot_rows, len(tot_idx))
-    # d^2 = 0 and d is odd, so its even and odd blocks are disjoint and the
-    # homology has dimension (generators - 2 rank d)
-    if 2 * len(lift.pivots) != len(tq.generators):
+    if not tq.is_acyclic():
         raise NotAcyclic("the square's iterated cone has T=0 homology %r"
                          % (tq.homology_ranks(),))
     corners = {w: square.vertex(w).reduce_t0()
@@ -546,11 +539,11 @@ def mayer_vietoris(square: CubeDiagram, work) -> ExactnessReport:
     for p in (0, 1):
         l11, h11 = spaces["11"][p]
         l00s, h00s = spaces["00"][1 - p]
-        at11 = [tot_idx[("11", l)] for l in l11]
-        at00 = [tot_idx[("00", l)] for l in l00s]
+        at11 = [tq.index[("11", l)] for l in l11]
+        at00 = [tq.index[("00", l)] for l in l00s]
         delta_cols = []
         for z in h11.reps:
-            sol = lift.solve({at11[i]: v for i, v in z.items()})
+            sol = tq.factor.solve({at11[i]: v for i, v in z.items()})
             if sol is None:
                 raise NotAcyclic("cycle failed to lift in the total complex")
             delta_cols.append(h00s.coords(

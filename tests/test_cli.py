@@ -11,7 +11,7 @@ from novcube import cli
 from novcube.chain import ChainComplex, Generator, mat_identity
 from novcube.cubes import CubeDiagram, cube_to_json, id_cube
 from novcube.morse import bundled_model, model_to_json
-from novcube.novikov import NovikovScalar
+from novcube.novikov import NovikovScalar, parse_scalar, scalar_to_json
 
 
 @pytest.fixture()
@@ -184,6 +184,80 @@ def test_unknown_key_in_cube_file_exits_2(square_file, tmp_path, capsys):
     error = json.loads(out)["error"]
     assert str(path) in error
     assert "'vertexes'" in error
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data", "cli")
+
+
+def _data_file(name):
+    with open(os.path.join(DATA, name)) as fh:
+        return json.load(fh)
+
+
+def _json_scalar(entry):
+    """Give an entry its scalar as a JSON record, and return the record."""
+    if isinstance(entry["scalar"], str):
+        terms = scalar_to_json(parse_scalar(entry["scalar"]))
+        entry["scalar"] = {"terms": terms, "mod": "10"}
+    return entry["scalar"]
+
+
+def _descent_doc():
+    return {"model": model_to_json(bundled_model("circle6")),
+            "regions": [["v0", "e0", "v1"], ["v1", "e1", "v2", "e2", "v0"]]}
+
+
+# (document, command, flags); the file goes between command and flags
+SQUARE = (lambda: _data_file("square_identity.json"), ("verify-cube",), ())
+RAY = (lambda: _data_file("ray1_stationary.json"), ("sh",),
+       ("--precision", "1"))
+MODEL = (lambda: model_to_json(bundled_model("interval")),
+         ("morse", "global-sections"), ("--precision", "1", "--depth", "1"))
+MINMAX = (lambda: _data_file("minmax_circle.json"), ("morse", "minmax"),
+          ("--precision", "1"))
+DESCENT = (_descent_doc, ("morse", "descent-involutive"),
+           ("--precision", "1", "--depth", "2"))
+
+# each kind of object an input file nests, and where to find one
+NESTED_OBJECTS = {
+    "complex": SQUARE + (lambda d: d["vertices"]["00"],),
+    "generator": SQUARE + (lambda d: d["vertices"]["00"]["generators"][0],),
+    "differential entry": SQUARE + (
+        lambda d: d["vertices"]["00"]["differential"][0],),
+    "face entry": SQUARE + (lambda d: d["faces"]["-0"][0],),
+    "scalar": SQUARE + (lambda d: _json_scalar(d["faces"]["-0"][0]),),
+    "scalar term": SQUARE + (
+        lambda d: _json_scalar(d["faces"]["-0"][0])["terms"][0],),
+    "ray prefix cube": RAY + (lambda d: d["prefix"][0],),
+    "ray tail": RAY + (lambda d: d["tail"],),
+    "ray tail generator": RAY + (
+        lambda d: d["tail"]["cube"]["vertices"]["1"]["generators"][0],),
+    "model": MODEL + (lambda d: d,),
+    "model cell": MODEL + (lambda d: d["cells"][0],),
+    "boundary entry": MODEL + (lambda d: d["boundary"][0],),
+    "minmax file": MINMAX + (lambda d: d,),
+    "minmax model cell": MINMAX + (lambda d: d["model"]["cells"][1],),
+    "descent file": DESCENT + (lambda d: d,),
+    "descent boundary entry": DESCENT + (lambda d: d["model"]["boundary"][2],),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NESTED_OBJECTS))
+def test_unknown_nested_key_exits_2(kind, tmp_path, capsys):
+    load, command, flags, locate = NESTED_OBJECTS[kind]
+    path = tmp_path / "nested.json"
+    data = load()
+    locate(data)  # where the object is a scalar record, it is made here
+    path.write_text(json.dumps(data))
+    argv = command + (str(path),) + flags + ("--format", "json")
+    code, _ = run_cli(capsys, *argv)
+    assert code in (0, 1)
+    locate(data)["colour"] = "red"
+    path.write_text(json.dumps(data))
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert str(path) in error and "'colour'" in error
 
 
 def test_cube_file_that_is_not_an_object_exits_2(tmp_path, capsys):

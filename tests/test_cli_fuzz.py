@@ -6,7 +6,9 @@ answer 0, 1 or 2, never 3 (internal error).  Where a cube, ray or model
 file holds an integer or a boolean (a dimension, a parity, a boundary
 coefficient, a sign-form or partial flag), a float, a string or the other
 kind of value in its place must be refused with exit 2, and so must a
-float or a boolean in place of a model cell's value (a string p/q).
+float or a boolean in place of a model cell's value (a string p/q).  An
+unknown key in any object of a file, however deeply nested, is refused
+with exit 2 too.
 """
 
 import contextlib
@@ -23,7 +25,7 @@ from novcube import cli
 from novcube.chain import ChainComplex, Generator
 from novcube.cubes import CubeDiagram, cube_to_json
 from novcube.morse import bundled_model, cf, model_to_json
-from novcube.novikov import NovikovScalar
+from novcube.novikov import NovikovScalar, parse_scalar, scalar_to_json
 
 # one value of each JSON type, none of them large
 SWAPS = [None, True, 2, 1.5, "x", "", [], [1], {}, {"k": 1}]
@@ -47,10 +49,24 @@ def _ray():
             "tail": {"kind": "stationary", "cube": cube_to_json(cube)}}
 
 
+def _json_scalars(doc):
+    """The document with its scalar strings given as JSON records, every
+    other one wrapped with a precision."""
+    doc = json.loads(json.dumps(doc))
+    entries = [e for c in doc["vertices"].values() for e in c["differential"]]
+    entries += [e for m in doc["faces"].values() for e in m]
+    for k, e in enumerate(entries):
+        terms = scalar_to_json(parse_scalar(e["scalar"]))
+        e["scalar"] = {"terms": terms, "mod": "10"} if k % 2 else terms
+    return doc
+
+
 # a valid document, then the command lines that read it
 CASES = {
     "cube": (cube_to_json(_square()),
              [["verify-cube"], ["cone", "--direction", "1"], ["mv"]]),
+    "cube with scalar records": (_json_scalars(cube_to_json(_square())),
+                                 [["verify-cube"], ["mv"]]),
     "ray": (_ray(), [["sh", "--precision", "1"],
                      ["tel", "--depth", "1", "--work", "2"]]),
     "model": (model_to_json(bundled_model("interval")),
@@ -90,6 +106,21 @@ def _mutate(doc, path, value):
     return doc
 
 
+def _run_on(doc, argv):
+    """Write the document to a file and run the command line on it: the
+    exit code, the output and the file's path."""
+    fd, path = tempfile.mkstemp(suffix=".json")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(doc, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv + [path, "--format", "json"])
+    finally:
+        os.unlink(path)
+    return code, out.getvalue(), path
+
+
 @st.composite
 def mutants(draw):
     """A valid document with one to three positions dropped or given a
@@ -112,18 +143,10 @@ def mutants(draw):
 @given(mutants())
 def test_badly_shaped_input_never_exits_3(case):
     doc, argv = case
-    fd, path = tempfile.mkstemp(suffix=".json")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(doc, fh)
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = cli.main(argv + [path, "--format", "json"])
-    finally:
-        os.unlink(path)
-    assert code in (0, 1, 2), out.getvalue()
+    code, out, path = _run_on(doc, argv)
+    assert code in (0, 1, 2), out
     if code == 2:
-        assert path in json.loads(out.getvalue())["error"]
+        assert path in json.loads(out)["error"]
 
 
 def _typed_paths(doc):
@@ -159,15 +182,37 @@ def mistyped(draw):
 @given(mistyped())
 def test_float_string_or_bool_for_int_or_bool_exits_2(case):
     doc, argv, key_path = case
-    fd, path = tempfile.mkstemp(suffix=".json")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(doc, fh)
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = cli.main(argv + [path, "--format", "json"])
-    finally:
-        os.unlink(path)
-    assert code == 2, out.getvalue()
-    error = json.loads(out.getvalue())["error"]
+    code, out, path = _run_on(doc, argv)
+    assert code == 2, out
+    error = json.loads(out)["error"]
     assert path in error and repr(key_path[-1]) in error
+
+
+def _records(doc):
+    """The positions of a document's JSON objects, the document included,
+    except the maps keyed by vertex or face code."""
+    return [()] + [p for p in _paths(doc)
+                   if isinstance(_value_at(doc, p), dict)
+                   and p[-1] not in ("vertices", "faces")]
+
+
+@st.composite
+def unknown_keys(draw):
+    """A valid document with an unknown key put into one of its objects,
+    the key, and a command line that reads it."""
+    doc, commands = CASES[draw(st.sampled_from(sorted(CASES)))]
+    path = draw(st.sampled_from(_records(doc)))
+    key = draw(st.sampled_from(["colour", "bogus", "Label", "n "]))
+    doc = json.loads(json.dumps(doc))
+    _value_at(doc, path)[key] = draw(st.sampled_from(SWAPS))
+    return doc, draw(st.sampled_from(commands)), key
+
+
+@settings(max_examples=100, deadline=None)
+@given(unknown_keys())
+def test_unknown_key_anywhere_exits_2(case):
+    doc, argv, key = case
+    code, out, path = _run_on(doc, argv)
+    assert code == 2, out
+    error = json.loads(out)["error"]
+    assert path in error and repr(key) in error

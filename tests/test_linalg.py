@@ -8,8 +8,9 @@ import sympy
 from helpers import random_cube
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from t0_oracle import per_parity_ranks, per_parity_space
 
-from novcube import cubes, linalg, rays
+from novcube import chain, cubes, linalg, rays
 from novcube.chain import ChainComplex, Generator, QComplex
 from novcube.cubes import CubeDiagram, id_cube, total_complex
 from novcube.linalg import (Elimination, QuotientSpace, column_space_selector,
@@ -236,6 +237,31 @@ def test_homology_space_dims_and_coords_round_trip(cx, data):
         assert space.coords(v) == {k: c for k, c in enumerate(coeffs) if c}
 
 
+@SETTINGS
+@given(square_zero_complexes())
+def test_views_of_one_factor_match_the_per_parity_oracle(cx):
+    gens, diff, _ = cx
+    q = QComplex(gens, diff)
+    assert q.homology_ranks() == per_parity_ranks(q)
+    for p in (0, 1):
+        mine, space = q.homology_space(p)
+        want_mine, want = per_parity_space(q, p)
+        assert mine == want_mine
+        assert space.dim == want.dim
+        assert space.reps == want.reps
+
+
+def test_qcomplex_stores_fractions_and_keeps_given_ones():
+    half = F(1, 2)
+    q = QComplex([Generator("a", 0), Generator("b", 1), Generator("c", 1)],
+                 {("b", "a"): 2, ("c", "a"): half, ("b", "b"): 0})
+    assert q.differential == {("b", "a"): 2, ("c", "a"): half}
+    assert all(type(v) is F for v in q.differential.values())
+    assert q.differential[("c", "a")] is half
+    # an int entry divides exactly, never into a float
+    assert q.differential[("b", "a")] / 4 == half
+
+
 def test_is_exact_direct_cases():
     # rank(in) + rank(out) = dim, but out kills nothing of im(in)
     assert not is_exact([{0: F(1)}], [{0: F(1)}, {}], 2)
@@ -299,6 +325,8 @@ def test_is_exact_matches_a_dense_reference(pair):
 
 
 def test_mayer_vietoris_factors_the_total_complex_once(monkeypatch):
+    """minmax_square and mayer_vietoris factor the square's T = 0 total
+    complex once between them, and lift the cycles through that factor."""
     built, lifted = [], []
 
     class Counting(Elimination):
@@ -307,18 +335,21 @@ def test_mayer_vietoris_factors_the_total_complex_once(monkeypatch):
             super().__init__(rows, ncols)
 
         def solve(self, rhs):
-            lifted.append(len(rhs))
+            lifted.append(self.shape[1])
             return super().solve(rhs)
 
-    monkeypatch.setattr(rays, "Elimination", Counting)
+    monkeypatch.setattr(chain, "Elimination", Counting)
     m = bundled_model("circle")
     h = dict(m.values)
     for hy in (h, {l: h[l] + F(1, 2) for l in m.labels}):
         built.clear()
         lifted.clear()
-        assert mayer_vietoris(minmax_square(m, h, hy).square, 3).ok
-        assert len(built) == 1
-        assert len(lifted) >= 2
+        rep = minmax_square(m, h, hy)
+        assert rep.acyclic
+        assert mayer_vietoris(rep.square, 3).ok
+        total = len(rep.square.total_t0.generators)
+        assert built.count(total) == 1
+        assert lifted.count(total) >= 2
 
 
 def test_minmax_and_mayer_vietoris_reduce_the_total_complex_once(
@@ -358,8 +389,8 @@ def test_quotient_space_factors_at_most_once(monkeypatch):
 
 
 def test_mayer_vietoris_acyclicity_verdict_matches_t0_homology():
-    """The verdict read off the lifting factorization (2 rank d = number of
-    generators) agrees with the T = 0 Betti numbers of the total complex."""
+    """The verdict of mayer_vietoris agrees with the T = 0 Betti numbers of
+    a freshly built total complex."""
     rng = random.Random(12)
     squares = [id_cube(random_cube(rng, 1)) for _ in range(10)]
     squares += [random_cube(rng, 2, max_gens=2) for _ in range(20)]

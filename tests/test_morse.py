@@ -5,6 +5,9 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from t0_oracle import propagated_match
 
 from novcube import morse
 from novcube.chain import Generator, mat_compose, mat_equal, is_chain_map
@@ -59,6 +62,28 @@ def test_cf_inadmissible():
     m = spec_interval()
     with pytest.raises(Inadmissible):
         cf(m, {"a0": F(1), "a1": F(0), "b": F(0)})
+
+
+def test_inadmissible_messages_are_pinned():
+    with pytest.raises(Inadmissible) as arrow:
+        cf(spec_interval(), {"a0": F(1), "a1": F(0), "b": F(0)})
+    assert str(arrow.value) == ("weight function decreases along "
+                                "[('b', 'a0', Fraction(-1, 1))]")
+    # m0 and m6 both lie over the base point v0
+    m = bundled_model("circle12")
+    h = dict(m.values)
+    with pytest.raises(Inadmissible) as base:
+        cf(m, {**h, "m0": F(-2)})
+    assert str(base.value) == ("weight function decreases along "
+                               "[('m6', 'base', 'v0')]")
+    with pytest.raises(Inadmissible) as both:
+        cf(m, {**h, "m0": F(0)})
+    assert str(both.value) == (
+        "weight function decreases along [('m1', 'm0', Fraction(-1, 2)), "
+        "('m11', 'm0', Fraction(-1, 2)), ('m6', 'base', 'v0')]")
+    with pytest.raises(Inadmissible) as square:
+        minmax_square(m, h, {**h, "m0": F(-2)})
+    assert str(square.value) == "violations [('m6', 'base', 'v0')]"
 
 
 def test_continuation_identity_and_chain_map():
@@ -153,6 +178,51 @@ def test_minmax_square_piece_types():
     rep_lt = minmax_square(m, h, h2)
     assert set(rep_lt.pieces.values()) == {"two+two"}
     assert rep_lt.pieces_match and rep_lt.acyclic
+
+
+CORNER_ARROWS = [("10", "00"), ("01", "00"), ("11", "10"), ("11", "01"),
+                 ("11", "00"), ("00", "10")]
+nonzero = st.builds(F, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+
+
+@st.composite
+def piece_blocks(draw):
+    """A normal form of a piece and a block on the same corners: a
+    rescaling of it, perhaps with one entry off, or random entries on its
+    support, or on a random set of arrows."""
+    target = draw(st.sampled_from([morse._FOUR, morse._TWO_X,
+                                   morse._TWO_Y]))
+    mode = draw(st.sampled_from(["rescaled", "off", "support", "arrows"]))
+    if mode in ("rescaled", "off"):
+        lam = {w: draw(nonzero) for w in ("00", "10", "01", "11")}
+        block = {(t, s): c * lam[s] / lam[t] for (t, s), c in target.items()}
+        if mode == "off":
+            k = draw(st.sampled_from(sorted(block)))
+            block[k] *= draw(nonzero.filter(lambda x: x != 1))
+    else:
+        arrows = sorted(target) if mode == "support" else draw(
+            st.lists(st.sampled_from(CORNER_ARROWS), unique=True))
+        block = {k: draw(nonzero) for k in arrows}
+    return block, target
+
+
+@settings(max_examples=300, deadline=None)
+@given(piece_blocks())
+def test_piece_match_agrees_with_propagated_scales(case):
+    block, target = case
+    assert morse._match_rescaled(block, target) == \
+        propagated_match(block, target)
+
+
+def test_piece_match_decides_the_four_cycle_by_its_path_ratio():
+    four = morse._FOUR
+    assert morse._match_rescaled(dict(four), four)
+    scaled = {k: 2 * v if k[0] == "11" else v for k, v in four.items()}
+    assert morse._match_rescaled(scaled, four)
+    broken = {**four, ("11", "01"): F(1)}
+    assert not morse._match_rescaled(broken, four)
+    assert not propagated_match(broken, four)
+    assert not morse._match_rescaled(morse._TWO_X, four)
 
 
 def random_admissible_pair(rng, m):

@@ -1,0 +1,20 @@
+"""Rules the library source keeps, checked on its syntax trees."""
+
+import ast
+from pathlib import Path
+
+import novcube
+
+
+def test_runtime_checks_raise_and_never_assert():
+    """An ``assert`` vanishes under ``python -O``, so the library checks
+    its inputs and invariants with exceptions only."""
+    root = Path(novcube.__file__).parent
+    modules = sorted(root.rglob("*.py"))
+    assert len(modules) >= 9
+    found = []
+    for path in modules:
+        tree = ast.parse(path.read_text(), str(path))
+        found += ["%s:%d" % (path.relative_to(root), node.lineno)
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
