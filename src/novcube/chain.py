@@ -6,6 +6,8 @@ Entries live in the nonnegative part of the ring.  Homology is computed two
 ways: over the residue field by setting T = 0, and over the valuation ring
 as a barcode (free summands plus torsion summands of the form
 ``ring / T^length``), the latter modulo a declared working precision.
+The d*d check and the barcode run on series (:mod:`novcube.novikov`) on
+one lattice, building scalars only to invert a pivot and in messages.
 At T = 0 a :class:`QComplex` factors its odd differential once; its Betti
 numbers, acyclicity and homology spaces are views of that elimination.
 """
@@ -22,8 +24,9 @@ from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from .errors import NotChainMap, PrecisionExhausted
 from .linalg import Elimination, QuotientSpace
-from .novikov import (INFINITY, ZERO, NovikovScalar, rat, format_scalar,
-                      json_keys, parse_scalar, scalar_from_json)
+from .novikov import (INFINITY, NovikovScalar, Series, format_scalar,
+                      from_series, json_keys, parse_scalar, rat,
+                      scalar_from_json, series_add, series_mul, series_neg)
 
 Label = Hashable
 MatrixEntries = Dict[Tuple[Label, Label], NovikovScalar]
@@ -105,6 +108,38 @@ def residual_violations(m: MatrixEntries, work) -> List[Tuple[Label, Label, str]
     return bad
 
 
+def square_violations(m: MatrixEntries, work, negated=None
+                      ) -> List[Tuple[Label, Label, str]]:
+    """``residual_violations(mat_compose(m, m), work)`` on series, one
+    source column at a time, in the order ``mat_compose`` meets entries;
+    a violation's scalar is negated where ``negated(t, s)``."""
+    work = rat(work)
+    L = lcm(work.denominator, *[v.den for v in m.values()])
+    wn = work.numerator * (L // work.denominator)
+    cols: Dict[Label, List[Tuple[Label, Series]]] = {}
+    for (t, s), v in m.items():
+        cols.setdefault(s, []).append((t, v.series(L)))
+    below = []  # ((mid, j), t, s, scalar) of entries not 0 mod T^work
+    for s, column in cols.items():
+        acc: Dict[Label, Series] = {}
+        first = {}  # target: (mid, j) of its first product
+        for mid, y in column:
+            for j, (t, x) in enumerate(cols.get(mid, ())):
+                if t not in acc:
+                    first[t], acc[t] = (mid, j), ((), None)
+                acc[t] = series_add(acc[t], series_mul(x, y))
+        for t, x in acc.items():
+            floor = x[0][0][0] if x[0] else x[1]
+            if floor is not None and floor < wn:
+                v = from_series(x, L)
+                below.append((first[t], t, s,
+                              -v if negated and negated(t, s) else v))
+    if below:  # mat_compose's order: (index in m of (mid, s), j)
+        index = {key: i for i, key in enumerate(m)}
+        below.sort(key=lambda b: (index[(b[0][0], b[2])], b[0][1]))
+    return residual_violations({(t, s): v for _, t, s, v in below}, work)
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -170,8 +205,7 @@ class ChainComplex:
             if lead is not None and lead < 0:
                 bad.append(("NegativeValuation",
                             "entry (%r, %r) has val %s" % (t, s, v.val())))
-        square = mat_compose(self.differential, self.differential)
-        for t, s, detail in residual_violations(square, work):
+        for t, s, detail in square_violations(self.differential, work):
             bad.append(("d_squared", "(%r, %r): %s" % (t, s, detail)))
         return Report(not bad, tuple(bad))
 
@@ -409,13 +443,14 @@ def _barcode(c: ChainComplex, work: Fraction) -> Barcode:
     valuations still unseen: the reduction stops with ``PrecisionExhausted``
     when one lies below the next pivot.  Both kinds of entry wait in a
     queue (a heap keyed by valuation and repr, and one keyed by R); every
-    write pushes the new scalar, and an entry is checked only when it
-    reaches the top, where it is dropped unless it is still the scalar at
+    write pushes the new series, and an entry is checked only when it
+    reaches the top, where it is dropped unless it is still the series at
     its position.
 
-    Every entry is moved on entry to one exponent lattice ``(1/L) Z`` that
-    also holds ``work``, and the arithmetic keeps it there, so valuations,
-    precisions and the heap keys are ``int`` numerators over L; bars and
+    The rows hold series (see :mod:`novcube.novikov`), read on entry on
+    one lattice ``(1/L) Z`` that also holds ``work`` and cut at ``work``:
+    valuations, precisions and heap keys are ``int`` numerators over L.
+    Scalars are built only to invert each pivot and in messages; bars and
     the valid precision become Fractions at the end.
     """
     report = c.verify(work)
@@ -424,22 +459,21 @@ def _barcode(c: ChainComplex, work: Fraction) -> Barcode:
                          % (report.violations,))
     # rows[t][s] with a column index; entries that are zero at the working
     # precision are kept so pivot ambiguity can be detected
-    rows: Dict[Label, Dict[Label, NovikovScalar]] = {}
+    rows: Dict[Label, Dict[Label, Series]] = {}
     cols: Dict[Label, set] = {}
-    known: List[tuple] = []    # (valuation, repr, seq, t, s, scalar)
-    unknown: List[tuple] = []  # (precision, seq, t, s, scalar)
+    known: List[tuple] = []    # (valuation, repr, seq, t, s, series)
+    unknown: List[tuple] = []  # (precision, seq, t, s, series)
     reprs: Dict[Tuple[Label, Label], str] = {}
     seq = itertools.count()
 
     def put(t, s, v):
-        lead = v.lead
-        if lead is not None:
+        if v[0]:
             key = reprs.get((t, s))
             if key is None:
                 key = reprs[(t, s)] = repr((t, s))
-            heapq.heappush(known, (lead, key, next(seq), t, s, v))
-        elif v.floor is not None:
-            heapq.heappush(unknown, (v.floor, next(seq), t, s, v))
+            heapq.heappush(known, (v[0][0][0], key, next(seq), t, s, v))
+        elif v[1] is not None:
+            heapq.heappush(unknown, (v[1], next(seq), t, s, v))
         else:
             if s in rows.get(t, {}):
                 del rows[t][s]
@@ -458,12 +492,12 @@ def _barcode(c: ChainComplex, work: Fraction) -> Barcode:
         return None
 
     L = lcm(work.denominator, *[v.den for v in c.differential.values()])
+    wn = work.numerator * (L // work.denominator)
     for (t, s), v in c.differential.items():
-        put(t, s, v.on(L).truncate(work))
+        put(t, s, v.series(L, wn))
 
     alive = set(c.labels)
     torsion: List[Tuple[int, int, str]] = []
-    wn = work.numerator * (L // work.denominator)
     valid_mod = wn
     imprecise = False
 
@@ -481,28 +515,29 @@ def _barcode(c: ChainComplex, work: Fraction) -> Barcode:
             raise PrecisionExhausted(
                 "pivot of valuation %s is ambiguous: entries unknown below "
                 "T^%s" % (Fraction(pivot_val, L), Fraction(unknown_floor, L)))
-        pinv = pval.invert(work)
+        pinv = from_series(pval, L).invert(work).series(L)
         # clear row q by column operations col_pp -= factor*col_p, each with
         # its dual row operation row_p += factor*row_pp
         for pp, v in [(s, v) for s, v in rows[q].items() if s != p]:
-            factor = v * pinv
+            factor = series_mul(v, pinv)
+            neg = series_neg(factor)
             for t in list(cols.get(p, ())):
                 w = rows[t][p]
-                cur = rows.get(t, {}).get(pp, ZERO)
-                put(t, pp, cur - factor * w)
+                cur = rows.get(t, {}).get(pp, ((), None))
+                put(t, pp, series_add(cur, series_mul(neg, w)))
             for s, w in list(rows.get(pp, {}).items()):
-                cur = rows.get(p, {}).get(s, ZERO)
-                put(p, s, cur + factor * w)
+                cur = rows.get(p, {}).get(s, ((), None))
+                put(p, s, series_add(cur, series_mul(factor, w)))
         # clear column p by row operations row_qq -= factor*row_q (row q now
         # holds only the pivot), each with its dual col_q += factor*col_qq
         for qq in [t for t in cols.get(p, set()) if t != q]:
             v = rows[qq][p]
-            factor = v * pinv
-            put(qq, p, v - factor * pval)
+            factor = series_mul(v, pinv)
+            put(qq, p, series_add(v, series_mul(series_neg(factor), pval)))
             for t in list(cols.get(qq, ())):
                 w = rows[t][qq]
-                cur = rows.get(t, {}).get(q, ZERO)
-                put(t, q, cur + factor * w)
+                cur = rows.get(t, {}).get(q, ((), None))
+                put(t, q, series_add(cur, series_mul(factor, w)))
         # split off generators p and q; d*d = 0 makes their remaining row
         # and column vanish at (slightly reduced) precision
         rows[q].pop(p)
@@ -518,13 +553,13 @@ def _barcode(c: ChainComplex, work: Fraction) -> Barcode:
                 cols[s].discard(t)
                 leftovers.append(v)
         for v in leftovers:
-            floor = v.floor
+            floor = v[0][0][0] if v[0] else v[1]
             if floor is None:
                 continue
-            if v and floor < wn - pivot_val:
+            if v[0] and floor < wn - pivot_val:
                 raise ValueError(
                     "input is not a chain complex: residual %s"
-                    % format_scalar(v))
+                    % format_scalar(from_series(v, L)))
             imprecise = True
             valid_mod = min(valid_mod, floor)
         alive.discard(p)

@@ -35,9 +35,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .chain import (ChainComplex, Generator, MatrixEntries, QComplex, Report,
                     complex_from_json, complex_to_json, json_field,
                     mat_clean, mat_compose, mat_equal, mat_neg,
-                    matrix_from_json, matrix_to_json, residual_violations)
+                    matrix_from_json, matrix_to_json, square_violations)
 from .errors import NotConiform, NotGluable
-from .novikov import NovikovScalar, json_keys, rat
+from .novikov import NovikovScalar, json_keys
 
 
 class InvalidDirection(ValueError):
@@ -186,6 +186,9 @@ class CubeDiagram:
         for w in vertex_codes(n):
             if w not in vertices:
                 raise ValueError("missing vertex complex %r" % w)
+        for w in vertices:
+            if len(w) != n or any(ch not in "01" for ch in w):
+                raise ValueError("bad vertex code %r" % w)
         for code in faces:
             if len(code) != n or any(ch not in "01-" for ch in code):
                 raise ValueError("bad face code %r" % code)
@@ -379,20 +382,22 @@ def verify_cube(cube: CubeDiagram, work) -> Report:
     then follow :func:`face_codes`.  A partial cube skips each face whose
     equation needs an undefined one.
     """
-    work = rat(work)
     D = dict(sorted(cube.D.items(), key=lambda kv: (kv[0][1][0],
                                                     kv[0][0][0])))
-    residual: MatrixEntries = {}
-    for (t, s), v in mat_compose(D, D).items():
+
+    def odd(t, s):  # the signed equation is minus this block of D.D
+        code = face_between(s[0], t[0])
+        return (subtuple_count("0-", code) + face_dim(code)) % 2 == 1
+
+    found = []
+    for t, s, detail in square_violations(D, work,
+                                          None if cube.positive else odd):
         code = face_between(s[0], t[0])
         if cube.partial and not all(cube.defined(f) for fp, fpp, _ in
                                     boundary_pairs(code) for f in (fp, fpp)):
             continue
-        odd = (subtuple_count("0-", code) + face_dim(code)) % 2
-        residual[(t, s)] = -v if odd and not cube.positive else v
-    found = [(face_between(s[0], t[0]), "equation residual at (%r, %r): %s"
-              % (t[1], s[1], detail))
-             for t, s, detail in residual_violations(residual, work)]
+        found.append((code, "equation residual at (%r, %r): %s"
+                      % (t[1], s[1], detail)))
     found.sort(key=lambda f: f[0].translate(_FACE_ORDER))
     bad = entry_violations(cube) + found
     return Report(not bad, tuple(bad))

@@ -20,16 +20,17 @@ coefficients.
 Exponents are stored on a lattice ``(1/den) Z``: a scalar keeps one
 positive ``int`` denominator ``den``, the ``int`` numerator of each
 exponent over it, and ``R`` as an ``int`` numerator over the same ``den``.
-Two scalars on one lattice are added, multiplied, compared and truncated
-with ``int`` exponent arithmetic only; scalars on different lattices first
-meet at the lcm of their denominators, so a computation whose inputs share
-a lattice never leaves it.  The lattice is a storage detail and need not
-be the coarsest one: ``monomial(1, 1/2) * monomial(1, 1/2)`` is stored over
-2 and ``monomial(1, 1)`` over 1, and the two are equal and hash alike.
+The lattice is a storage detail and need not be the coarsest one:
+``monomial(1, 1/2) * monomial(1, 1/2)`` is stored over 2 and
+``monomial(1, 1)`` over 1, and the two are equal and hash alike.
 ``terms``, ``mod``, ``val``, ``val_floor``, ``coefficient`` and the text
-and JSON forms give ``Fraction`` exponents.  Code that runs hot loops over
-scalars reads the integer views ``den``, ``lead`` and ``floor`` and moves
-its scalars to one lattice with :meth:`NovikovScalar.on`.
+and JSON forms give ``Fraction`` exponents.
+
+The arithmetic lives once, on *series* (a scalar's term pairs and
+precision numerator, without its lattice): ``series_add``, ``series_mul``
+and ``series_neg`` combine series on one lattice, and a scalar's ``+``,
+``*`` and ``-`` meet two lattices at their lcm and call them.  Hot loops
+read :meth:`NovikovScalar.series` and build scalars by :func:`from_series`.
 
 The nonnegative part (all exponents >= 0) is a valuation ring; its
 fraction field is obtained by allowing negative exponents.  ``val`` is
@@ -49,6 +50,8 @@ from .errors import NegativeValuation, PrecisionExhausted
 INFINITY = math.inf
 
 RationalLike = Union[int, str, Fraction]
+
+Series = Tuple[Tuple[Tuple[int, Union[int, Fraction]], ...], Optional[int]]
 
 _F0 = Fraction(0)
 
@@ -169,15 +172,26 @@ class NovikovScalar:
     def on(self, den: int) -> "NovikovScalar":
         """The same scalar stored on the lattice ``(1/den) Z``, which must
         contain the current one (``den`` a multiple of ``self.den``)."""
-        d = self._d
-        if den == d:
-            return self
-        k, r = divmod(den, d)
-        if r or k <= 0:
-            raise ValueError("lattice 1/%d does not contain 1/%d" % (den, d))
-        m = self._m
-        return _make(tuple([(e * k, c) for e, c in self._t]), den,
-                     None if m is None else m * k)
+        return self if den == self._d else from_series(self.series(den), den)
+
+    def series(self, den: int, cut: Optional[int] = None) -> Series:
+        """The series of ``on(den)``, or of ``on(den).truncate(cut / den)``
+        when ``cut`` is given, without building either scalar."""
+        t, m, d = self._t, self._m, self._d
+        if den != d:
+            k, r = divmod(den, d)
+            if r or k <= 0:
+                raise ValueError("lattice 1/%d does not contain 1/%d"
+                                 % (den, d))
+            t = tuple([(e * k, c) for e, c in t])
+            m = None if m is None else m * k
+        if cut is not None:
+            if cut <= 0:
+                raise ValueError("truncation precision must be positive")
+            m = cut if m is None or cut < m else m
+            if t and t[-1][0] >= m:
+                t = tuple([p for p in t if p[0] < m])
+        return t, m
 
     # -- basic queries ---------------------------------------------------
 
@@ -219,47 +233,14 @@ class NovikovScalar:
     def __add__(self, other: "NovikovScalar") -> "NovikovScalar":
         if not isinstance(other, NovikovScalar):
             return NotImplemented
-        b, mod = other._t, other._m
-        if not b and mod is None:
+        if not other._t and other._m is None:
             return self
-        a = self._t
-        if not a and self._m is None:
+        if not self._t and self._m is None:
             return other
-        d = self._d
-        if other._d != d:
-            self, other, d = _meet(self, other)
-            a, b, mod = self._t, other._t, other._m
-        m = self._m
-        if m is not None and (mod is None or m < mod):
-            mod = m
-        # merge the two increasing term tuples in one pass
-        out = []
-        i = j = 0
-        na, nb = len(a), len(b)
-        while i < na and j < nb:
-            ea, ca = a[i]
-            eb, cb = b[j]
-            if ea < eb:
-                out.append(a[i])
-                i += 1
-            elif eb < ea:
-                out.append(b[j])
-                j += 1
-            else:
-                c = ca + cb
-                if c:
-                    out.append((ea, c))
-                i += 1
-                j += 1
-        out.extend(a[i:])
-        out.extend(b[j:])
-        if mod is not None:
-            while out and out[-1][0] >= mod:
-                out.pop()
-        return _make(tuple(out), d, mod)
+        return _apply(series_add, self, other)
 
     def __neg__(self) -> "NovikovScalar":
-        return _make(tuple([(e, -c) for e, c in self._t]), self._d, self._m)
+        return from_series(series_neg((self._t, self._m)), self._d)
 
     def __sub__(self, other: "NovikovScalar") -> "NovikovScalar":
         return self + (-other)
@@ -267,39 +248,11 @@ class NovikovScalar:
     def __mul__(self, other: "NovikovScalar") -> "NovikovScalar":
         if not isinstance(other, NovikovScalar):
             return NotImplemented
-        a, b = self._t, other._t
-        if not b and other._m is None:
+        if not other._t and other._m is None:
             return other
-        if not a and self._m is None:
+        if not self._t and self._m is None:
             return self
-        d = self._d
-        if other._d != d:
-            self, other, d = _meet(self, other)
-            a, b = self._t, other._t
-        am, bm = self._m, other._m
-        # neither side is an exact zero, so both floors are finite
-        mod = None
-        if am is not None:
-            mod = am + (b[0][0] if b else bm)
-        if bm is not None:
-            m = bm + (a[0][0] if a else am)
-            if mod is None or m < mod:
-                mod = m
-        if len(a) == 1 and len(b) == 1:
-            (e1, c1), = a
-            (e2, c2), = b
-            e = e1 + e2
-            if mod is not None and e >= mod:
-                return _make((), d, mod)
-            return _make(((e, c1 * c2),), d, mod)
-        sums: dict = {}
-        for e1, c1 in a:
-            for e2, c2 in b:
-                e = e1 + e2
-                if mod is None or e < mod:
-                    sums[e] = sums[e] + c1 * c2 if e in sums else c1 * c2
-        return _make(tuple(sorted([(e, c) for e, c in sums.items() if c])),
-                     d, mod)
+        return _apply(series_mul, self, other)
 
     def scale(self, c: RationalLike) -> "NovikovScalar":
         c = _coeff(c)
@@ -351,21 +304,9 @@ class NovikovScalar:
         The result records precision ``min(r, existing)``.
         """
         r = rat(r)
-        if r.numerator <= 0:
-            raise ValueError("truncation precision must be positive")
-        x = self
-        if self._d % r.denominator:
-            x = self.on(lcm(self._d, r.denominator))
-        return x._cut(r.numerator * (x._d // r.denominator))
-
-    def _cut(self, w: int) -> "NovikovScalar":
-        """``truncate`` at the exponent numerator ``w`` over ``den``."""
-        m = self._m
-        mod = w if m is None or w < m else m
-        t = self._t
-        if t and t[-1][0] >= mod:
-            t = tuple([p for p in t if p[0] < mod])
-        return _make(t, self._d, mod)
+        d = lcm(self._d, r.denominator)
+        return from_series(self.series(d, r.numerator * (d // r.denominator)),
+                           d)
 
     def reduce_t0(self) -> Fraction:
         """Constant term, defined on scalars of nonnegative valuation."""
@@ -412,15 +353,16 @@ class NovikovScalar:
         elif w <= 0:
             raise ValueError("truncation precision must be positive")
         else:
-            n = _make(tuple([(e - v, cc * ic) for e, cc in t[1:]]), d)
+            n = (tuple([(e - v, cc * ic) for e, cc in t[1:]]), None)
             step = t[1][0] - v
-            unit = power = _make(((0, 1),), d)
+            unit = power = (((0, 1),), None)
             k = 1
             while k * step < w:
-                power = (power * n)._cut(w)
-                unit = unit + (-power if k % 2 else power)
+                power = (tuple([p for p in series_mul(power, n)[0]
+                                if p[0] < w]), None)
+                unit = series_add(unit, series_neg(power) if k % 2 else power)
                 k += 1
-            unit = unit._cut(w)._t
+            unit = unit[0]
         return _make(tuple([(e - v, _coeff(cc * ic)) for e, cc in unit]), d,
                      None if w is None else w - v)
 
@@ -447,10 +389,89 @@ def _make(t: Tuple[Tuple[int, Fraction], ...], d: int,
     return x
 
 
-def _meet(x: NovikovScalar, y: NovikovScalar):
-    """``x`` and ``y`` on the lcm of their lattices, and that denominator."""
-    d = lcm(x._d, y._d)
-    return x.on(d), y.on(d), d
+def from_series(x: Series, den: int) -> NovikovScalar:
+    """The scalar storing the series ``x`` on the lattice ``(1/den) Z``."""
+    return _make(x[0], den, x[1])
+
+
+def _apply(op, x: NovikovScalar, y: NovikovScalar) -> NovikovScalar:
+    """``op`` on the series of ``x`` and ``y`` on the lcm of their lattices."""
+    d = x._d
+    if y._d != d:
+        d = lcm(d, y._d)
+        x, y = x.on(d), y.on(d)
+    return from_series(op((x._t, x._m), (y._t, y._m)), d)
+
+
+# -- the series core: series on one lattice ----------------------------------
+
+
+def series_add(x: Series, y: Series) -> Series:
+    (a, am), (b, bm) = x, y
+    if not b and bm is None:
+        return x
+    if not a and am is None:
+        return y
+    mod = am if bm is None or (am is not None and am < bm) else bm
+    # merge the two increasing term tuples in one pass
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        ea, ca = a[i]
+        eb, cb = b[j]
+        if ea < eb:
+            out.append(a[i])
+            i += 1
+        elif eb < ea:
+            out.append(b[j])
+            j += 1
+        else:
+            c = ca + cb
+            if c:
+                out.append((ea, c))
+            i += 1
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    if mod is not None:
+        while out and out[-1][0] >= mod:
+            out.pop()
+    return tuple(out), mod
+
+
+def series_neg(x: Series) -> Series:
+    return tuple([(e, -c) for e, c in x[0]]), x[1]
+
+
+def series_mul(x: Series, y: Series) -> Series:
+    (a, am), (b, bm) = x, y
+    if not b and bm is None:
+        return y
+    if not a and am is None:
+        return x
+    # neither side is an exact zero, so both floors are finite
+    mod = None
+    if am is not None:
+        mod = am + (b[0][0] if b else bm)
+    if bm is not None:
+        m = bm + (a[0][0] if a else am)
+        if mod is None or m < mod:
+            mod = m
+    if len(a) == 1 and len(b) == 1:
+        (e1, c1), = a
+        (e2, c2), = b
+        e = e1 + e2
+        if mod is not None and e >= mod:
+            return (), mod
+        return ((e, c1 * c2),), mod
+    sums: dict = {}
+    for e1, c1 in a:
+        for e2, c2 in b:
+            e = e1 + e2
+            if mod is None or e < mod:
+                sums[e] = sums[e] + c1 * c2 if e in sums else c1 * c2
+    return tuple(sorted([(e, c) for e, c in sums.items() if c])), mod
 
 
 ZERO = NovikovScalar.zero()

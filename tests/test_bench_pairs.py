@@ -1,0 +1,112 @@
+"""The pair comparison of ``tools/bench_pairs.py`` on canned run records."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+spec = importlib.util.spec_from_file_location(
+    "bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+END_TO_END = [
+    {"name": "instances_per_s", "unit": "1/s", "better": "higher",
+     "bound": 0.25},
+    {"name": "latency_p50_ms", "unit": "ms", "better": "lower",
+     "bound": 0.25},
+]
+
+
+def run(rate, latency, output="out", failed=0):
+    """The parsed output of one untraced run."""
+    return {"record": {"input_digest": "in", "output_digest": output,
+                       "commit": None},
+            "result": {"attempted": 10, "failed": failed, "metrics": {
+                "instances_per_s": {"value": rate, "unit": "1/s"},
+                "latency_p50_ms": {"value": latency, "unit": "ms"}}}}
+
+
+def output_of(rate, latency):
+    """What ``perfbench/run.py`` prints, in brief."""
+    parsed = run(rate, latency)
+    return "\n".join(["workload x seed 1: 10 instances per round",
+                      "record " + json.dumps(parsed["record"]),
+                      "instances_per_s 1 1/s",
+                      json.dumps(parsed["result"])]) + "\n"
+
+
+def test_parse_output_reads_the_record_and_the_result():
+    assert bench_pairs.parse_output(output_of(3.0, 2.0)) == run(3.0, 2.0)
+    with pytest.raises(ValueError):
+        bench_pairs.parse_output("Traceback (most recent call last):\n")
+
+
+def test_spread_gives_median_and_inclusive_quartiles():
+    assert bench_pairs.spread([5.0]) == {"median": 5.0, "q1": 5.0,
+                                         "q3": 5.0, "runs": [5.0]}
+    s = bench_pairs.spread([1.0, 2.0, 3.0, 4.0, 5.0])
+    assert (s["median"], s["q1"], s["q3"]) == (3.0, 2.0, 4.0)
+
+
+def test_compare_counts_wins_in_the_metric_direction():
+    parent = [100.0 + i for i in range(10)]
+    change = [120.0 + i for i in range(10)]
+    change[3] = parent[3]          # a tie counts for neither side
+    change[7] = parent[7] - 1.0    # a loss
+    pairs = [{"parent": run(p, 1000.0 / p), "change": run(c, 1000.0 / c)}
+             for p, c in zip(parent, change)]
+    entry = bench_pairs.compare(pairs, END_TO_END)
+    rate = entry["metrics"]["instances_per_s"]
+    assert rate["wins"] == 8 and rate["pairs"] == 10
+    assert rate["parent"]["median"] == 104.5
+    assert rate["parent"]["q1"] == 102.25 and rate["parent"]["q3"] == 106.75
+    assert rate["gain_beyond_parent_iqr"]
+    assert not rate["worse_than_bound"]
+    assert rate["ratio"] == rate["change"]["median"] / 104.5
+    latency = entry["metrics"]["latency_p50_ms"]
+    assert latency["better"] == "lower" and latency["wins"] == 8
+    assert latency["gain_beyond_parent_iqr"]
+    assert entry["output_digest"] == {"parent": "out", "change": "out",
+                                      "equal": True}
+    assert entry["failed"] == {"parent": 0, "change": 0}
+    assert entry["attempted"] == {"parent": 100, "change": 100}
+
+
+def test_compare_flags_regressions_and_differing_outputs():
+    pairs = [{"parent": run(100.0, 10.0),
+              "change": run(70.0, 12.0, output="other" if i else "out",
+                            failed=1)}
+             for i in range(4)]
+    entry = bench_pairs.compare(pairs, END_TO_END)
+    rate = entry["metrics"]["instances_per_s"]
+    assert rate["wins"] == 0 and rate["worse_than_bound"]
+    assert not rate["gain_beyond_parent_iqr"]
+    # 12 ms against 10 ms is within the bound of 25 %
+    assert not entry["metrics"]["latency_p50_ms"]["worse_than_bound"]
+    assert entry["output_digest"]["change"] == ["other", "out"]
+    assert not entry["output_digest"]["equal"]
+    assert entry["failed"] == {"parent": 0, "change": 4}
+
+
+def test_compare_keeps_the_traced_metrics_of_each_side():
+    pairs = [{"parent": run(1.0, 1.0), "change": run(2.0, 0.5)}]
+    traced = {side: {"result": {"metrics": {
+        "novikov.mul_calls": {"value": v, "unit": "count"}}}}
+        for side, v in (("parent", 45523.0), ("change", 0.0))}
+    entry = bench_pairs.compare(pairs, END_TO_END, traced)
+    assert entry["traced"] == {"parent": {"novikov.mul_calls": 45523.0},
+                               "change": {"novikov.mul_calls": 0.0}}
+
+
+def test_source_hash_names_the_code_and_skips_bytecode(tmp_path):
+    src = tmp_path / "src" / "novcube"
+    (src / "__pycache__").mkdir(parents=True)
+    (src / "a.py").write_text("x = 1\n")
+    first = bench_pairs.source_hash(tmp_path)
+    (src / "__pycache__" / "a.cpython.pyc").write_bytes(b"\0")
+    assert bench_pairs.source_hash(tmp_path) == first
+    (src / "a.py").write_text("x = 2\n")
+    assert bench_pairs.source_hash(tmp_path) != first

@@ -6,11 +6,14 @@ from fractions import Fraction as F
 import pytest
 from helpers import (null_homotopic_map, random_acyclic_t0_complex,
                      random_complex)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from novcube.chain import (ChainComplex, Generator, NotChainMap, QComplex,
                            cone_of_map, direct_sum, is_chain_map, mat_add,
-                           mat_clean, complex_from_json, complex_to_json,
-                           reduce_map_t0, residual_violations)
+                           mat_clean, mat_compose, complex_from_json,
+                           complex_to_json, reduce_map_t0,
+                           residual_violations, square_violations)
 from novcube.novikov import NovikovScalar, parse_scalar
 
 WORK = F(10)
@@ -308,3 +311,63 @@ def test_residual_violations_compare_across_lattices():
     got = {s for _, s, _ in residual_violations(m, work)}
     assert got == {s for (_, s), v in m.items() if v.val_floor() < work}
     assert got == {"0", "1", "4"}
+
+
+def square_case(rng):
+    """A label-keyed matrix for the d*d check: a random complex (whose
+    products cancel), some entries then cut to a precision above their
+    leading term, moved to a finer lattice or made an exact zero, and
+    stray entries added, known only modulo T^R or on a lattice of their
+    own; the entries come in a random order."""
+    c = random_complex(rng, max_gens=6, unit_arrows=rng.random() < 0.3,
+                       mix=rng.randint(0, 6))
+    m = dict(c.differential)
+    labels = list(c.labels) or ["g"]
+    for _ in range(rng.randint(0, 4)):
+        roll = rng.random()
+        key = rng.choice(sorted(m, key=repr)) if m else None
+        if key is not None and roll < 0.3 and m[key].floor is not None:
+            v = m[key]
+            m[key] = v.truncate(v.val_floor()
+                                + F(rng.randint(1, 4), rng.choice([1, 2, 3])))
+        elif key is not None and roll < 0.45:
+            m[key] = m[key].on(m[key].den * rng.choice([2, 3, 5]))
+        elif key is not None and roll < 0.5:
+            m[key] = NovikovScalar.zero()
+        elif roll < 0.75:
+            m[(rng.choice(labels), rng.choice(labels))] = NovikovScalar(
+                (), F(rng.randint(1, 6), rng.choice([1, 2, 3])))
+        else:
+            m[(rng.choice(labels), rng.choice(labels))] = NovikovScalar(
+                [(F(rng.randint(0, 6), rng.choice([1, 2, 3, 4])),
+                  rng.choice([1, -1, F(1, 2)]))])
+    return dict(rng.sample(list(m.items()), len(m)))
+
+
+def odd_key(t, s):
+    return len(repr((t, s))) % 2 == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False),
+       st.sampled_from([F(1, 2), F(1), F(3, 2), F(3), F(10)]))
+def test_square_violations_are_the_composed_residuals(rng, work):
+    m = square_case(rng)
+    square = mat_compose(m, m)
+    assert square_violations(m, work) == residual_violations(square, work)
+    negated = {k: -v if odd_key(*k) else v for k, v in square.items()}
+    assert square_violations(m, work, odd_key) == \
+        residual_violations(negated, work)
+
+
+def test_square_cases_reach_every_verdict():
+    """The cases give clean squares, determined residuals and residuals
+    known only to a precision."""
+    rng = random.Random(12)
+    seen = set()
+    for _ in range(300):
+        for _, _, detail in square_violations(square_case(rng), F(3)) or \
+                [(None, None, "clean")]:
+            seen.add(detail.split()[0] if "undetermined" in detail
+                     or detail == "clean" else "residual")
+    assert seen == {"clean", "residual", "undetermined"}, seen

@@ -286,6 +286,18 @@ def test_badly_shaped_file_exits_2(command, data, tmp_path, capsys):
     assert str(path) in json.loads(out)["error"]
 
 
+def test_cube_with_an_extra_vertex_code_exits_2(tmp_path, capsys):
+    with open(os.path.join(DATA, "square_identity.json")) as fh:
+        data = json.load(fh)
+    data["vertices"]["22"] = data["vertices"]["00"]
+    path = tmp_path / "extra_vertex.json"
+    path.write_text(json.dumps(data))
+    code, out = run_cli(capsys, "verify-cube", str(path), "--format", "json")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert str(path) in error and "'22'" in error
+
+
 def test_ray_with_a_face_of_wrong_parity_exits_2(tmp_path, capsys):
     # generator a at vertex "1" made odd: its differential entry and the
     # identity entry into it both have the wrong parity

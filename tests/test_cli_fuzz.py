@@ -8,7 +8,8 @@ coefficient, a sign-form or partial flag), a float, a string or the other
 kind of value in its place must be refused with exit 2, and so must a
 float or a boolean in place of a model cell's value (a string p/q).  An
 unknown key in any object of a file, however deeply nested, is refused
-with exit 2 too.
+with exit 2 too, and so is a key of a cube's vertex map that is not a
+vertex code of that cube.
 """
 
 import contextlib
@@ -216,3 +217,33 @@ def test_unknown_key_anywhere_exits_2(case):
     assert code == 2, out
     error = json.loads(out)["error"]
     assert path in error and repr(key) in error
+
+
+# codes that are not vertices of a cube of the document's dimensions
+NOT_VERTICES = ["22", "0-", "ab", "", "0", "000", "1 "]
+
+
+@st.composite
+def extra_vertices(draw):
+    """A valid cube or ray document with a code that is not a vertex of
+    one of its cubes added to that cube's vertex map, the code, and a
+    command line that reads it."""
+    doc, commands = CASES[draw(st.sampled_from(
+        ["cube", "cube with scalar records", "ray"]))]
+    doc = json.loads(json.dumps(doc))
+    vertices = _value_at(doc, draw(st.sampled_from(
+        [p for p in _paths(doc) if p[-1] == "vertices"])))
+    code = draw(st.sampled_from(
+        [c for c in NOT_VERTICES if c not in vertices]))
+    vertices[code] = vertices[draw(st.sampled_from(sorted(vertices)))]
+    return doc, draw(st.sampled_from(commands)), code
+
+
+@settings(max_examples=50, deadline=None)
+@given(extra_vertices())
+def test_extra_vertex_code_exits_2(case):
+    doc, argv, code = case
+    exit_code, out, path = _run_on(doc, argv)
+    assert exit_code == 2, out
+    error = json.loads(out)["error"]
+    assert path in error and repr(code) in error

@@ -13,7 +13,8 @@ from novcube.cubes import (CubeDiagram, face_codes, face_dim, initial_vertex,
                            terminal_vertex, to_positive_signs, verify_cube)
 from novcube.novikov import NovikovScalar
 
-BREAKS = ("none", "extra", "foreign", "modulo", "partial", "partial+extra")
+BREAKS = ("none", "extra", "foreign", "modulo", "modulo+extra", "partial",
+          "partial+extra")
 
 
 def _entry(rng, cube, code, right_parity):
@@ -46,7 +47,7 @@ def oracle_cube(rng, n, positive, kind):
     vertices = dict(cube.vertices)
     faces = {code: dict(cube.face(code)) for code in face_codes(n)}
     higher = [c for c in face_codes(n) if face_dim(c) > 0]
-    if kind == "modulo":
+    if "modulo" in kind:
         # one vertex arrow known only to half an order beyond its leading
         # term: equations through it cancel down to "undetermined"
         w = rng.choice(sorted(vertices))

@@ -233,6 +233,62 @@ def random_admissible_pair(rng, m):
     return rand_h(), rand_h()
 
 
+def test_minmax_square_checks_admissibility_six_times(monkeypatch):
+    """h_x and h_y once each, then cf at each of the square's four
+    vertices; min and max are admissible whenever h_x and h_y are."""
+    calls = []
+    check = morse.admissibility
+
+    def counting(model, h):
+        calls.append(h)
+        return check(model, h)
+
+    monkeypatch.setattr(morse, "admissibility", counting)
+    m = bundled_model("circle")
+    hx, hy = random_admissible_pair(random.Random(5), m)
+    minmax_square(m, hx, hy)
+    assert len(calls) == 6
+
+
+def admissible_closure(m, raw):
+    """The least weight above ``raw`` that is admissible on ``m``: raise
+    each arrow's target to its source and each base fibre to its maximum
+    until nothing moves."""
+    h = dict(raw)
+    fibres = {}
+    for l in m.labels:
+        if m.base_map is not None:
+            fibres.setdefault(m.base_map[l], []).append(l)
+    moved = True
+    while moved:
+        moved = False
+        for q, p in m.boundary:
+            if h[q] < h[p]:
+                h[q], moved = h[p], True
+        for cells in fibres.values():
+            top = max(h[l] for l in cells)
+            for l in cells:
+                if h[l] != top:
+                    h[l], moved = top, True
+    return h
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["interval", "circle", "circle6", "circle12",
+                        "grid9", "s2", "t2"]), st.data())
+def test_min_and_max_of_admissible_weights_are_admissible(name, data):
+    m = bundled_model(name)
+    weights = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    hx, hy = (admissible_closure(m, {l: data.draw(weights)
+                                     for l in m.labels})
+              for _ in range(2))
+    assert not morse.admissibility(m, hx)[1]
+    assert not morse.admissibility(m, hy)[1]
+    for pick in (min, max):
+        h = {l: pick(hx[l], hy[l]) for l in m.labels}
+        assert not morse.admissibility(m, h)[1]
+
+
 def test_minmax_square_random_pairs():
     rng = random.Random(71)
     models = [bundled_model(n) for n in ("interval", "circle", "grid9")]

@@ -15,13 +15,15 @@ operation, and no stored coefficient may ever be a float.
 """
 
 from fractions import Fraction as F
+from math import lcm
 
 import scalar_oracle as oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from novcube.novikov import (NovikovScalar, format_scalar, parse_scalar,
-                             scalar_from_json, scalar_to_json)
+from novcube.novikov import (NovikovScalar, format_scalar, from_series,
+                             parse_scalar, scalar_from_json, scalar_to_json,
+                             series_add, series_mul, series_neg)
 
 DENS = [1, 2, 3, 4, 6]
 coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -100,6 +102,47 @@ def test_ring_operations_agree(x, y, data):
     agree(lambda a, b: a + b, x, z)
     agree(lambda a, b: b + a, x, z)
     agree(lambda a, b: (a + b) * a, x, z)
+
+
+@st.composite
+def on_lattice(draw, den, with_mod):
+    """(library scalar stored on (1/den)Z, oracle scalar), with a
+    precision exactly when ``with_mod``."""
+    nums = draw(st.lists(st.integers(-2 * den, 3 * den), max_size=4))
+    terms = [(F(n, den), draw(coefficients)) for n in nums]
+    mod = F(draw(st.integers(-den, 4 * den)), den) if with_mod else None
+    return NovikovScalar(terms, mod).on(den), oracle.NovikovScalar(terms, mod)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(DENS), st.sampled_from(DENS), st.booleans(),
+       st.booleans(), st.data())
+def test_series_core_and_its_wrappers_agree(d1, d2, mod1, mod2, data):
+    """The operators, on one lattice or on two, and the series functions
+    they wrap, run on the lcm of the lattices, against the oracle."""
+    x = data.draw(on_lattice(d1, mod1))
+    for y in (data.draw(on_lattice(d2, mod2)),
+              negated_part(data.draw, x)):
+        agree(lambda a, b: a + b, x, y)
+        agree(lambda a, b: a * b, x, y)
+        agree(lambda a: -a, y)
+        (a, oa), (b, ob) = x, y
+        d = lcm(a.den, b.den)
+        sa, sb = a.series(d), b.series(d)
+        assert view(from_series(series_add(sa, sb), d)) == view(oa + ob)
+        assert view(from_series(series_mul(sa, sb), d)) == view(oa * ob)
+        assert view(from_series(series_neg(sa), d)) == view(-oa)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs(), st.sampled_from([1, 2, 3]), st.integers(-2, 12))
+def test_series_reads_the_truncated_scalar(x, k, cut):
+    a, _ = x
+    den = a.den * k
+    assert outcome(lambda: from_series(a.series(den), den)) == \
+        outcome(lambda: a.on(den))
+    assert outcome(lambda: from_series(a.series(den, cut), den)) == \
+        outcome(lambda: a.on(den).truncate(F(cut, den)))
 
 
 @settings(max_examples=200, deadline=None)

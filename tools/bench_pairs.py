@@ -1,0 +1,192 @@
+#!/usr/bin/env python3
+"""Compare two checkouts on the benchmark in alternating pairs of runs.
+
+Usage, from anywhere:
+
+    python3 tools/bench_pairs.py PARENT CHANGE --pr N \\
+        --workloads stationary_sh descent --seeds 43 77 --pairs 10
+
+PARENT and CHANGE are checkouts of the repository (each with its own
+``perfbench/`` and ``src/``).  For every workload and seed the script runs
+``perfbench/run.py --trace 0`` of each checkout ``--pairs`` times for
+``BENCHMARK.json``'s ``run_seconds``, the parent first in even pairs and
+the change first in odd ones, then one ``--trace 1`` run on each side for
+the per-layer counters.  It writes ``BENCH_<pr>.json`` in the current
+directory, recording each checkout's commit (as the benchmark reads it,
+``null`` outside a git checkout) and the sha256 of its ``src/novcube``
+files, and holding per workload and seed:
+
+- the input and output digests of both sides, and whether they agree;
+- the instances attempted and failed on each side;
+- for each end-to-end metric of ``BENCHMARK.json``: both sides' runs,
+  medians and quartiles, the pairs the change wins (ties count for
+  neither side), the ratio of the medians, whether the medians differ by
+  more than the distance between the parent's quartiles, and whether the
+  change's median is worse than the parent's by more than the metric's
+  bound;
+- the per-layer metrics of each side's traced run.
+
+Runs are sequential: two runs at once would time each other.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def parse_output(stdout: str) -> dict:
+    """The run record and the closing result line of one run's output."""
+    lines = stdout.strip().splitlines()
+    records = [l[len("record "):] for l in lines if l.startswith("record ")]
+    if not lines or not records:
+        raise ValueError("no run record in the benchmark's output")
+    return {"record": json.loads(records[-1]),
+            "result": json.loads(lines[-1])}
+
+
+def source_hash(checkout: Path) -> str:
+    """sha256 over the relative paths and bytes of ``src/novcube``'s files,
+    in sorted order, so a record names the code it measured."""
+    src = checkout / "src" / "novcube"
+    h = hashlib.sha256()
+    for path in sorted(p for p in src.rglob("*") if p.is_file()
+                       and "__pycache__" not in p.parts):
+        h.update(path.relative_to(src).as_posix().encode() + b"\0")
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float,
+             trace: int) -> dict:
+    """One run of ``perfbench/run.py`` in ``checkout``, parsed."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds),
+         "--trace", str(trace)],
+        cwd=checkout, capture_output=True, text=True,
+        timeout=60 * seconds + 600)
+    try:
+        return parse_output(proc.stdout)
+    except ValueError:
+        raise RuntimeError("%s: %s seed %d exited %d:\n%s" % (
+            checkout, workload, seed, proc.returncode, proc.stderr))
+
+
+def spread(values) -> dict:
+    """Median and quartiles (inclusive method) of a list of runs."""
+    if len(values) == 1:
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "q1": q1, "q3": q3,
+            "runs": list(values)}
+
+
+def compare_metric(parent, change, better: str, bound: float) -> dict:
+    """Pairwise comparison of one metric; ``parent[i]`` and ``change[i]``
+    come from pair i."""
+    sign = 1 if better == "higher" else -1
+    wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
+    old, new = spread(parent), spread(change)
+    gap = sign * (new["median"] - old["median"])
+    limit = old["median"] * (1 - sign * bound)
+    return {
+        "parent": old, "change": new,
+        "wins": wins, "pairs": len(parent),
+        "ratio": new["median"] / old["median"] if old["median"] else None,
+        "gain_beyond_parent_iqr": gap > old["q3"] - old["q1"],
+        "worse_than_bound": sign * (new["median"] - limit) < 0,
+    }
+
+
+def compare(pairs, end_to_end, traced=None) -> dict:
+    """The entry of one workload and seed: ``pairs`` is a list of
+    ``{"parent": run, "change": run}`` of parsed untraced runs,
+    ``end_to_end`` the metric list of ``BENCHMARK.json``, ``traced`` a
+    parsed traced run per side."""
+    entry = {}
+    for key in ("input_digest", "output_digest"):
+        seen = {side: sorted({p[side]["record"][key] for p in pairs})
+                for side in SIDES}
+        entry[key] = {side: v[0] if len(v) == 1 else v
+                      for side, v in seen.items()}
+        entry[key]["equal"] = seen["parent"] == seen["change"] and \
+            len(seen["parent"]) == 1
+    for key in ("attempted", "failed"):
+        entry[key] = {side: sum(p[side]["result"][key] for p in pairs)
+                      for side in SIDES}
+    entry["metrics"] = {}
+    for m in end_to_end:
+        values = {side: [p[side]["result"]["metrics"][m["name"]]["value"]
+                         for p in pairs] for side in SIDES}
+        entry["metrics"][m["name"]] = dict(
+            unit=m["unit"], better=m["better"], bound=m["bound"],
+            **compare_metric(values["parent"], values["change"],
+                             m["better"], m["bound"]))
+    if traced is not None:
+        entry["traced"] = {side: {name: v["value"] for name, v in
+                                  traced[side]["result"]["metrics"].items()}
+                           for side in SIDES}
+    return entry
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--pr", required=True)
+    parser.add_argument("--workloads", nargs="+", required=True)
+    parser.add_argument("--seeds", nargs="+", type=int, required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    checkouts = {"parent": args.parent.resolve(),
+                 "change": args.change.resolve()}
+    bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    out = {"pr": args.pr, "seconds": seconds, "pairs": args.pairs,
+           "host": {"python": platform.python_version(),
+                    "cpu_count": os.cpu_count(),
+                    "platform": platform.platform()},
+           "runs": {}}
+    for workload in args.workloads:
+        for seed in args.seeds:
+            pairs = []
+            for i in range(args.pairs):
+                order = SIDES if i % 2 == 0 else SIDES[::-1]
+                pair = {side: run_once(checkouts[side], workload, seed,
+                                       seconds, 0) for side in order}
+                pairs.append(pair)
+                print("%s seed %d pair %d: %s" % (
+                    workload, seed, i, ", ".join(
+                        "%s %.4g" % (side, pair[side]["result"]["metrics"]
+                                     ["instances_per_s"]["value"])
+                        for side in SIDES)), file=sys.stderr)
+            traced = {side: run_once(checkouts[side], workload, seed,
+                                     seconds, 1) for side in SIDES}
+            for side in SIDES:
+                out.setdefault(side, {
+                    "checkout": checkouts[side].name,
+                    "commit": pairs[0][side]["record"]["commit"],
+                    "src_sha256": source_hash(checkouts[side])})
+            out["runs"]["%s/%d" % (workload, seed)] = compare(
+                pairs, bench["end_to_end"], traced)
+    path = Path("BENCH_%s.json" % args.pr)
+    path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
+    print("wrote %s" % path, file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
