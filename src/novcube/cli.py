@@ -7,6 +7,15 @@ parameters the result is valid under.  Exit codes: 0 ok, 1 violation
 or domain failure (:data:`DOMAIN_ERRORS`, reported with the input file),
 2 usage or parse error, 3 internal error.
 
+Each subcommand has one ``cmd_*`` handler and each ``morse`` action one
+handler in :data:`MORSE_ACTIONS`; a handler returns ``(report, exit
+code)``, and :func:`_report` adds the keys every report carries.  Each
+subcommand states its own flags in :func:`build_parser`: the ``--work``
+default or that ``--work`` is mandatory, and which of ``--precision`` and
+``--depth`` it needs.  :data:`MORSE_ACTIONS` says which actions need
+``--depth``.  ``sh`` and ``descent`` verify every cube of a ray file at
+the working precision they compute at, before they compute.
+
 ``morse`` and ``rays`` are imported by the handlers that use them, so
 ``verify-cube``, ``cone`` and ``compose`` start without them.
 """
@@ -113,6 +122,22 @@ def _load_ray(path: str) -> Tuple[Ray, str]:
     return _read_object(path, "ray", _ray_from_json)
 
 
+def _load_coherent_ray(args, path: str):
+    """The ray in ``path``, its digest, the precision, and the working
+    precision ``max(--work, --precision)``, at which every cube of the
+    file must verify."""
+    ray, digest = _load_ray(path)
+    precision = work = _parse_fraction(args.precision, "--precision")
+    if args.work:
+        work = max(_parse_fraction(args.work, "--work"), precision)
+    for name, cube in ray.stored_cubes():
+        bad = verify_cube(cube, work).violations
+        if bad:
+            raise InputError("bad ray file %s: %s, face %r: %s"
+                             % ((path, name) + bad[0]))
+    return ray, digest, precision, work
+
+
 def _parse_fraction(text: str, flag: str) -> Fraction:
     try:
         return rat(text)
@@ -121,16 +146,36 @@ def _parse_fraction(text: str, flag: str) -> Fraction:
                          % (flag, text))
 
 
-def _provenance(digests, args, **extra):
-    prov = {"format_version": FORMAT_VERSION,
-            "inputs": list(digests)}
-    for name in ("precision", "work"):
-        val = getattr(args, name.replace("-", "_"), None)
-        prov[name] = str(val) if val is not None else None
-    depth = getattr(args, "depth", None)
-    prov["depth"] = depth
-    prov.update(extra)
-    return prov
+def _report(args, inputs, digests, ok: bool, **fields):
+    """``fields`` with the keys every report carries, and the exit code:
+    0 for status ok, 1 for a violation."""
+    fields.update(
+        command=args.command if args.command != "morse"
+        else "morse " + args.action,
+        status="ok" if ok else "violation",
+        provenance={"format_version": FORMAT_VERSION, "inputs": digests,
+                    "precision": getattr(args, "precision", None),
+                    "work": getattr(args, "work", None),
+                    "depth": getattr(args, "depth", None)})
+    if isinstance(inputs, tuple):
+        fields["inputs"] = list(inputs)
+    else:
+        fields["input"] = inputs
+    return fields, 0 if ok else 1
+
+
+def _flatten_label(label) -> str:
+    if isinstance(label, tuple):
+        return "(" + ",".join(_flatten_label(x) for x in label) + ")"
+    return str(label)
+
+
+def _cube_report(args, inputs, digests, cube: CubeDiagram, work, **fields):
+    """The report of a cube a command built: verified at ``work``, and
+    serialized with its vertex labels flattened to strings."""
+    flat = cube.relabel_vertices(lambda w, l: _flatten_label(l))
+    return _report(args, inputs, digests, verify_cube(cube, work).ok,
+                   cube=cube_to_json(flat), **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -139,17 +184,11 @@ def _provenance(digests, args, **extra):
 
 def cmd_verify_cube(args, path):
     cube, digest = _load_cube(path)
-    work = _parse_fraction(args.work, "--work")
-    rep = verify_cube(cube, work)
-    report = {
-        "command": "verify-cube",
-        "input": path,
-        "status": "ok" if rep.ok else "violation",
-        "faces_checked": len(cube.codes),
-        "violations": [{"face": f, "detail": d} for f, d in rep.violations],
-        "provenance": _provenance([digest], args),
-    }
-    return report, 0 if rep.ok else 1
+    rep = verify_cube(cube, _parse_fraction(args.work, "--work"))
+    return _report(args, path, [digest], rep.ok,
+                   faces_checked=len(cube.codes),
+                   violations=[{"face": f, "detail": d}
+                               for f, d in rep.violations])
 
 
 def cmd_cone(args, path):
@@ -162,74 +201,29 @@ def cmd_cone(args, path):
         out = cone(cube, args.direction)
     except InvalidDirection as exc:
         raise InputError("--direction for %s: %s" % (path, exc))
-    rep = verify_cube(out, work)
-    report = {
-        "command": "cone",
-        "input": path,
-        "direction": args.direction,
-        "status": "ok" if rep.ok else "violation",
-        "cube": cube_to_json(out.relabel_vertices(
-            lambda w, l: _flatten_label(l))),
-        "provenance": _provenance([digest], args),
-    }
-    return report, 0 if rep.ok else 1
-
-
-def _flatten_label(label) -> str:
-    if isinstance(label, tuple):
-        return "(" + ",".join(_flatten_label(x) for x in label) + ")"
-    return str(label)
+    return _cube_report(args, path, [digest], out, work,
+                        direction=args.direction)
 
 
 def cmd_compose(args, paths):
-    first, d1 = _load_sound_cube(paths[0])
-    second, d2 = _load_sound_cube(paths[1])
+    (first, d1), (second, d2) = [_load_sound_cube(p) for p in paths]
     work = _parse_fraction(args.work, "--work")
-    out = compose(first, second)
-    rep = verify_cube(out, work)
-    report = {
-        "command": "compose",
-        "inputs": list(paths),
-        "status": "ok" if rep.ok else "violation",
-        "cube": cube_to_json(out.relabel_vertices(
-            lambda w, l: _flatten_label(l))),
-        "provenance": _provenance([d1, d2], args),
-    }
-    return report, 0 if rep.ok else 1
+    return _cube_report(args, paths, [d1, d2], compose(first, second), work)
 
 
 def cmd_tel(args, path):
     from .rays import telescope
     ray, digest = _load_ray(path)
     work = _parse_fraction(args.work, "--work")
-    tel = telescope(ray, args.depth)
-    rep = verify_cube(tel, work)
-    report = {
-        "command": "tel",
-        "input": path,
-        "status": "ok" if rep.ok else "violation",
-        "depth": args.depth,
-        "cube": cube_to_json(tel.relabel_vertices(
-            lambda w, l: _flatten_label(l))),
-        "provenance": _provenance([digest], args),
-    }
-    return report, 0 if rep.ok else 1
+    return _cube_report(args, path, [digest], telescope(ray, args.depth),
+                        work, depth=args.depth)
 
 
 def cmd_sh(args, path):
     from .rays import completed_homology
-    ray, digest = _load_ray(path)
-    precision = _parse_fraction(args.precision, "--precision")
-    work = _parse_fraction(args.work, "--work") if args.work else None
+    ray, digest, precision, work = _load_coherent_ray(args, path)
     code = completed_homology(ray, precision, work)
-    report = {
-        "command": "sh",
-        "input": path,
-        "status": "ok",
-        "barcode": code.to_json(),
-        "provenance": _provenance([digest], args),
-    }
-    return report, 0
+    return _report(args, path, [digest], True, barcode=code.to_json())
 
 
 def cmd_mv(args, path):
@@ -244,139 +238,111 @@ def cmd_mv(args, path):
     work = _parse_fraction(args.work, "--work") if args.work \
         else _parse_fraction(args.precision, "--precision")
     rep = mayer_vietoris(cube, work)
-    report = {
-        "command": "mv",
-        "input": path,
-        "status": "ok" if rep.ok else "violation",
-        "exactness": {spot: {str(p): v for p, v in by.items()}
-                      for spot, by in sorted(rep.spots.items())},
-        "homology_ranks": {w: list(r) for w, r in sorted(rep.ranks.items())},
-        "provenance": _provenance([digest], args),
-    }
-    return report, 0 if rep.ok else 1
+    return _report(
+        args, path, [digest], rep.ok,
+        exactness={spot: {str(p): v for p, v in by.items()}
+                   for spot, by in sorted(rep.spots.items())},
+        homology_ranks={w: list(r) for w, r in sorted(rep.ranks.items())})
 
 
 def cmd_descent(args, path):
     from .rays import descent_complex
-    ray, digest = _load_ray(path)
+    ray, digest, _, work = _load_coherent_ray(args, path)
+    rep = descent_complex(ray, work, args.depth)
+    return _report(
+        args, path, [digest], rep.acyclic, acyclic=rep.acyclic,
+        degree_entry_counts={str(k): v
+                             for k, v in rep.degree_entry_counts.items()},
+        d0_matches_summands=rep.d0_matches_summands,
+        slice_betti=[list(b) for b in rep.certificate.betti],
+        tail_note=rep.certificate.tail_note)
+
+
+# ``morse`` actions
+
+
+def _global_sections(args, path):
+    from .morse import global_sections
+    model, digest = _load_model(path)
     precision = _parse_fraction(args.precision, "--precision")
-    work = _parse_fraction(args.work, "--work") if args.work else precision
-    rep = descent_complex(ray, max(work, precision), args.depth)
-    report = {
-        "command": "descent",
-        "input": path,
-        "status": "ok" if rep.acyclic else "violation",
-        "acyclic": rep.acyclic,
-        "degree_entry_counts": {str(k): v
-                                for k, v in rep.degree_entry_counts.items()},
-        "d0_matches_summands": rep.d0_matches_summands,
-        "slice_betti": [list(b) for b in rep.certificate.betti],
-        "tail_note": rep.certificate.tail_note,
-        "provenance": _provenance([digest], args),
-    }
-    return report, 0 if rep.acyclic else 1
+    rep = global_sections(model, precision, args.depth)
+    return _report(args, path, [digest], True, barcode=rep.barcode.to_json(),
+                   betti=list(rep.betti),
+                   stage_weights_checked=rep.stage_weights_checked)
 
 
-def cmd_morse(args, path):
-    from .morse import (empty_set, global_sections,
-                        involutive_descent_instance, minmax_square,
-                        model_from_json, relative_sh, resolve_region)
+def _empty_set(args, path):
+    from .morse import empty_set
+    model, digest = _load_model(path)
+    precision = _parse_fraction(args.precision, "--precision")
+    code = empty_set(model, None, precision)
+    return _report(args, path, [digest], code.is_zero, barcode=code.to_json())
+
+
+def _relative_sh(args, path):
+    from .morse import relative_sh, resolve_region
+    model, digest = _load_model(path)
+    precision = _parse_fraction(args.precision, "--precision")
+    if args.subset is None:
+        raise InputError("relative-sh needs --subset")
+    labels = [s for s in args.subset.split(",") if s]
+    try:
+        resolve_region(model, labels)
+    except KeyError as exc:
+        raise InputError("--subset for %s: %s" % (path, exc.args[0]))
+    rep = relative_sh(model, labels, precision, args.depth)
+    return _report(args, path, [digest], True, subset=sorted(labels),
+                   barcode=rep.barcode.to_json(), betti=list(rep.betti))
+
+
+def _minmax(args, path):
+    from .morse import minmax_square, model_from_json
     from .rays import mayer_vietoris
-    action = args.action
-    if action == "global-sections":
-        model, digest = _load_model(path)
-        precision = _parse_fraction(args.precision, "--precision")
-        rep = global_sections(model, precision, args.depth)
-        report = {
-            "command": "morse global-sections",
-            "input": path,
-            "status": "ok",
-            "barcode": rep.barcode.to_json(),
-            "betti": list(rep.betti),
-            "stage_weights_checked": rep.stage_weights_checked,
-            "provenance": _provenance([digest], args),
-        }
-        return report, 0
-    if action == "empty-set":
-        model, digest = _load_model(path)
-        precision = _parse_fraction(args.precision, "--precision")
-        code = empty_set(model, None, precision)
-        report = {
-            "command": "morse empty-set",
-            "input": path,
-            "status": "ok" if code.is_zero else "violation",
-            "barcode": code.to_json(),
-            "provenance": _provenance([digest], args),
-        }
-        return report, 0 if code.is_zero else 1
-    if action == "relative-sh":
-        model, digest = _load_model(path)
-        precision = _parse_fraction(args.precision, "--precision")
-        if args.subset is None:
-            raise InputError("relative-sh needs --subset")
-        labels = [s for s in args.subset.split(",") if s]
-        try:
-            resolve_region(model, labels)
-        except KeyError as exc:
-            raise InputError("--subset for %s: %s" % (path, exc.args[0]))
-        rep = relative_sh(model, labels, precision, args.depth)
-        report = {
-            "command": "morse relative-sh",
-            "input": path,
-            "status": "ok",
-            "subset": sorted(labels),
-            "barcode": rep.barcode.to_json(),
-            "betti": list(rep.betti),
-            "provenance": _provenance([digest], args),
-        }
-        return report, 0
-    if action == "minmax":
-        def parse(data):
-            json_keys(data, {"model", "hx", "hy"}, "the top level")
-            return (model_from_json(data["model"]),
-                    {l: json_rational(data["hx"], l) for l in data["hx"]},
-                    {l: json_rational(data["hy"], l) for l in data["hy"]})
 
-        (model, hx, hy), digest = _read_object(path, "minmax", parse)
-        rep = minmax_square(model, hx, hy)
-        mv = mayer_vietoris(rep.square,
-                            _parse_fraction(args.work or "3", "--work"))
-        report = {
-            "command": "morse minmax",
-            "input": path,
-            "status": "ok" if (rep.acyclic and rep.pieces_match and mv.ok)
-                      else "violation",
-            "pieces": {str(l): kind for l, kind in sorted(
-                rep.pieces.items(), key=lambda kv: str(kv[0]))},
-            "pieces_match": rep.pieces_match,
-            "strict_commutation": rep.strict_commutation,
-            "acyclic": rep.acyclic,
-            "mayer_vietoris_exact": mv.ok,
-            "square": cube_to_json(rep.square),
-            "provenance": _provenance([digest], args),
-        }
-        return report, 0 if report["status"] == "ok" else 1
-    if action == "descent-involutive":
-        def parse(data):
-            json_keys(data, {"model", "regions"}, "the top level")
-            return (model_from_json(data["model"]),
-                    [set(r) for r in data["regions"]])
+    def parse(data):
+        json_keys(data, {"model", "hx", "hy"}, "the top level")
+        return (model_from_json(data["model"]),
+                {l: json_rational(data["hx"], l) for l in data["hx"]},
+                {l: json_rational(data["hy"], l) for l in data["hy"]})
 
-        (model, regions), digest = _read_object(path, "descent", parse)
-        precision = _parse_fraction(args.precision, "--precision")
-        rep = involutive_descent_instance(model, regions, precision,
-                                          depth=args.depth)
-        report = {
-            "command": "morse descent-involutive",
-            "input": path,
-            "status": "ok" if rep.acyclic else "violation",
-            "acyclic": rep.acyclic,
-            "pairwise": [{"pair": list(pair), "acyclic": ok}
-                         for pair, ok in rep.pairwise],
-            "provenance": _provenance([digest], args),
-        }
-        return report, 0 if rep.acyclic else 1
-    raise InputError("unknown morse action %r" % action)
+    (model, hx, hy), digest = _read_object(path, "minmax", parse)
+    rep = minmax_square(model, hx, hy)
+    mv = mayer_vietoris(rep.square,
+                        _parse_fraction(args.work or "3", "--work"))
+    return _report(
+        args, path, [digest], rep.acyclic and rep.pieces_match and mv.ok,
+        pieces={str(l): kind for l, kind in sorted(
+            rep.pieces.items(), key=lambda kv: str(kv[0]))},
+        pieces_match=rep.pieces_match,
+        strict_commutation=rep.strict_commutation, acyclic=rep.acyclic,
+        mayer_vietoris_exact=mv.ok, square=cube_to_json(rep.square))
+
+
+def _descent_involutive(args, path):
+    from .morse import involutive_descent_instance, model_from_json
+
+    def parse(data):
+        json_keys(data, {"model", "regions"}, "the top level")
+        return (model_from_json(data["model"]),
+                [set(r) for r in data["regions"]])
+
+    (model, regions), digest = _read_object(path, "descent", parse)
+    precision = _parse_fraction(args.precision, "--precision")
+    rep = involutive_descent_instance(model, regions, precision,
+                                      depth=args.depth)
+    return _report(args, path, [digest], rep.acyclic, acyclic=rep.acyclic,
+                   pairwise=[{"pair": list(pair), "acyclic": ok}
+                             for pair, ok in rep.pairwise])
+
+
+# action -> (handler, --depth when unset; None makes --depth mandatory)
+MORSE_ACTIONS = {
+    "global-sections": (_global_sections, None),
+    "empty-set": (_empty_set, 2),
+    "relative-sh": (_relative_sh, None),
+    "minmax": (_minmax, 2),
+    "descent-involutive": (_descent_involutive, None),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -426,20 +392,17 @@ def emit(report: dict, fmt: str) -> str:
 
 
 def _run_one(task):
-    args, handler, payload = task
+    args, payload = task
     try:
-        report, code = handler(args, payload)
+        return args.handler(args, payload)
     except InputError as exc:
-        return {"command": args.command, "status": "error",
-                "error": str(exc)}, 2
+        error, code = str(exc), 2
     except DOMAIN_ERRORS as exc:
         inputs = payload if isinstance(payload, str) else ", ".join(payload)
-        return {"command": args.command, "status": "error",
-                "error": "%s: %s: %s" % (inputs, type(exc).__name__, exc)}, 1
+        error, code = "%s: %s: %s" % (inputs, type(exc).__name__, exc), 1
     except Exception as exc:  # noqa: BLE001 - surfaced with module names
-        return {"command": args.command, "status": "error",
-                "error": "%s: %s" % (type(exc).__name__, exc)}, 3
-    return report, code
+        error, code = "%s: %s" % (type(exc).__name__, exc), 3
+    return {"command": args.command, "status": "error", "error": error}, code
 
 
 def pool_size(jobs: int, tasks: int) -> int:
@@ -463,94 +426,65 @@ def build_parser() -> argparse.ArgumentParser:
                     "Novikov ring")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, work=True, precision=False, depth=False):
+    def add(name, handler, help, work=None, mandatory=(), nargs="+"):
+        """Subcommand ``name`` with ``work`` as its --work default; the
+        flags in ``mandatory`` (work, precision, depth) must be given."""
+        p = sub.add_parser(name, help=help)
+        if name == "morse":
+            p.add_argument("action", choices=MORSE_ACTIONS)
+        p.add_argument("files", nargs=nargs)
         p.add_argument("--format", choices=("json", "text"), default="text")
         p.add_argument("--jobs", type=int, default=1,
                        help="parallel batch over multiple input files")
-        if work:
-            p.add_argument("--work", default=None,
-                           help="working precision p/q")
-        if precision:
+        p.add_argument("--work", default=work, required="work" in mandatory,
+                       help="working precision p/q")
+        if "precision" in mandatory:
             p.add_argument("--precision", required=True,
                            help="quotient precision p/q (mandatory)")
-        if depth:
+        if "depth" in mandatory:
             p.add_argument("--depth", type=int, required=True,
                            help="materialization depth (mandatory)")
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("verify-cube", help="check the coherence equations")
-    p.add_argument("files", nargs="+")
-    add_common(p)
-    p.set_defaults(handler=cmd_verify_cube, multi=True)
-    p.set_defaults(work_default="10")
-
-    p = sub.add_parser("cone", help="contract one direction")
-    p.add_argument("files", nargs="+")
+    add("verify-cube", cmd_verify_cube, "check the coherence equations",
+        work="10")
+    p = add("cone", cmd_cone, "contract one direction", work="10")
     p.add_argument("--direction", type=int, required=True)
-    add_common(p)
-    p.set_defaults(handler=cmd_cone, multi=True, work_default="10")
-
-    p = sub.add_parser("compose", help="compose two glued map-cubes")
-    p.add_argument("files", nargs=2)
-    add_common(p)
-    p.set_defaults(handler=cmd_compose, multi=False, work_default="10")
-
-    p = sub.add_parser("tel", help="materialize a telescope")
-    p.add_argument("files", nargs="+")
-    add_common(p, depth=True)
-    p.set_defaults(handler=cmd_tel, multi=True, work_default=None)
-    p.set_defaults(work_required=True)
-
-    p = sub.add_parser("sh", help="completed homology of a ray")
-    p.add_argument("files", nargs="+")
-    add_common(p, precision=True)
-    p.set_defaults(handler=cmd_sh, multi=True)
-
-    p = sub.add_parser("mv", help="six-term exact sequence of a square")
-    p.add_argument("files", nargs="+")
-    add_common(p, precision=False)
+    add("compose", cmd_compose, "compose two glued map-cubes", work="10",
+        nargs=2)
+    add("tel", cmd_tel, "materialize a telescope",
+        mandatory=("work", "depth"))
+    add("sh", cmd_sh, "completed homology of a ray", mandatory=("precision",))
+    p = add("mv", cmd_mv, "six-term exact sequence of a square", work="3")
     p.add_argument("--precision", default=None)
-    p.set_defaults(handler=cmd_mv, multi=True, work_default="3")
-
-    p = sub.add_parser("descent", help="subset-cube descent verdict")
-    p.add_argument("files", nargs="+")
-    add_common(p, precision=True, depth=True)
-    p.set_defaults(handler=cmd_descent, multi=True)
-
-    p = sub.add_parser("morse", help="cell-model computations")
-    p.add_argument("action", choices=("global-sections", "empty-set",
-                                      "relative-sh", "minmax",
-                                      "descent-involutive"))
-    p.add_argument("files", nargs="+")
+    add("descent", cmd_descent, "subset-cube descent verdict",
+        mandatory=("precision", "depth"))
+    p = add("morse", None, "cell-model computations",
+            mandatory=("precision",))
     p.add_argument("--subset", default=None,
                    help="comma-separated labels for relative-sh")
     p.add_argument("--depth", type=int, default=None)
-    add_common(p, precision=True)
-    p.set_defaults(handler=cmd_morse, multi=True)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "work", None) is None:
-        if getattr(args, "work_required", False):
-            parser.exit(2, "error: --work is mandatory for telescoped "
-                           "computations\n")
-        args.work = getattr(args, "work_default", None)
-    if args.command == "morse" and args.depth is None:
-        if args.action in ("global-sections", "relative-sh",
-                           "descent-involutive"):
-            parser.exit(2, "error: --depth is mandatory for completed "
-                           "computations\n")
-        args.depth = 2
-    if not _positive(getattr(args, "precision", None)):
-        parser.exit(2, "error: --precision must be positive\n")
+    if args.command == "morse":
+        args.handler, depth = MORSE_ACTIONS[args.action]
+        if args.depth is None:
+            if depth is None:
+                parser.exit(2, "error: --depth is mandatory for completed "
+                               "computations\n")
+            args.depth = depth
+    for flag in ("precision", "work"):
+        if not _positive(getattr(args, flag, None)):
+            parser.exit(2, "error: --%s must be positive\n" % flag)
     if getattr(args, "depth", None) is not None and args.depth < 1:
         parser.exit(2, "error: --depth must be at least 1\n")
-    if args.command == "compose":
-        tasks = [(args, args.handler, tuple(args.files))]
-    else:
-        tasks = [(args, args.handler, f) for f in args.files]
+    paths = [tuple(args.files)] if args.command == "compose" else args.files
+    tasks = [(args, p) for p in paths]
 
     workers = pool_size(args.jobs, len(tasks))
     if workers > 1:

@@ -121,11 +121,6 @@ def continuation(model: MorseModel, h: Hamiltonian, h2: Hamiltonian
     return out
 
 
-def continuation_cube(model: MorseModel, h, h2) -> CubeDiagram:
-    return CubeDiagram(1, {"0": cf(model, h), "1": cf(model, h2)},
-                       {"-": continuation(model, h, h2)})
-
-
 def hamiltonian_cube(model: MorseModel,
                      assign: Dict[str, Hamiltonian]) -> CubeDiagram:
     """Strict cube of weighted complexes over a vertex-indexed family.
@@ -157,12 +152,12 @@ def scaling_hamiltonian(model: MorseModel, n: int) -> Hamiltonian:
 
 def scaling_ray(model: MorseModel, r0) -> Ray:
     def stage(k):
-        return continuation_cube(model, scaling_hamiltonian(model, k),
-                                 scaling_hamiltonian(model, k + 1))
+        return hamiltonian_cube(
+            model, {"0": scaling_hamiltonian(model, k),
+                    "1": scaling_hamiltonian(model, k + 1)})
 
     closed = lambda prec: open_bar_barcode(model.betti(), prec)
-    return Ray(1, [], TailSpec.model(stage, closed_form=closed,
-                                     meta=("scaling",)), check=False)
+    return Ray(1, [], TailSpec.model(stage, closed_form=closed), check=False)
 
 
 @dataclass(frozen=True)
@@ -287,15 +282,13 @@ def subset_ray(model: MorseModel, cells: Set[Label]) -> Ray:
     """The 1-ray of the cofinal family of a region with these cells,
     which :func:`cofinal_family` has found admissible."""
     def stage(k):
-        return continuation_cube(model, region_hamiltonian(model, cells, k),
-                                 region_hamiltonian(model, cells, k + 1))
+        return hamiltonian_cube(
+            model, {"0": region_hamiltonian(model, cells, k),
+                    "1": region_hamiltonian(model, cells, k + 1)})
 
     closed = lambda prec: open_bar_barcode(projected_betti(model, cells),
                                            prec)
-    return Ray(1, [], TailSpec.model(stage, closed_form=closed,
-                                     meta=("region", tuple(sorted(map(str,
-                                                                      cells))))),
-               check=False)
+    return Ray(1, [], TailSpec.model(stage, closed_form=closed), check=False)
 
 
 @dataclass(frozen=True)

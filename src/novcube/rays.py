@@ -64,7 +64,6 @@ class TailSpec:
     cube: Optional[CubeDiagram] = None
     stage_fn: Optional[Callable[[int], CubeDiagram]] = None
     closed_form: Optional[Callable] = None
-    meta: tuple = ()
 
     @staticmethod
     def finite() -> "TailSpec":
@@ -79,9 +78,8 @@ class TailSpec:
         return TailSpec("stationary", cube=cube)
 
     @staticmethod
-    def model(stage_fn, closed_form=None, meta=()) -> "TailSpec":
-        return TailSpec("model", stage_fn=stage_fn, closed_form=closed_form,
-                        meta=tuple(meta))
+    def model(stage_fn, closed_form=None) -> "TailSpec":
+        return TailSpec("model", stage_fn=stage_fn, closed_form=closed_form)
 
     @property
     def gap(self) -> Fraction:
@@ -104,11 +102,7 @@ class Ray:
                 if cube.n != n:
                     raise ValueError("prefix cube %d has dimension %d"
                                      % (k + 1, cube.n))
-            named = [("prefix cube %d" % (k + 1), cube)
-                     for k, cube in enumerate(self.prefix)]
-            if tail.kind == "stationary":
-                named.append(("tail cube", tail.cube))
-            for name, cube in named:
+            for name, cube in self.stored_cubes():
                 if cube.partial:
                     raise ValueError("%s is partial; a ray needs total "
                                      "cubes" % name)
@@ -125,6 +119,15 @@ class Ray:
                 if not glueable(tail.cube, tail.cube, n):
                     raise ValueError("stationary tail does not glue onto "
                                      "itself")
+
+    def stored_cubes(self) -> List[Tuple[str, CubeDiagram]]:
+        """The prefix cubes and a stationary tail's cube, each with the
+        name that errors give it."""
+        named = [("prefix cube %d" % (k + 1), cube)
+                 for k, cube in enumerate(self.prefix)]
+        if self.tail.kind == "stationary":
+            named.append(("tail cube", self.tail.cube))
+        return named
 
     def map_cube(self, k: int) -> CubeDiagram:
         """The k-th map-cube D_k (1-based), synthesizing the tail.
@@ -159,11 +162,6 @@ def map_to_zero(slice_cube: CubeDiagram) -> CubeDiagram:
     gens, D = slice_cube.recode(lambda w: w + "0")
     gens.update((w + "1", ()) for w in slice_cube.gens)
     return CubeDiagram.from_matrix(slice_cube.n + 1, gens, D)
-
-
-def glue_check(d1: CubeDiagram, d2: CubeDiagram) -> bool:
-    """Exact equality of d1's terminal face and d2's initial face."""
-    return glueable(d1, d2, d1.n) if d1.n == d2.n else False
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +217,7 @@ def cone_ray(ray: Ray, d: int) -> Ray:
         tail = TailSpec.stationary(cone(tail.cube, d))
     elif tail.kind == "model":
         tail = TailSpec.model(lambda k: cone(ray.map_cube(k), d),
-                              closed_form=tail.closed_form, meta=tail.meta)
+                              closed_form=tail.closed_form)
     return Ray(ray.n - 1, prefix, tail, check=False)
 
 

@@ -9,7 +9,7 @@ from helpers import random_cube
 
 from novcube import cli
 from novcube.chain import ChainComplex, Generator, mat_identity
-from novcube.cubes import CubeDiagram, cube_to_json, id_cube
+from novcube.cubes import CubeDiagram, cube_to_json, id_cube, verify_cube
 from novcube.morse import bundled_model, model_to_json
 from novcube.novikov import NovikovScalar, parse_scalar, scalar_to_json
 
@@ -361,11 +361,47 @@ def test_global_sections_of_nonnegative_values_is_a_domain_failure(
     ("morse", "empty-set", "bundled:circle", "--precision", "-1"),
     ("morse", "global-sections", "bundled:t2", "--precision", "1",
      "--depth", "-3"),
+    # at --work 0 every residual vanishes, so these broken cubes verified
+    ("verify-cube", os.path.join(DATA, "broken4.json"), "--work", "0"),
+    ("verify-cube", os.path.join(DATA, "broken4.json"), "--work", "-1"),
+    ("verify-cube", os.path.join(DATA, "positive3_broken.json"),
+     "--work", "0"),
+    ("verify-cube", os.path.join(DATA, "partial3_broken.json"),
+     "--work=-1/2"),
+    ("verify-cube", os.path.join(DATA, "square_incoherent.json"),
+     "--work", "0"),
+    ("tel", os.path.join(DATA, "ray2.json"), "--depth", "2", "--work", "0"),
 ])
 def test_meaningless_parameters_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(list(argv))
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", [
+    ("sh", "--precision", "2"),
+    ("descent", "--precision", "1", "--work", "2", "--depth", "1"),
+])
+@pytest.mark.parametrize("name", ["prefix cube 1", "tail cube"])
+def test_ray_with_a_cube_that_does_not_verify_exits_2(command, name,
+                                                      tmp_path, capsys):
+    # a -> b mapped by T on a and 2T on b does not commute with d
+    c = ChainComplex([Generator("a", 0), Generator("b", 1)],
+                     {("b", "a"): NovikovScalar.one()})
+    edge = CubeDiagram(1, {"0": c, "1": c},
+                       {"-": {("a", "a"): parse_scalar("1*T^1"),
+                              ("b", "b"): parse_scalar("2*T^1")}})
+    (face, detail), = verify_cube(edge, 2).violations
+    ray = {"n": 1, "prefix": [cube_to_json(edge)]} if name != "tail cube" \
+        else {"n": 1, "tail": {"kind": "stationary",
+                               "cube": cube_to_json(edge)}}
+    path = tmp_path / "incoherent_ray.json"
+    path.write_text(json.dumps(ray))
+    code, out = run_cli(capsys, *command[:1], str(path), *command[1:],
+                        "--format", "json")
+    assert code == 2
+    assert json.loads(out)["error"] == "bad ray file %s: %s, face %r: %s" \
+        % (path, name, face, detail)
 
 
 def test_pool_size_is_capped_by_tasks_and_cpus():

@@ -12,13 +12,13 @@ from helpers import (null_homotopic_map, random_acyclic_t0_complex,
 from novcube import rays
 from novcube.chain import (ChainComplex, Generator, mat_add, mat_clean,
                            mat_equal, mat_identity, mat_neg)
-from novcube.cubes import (CubeDiagram, cone, id_cube, verify_cube,
-                           vertex_codes)
+from novcube.cubes import (CubeDiagram, cone, glueable, id_cube,
+                           verify_cube, vertex_codes)
 from novcube.novikov import NovikovScalar
 from novcube.rays import (NotAcyclic, Ray, SliceNotAcyclic, TailSpec,
                           TailVerdict, acyclic_slices_implies_acyclic,
                           colimit_t0, completed_homology, compression,
-                          cone_ray, degree_parts, descent_complex, glue_check,
+                          cone_ray, degree_parts, descent_complex,
                           mayer_vietoris, stage_composite, telescope,
                           telescope_complex, vertex_ray)
 
@@ -45,29 +45,29 @@ def identity_ray(c: ChainComplex, length: int) -> Ray:
                TailSpec.finite())
 
 
-def test_glue_check():
+def test_glueable():
     rng = random.Random(50)
     d1 = random_cube(rng, 2)
     d2 = random_extension(rng, d1.subcube(2, "1"))
-    assert glue_check(d1, d2)
+    assert glueable(d1, d2)
     d3 = random_cube(rng, 2)
-    assert not glue_check(d1, d3)
-    assert not glue_check(d1, random_cube(rng, 1))
+    assert not glueable(d1, d3)
+    assert not glueable(d1, random_cube(rng, 1))
 
 
-def test_glue_check_perturbed_entry():
+def test_glueable_perturbed_entry():
     # scaling one scalar in the shared face breaks exact gluability
     c = simple_complex("g", pairs=2)
     f = mat_identity(c.labels)
     d1 = one_cube(c, c, dict(f))
     d2 = one_cube(c, c, dict(f))
-    assert glue_check(d1, d2)
+    assert glueable(d1, d2)
     perturbed = dict(c.differential)
     (key, val), = list(perturbed.items())[:1]
     perturbed[key] = val.scale(2)
     c2 = ChainComplex(c.generators, perturbed)
     d2_bad = one_cube(c2, c, dict(f))
-    assert not glue_check(d1, d2_bad)
+    assert not glueable(d1, d2_bad)
 
 
 def test_telescope_of_map_from_zero():
