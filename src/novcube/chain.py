@@ -10,6 +10,19 @@ The d*d check and the barcode run on series (:mod:`novcube.novikov`) on
 one lattice, building scalars only to invert a pivot and in messages.
 At T = 0 a :class:`QComplex` factors its odd differential once; its Betti
 numbers, acyclicity and homology spaces are views of that elimination.
+
+Each d*d fact is established once.  A complex carries a certificate,
+``verified_mod``: the precision R at which d*d = 0 mod T^R is known (with
+parity and nonnegative valuations), ``INFINITY`` when it is exact by
+construction, None when nothing is known.  It is set by the cell model
+(``morse.cf``), by a passing :meth:`ChainComplex.verify`, which records
+its precision, and by the constructions that pass on the least
+certificate of their parts: :meth:`~ChainComplex.shift`,
+:meth:`~ChainComplex.relabel`, and in :mod:`novcube.cubes` the vertex
+views and the total complex of a cube.  ``is_acyclic`` and the barcode
+call :func:`checked`, which runs the full check only when the
+certificate is missing or below the precision asked for; ``verify``
+itself always runs in full.
 """
 
 from __future__ import annotations
@@ -152,11 +165,31 @@ class Report:
         return self.ok
 
 
+def checked(x, work, verify) -> Report:
+    """The d*d report of ``x``, a complex or a cube, at ``work``: a pass
+    when its certificate ``x.verified_mod`` reaches ``work``, else the
+    full check ``verify(x, work)``, which records ``work`` on a pass."""
+    cert = x.verified_mod
+    if cert is not None and cert >= work:
+        return Report(True, ())
+    return verify(x, work)
+
+
+def record(x, work) -> None:
+    """Raise the certificate of ``x`` to ``work``, at which it verified."""
+    if x.verified_mod is None or x.verified_mod < work:
+        x.verified_mod = work
+
+
 class ChainComplex:
-    """Finitely generated free Z/2-graded complex over the Novikov ring."""
+    """Finitely generated free Z/2-graded complex over the Novikov ring.
+
+    ``verified_mod`` is the d*d certificate (see the module docstring).
+    """
 
     def __init__(self, generators: Iterable[Generator],
-                 differential: MatrixEntries):
+                 differential: MatrixEntries, verified_mod=None):
+        self.verified_mod = verified_mod
         self.generators: Tuple[Generator, ...] = tuple(generators)
         labels = [g.label for g in self.generators]
         if len(set(labels)) != len(labels):
@@ -196,7 +229,9 @@ class ChainComplex:
     # -- verification ------------------------------------------------------
 
     def verify(self, work) -> Report:
-        """Check parity, nonnegative valuations and d*d = 0 mod T^work."""
+        """Check parity, nonnegative valuations and d*d = 0 mod T^work;
+        a pass raises the certificate to ``work``."""
+        work = rat(work)
         bad: List[Tuple[str, str]] = []
         for (t, s), v in self.differential.items():
             if (self._parity[t] - self._parity[s]) % 2 != 1:
@@ -207,6 +242,8 @@ class ChainComplex:
                             "entry (%r, %r) has val %s" % (t, s, v.val())))
         for t, s, detail in square_violations(self.differential, work):
             bad.append(("d_squared", "(%r, %r): %s" % (t, s, detail)))
+        if not bad:
+            record(self, work)
         return Report(not bad, tuple(bad))
 
     # -- elementary operations ----------------------------------------------
@@ -214,12 +251,13 @@ class ChainComplex:
     def shift(self) -> "ChainComplex":
         """Flip all parities and negate the differential."""
         gens = [Generator(g.label, 1 - g.parity) for g in self.generators]
-        return ChainComplex(gens, mat_neg(self.differential))
+        return ChainComplex(gens, mat_neg(self.differential),
+                            self.verified_mod)
 
     def relabel(self, fn: Callable[[Label], Label]) -> "ChainComplex":
         gens = [Generator(fn(g.label), g.parity) for g in self.generators]
         diff = {(fn(t), fn(s)): v for (t, s), v in self.differential.items()}
-        return ChainComplex(gens, diff)
+        return ChainComplex(gens, diff, self.verified_mod)
 
     def truncate(self, r) -> "ChainComplex":
         diff = {k: v.truncate(r) for k, v in self.differential.items()}
@@ -246,7 +284,7 @@ class ChainComplex:
         homology at T = 0 is equivalent to vanishing homology over the
         ring.  The certificate records the rank bookkeeping.
         """
-        report = self.verify(work)
+        report = checked(self, rat(work), ChainComplex.verify)
         if not report:
             raise ValueError("not a chain complex at this precision: %s"
                              % (report.violations,))
@@ -453,7 +491,7 @@ def _barcode(c: ChainComplex, work: Fraction) -> Barcode:
     Scalars are built only to invert each pivot and in messages; bars and
     the valid precision become Fractions at the end.
     """
-    report = c.verify(work)
+    report = checked(c, work, ChainComplex.verify)
     if not report:
         raise ValueError("barcode needs a verified complex: %s"
                          % (report.violations,))

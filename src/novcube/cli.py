@@ -14,7 +14,10 @@ subcommand states its own flags in :func:`build_parser`: the ``--work``
 default or that ``--work`` is mandatory, and which of ``--precision`` and
 ``--depth`` it needs.  :data:`MORSE_ACTIONS` says which actions need
 ``--depth``.  ``sh`` and ``descent`` verify every cube of a ray file at
-the working precision they compute at, before they compute.
+the working precision they compute at, before they compute; each passing
+check is the cube's certificate, so the telescope built from the cubes is
+not checked again.  ``verify-cube``, ``cone``, ``compose`` and ``tel``
+run the full check on the cube they report.
 
 ``morse`` and ``rays`` are imported by the handlers that use them, so
 ``verify-cube``, ``cone`` and ``compose`` start without them.
@@ -125,10 +128,10 @@ def _load_ray(path: str) -> Tuple[Ray, str]:
 def _load_coherent_ray(args, path: str):
     """The ray in ``path``, its digest, the precision, and the working
     precision ``max(--work, --precision)``, at which every cube of the
-    file must verify."""
+    file must verify; the check certifies the cubes at that precision."""
     ray, digest = _load_ray(path)
     precision = work = _parse_fraction(args.precision, "--precision")
-    if args.work:
+    if args.work is not None:
         work = max(_parse_fraction(args.work, "--work"), precision)
     for name, cube in ray.stored_cubes():
         bad = verify_cube(cube, work).violations
@@ -235,9 +238,7 @@ def cmd_mv(args, path):
     if cube.partial:
         raise InputError("mv of %s: a partial square has no six-term "
                          "sequence" % path)
-    work = _parse_fraction(args.work, "--work") if args.work \
-        else _parse_fraction(args.precision, "--precision")
-    rep = mayer_vietoris(cube, work)
+    rep = mayer_vietoris(cube, _parse_fraction(args.work, "--work"))
     return _report(
         args, path, [digest], rep.ok,
         exactness={spot: {str(p): v for p, v in by.items()}
@@ -307,8 +308,8 @@ def _minmax(args, path):
 
     (model, hx, hy), digest = _read_object(path, "minmax", parse)
     rep = minmax_square(model, hx, hy)
-    mv = mayer_vietoris(rep.square,
-                        _parse_fraction(args.work or "3", "--work"))
+    mv = mayer_vietoris(rep.square, Fraction(3) if args.work is None
+                        else _parse_fraction(args.work, "--work"))
     return _report(
         args, path, [digest], rep.acyclic and rep.pieces_match and mv.ok,
         pieces={str(l): kind for l, kind in sorted(
@@ -456,8 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("tel", cmd_tel, "materialize a telescope",
         mandatory=("work", "depth"))
     add("sh", cmd_sh, "completed homology of a ray", mandatory=("precision",))
-    p = add("mv", cmd_mv, "six-term exact sequence of a square", work="3")
-    p.add_argument("--precision", default=None)
+    add("mv", cmd_mv, "six-term exact sequence of a square", work="3")
     add("descent", cmd_descent, "subset-cube descent verdict",
         mandatory=("precision", "depth"))
     p = add("morse", None, "cell-model computations",
@@ -478,6 +478,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                 parser.exit(2, "error: --depth is mandatory for completed "
                                "computations\n")
             args.depth = depth
+    if args.work == "":
+        parser.exit(2, "error: flag --work expects a rational p/q, got ''\n")
     for flag in ("precision", "work"):
         if not _positive(getattr(args, flag, None)):
             parser.exit(2, "error: --%s must be positive\n" % flag)

@@ -24,6 +24,20 @@ equation of the face F = [w, w'] times (-1)^(#(0-,F) + dim F), so
 :func:`verify_cube` is one matrix product; :func:`cone`, :func:`compose`
 and telescopes relabel or multiply D, and :func:`total_complex` is D with
 shifted parities.
+
+Certificates.  A cube carries ``verified_mod`` as a complex does (see
+:mod:`novcube.chain`): the precision at which D.D = 0 is known, with its
+entry checks, ``INFINITY`` when it holds by construction, None when
+nothing is known.  ``morse.hamiltonian_cube`` sets ``INFINITY``; a passing
+:func:`verify_cube` records its precision; :meth:`CubeDiagram.subcube`,
+:meth:`~CubeDiagram.relabel_vertices`, the sign conversions, :func:`cone`,
+the vertex views and :func:`total_complex` (of a total cube only, since a
+partial cube's check skips equations) pass it on; ``rays.telescope``
+passes on the least certificate of its stages when each glues onto the
+next.  Every other construction
+starts with None.  ``rays.mayer_vietoris`` checks a square through
+``chain.checked``; :func:`verify_cube` itself always runs in full, as the
+command line's reports need.
 """
 
 from __future__ import annotations
@@ -35,9 +49,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .chain import (ChainComplex, Generator, MatrixEntries, QComplex, Report,
                     complex_from_json, complex_to_json, json_field,
                     mat_clean, mat_compose, mat_equal, mat_neg,
-                    matrix_from_json, matrix_to_json, square_violations)
+                    matrix_from_json, matrix_to_json, record,
+                    square_violations)
 from .errors import NotConiform, NotGluable
-from .novikov import NovikovScalar, json_keys
+from .novikov import NovikovScalar, json_keys, rat
 
 
 class InvalidDirection(ValueError):
@@ -178,11 +193,12 @@ class CubeDiagram:
     constructor takes face maps in the convention ``positive`` names,
     signed by default.  A partial cube defines only the given faces and
     the vertices; verification skips the equations that need any other.
+    ``verified_mod`` is the d*d certificate (see the module docstring).
     """
 
     def __init__(self, n: int, vertices: Dict[str, ChainComplex],
                  faces: Dict[str, MatrixEntries], positive: bool = False,
-                 partial: bool = False):
+                 partial: bool = False, verified_mod=None):
         for w in vertex_codes(n):
             if w not in vertices:
                 raise ValueError("missing vertex complex %r" % w)
@@ -204,21 +220,22 @@ class CubeDiagram:
         for code, entries in given.items():
             _put(D, code, entries, positive, keys)
         self._init(n, {w: vertices[w].generators for w in vertex_codes(n)},
-                   D, positive, set(given) if partial else None)
+                   D, positive, set(given) if partial else None, verified_mod)
         # the given complexes already are the vertex views of D
         self._vertices = {w: vertices[w] for w in vertex_codes(n)}
 
     @classmethod
     def from_matrix(cls, n: int, gens: Gens, D: MatrixEntries,
-                    positive: bool = False,
-                    defined: Optional[set] = None) -> "CubeDiagram":
+                    positive: bool = False, defined: Optional[set] = None,
+                    verified_mod=None) -> "CubeDiagram":
         """The cube with vertex generators ``gens`` and positive-form D,
         which it keeps; ``defined`` lists a partial cube's face codes."""
         cube = cls.__new__(cls)
-        cube._init(n, gens, D, positive, defined)
+        cube._init(n, gens, D, positive, defined, verified_mod)
         return cube
 
-    def _init(self, n, gens, D, positive, defined):
+    def _init(self, n, gens, D, positive, defined, verified_mod):
+        self.verified_mod = verified_mod
         self.n = n
         self.positive = positive
         self.gens: Gens = {w: tuple(gens[w]) for w in sorted(gens)}
@@ -282,7 +299,8 @@ class CubeDiagram:
     def vertex(self, code: str) -> ChainComplex:
         c = self._vertices.get(code)
         if c is None:
-            c = ChainComplex(self.gens[code], self._view(code, code))
+            c = ChainComplex(self.gens[code], self._view(code, code),
+                             self.verified_mod)
             self._vertices[code] = c
         return c
 
@@ -340,7 +358,7 @@ class CubeDiagram:
             {at(c) for c in self._defined if at(c) is not None}
         gens, D = self.recode(at)
         return CubeDiagram.from_matrix(self.n - 1, gens, D, self.positive,
-                                       defined)
+                                       defined, self.verified_mod)
 
     def relabel_vertices(self, fn) -> "CubeDiagram":
         """Apply a per-vertex label map: fn(vertex_code, label) -> label."""
@@ -349,7 +367,7 @@ class CubeDiagram:
         D = {((wt, fn(wt, t)), (ws, fn(ws, s))): v
              for ((wt, t), (ws, s)), v in self.D.items()}
         return CubeDiagram.from_matrix(self.n, gens, D, self.positive,
-                                       self._defined)
+                                       self._defined, self.verified_mod)
 
 
 def entry_violations(cube: CubeDiagram) -> List[Tuple[str, str]]:
@@ -380,7 +398,8 @@ def verify_cube(cube: CubeDiagram, work) -> Report:
     With D ordered by (source vertex, target vertex), D.D meets each
     block's terms in the order of the face's boundary pairs; violations
     then follow :func:`face_codes`.  A partial cube skips each face whose
-    equation needs an undefined one.
+    equation needs an undefined one.  A pass raises the certificate to
+    ``work``.
     """
     D = dict(sorted(cube.D.items(), key=lambda kv: (kv[0][1][0],
                                                     kv[0][0][0])))
@@ -400,6 +419,8 @@ def verify_cube(cube: CubeDiagram, work) -> Report:
                       % (t[1], s[1], detail)))
     found.sort(key=lambda f: f[0].translate(_FACE_ORDER))
     bad = entry_violations(cube) + found
+    if not bad:
+        record(cube, rat(work))
     return Report(not bad, tuple(bad))
 
 
@@ -409,7 +430,7 @@ def verify_cube(cube: CubeDiagram, work) -> Report:
 
 def _toggle_signs(cube: CubeDiagram, positive: bool) -> CubeDiagram:
     return CubeDiagram.from_matrix(cube.n, cube.gens, cube.D, positive,
-                                   cube._defined)
+                                   cube._defined, cube.verified_mod)
 
 
 def to_positive_signs(cube: CubeDiagram) -> CubeDiagram:
@@ -455,7 +476,8 @@ def cone(cube: CubeDiagram, i: int) -> CubeDiagram:
             Generator((bit, g.label), 1 - g.parity if bit == "0" else g.parity)
             for g in gs)
     D = {(cut(t), cut(s)): v for (t, s), v in cube.D.items()}
-    return CubeDiagram.from_matrix(cube.n - 1, gens, D)
+    return CubeDiagram.from_matrix(cube.n - 1, gens, D,
+                                   verified_mod=cube.verified_mod)
 
 
 def decone(cube: CubeDiagram, i: int,
@@ -514,7 +536,8 @@ def total_complex(cube: CubeDiagram) -> ChainComplex:
     """
     gens = [Generator((w, g.label), (g.parity + w.count("0")) % 2)
             for w, gs in cube.gens.items() for g in gs]
-    return ChainComplex(gens, cube.D)
+    return ChainComplex(gens, cube.D,
+                        None if cube.partial else cube.verified_mod)
 
 
 def cone_labels_canonical(label, order: List[int]):

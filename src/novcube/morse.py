@@ -8,6 +8,13 @@ difference produces complexes over the nonnegative part of the Novikov
 ring, and monotone families of weight functions produce rays whose
 completed telescopes are computed here in closed form and cross-checked
 against finite stages.
+
+Weights are compared and subtracted on the exponent lattice: each call
+puts its weight functions on one denominator (:func:`on_lattice`) and
+works with ``int`` numerators over it.  ``MorseModel`` checks parity and
+the boundary's square once, exactly, so :func:`cf` and
+:func:`hamiltonian_cube`, which refuse weights that are not admissible or
+not monotone, carry the d*d certificate ``INFINITY``.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .chain import (Barcode, ChainComplex, Generator, Label,
@@ -24,7 +32,7 @@ from .cubes import (CubeDiagram, face_codes, initial_vertex,
                     terminal_vertex, vertex_codes)
 from .errors import (Inadmissible, InadmissibleSubset, NotMonotone,
                      NotNegative, StageCheckFailed)
-from .novikov import NovikovScalar, json_keys, rat
+from .novikov import INFINITY, NovikovScalar, from_series, json_keys, rat
 from .rays import (DescentReport, Ray, TailSpec, completed_homology,
                    descent_complex)
 
@@ -78,31 +86,44 @@ class MorseModel:
         return self.q_complex().homology_ranks()
 
 
+def on_lattice(model: MorseModel, *hs: Hamiltonian):
+    """One denominator ``den`` for the weight functions ``hs``, and each
+    one's ``int`` numerators over it, cell by cell."""
+    hs = [[rat(h[l]) for l in model.labels] for h in hs]
+    den = lcm(*[v.denominator for h in hs for v in h])
+    return den, [{l: v.numerator * (den // v.denominator)
+                  for l, v in zip(model.labels, h)} for h in hs]
+
+
 def admissibility(model: MorseModel, h: Hamiltonian):
-    """The step h(q) - h(p) of every arrow, each computed once, and the
-    violations: arrows along which the weight function decreases, plus a
-    base-factoring violation when one is declared."""
-    steps = {(q, p): h[q] - h[p] for (q, p) in model.boundary}
-    bad = [(q, p, e) for (q, p), e in steps.items() if e < 0]
+    """The step h(q) - h(p) of every arrow, each computed once as an
+    ``int`` numerator over the denominator ``den`` of h, the violations
+    (arrows along which the weight function decreases, plus a
+    base-factoring violation when one is declared), and ``den``."""
+    den, (n,) = on_lattice(model, h)
+    steps = {(q, p): n[q] - n[p] for (q, p) in model.boundary}
+    bad = [(q, p, Fraction(e, den)) for (q, p), e in steps.items() if e < 0]
     if model.base_map is not None:
-        by_base: Dict[Label, Fraction] = {}
+        by_base: Dict[Label, int] = {}
         for l in model.labels:
             b = model.base_map[l]
-            if b in by_base and by_base[b] != h[l]:
+            if b in by_base and by_base[b] != n[l]:
                 bad.append((l, "base", b))
-            by_base.setdefault(b, h[l])
-    return steps, bad
+            by_base.setdefault(b, n[l])
+    return steps, bad, den
 
 
 def cf(model: MorseModel, h: Hamiltonian) -> ChainComplex:
-    """The weighted complex: entry (q, p) is boundary * T^(h(q) - h(p))."""
-    h = {l: rat(h[l]) for l in model.labels}
-    steps, bad = admissibility(model, h)
+    """The weighted complex: entry (q, p) is boundary * T^(h(q) - h(p)).
+
+    Square-zero exactly, as the boundary is: its certificate is INFINITY.
+    """
+    steps, bad, den = admissibility(model, h)
     if bad:
         raise Inadmissible("weight function decreases along %r" % (bad,))
     return ChainComplex(model.cells, {
-        k: NovikovScalar.monomial(c, steps[k])
-        for k, c in model.boundary.items()})
+        k: from_series((((steps[k], c),), None), den)
+        for k, c in model.boundary.items()}, INFINITY)
 
 
 def continuation(model: MorseModel, h: Hamiltonian, h2: Hamiltonian
@@ -112,12 +133,13 @@ def continuation(model: MorseModel, h: Hamiltonian, h2: Hamiltonian
     The exponent bookkeeping (h2(q)-h(q)) + (h(q)-h(p)) =
     (h2(p)-h(p)) + (h2(q)-h2(p)) makes it a chain map identically.
     """
+    den, (a, b) = on_lattice(model, h, h2)
     out: MatrixEntries = {}
     for l in model.labels:
-        step = rat(h2[l]) - rat(h[l])
+        step = b[l] - a[l]
         if step < 0:
             raise NotMonotone("weight decreases at %r" % (l,))
-        out[(l, l)] = NovikovScalar.monomial(1, step)
+        out[(l, l)] = from_series((((step, 1),), None), den)
     return out
 
 
@@ -127,14 +149,15 @@ def hamiltonian_cube(model: MorseModel,
 
     Edges are the diagonal continuations; since diagonal maps compose
     strictly, every higher filler is zero and the cube is valid whenever
-    the family is monotone along the vertex order.
+    the family is monotone along the vertex order, which ``continuation``
+    checks: its certificate is INFINITY.
     """
     n = len(next(iter(assign)))
     vertices = {w: cf(model, assign[w]) for w in vertex_codes(n)}
     faces = {code: continuation(model, assign[initial_vertex(code)],
                                 assign[terminal_vertex(code)])
              for code in face_codes(n) if code.count("-") == 1}
-    return CubeDiagram(n, vertices, faces)
+    return CubeDiagram(n, vertices, faces, verified_mod=INFINITY)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +384,7 @@ def minmax_square(model: MorseModel, h_x: Hamiltonian, h_y: Hamiltonian
     # no check for h_min and h_max: the min and the max of two weights that
     # rise along arrows and are constant on base fibres do both too
     for h in (h_x, h_y):
-        _, bad = admissibility(model, h)
+        _, bad, _ = admissibility(model, h)
         if bad:
             raise Inadmissible("violations %r" % (bad,))
     square = hamiltonian_cube(model, {"00": h_min, "10": h_x,

@@ -15,6 +15,14 @@ a shifted and an unshifted copy of every slice, with the differential
 ``x~ - dx + f(x)`` on shifted generators; here it is materialized to a
 finite depth as the subcube spanned by the first stages, which is
 quasi-isomorphic to the last materialized slice.
+
+A telescope of stage cubes that glue is square-zero whenever they are,
+so it passes on the least d*d certificate of its stages (see
+:mod:`novcube.cubes`) when each stage it uses glues onto the next, which
+it checks; otherwise it has no certificate.  :func:`telescope_complex`,
+which builds a telescope to reduce it, first certifies each stage cube
+that has no certificate yet by one exact check, kept on the cube whether
+it passes or fails.
 """
 
 from __future__ import annotations
@@ -24,9 +32,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .chain import (Barcode, ChainComplex, Label, MatrixEntries, cone_of_map,
-                    is_chain_map, mat_clean, mat_compose, mat_equal,
-                    mat_identity, reduce_map_t0)
+from .chain import (Barcode, ChainComplex, Label, MatrixEntries, checked,
+                    cone_of_map, is_chain_map, mat_clean, mat_compose,
+                    mat_equal, mat_identity, reduce_map_t0)
 from .cubes import (CubeDiagram, cone, compose_many, entry_violations,
                     glueable, total_complex, verify_cube, vertex_codes)
 from .errors import NotAcyclic, NotChainMap, NotCoherent, SliceNotAcyclic
@@ -39,7 +47,8 @@ class UnsupportedTail(ValueError):
 
 
 def zero_cube(n: int) -> CubeDiagram:
-    return CubeDiagram.from_matrix(n, {w: () for w in vertex_codes(n)}, {})
+    return CubeDiagram.from_matrix(n, {w: () for w in vertex_codes(n)}, {},
+                                   verified_mod=INFINITY)
 
 
 def map_cube_gap(cube: CubeDiagram) -> Fraction:
@@ -112,8 +121,9 @@ class Ray:
             for a, b in zip(self.prefix, self.prefix[1:]):
                 if not glueable(a, b, n):
                     raise ValueError("consecutive prefix cubes do not glue")
-            if tail.kind == "stationary" and self.prefix:
-                if not glueable(self.prefix[-1], tail.cube, n):
+            if tail.kind == "stationary":
+                if self.prefix and not glueable(self.prefix[-1], tail.cube,
+                                                n):
                     raise ValueError("stationary tail does not glue onto "
                                      "the prefix")
                 if not glueable(tail.cube, tail.cube, n):
@@ -132,7 +142,8 @@ class Ray:
     def map_cube(self, k: int) -> CubeDiagram:
         """The k-th map-cube D_k (1-based), synthesizing the tail.
 
-        A model tail's stages are built on first use and kept on the ray.
+        A model tail's stages, and a finite tail's map to zero, are built
+        on first use and kept on the ray.
         """
         if k <= 0:
             raise IndexError("stages are 1-based")
@@ -140,8 +151,10 @@ class Ray:
             return self.prefix[k - 1]
         if self.tail.kind == "finite":
             if k == len(self.prefix) + 1 and self.prefix:
-                last = self.prefix[-1].subcube(self.n, "1")
-                return map_to_zero(last)
+                if k not in self._stages:
+                    last = self.prefix[-1].subcube(self.n, "1")
+                    self._stages[k] = map_to_zero(last)
+                return self._stages[k]
             return zero_cube(self.n)
         if self.tail.kind == "stationary":
             return self.tail.cube
@@ -161,7 +174,8 @@ def map_to_zero(slice_cube: CubeDiagram) -> CubeDiagram:
     """The map-cube from a slice to the zero slice."""
     gens, D = slice_cube.recode(lambda w: w + "0")
     gens.update((w + "1", ()) for w in slice_cube.gens)
-    return CubeDiagram.from_matrix(slice_cube.n + 1, gens, D)
+    return CubeDiagram.from_matrix(slice_cube.n + 1, gens, D,
+                                   verified_mod=slice_cube.verified_mod)
 
 
 # ---------------------------------------------------------------------------
@@ -177,15 +191,18 @@ def telescope(ray: Ray, depth: int) -> CubeDiagram:
     that makes contracting the telescope literally equal to the telescope
     of the contracted ray, and +1 in positive form.  The result is a valid
     (n-1)-cube quasi-isomorphic to slice depth+1 (for a finite tail
-    materialized in full, to the zero complex).
+    materialized in full, to the zero complex).  Its certificate is the
+    least of its stages' when they glue (see the module docstring).
     """
     n = ray.n
-    first = ray.slice(1).relabel_vertices(lambda w, l: ("tel", 1, "u", l))
+    stages = [ray.map_cube(k) for k in range(1, max(depth, 1) + 1)]
+    cert = _glued_certificate(stages, n)
+    first = stages[0].subcube(n, "0").relabel_vertices(
+        lambda w, l: ("tel", 1, "u", l))
     gens = {w: list(gs) for w, gs in first.gens.items()}
     D = dict(first.D)
     one = NovikovScalar.one()
-    for k in range(1, depth + 1):
-        stage = ray.map_cube(k)
+    for k, stage in enumerate(stages[:depth], 1):
         cn = cone(stage, n).relabel_vertices(
             lambda w, l: ("tel", k, "s", l[1]) if l[0] == "0"
             else ("tel", k + 1, "u", l[1]))
@@ -196,11 +213,40 @@ def telescope(ray: Ray, depth: int) -> CubeDiagram:
             for g in stage.gens[w + "0"]:
                 D[((w, ("tel", k, "u", g.label)),
                    (w, ("tel", k, "s", g.label)))] = one
-    return CubeDiagram.from_matrix(n - 1, gens, D)
+    return CubeDiagram.from_matrix(n - 1, gens, D, verified_mod=cert)
+
+
+def _glued_certificate(stages: List[CubeDiagram], n: int):
+    """The least certificate of ``stages`` when each has one and glues
+    onto the next in direction n (the telescope's copy maps are then
+    chain maps), else None."""
+    certs = [s.verified_mod for s in stages]
+    pairs = {(id(a), id(b)): (a, b) for a, b in zip(stages, stages[1:])}
+    if None in certs or not all(glueable(a, b, n) for a, b in pairs.values()):
+        return None
+    return min(certs)
+
+
+def _certify_exactly(cube: CubeDiagram) -> None:
+    """Make the certificate of an uncertified ``cube`` INFINITY when
+    D.D = 0 exactly: every entry is exact, and one :func:`verify_cube`
+    passes above the exponent of every product of two entries.  A cube
+    that fails is marked ``exact_failed`` and not checked again."""
+    if cube.verified_mod is not None or getattr(cube, "exact_failed", False) \
+            or any(v.mod is not None for v in cube.D.values()):
+        return
+    top = max((v.terms[-1][0] for v in cube.D.values() if v), default=0)
+    if verify_cube(cube, 2 * top + 1):
+        cube.verified_mod = INFINITY
+    else:
+        cube.exact_failed = True
 
 
 def telescope_complex(ray: Ray, depth: int) -> ChainComplex:
-    """Fully coned telescope, as a single complex."""
+    """Fully coned telescope, as a single complex, built to be reduced:
+    each stage it uses is first certified exactly if it can be."""
+    for k in range(1, max(depth, 1) + 1):
+        _certify_exactly(ray.map_cube(k))
     tel = telescope(ray, depth)
     if tel.n == 0:
         return tel.vertex("")
@@ -499,7 +545,7 @@ def mayer_vietoris(square: CubeDiagram, work) -> ExactnessReport:
     """
     if square.n != 2:
         raise ValueError("mayer_vietoris expects a 2-cube")
-    rep = verify_cube(square, work)
+    rep = checked(square, rat(work), verify_cube)
     if not rep:
         raise NotCoherent("square does not verify: %s" % (rep.violations,))
     # the T = 0 total complex, factored once; its factor lifts the cycles
@@ -568,7 +614,7 @@ def vertex_ray(ray: Ray, w: str) -> Ray:
     def edge(big):
         return CubeDiagram(
             1, {"0": big.vertex(w + "0"), "1": big.vertex(w + "1")},
-            {"-": big.face(w + "-")})
+            {"-": big.face(w + "-")}, verified_mod=big.verified_mod)
 
     prefix = [edge(ray.map_cube(k)) for k in range(1, len(ray.prefix) + 1)]
     tail = ray.tail

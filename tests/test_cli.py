@@ -371,11 +371,35 @@ def test_global_sections_of_nonnegative_values_is_a_domain_failure(
     ("verify-cube", os.path.join(DATA, "square_incoherent.json"),
      "--work", "0"),
     ("tel", os.path.join(DATA, "ray2.json"), "--depth", "2", "--work", "0"),
+    # an empty --work is not a rational
+    ("verify-cube", os.path.join(DATA, "cube2.json"), "--work", ""),
+    ("cone", os.path.join(DATA, "cube2.json"), "--direction", "1",
+     "--work", ""),
+    ("compose", os.path.join(DATA, "glue2_a.json"),
+     os.path.join(DATA, "glue2_b.json"), "--work", ""),
+    ("tel", os.path.join(DATA, "ray2.json"), "--depth", "2", "--work", ""),
+    ("sh", os.path.join(DATA, "ray2.json"), "--precision", "2", "--work", ""),
+    ("mv", os.path.join(DATA, "square_identity.json"), "--work", ""),
+    ("descent", os.path.join(DATA, "ray2.json"), "--precision", "1",
+     "--depth", "2", "--work", ""),
+    ("morse", "minmax", os.path.join(DATA, "minmax_circle.json"),
+     "--precision", "1", "--work", ""),
+    ("morse", "empty-set", "bundled:circle", "--precision", "2",
+     "--work", ""),
 ])
 def test_meaningless_parameters_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(list(argv))
     assert exc.value.code == 2
+
+
+def test_empty_work_names_the_flag(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["mv", os.path.join(DATA, "square_identity.json"),
+                  "--work", ""])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "flag --work expects a rational p/q, got ''" in captured.err
 
 
 @pytest.mark.parametrize("command", [
