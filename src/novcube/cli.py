@@ -13,11 +13,12 @@ code)``, and :func:`_report` adds the keys every report carries.  Each
 subcommand states its own flags in :func:`build_parser`: the ``--work``
 default or that ``--work`` is mandatory, and which of ``--precision`` and
 ``--depth`` it needs.  :data:`MORSE_ACTIONS` says which actions need
-``--depth``.  ``sh`` and ``descent`` verify every cube of a ray file at
-the working precision they compute at, before they compute; each passing
-check is the cube's certificate, so the telescope built from the cubes is
-not checked again.  ``verify-cube``, ``cone``, ``compose`` and ``tel``
-run the full check on the cube they report.
+``--depth`` and which read ``--precision``, which is mandatory for those
+and a usage error for the others.  ``sh`` and ``descent`` verify every
+cube of a ray file at the working precision they compute at, before they
+compute; each passing check is the cube's certificate, so the telescope
+built from the cubes is not checked again.  ``verify-cube``, ``cone``,
+``compose`` and ``tel`` run the full check on the cube they report.
 
 ``morse`` and ``rays`` are imported by the handlers that use them, so
 ``verify-cube``, ``cone`` and ``compose`` start without them.
@@ -336,13 +337,14 @@ def _descent_involutive(args, path):
                              for pair, ok in rep.pairwise])
 
 
-# action -> (handler, --depth when unset; None makes --depth mandatory)
+# action -> (handler, --depth when unset (None makes --depth mandatory),
+# whether it reads --precision (mandatory if so, refused if not))
 MORSE_ACTIONS = {
-    "global-sections": (_global_sections, None),
-    "empty-set": (_empty_set, 2),
-    "relative-sh": (_relative_sh, None),
-    "minmax": (_minmax, 2),
-    "descent-involutive": (_descent_involutive, None),
+    "global-sections": (_global_sections, None, True),
+    "empty-set": (_empty_set, 2, True),
+    "relative-sh": (_relative_sh, None, True),
+    "minmax": (_minmax, 2, False),
+    "descent-involutive": (_descent_involutive, None, True),
 }
 
 
@@ -460,8 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
     add("mv", cmd_mv, "six-term exact sequence of a square", work="3")
     add("descent", cmd_descent, "subset-cube descent verdict",
         mandatory=("precision", "depth"))
-    p = add("morse", None, "cell-model computations",
-            mandatory=("precision",))
+    p = add("morse", None, "cell-model computations")
+    p.add_argument("--precision", default=None,
+                   help="quotient precision p/q (mandatory but for minmax)")
     p.add_argument("--subset", default=None,
                    help="comma-separated labels for relative-sh")
     p.add_argument("--depth", type=int, default=None)
@@ -472,12 +475,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "morse":
-        args.handler, depth = MORSE_ACTIONS[args.action]
+        args.handler, depth, precision = MORSE_ACTIONS[args.action]
         if args.depth is None:
             if depth is None:
                 parser.exit(2, "error: --depth is mandatory for completed "
                                "computations\n")
             args.depth = depth
+        if precision != (args.precision is not None):
+            parser.exit(2, "error: --precision is %s morse %s\n" % (
+                "mandatory for" if precision else "not read by", args.action))
     if args.work == "":
         parser.exit(2, "error: flag --work expects a rational p/q, got ''\n")
     for flag in ("precision", "work"):

@@ -22,27 +22,25 @@ complexes and JSON are views of D; ``positive`` only chooses whether
 those views are signed.  The (w', w) block of D.D is the coherence
 equation of the face F = [w, w'] times (-1)^(#(0-,F) + dim F), so
 :func:`verify_cube` is one matrix product; :func:`cone`, :func:`compose`
-and telescopes relabel or multiply D, and :func:`total_complex` is D with
-shifted parities.
+and telescopes relabel or multiply D, :func:`total_complex` is D with
+shifted parities, and :func:`glueable` compares two faces of D in place.
+D is clean: its only zeros are vertex-block entries known modulo a power
+of T.  The face-map constructor, :func:`compose` and :func:`decone` drop
+the others, and relabellings and restrictions keep D clean.
 
 Certificates.  A cube carries ``verified_mod`` as a complex does (see
-:mod:`novcube.chain`): the precision at which D.D = 0 is known, with its
-entry checks, ``INFINITY`` when it holds by construction, None when
-nothing is known.  ``morse.hamiltonian_cube`` sets ``INFINITY``; a passing
-:func:`verify_cube` records its precision; :meth:`CubeDiagram.subcube`,
-:meth:`~CubeDiagram.relabel_vertices`, the sign conversions, :func:`cone`,
-the vertex views and :func:`total_complex` (of a total cube only, since a
-partial cube's check skips equations) pass it on; ``rays.telescope``
-passes on the least certificate of its stages when each glues onto the
-next.  Every other construction
-starts with None.  ``rays.mayer_vietoris`` checks a square through
-``chain.checked``; :func:`verify_cube` itself always runs in full, as the
-command line's reports need.
+:mod:`novcube.chain`): ``morse.hamiltonian_cube`` sets ``INFINITY``, a
+passing :func:`verify_cube` records its precision, and subcubes,
+relabellings, sign conversions, :func:`cone`, vertex views,
+:func:`total_complex` of a total cube and ``rays.telescope`` of stages
+that glue pass on the least certificate of their parts; every other
+construction starts with None.  ``rays.mayer_vietoris`` checks a square
+through ``chain.checked``; :func:`verify_cube` always runs in full.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -52,7 +50,7 @@ from .chain import (ChainComplex, Generator, MatrixEntries, QComplex, Report,
                     matrix_from_json, matrix_to_json, record,
                     square_violations)
 from .errors import NotConiform, NotGluable
-from .novikov import NovikovScalar, json_keys, rat
+from .novikov import ONE, NovikovScalar, json_keys, rat
 
 
 class InvalidDirection(ValueError):
@@ -174,15 +172,16 @@ Gens = Dict[str, Tuple[Generator, ...]]
 
 def _put(D: MatrixEntries, code: str, entries: MatrixEntries,
          positive: bool, keys: dict) -> None:
-    """Add the face map ``entries`` at ``code`` to D in positive form.
-
-    ``keys`` hands out one (vertex, label) tuple per generator, so that
-    the entries of D share them."""
+    """Add the face map ``entries`` at ``code`` to D in positive form, but
+    not its zeros, except those of a vertex known only modulo a power of T;
+    ``keys`` hands out one (vertex, label) tuple per generator, shared by
+    the entries of D."""
     flip = entries and not positive and positive_sign_exponent(code) % 2
     ws, wt = initial_vertex(code), terminal_vertex(code)
     for (t, s), v in entries.items():
-        D[(keys.setdefault((wt, t), (wt, t)),
-           keys.setdefault((ws, s), (ws, s)))] = -v if flip else v
+        if v or (v.floor is not None and ws == wt):
+            D[(keys.setdefault((wt, t), (wt, t)),
+               keys.setdefault((ws, s), (ws, s)))] = -v if flip else v
 
 
 class CubeDiagram:
@@ -228,7 +227,7 @@ class CubeDiagram:
     def from_matrix(cls, n: int, gens: Gens, D: MatrixEntries,
                     positive: bool = False, defined: Optional[set] = None,
                     verified_mod=None) -> "CubeDiagram":
-        """The cube with vertex generators ``gens`` and positive-form D,
+        """The cube of vertex generators ``gens`` and clean positive-form D,
         which it keeps; ``defined`` lists a partial cube's face codes."""
         cube = cls.__new__(cls)
         cube._init(n, gens, D, positive, defined, verified_mod)
@@ -239,12 +238,6 @@ class CubeDiagram:
         self.n = n
         self.positive = positive
         self.gens: Gens = {w: tuple(gens[w]) for w in sorted(gens)}
-        # entries that vanish only at their precision stay in the vertex
-        # blocks, as they do in a complex's differential
-        if not all(v or (v.floor is not None and k[0][0] == k[1][0])
-                   for k, v in D.items()):
-            D = {k: v for k, v in D.items()
-                 if v or (v.floor is not None and k[0][0] == k[1][0])}
         self.D: MatrixEntries = D
         self._defined = defined
         self._vertices: Dict[str, ChainComplex] = {}
@@ -518,7 +511,8 @@ def decone(cube: CubeDiagram, i: int,
         if bs is None or bt is None or (bs, bt) == ("1", "0"):
             raise NotConiform("face %r has an upper-triangular entry "
                               "(%r, %r)" % (face_between(ws, wt), t, s))
-        D[((grow(wt, bt), unwrap(t)), (grow(ws, bs), unwrap(s)))] = v
+        if v or bs == bt:  # a zero of a vertex block may leave it
+            D[((grow(wt, bt), unwrap(t)), (grow(ws, bs), unwrap(s)))] = v
     gens = {grow(w, bit): [Generator(unwrap(g.label),
                                      1 - g.parity if bit == "0" else g.parity)
                            for g in gs if side(w, g.label) == bit]
@@ -581,19 +575,30 @@ def id_cube(cube: CubeDiagram) -> CubeDiagram:
     top_gens, top_D = cube.recode(lambda w: w + "1")
     gens.update(top_gens)
     D.update(top_D)
-    one = NovikovScalar.one()
     for w, gs in cube.gens.items():
         for g in gs:
-            D[((w + "1", g.label), (w + "0", g.label))] = one
+            D[((w + "1", g.label), (w + "0", g.label))] = ONE
     return CubeDiagram.from_matrix(cube.n + 1, gens, D)
 
 
 def glueable(first: CubeDiagram, second: CubeDiagram, k: Optional[int] = None
              ) -> bool:
-    """Whether ``second`` can be glued after ``first`` in direction k."""
+    """Whether ``second`` glues after ``first`` in direction k, that is
+    ``first.subcube(k, "1") == second.subcube(k, "0")``, compared in place
+    (D entries re-signed as :meth:`CubeDiagram.recode` re-signs them)."""
     k = first.n if k is None else k
+
+    def face(cube, bit):
+        at = {w: w[:k - 1] + w[k:] for w in cube.gens if w[k - 1] == bit}
+        signed = not cube.positive
+        return (cube.positive, {at[w]: set(cube.gens[w]) for w in at}, {
+            ((at[wt], t), (at[ws], s)):
+            -v if signed and _flips(ws, wt) != _flips(at[ws], at[wt]) else v
+            for ((wt, t), (ws, s)), v in cube.D.items()
+            if ws in at and wt in at}, cube._defined and {
+                c[:k - 1] + c[k:] for c in cube._defined if c[k - 1] == bit})
     return (first.n == second.n and 1 <= k <= first.n
-            and first.subcube(k, "1") == second.subcube(k, "0"))
+            and face(first, "1") == face(second, "0"))
 
 
 def _straddles(key) -> bool:
@@ -621,14 +626,10 @@ def compose(first: CubeDiagram, second: CubeDiagram) -> CubeDiagram:
     into = {((t[0][:-1] + "0", t[1]), s): v
             for (t, s), v in first.D.items() if _straddles((t, s))}
     onto = {k: v for k, v in second.D.items() if _straddles(k)}
-    D.update(mat_compose(onto, into))
+    D.update((k, v) for k, v in mat_compose(onto, into).items() if v)
     gens = {w: (first if w[-1] == "0" else second).gens[w]
             for w in first.gens}
     return CubeDiagram.from_matrix(n, gens, D)
-
-
-def compose_many(cubes: List[CubeDiagram]) -> CubeDiagram:
-    return reduce(compose, cubes)
 
 
 # ---------------------------------------------------------------------------
@@ -637,13 +638,11 @@ def compose_many(cubes: List[CubeDiagram]) -> CubeDiagram:
 
 def is_id_cube(cube: CubeDiagram, work) -> bool:
     """Outer faces equal, identity edges in the last direction, no fillers."""
-    if cube.n < 1 or cube.subcube(cube.n, "0") != cube.subcube(cube.n, "1"):
+    if cube.n < 1 or not glueable(cube, cube):
         return False
-    one = NovikovScalar.one()
-    ident = {((w[:-1] + "1", g.label), (w, g.label)): one
+    ident = {((w[:-1] + "1", g.label), (w, g.label)): ONE
              for w, gs in cube.gens.items() if w[-1] == "0" for g in gs}
-    return mat_clean({k: v for k, v in cube.D.items()
-                      if _straddles(k)}) == ident
+    return {k: v for k, v in cube.D.items() if _straddles(k)} == ident
 
 
 def is_slit(cube: CubeDiagram, work) -> bool:

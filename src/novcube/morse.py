@@ -29,7 +29,7 @@ from .chain import (Barcode, ChainComplex, Generator, Label,
                     MatrixEntries, QComplex, json_field, json_rational,
                     mat_compose)
 from .cubes import (CubeDiagram, face_codes, initial_vertex,
-                    terminal_vertex, vertex_codes)
+                    positive_sign_exponent, terminal_vertex, vertex_codes)
 from .errors import (Inadmissible, InadmissibleSubset, NotMonotone,
                      NotNegative, StageCheckFailed)
 from .novikov import INFINITY, NovikovScalar, from_series, json_keys, rat
@@ -48,6 +48,7 @@ class MorseModel:
                  values: Dict[Label, Fraction],
                  base_map: Optional[Dict[Label, Label]] = None):
         self.cells = tuple(cells)
+        self.labels: Tuple[Label, ...] = tuple(g.label for g in self.cells)
         self._parity = {g.label: g.parity for g in self.cells}
         self.boundary = {k: int(v) for k, v in boundary.items() if v}
         self.values = {l: rat(values[l]) for l in self._parity}
@@ -61,10 +62,6 @@ class MorseModel:
         if self.base_map is not None and \
                 set(self.base_map) != set(self._parity):
             raise ValueError("base map must cover every cell")
-
-    @property
-    def labels(self) -> Tuple[Label, ...]:
-        return tuple(g.label for g in self.cells)
 
     def parity(self, label: Label) -> int:
         return self._parity[label]
@@ -101,6 +98,12 @@ def admissibility(model: MorseModel, h: Hamiltonian):
     (arrows along which the weight function decreases, plus a
     base-factoring violation when one is declared), and ``den``."""
     den, (n,) = on_lattice(model, h)
+    return _steps(model, n, den) + (den,)
+
+
+def _steps(model: MorseModel, n: Dict[Label, int], den: int):
+    """:func:`admissibility`'s steps and violations for the numerators
+    ``n`` of a weight function over ``den``."""
     steps = {(q, p): n[q] - n[p] for (q, p) in model.boundary}
     bad = [(q, p, Fraction(e, den)) for (q, p), e in steps.items() if e < 0]
     if model.base_map is not None:
@@ -110,7 +113,7 @@ def admissibility(model: MorseModel, h: Hamiltonian):
             if b in by_base and by_base[b] != n[l]:
                 bad.append((l, "base", b))
             by_base.setdefault(b, n[l])
-    return steps, bad, den
+    return steps, bad
 
 
 def cf(model: MorseModel, h: Hamiltonian) -> ChainComplex:
@@ -149,15 +152,43 @@ def hamiltonian_cube(model: MorseModel,
 
     Edges are the diagonal continuations; since diagonal maps compose
     strictly, every higher filler is zero and the cube is valid whenever
-    the family is monotone along the vertex order, which ``continuation``
-    checks: its certificate is INFINITY.
+    the family is monotone along the vertex order: its certificate is
+    INFINITY.  Built in one pass on one lattice for all the weight
+    functions: each vertex is checked as :func:`cf` checks it, then each
+    edge as :func:`continuation` does, with their exceptions and in their
+    order, and positive-form D is written directly, edges first (in
+    :func:`face_codes` order) and then the vertex complexes, whose views
+    equal ``cf`` of each weight function.
     """
     n = len(next(iter(assign)))
-    vertices = {w: cf(model, assign[w]) for w in vertex_codes(n)}
-    faces = {code: continuation(model, assign[initial_vertex(code)],
-                                assign[terminal_vertex(code)])
-             for code in face_codes(n) if code.count("-") == 1}
-    return CubeDiagram(n, vertices, faces, verified_mod=INFINITY)
+    codes = vertex_codes(n)
+    den, nums = on_lattice(model, *[assign[w] for w in codes])
+    num = dict(zip(codes, nums))
+    steps = {}
+    for w in codes:
+        steps[w], bad = _steps(model, num[w], den)
+        if bad:
+            raise Inadmissible("weight function decreases along %r" % (bad,))
+    key = {(w, l): (w, l) for w in codes for l in model.labels}
+    D: MatrixEntries = {}
+    for code in face_codes(n):
+        if code.count("-") != 1:
+            continue
+        ws, wt = initial_vertex(code), terminal_vertex(code)
+        sign = -1 if positive_sign_exponent(code) % 2 else 1
+        for l in model.labels:
+            step = num[wt][l] - num[ws][l]
+            if step < 0:
+                raise NotMonotone("weight decreases at %r" % (l,))
+            D[key[wt, l], key[ws, l]] = from_series(
+                (((step, sign),), None), den)
+    for w in codes:
+        sign = -1 if positive_sign_exponent(w) % 2 else 1
+        for (t, s), c in model.boundary.items():
+            D[key[w, t], key[w, s]] = from_series(
+                (((steps[w][t, s], sign * c),), None), den)
+    return CubeDiagram.from_matrix(n, dict.fromkeys(codes, model.cells), D,
+                                   verified_mod=INFINITY)
 
 
 # ---------------------------------------------------------------------------

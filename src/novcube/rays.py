@@ -12,17 +12,12 @@ vertex rays) read their stages from the ray they were derived from.
 
 The telescope of a ray is the homotopy-colimit cube: per vertex the sum of
 a shifted and an unshifted copy of every slice, with the differential
-``x~ - dx + f(x)`` on shifted generators; here it is materialized to a
-finite depth as the subcube spanned by the first stages, which is
-quasi-isomorphic to the last materialized slice.
-
-A telescope of stage cubes that glue is square-zero whenever they are,
-so it passes on the least d*d certificate of its stages (see
-:mod:`novcube.cubes`) when each stage it uses glues onto the next, which
-it checks; otherwise it has no certificate.  :func:`telescope_complex`,
-which builds a telescope to reduce it, first certifies each stage cube
-that has no certificate yet by one exact check, kept on the cube whether
-it passes or fails.
+``x~ - dx + f(x)`` on shifted generators.  It is materialized to a finite
+depth, quasi-isomorphic to the last materialized slice, in one pass that
+writes each stage's generators and D entries at their telescope keys.
+A telescope whose stages glue (checked) passes on their least d*d
+certificate (see :mod:`novcube.cubes`); :func:`telescope_complex` first
+certifies each uncertified stage by one exact check, kept either way.
 """
 
 from __future__ import annotations
@@ -30,12 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .chain import (Barcode, ChainComplex, Label, MatrixEntries, checked,
-                    cone_of_map, is_chain_map, mat_clean, mat_compose,
-                    mat_equal, mat_identity, reduce_map_t0)
-from .cubes import (CubeDiagram, cone, compose_many, entry_violations,
+from .chain import (Barcode, ChainComplex, Generator, Label, MatrixEntries,
+                    checked, cone_of_map, is_chain_map, mat_clean,
+                    mat_compose, mat_equal, mat_identity, reduce_map_t0)
+from .cubes import (CubeDiagram, cone, compose, entry_violations,
                     glueable, total_complex, verify_cube, vertex_codes)
 from .errors import NotAcyclic, NotChainMap, NotCoherent, SliceNotAcyclic
 from .linalg import Vector, is_exact
@@ -185,34 +181,38 @@ def map_to_zero(slice_cube: CubeDiagram) -> CubeDiagram:
 def telescope(ray: Ray, depth: int) -> CubeDiagram:
     """Materialized telescope: stages 1..depth shifted + 1..depth+1 plain.
 
-    Slice 1 and the last-direction cones of the map-cubes, relabelled;
-    the only extra data is the copy map from each shifted summand to its
-    plain summand, signed (-1)^(number of zeros of the vertex) -- the sign
-    that makes contracting the telescope literally equal to the telescope
-    of the contracted ray, and +1 in positive form.  The result is a valid
-    (n-1)-cube quasi-isomorphic to slice depth+1 (for a finite tail
-    materialized in full, to the zero complex).  Its certificate is the
-    least of its stages' when they glue (see the module docstring).
+    One pass over the stages' generators and positive-form D writes slice
+    1 (face x_n = 0 of stage 1, negated if signed, as ``subcube`` re-signs
+    it) as ("tel", 1, "u", l), then the last-direction cone of each stage
+    k: x_n = 0 as ("tel", k, "s", l) with parities flipped, x_n = 1 as
+    ("tel", k + 1, "u", l), and the copy map +1 from each shifted summand
+    to its plain one, which makes contracting the telescope equal the
+    telescope of the contracted ray.  It is quasi-isomorphic to slice
+    depth+1, with its stages' least certificate when they glue.
     """
     n = ray.n
     stages = [ray.map_cube(k) for k in range(1, max(depth, 1) + 1)]
     cert = _glued_certificate(stages, n)
-    first = stages[0].subcube(n, "0").relabel_vertices(
-        lambda w, l: ("tel", 1, "u", l))
-    gens = {w: list(gs) for w, gs in first.gens.items()}
-    D = dict(first.D)
-    one = NovikovScalar.one()
+    one, first = NovikovScalar.one(), stages[0]
+    gens = {w: [Generator(("tel", 1, "u", g.label), g.parity)
+                for g in first.gens[w + "0"]] for w in vertex_codes(n - 1)}
+    D = {((wt[:-1], ("tel", 1, "u", t)), (ws[:-1], ("tel", 1, "u", s))):
+         v if first.positive else -v for ((wt, t), (ws, s)), v
+         in first.D.items() if wt[-1] == ws[-1] == "0"}
     for k, stage in enumerate(stages[:depth], 1):
-        cn = cone(stage, n).relabel_vertices(
-            lambda w, l: ("tel", k, "s", l[1]) if l[0] == "0"
-            else ("tel", k + 1, "u", l[1]))
-        D.update(cn.D)
-        for w in gens:
-            gens[w].extend(cn.gens[w])
-            # slice k's vertex w is vertex w0 of map-cube k
+        if stage.positive or stage.partial:  # refused as ``cone`` does
+            raise ValueError("cone applies to " + (
+                "cubes in signed form" if stage.positive else "total cubes"))
+        tag = {"0": ("tel", k, "s"), "1": ("tel", k + 1, "u")}
+        for ((wt, t), (ws, s)), v in stage.D.items():
+            D[(wt[:-1], tag[wt[-1]] + (t,)), (ws[:-1], tag[ws[-1]] + (s,))] = v
+        for w, gs in gens.items():
+            gs += [Generator(tag[b] + (g.label,),
+                             1 - g.parity if b == "0" else g.parity)
+                   for b in "01" for g in stage.gens[w + b]]
             for g in stage.gens[w + "0"]:
-                D[((w, ("tel", k, "u", g.label)),
-                   (w, ("tel", k, "s", g.label)))] = one
+                D[(w, ("tel", k, "u", g.label)),
+                  (w, ("tel", k, "s", g.label))] = one
     return CubeDiagram.from_matrix(n - 1, gens, D, verified_mod=cert)
 
 
@@ -349,8 +349,8 @@ def compression(ray: Ray, indices: List[int]) -> CompressionResult:
     m = len(indices)
     sub_prefix = []
     for a, b in zip(indices, indices[1:]):
-        sub_prefix.append(compose_many([ray.map_cube(k)
-                                        for k in range(a, b)]))
+        sub_prefix.append(reduce(compose, [ray.map_cube(k)
+                                           for k in range(a, b)]))
     subray = Ray(1, sub_prefix, TailSpec.finite(), check=False)
 
     squares = []

@@ -213,8 +213,7 @@ RAY = (lambda: _data_file("ray1_stationary.json"), ("sh",),
        ("--precision", "1"))
 MODEL = (lambda: model_to_json(bundled_model("interval")),
          ("morse", "global-sections"), ("--precision", "1", "--depth", "1"))
-MINMAX = (lambda: _data_file("minmax_circle.json"), ("morse", "minmax"),
-          ("--precision", "1"))
+MINMAX = (lambda: _data_file("minmax_circle.json"), ("morse", "minmax"), ())
 DESCENT = (_descent_doc, ("morse", "descent-involutive"),
            ("--precision", "1", "--depth", "2"))
 
@@ -383,7 +382,13 @@ def test_global_sections_of_nonnegative_values_is_a_domain_failure(
     ("descent", os.path.join(DATA, "ray2.json"), "--precision", "1",
      "--depth", "2", "--work", ""),
     ("morse", "minmax", os.path.join(DATA, "minmax_circle.json"),
-     "--precision", "1", "--work", ""),
+     "--work", ""),
+    # minmax computes at --work and reads no --precision; the others need it
+    ("morse", "minmax", os.path.join(DATA, "minmax_circle.json"),
+     "--precision", "1"),
+    ("morse", "empty-set", "bundled:circle"),
+    ("morse", "descent-involutive", os.path.join(DATA, "descent_circle6.json"),
+     "--depth", "2"),
     ("morse", "empty-set", "bundled:circle", "--precision", "2",
      "--work", ""),
 ])
@@ -391,6 +396,20 @@ def test_meaningless_parameters_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(list(argv))
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["minmax", os.path.join(DATA, "minmax_circle.json"), "--precision", "1"],
+     "--precision is not read by morse minmax"),
+    (["relative-sh", "bundled:circle6", "--subset", "v0", "--depth", "2"],
+     "--precision is mandatory for morse relative-sh"),
+])
+def test_morse_precision_rule_names_the_flag(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["morse"] + argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert message in captured.err
 
 
 def test_empty_work_names_the_flag(capsys):
@@ -648,7 +667,7 @@ def test_float_weight_in_minmax_file_exits_2(tmp_path, capsys):
     path = tmp_path / "minmax.json"
     path.write_text(json.dumps(data))
     code, out = run_cli(capsys, "morse", "minmax", str(path),
-                        "--precision", "1", "--format", "json")
+                        "--format", "json")
     assert code == 2
     error = json.loads(out)["error"]
     assert str(path) in error and "'v0'" in error

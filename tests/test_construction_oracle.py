@@ -1,0 +1,406 @@
+"""The one-pass constructions against the compositions they replaced.
+
+``tests/construction_oracle.py`` keeps the old ways: a telescope from a
+subcube, cones and relabellings, gluing as the equality of two subcubes,
+and a stage cube from ``cf`` and ``continuation`` through the face-map
+constructor.  Each one-pass result must match its oracle in generator
+order, D order, values and certificate, and fail where it fails, with
+the same exception and message.  A last property checks that no
+constructor leaves an entry that vanishes outside the vertex blocks.
+"""
+
+import random
+from fractions import Fraction as F
+
+import construction_oracle as oracle
+import pytest
+from helpers import random_cube, random_ray_cubes
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from novcube.chain import ChainComplex, Generator
+from novcube.cubes import (CubeDiagram, compose, cone, cube_from_json,
+                           cube_to_json, decone, face_codes,
+                           from_positive_signs, glueable, id_cube,
+                           to_positive_signs, vertex_codes)
+from novcube.morse import (MorseModel, bundled_model, descent_ray,
+                           hamiltonian_cube, region_family,
+                           region_hamiltonian, resolve_region)
+from novcube.novikov import NovikovScalar
+from novcube.rays import Ray, TailSpec, map_to_zero, telescope
+
+SETTINGS = settings(max_examples=40, deadline=None)
+# seeds of ``random.Random``, whose draws spread further than
+# ``st.randoms()``'s, which favour the least values
+SEEDS = st.integers(0, 2 ** 32).map(random.Random)
+
+
+def zero_mod(r):
+    """A scalar known only to vanish modulo T^r."""
+    return NovikovScalar((), r)
+
+
+def outcome(fn, *args):
+    """The result of ``fn``, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the failure itself is compared
+        return type(exc), str(exc)
+
+
+def assert_same_cube(new, old):
+    if isinstance(old, tuple):
+        assert new == old
+        return
+    assert (new.n, new.positive, new._defined, new.verified_mod) == \
+        (old.n, old.positive, old._defined, old.verified_mod)
+    assert list(new.gens.items()) == list(old.gens.items())
+    assert list(new.D) == list(old.D)
+    assert list(new.D.values()) == list(old.D.values())
+
+
+def assert_clean(cube):
+    """Every entry of D is nonzero, or vanishes only at its precision
+    inside a vertex block."""
+    for ((wt, t), (ws, s)), v in cube.D.items():
+        assert v or (v.floor is not None and ws == wt), (wt, t, ws, s, v)
+
+
+def rebuild(cube, vertices=(), faces=(), drop=()):
+    """``cube`` through the face-map constructor, with some vertex
+    complexes and face maps replaced and the faces in ``drop`` left out."""
+    vs = dict(cube.vertices)
+    vs.update(vertices)
+    fs = {c: cube.face(c) for c in cube.codes if "-" in c and c not in drop}
+    fs.update(faces)
+    return CubeDiagram(cube.n, vs, fs, positive=cube.positive,
+                       partial=cube.partial)
+
+
+def with_vertex_zero(rng, cube, w):
+    """``cube`` with one more entry at vertex w, zero modulo T^r."""
+    c = cube.vertex(w)
+    pairs = [(t.label, s.label) for t in c.generators for s in c.generators
+             if t.parity != s.parity]
+    if not pairs:
+        return cube
+    diff = dict(c.differential)
+    diff[rng.choice(pairs)] = zero_mod(rng.choice([F(1), F(2), F(5, 2)]))
+    return rebuild(cube, {w: ChainComplex(c.generators, diff)})
+
+
+def partial_of(rng, cube):
+    """The partial cube defining a random part of ``cube``'s faces."""
+    codes = [c for c in cube.codes if "-" in c]
+    return CubeDiagram(cube.n, cube.vertices,
+                       {c: cube.face(c) for c in codes if rng.random() < 0.6},
+                       positive=cube.positive, partial=True)
+
+
+def random_variant(rng, cube):
+    """``cube`` as it is, in positive form, partial, or with a vertex
+    entry that vanishes only at its precision."""
+    pick = rng.randrange(4)
+    if pick == 1:
+        return to_positive_signs(cube)
+    if pick == 2:
+        return partial_of(rng, cube)
+    if pick == 3:
+        return with_vertex_zero(rng, cube, rng.choice(vertex_codes(cube.n)))
+    return cube
+
+
+# ---------------------------------------------------------------------------
+# gluing
+
+
+def glued_after(first, k):
+    """A cube whose face x_k = 0 is ``first``'s face x_k = 1: both of its
+    faces in direction k are that face, and its maps along k vanish."""
+    def up(code):
+        return code[:k - 1] + "1" + code[k:]
+    faces = {}
+    for c in first.codes:
+        if "-" in c and c[k - 1] == "1":
+            faces[c[:k - 1] + "0" + c[k:]] = faces[c] = first.face(c)
+    return CubeDiagram(first.n, {w: first.vertex(up(w))
+                                 for w in vertex_codes(first.n)},
+                       faces, positive=first.positive, partial=first.partial)
+
+
+def spoil(rng, cube, k):
+    """``cube`` changed somewhere on its face x_k = 0, or not at all."""
+    low = [w for w in vertex_codes(cube.n) if w[k - 1] == "0"]
+    pick = rng.randrange(7)
+    if pick == 1:  # one entry of a face map perturbed, dropped or added
+        codes = [c for c in cube.codes if c[k - 1] == "0" and "-" in c
+                 and cube.face(c)]
+        if codes:
+            code = rng.choice(codes)
+            m = cube.face(code)
+            key = rng.choice(sorted(m, key=repr))
+            how = rng.randrange(3)
+            if how == 0:
+                m[key] = m[key].scale(2)
+            elif how == 1:
+                m[key] = m[key] + NovikovScalar.monomial(1, 7)
+            else:
+                del m[key]
+            return rebuild(cube, faces={code: m})
+    if pick == 2:  # one generator's parity flipped
+        w = rng.choice(low)
+        c = cube.vertex(w)
+        if c.generators:
+            g = rng.choice(c.generators)
+            gens = [Generator(h.label, 1 - h.parity) if h == g else h
+                    for h in c.generators]
+            return rebuild(cube, {w: ChainComplex(gens, c.differential)})
+    if pick == 3:
+        return with_vertex_zero(rng, cube, rng.choice(low))
+    if pick == 4 and not cube.positive:
+        return to_positive_signs(cube)
+    if pick == 5:  # one face left undefined (zero in a total cube)
+        codes = [c for c in face_codes(cube.n) if c[k - 1] == "0" and "-" in c]
+        if codes:
+            return rebuild(cube, drop={rng.choice(codes)})
+    if pick == 6:
+        return partial_of(rng, cube)
+    return cube
+
+
+@SETTINGS
+@given(SEEDS, st.integers(1, 3))
+def test_glueable_matches_the_subcube_comparison(rng, n):
+    first = random_variant(rng, random_cube(rng, n, max_gens=2, mix=4))
+    for k in range(1, n + 1):
+        second = spoil(rng, glued_after(first, k), k)
+        for a, b in ((first, second), (second, first), (first, first)):
+            for j in range(0, n + 2):
+                assert glueable(a, b, j) == oracle.glueable(a, b, j)
+        assert glueable(first, glued_after(first, k), k)
+    other = random_cube(rng, n + 1, max_gens=1, mix=2)
+    assert not glueable(first, other) and not oracle.glueable(first, other)
+
+
+@SETTINGS
+@given(SEEDS, st.integers(1, 3))
+def test_glueable_on_ray_stages(rng, n):
+    a, b = random_ray_cubes(rng, n, 2)
+    assert glueable(a, b) and oracle.glueable(a, b)
+    for j in range(0, n + 2):
+        assert glueable(b, a, j) == oracle.glueable(b, a, j)
+
+
+# ---------------------------------------------------------------------------
+# telescopes
+
+
+def random_ray(rng, n):
+    length = rng.randint(1, 3)
+    kind = rng.randrange(3)
+    if kind == 0:  # stages that glue
+        return Ray(n, random_ray_cubes(rng, n, length), TailSpec.finite())
+    cubes = [random_cube(rng, n, mix=4) for _ in range(length)]
+    if kind == 2:  # positive, partial or precision-zero stages
+        cubes = [random_variant(rng, c) for c in cubes]
+    return Ray(n, cubes, TailSpec.finite(), check=False)
+
+
+@SETTINGS
+@given(SEEDS, st.integers(1, 3))
+def test_telescope_matches_subcubes_and_cones(rng, n):
+    ray = random_ray(rng, n)
+    for depth in range(0, len(ray.prefix) + 3):
+        new = outcome(telescope, ray, depth)
+        assert_same_cube(new, outcome(oracle.telescope, ray, depth))
+        if not isinstance(new, tuple):
+            assert_clean(new)
+
+
+def test_telescope_refuses_positive_and_partial_stages_as_cones_did():
+    rng = random.Random(11)
+    cube = random_cube(rng, 2)
+    assert cube.face("-0") and cube.vertex("00").differential  # slice 1
+    for stage, message in ((to_positive_signs(cube),
+                            "cone applies to cubes in signed form"),
+                           (partial_of(rng, cube),
+                            "cone applies to total cubes")):
+        ray = Ray(2, [stage], TailSpec.finite(), check=False)
+        for fn in (telescope, oracle.telescope):
+            with pytest.raises(ValueError, match=message):
+                fn(ray, 1)
+        assert_same_cube(telescope(ray, 0), oracle.telescope(ray, 0))
+
+
+# ---------------------------------------------------------------------------
+# stage cubes of the cell model
+
+
+def random_model(rng):
+    """Paired cells with integer arrows, and sometimes a base map."""
+    labels = ["c%d" % i for i in range(rng.randint(1, 6))]
+    parity = {l: rng.randint(0, 1) for l in labels}
+    even = [l for l in labels if parity[l] == 0]
+    odd = [l for l in labels if parity[l] == 1]
+    boundary = {}
+    for p, q in zip(even, odd):
+        if rng.random() < 0.7:
+            src, tgt = (p, q) if rng.random() < 0.5 else (q, p)
+            boundary[(tgt, src)] = rng.choice([1, -1, 2])
+    base = None
+    if rng.random() < 0.5:
+        base = {l: "b%d" % rng.randint(0, 2) for l in labels}
+    return MorseModel([Generator(l, parity[l]) for l in labels], boundary,
+                      {l: F(rng.randint(-3, 3), 2) for l in labels}, base)
+
+
+def admissible(model, h):
+    """The least weight above ``h`` that rises along every arrow and is
+    constant on every base fibre."""
+    h = dict(h)
+    moved = True
+    while moved:
+        moved = False
+        for q, p in model.boundary:
+            if h[q] < h[p]:
+                h[q], moved = h[p], True
+        if model.base_map is not None:
+            top = {}
+            for l in model.labels:
+                b = model.base_map[l]
+                top[b] = max(top.get(b, h[l]), h[l])
+            for l in model.labels:
+                if h[l] < top[model.base_map[l]]:
+                    h[l], moved = top[model.base_map[l]], True
+    return h
+
+
+def random_assignment(rng, model, n):
+    """Weights on the vertices of an n-cube: admissible and monotone, each
+    admissible (often not monotone), or raw (often neither)."""
+    def raw():
+        return {l: F(rng.randint(-2, 2), rng.choice([1, 1, 2]))
+                for l in model.labels}
+    pick = rng.randrange(4)
+    if pick < 2:
+        return {w: admissible(model, raw()) if pick else raw()
+                for w in vertex_codes(n)}
+    h = admissible(model, raw())
+    steps = [admissible(model, {l: abs(v) for l, v in raw().items()})
+             for _ in range(n)]
+    return {w: {l: h[l] + sum(int(b) * d[l] for b, d in zip(w, steps))
+                for l in model.labels} for w in vertex_codes(n)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS, st.integers(1, 3))
+def test_hamiltonian_cube_matches_cf_and_continuation(rng, n):
+    model = random_model(rng)
+    assign = random_assignment(rng, model, n)
+    new = outcome(hamiltonian_cube, model, assign)
+    old = outcome(oracle.hamiltonian_cube, model, assign)
+    assert_same_cube(new, old)
+    if isinstance(old, tuple):
+        return
+    assert_clean(new)
+    for w in vertex_codes(n):
+        view, cx = new.vertex(w), old.vertex(w)
+        assert view.generators == cx.generators
+        assert list(view.differential.items()) == \
+            list(cx.differential.items())
+        assert view.verified_mod == cx.verified_mod
+        assert new.faces[w] == old.faces[w]
+
+
+def test_stage_cubes_and_telescopes_of_a_descent_ray_match():
+    model = bundled_model("circle6")
+    regions = [{"v0", "e0", "v1"}, {"v1", "e1", "v2", "e2", "v0"}]
+    ray = descent_ray(model, regions)
+    fam = region_family([resolve_region(model, r) for r in regions])
+    for k in (1, 2, 3):
+        assign = {w + a: region_hamiltonian(model, fam[w], k + int(a))
+                  for w in fam for a in "01"}
+        assert_same_cube(ray.map_cube(k),
+                         oracle.hamiltonian_cube(model, assign))
+    for depth in (0, 1, 2):
+        assert_same_cube(telescope(ray, depth), oracle.telescope(ray, depth))
+
+
+# ---------------------------------------------------------------------------
+# no constructor leaves an entry that vanishes off the vertex blocks
+
+
+def zeros_cube(rng, n):
+    """A cube given face maps with exact zeros and zeros modulo T^r, and
+    vertex entries that vanish only modulo T^r."""
+    cube = random_cube(rng, n, max_gens=2, mix=4)
+    faces = {}
+    for c in face_codes(n):
+        if "-" not in c:
+            continue
+        m = cube.face(c)
+        src = cube.vertex(c.replace("-", "0")).labels
+        tgt = cube.vertex(c.replace("-", "1")).labels
+        for t in tgt:
+            for s in src:
+                if (t, s) not in m and rng.random() < 0.3:
+                    m[(t, s)] = rng.choice([NovikovScalar.zero(),
+                                            zero_mod(F(3, 2))])
+        faces[c] = m
+    cube = rebuild(cube, faces=faces)
+    for w in vertex_codes(n):
+        if rng.random() < 0.5:
+            cube = with_vertex_zero(rng, cube, w)
+    return cube
+
+
+@SETTINGS
+@given(SEEDS, st.integers(1, 3))
+def test_no_constructor_leaves_an_off_block_zero(rng, n):
+    cube = zeros_cube(rng, n)
+    built = [cube, to_positive_signs(cube), id_cube(cube),
+             from_positive_signs(to_positive_signs(cube)),
+             cube.relabel_vertices(lambda w, l: (w, l)),
+             map_to_zero(cube), cube_from_json(cube_to_json(cube))]
+    for i in range(1, n + 1):
+        coned = cone(cube, i)
+        built += [cube.subcube(i, "0"), cube.subcube(i, "1"), coned,
+                  decone(coned, i)]
+    ray = Ray(n, [cube, zeros_cube(rng, n)], TailSpec.finite(), check=False)
+    built += [telescope(ray, d) for d in range(4)]
+    for c in built:
+        assert_clean(c)
+
+
+def test_compose_drops_products_that_vanish():
+    a = ChainComplex([Generator("x", 0)], {})
+    b = ChainComplex([Generator("a", 0), Generator("b", 0)], {})
+    c = ChainComplex([Generator("y", 0), Generator("z", 0)], {})
+    one = NovikovScalar.one()
+    f = CubeDiagram(1, {"0": a, "1": b},
+                    {"-": {("a", "x"): one, ("b", "x"): one}})
+    g = CubeDiagram(1, {"0": b, "1": c},
+                    {"-": {("y", "a"): one, ("y", "b"): -one,
+                           ("z", "a"): NovikovScalar.monomial(1, 1)}})
+    # (1 + O(T)) - 1 leaves a zero known only modulo T
+    f2 = CubeDiagram(1, {"0": a, "1": b},
+                     {"-": {("a", "x"): NovikovScalar([(0, 1)], 1),
+                            ("b", "x"): one}})
+    g2 = CubeDiagram(1, {"0": b, "1": c},
+                     {"-": {("y", "a"): one, ("y", "b"): -one}})
+    for first, second in ((f, g), (f2, g2)):
+        composite = compose(first, second)
+        assert_clean(composite)
+        assert ((("1", "y"), ("0", "x")) not in composite.D)
+    assert (("1", "z"), ("0", "x")) in compose(f, g).D
+    assert not compose(f2, g2).D
+
+
+def test_decone_drops_a_vertex_zero_that_leaves_its_block():
+    gens = [Generator(("0", "a"), 1), Generator(("1", "b"), 0)]
+    cx = ChainComplex(gens, {(("1", "b"), ("0", "a")): zero_mod(2)})
+    coned = CubeDiagram(1, {"0": cx, "1": cx}, {})
+    assert len(coned.D) == 2
+    split = decone(coned, 1)
+    assert_clean(split)
+    assert not split.D
