@@ -265,12 +265,7 @@ class ChainComplex:
 
     def reduce_t0(self) -> "QComplex":
         """Set T = 0 entrywise; needs all entries of valuation >= 0."""
-        diff = {}
-        for k, v in self.differential.items():
-            c = v.reduce_t0()
-            if c != 0:
-                diff[k] = c
-        return QComplex(self.generators, diff)
+        return QComplex(self.generators, reduce_map_t0(self.differential))
 
     # -- homology over the valuation ring -------------------------------------
 
@@ -288,8 +283,7 @@ class ChainComplex:
         if not report:
             raise ValueError("not a chain complex at this precision: %s"
                              % (report.violations,))
-        q = self.reduce_t0()
-        be, bo = q.homology_ranks()
+        be, bo = self.reduce_t0().homology_ranks()
         cert = {"betti_even": be, "betti_odd": bo,
                 "generators": len(self.generators), "work": str(rat(work))}
         return (be, bo) == (0, 0), cert
@@ -346,17 +340,18 @@ def cone_of_map(source: ChainComplex, target: ChainComplex,
 class QComplex:
     """Chain complex over the rationals (the residue field at T = 0).
 
-    d is factored once, on first use (``factor``).  d is odd, so its even
-    and odd blocks share no row and no column: rank d is the sum of their
-    ranks, and each nullspace vector of d lies in one parity.
+    Entries are kept as given, zeros dropped: ``int`` when integral, else
+    ``Fraction``.  d is factored once, on first use (``factor``).  d is
+    odd, so its even and odd blocks share no row and no column: rank d is
+    the sum of their ranks, and each nullspace vector of d lies in one
+    parity.
     """
 
     def __init__(self, generators: Iterable[Generator],
-                 differential: Dict[Tuple[Label, Label], Fraction]):
+                 differential: Dict[Tuple[Label, Label], int | Fraction]):
         self.generators = tuple(generators)
         self._parity = {g.label: g.parity for g in self.generators}
-        self.differential = {k: v if isinstance(v, Fraction) else Fraction(v)
-                             for k, v in differential.items() if v != 0}
+        self.differential = {k: v for k, v in differential.items() if v}
 
     def parity(self, label: Label) -> int:
         return self._parity[label]
@@ -374,7 +369,7 @@ class QComplex:
     @cached_property
     def factor(self) -> Elimination:
         """d, with rows by target and columns by source, factored once."""
-        rows: List[Dict[int, Fraction]] = [{} for _ in self.generators]
+        rows: List[Dict[int, int | Fraction]] = [{} for _ in self.generators]
         for (t, s), v in self.differential.items():
             rows[self.index[t]][self.index[s]] = v
         return Elimination(rows, len(rows))
@@ -410,13 +405,9 @@ class QComplex:
         return mine, QuotientSpace(len(mine), cycles, boundaries)
 
 
-def reduce_map_t0(entries: MatrixEntries) -> Dict[Tuple[Label, Label], Fraction]:
-    out = {}
-    for k, v in entries.items():
-        c = v.reduce_t0()
-        if c != 0:
-            out[k] = c
-    return out
+def reduce_map_t0(entries: MatrixEntries
+                  ) -> Dict[Tuple[Label, Label], int | Fraction]:
+    return {k: c for k, v in entries.items() if (c := v.reduce_t0())}
 
 
 # ---------------------------------------------------------------------------
@@ -618,10 +609,7 @@ def complex_to_json(c: ChainComplex) -> dict:
     return {
         "generators": [{"label": str(g.label), "parity": g.parity}
                        for g in c.generators],
-        "differential": [{"target": str(t), "source": str(s),
-                          "scalar": format_scalar(v)}
-                         for (t, s), v in sorted(c.differential.items(),
-                                                 key=lambda kv: repr(kv[0]))],
+        "differential": matrix_to_json(c.differential),
     }
 
 

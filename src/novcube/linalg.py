@@ -1,4 +1,6 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals: a value is an ``int`` when
+it is integral and a ``Fraction`` otherwise, and every division goes
+through ``_div``, which is exact, so no float ever arises.
 
 :class:`Elimination` is the one elimination: it factors a matrix, given as
 sparse rows ``{column: value}`` and a column count, once into its reduced
@@ -15,12 +17,22 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-Matrix = List[List[Fraction]]
-Vector = Dict[int, Fraction]  # sparse: index -> value, zeros may be left out
+Scalar = int | Fraction
+Matrix = List[List[Scalar]]
+Vector = Dict[int, Scalar]  # sparse: index -> value, zeros may be left out
+
+
+def _div(a: Scalar, b: Scalar) -> Scalar:
+    """a / b exactly: ``a // b`` when b divides a, else a ``Fraction``."""
+    if type(a) is Fraction or type(b) is Fraction:
+        return a / b
+    return Fraction(a, b) if a % b else a // b
 
 
 class Elimination:
     """The RREF of one rational matrix, factored once, solved many times.
+
+    Entries, and so results, are ``int`` when integral, else ``Fraction``.
 
     Rows (zeros dropped) are taken sparsest first and reduced against the
     row holding their leading column; that forward pass fixes ``pivots``.
@@ -34,7 +46,7 @@ class Elimination:
     def __init__(self, rows: Iterable[Vector], ncols: int):
         rows = [{c: v for c, v in row.items() if v} for row in rows]
         self.shape = (len(rows), ncols)
-        self._ops: List[Tuple[int, Fraction, int]] = []
+        self._ops: List[Tuple[int, Scalar, int]] = []
         self._null: List[int] = []
         lead: Dict[int, int] = {}  # pivot column -> row holding it
         for i in sorted(range(len(rows)), key=lambda i: len(rows[i])):
@@ -63,12 +75,12 @@ class Elimination:
     @cached_property
     def rows(self) -> List[Vector]:
         """The nonzero rows of the RREF, in pivot order."""
-        return [{k: v / p for k, v in self._cleared[i].items()}
+        return [{k: _div(v, p) for k, v in self._cleared[i].items()}
                 for i, p in self._lead]
 
     def _reduce(self, rows: List[Vector], i: int, c: int, k: int) -> None:
         """Clear column c of row i with row k, and log the operation."""
-        f = rows[i][c] / rows[k][c]
+        f = _div(rows[i][c], rows[k][c])
         self._ops.append((i, f, k))
         for j, v in rows[k].items():
             nv = rows[i].get(j, 0) - f * v
@@ -87,13 +99,13 @@ class Elimination:
                 b[i] = b.get(i, 0) - f * b[k]
         if any(b.get(i) for i in self._null):
             return None
-        return {c: x / p for c, (i, p) in zip(self.pivots, self._lead)
+        return {c: _div(x, p) for c, (i, p) in zip(self.pivots, self._lead)
                 if (x := b.get(i))}
 
     def nullspace(self) -> List[Vector]:
         """A basis of the right nullspace, one vector per free column."""
         free = set(self.pivots)
-        basis = {fc: {fc: Fraction(1)} for fc in range(self.shape[1])
+        basis = {fc: {fc: 1} for fc in range(self.shape[1])
                  if fc not in free}
         for pc, row in zip(self.pivots, self.rows):
             for fc, v in row.items():
@@ -107,8 +119,8 @@ def _factor(mat: Matrix) -> Elimination:
                        len(mat[0]) if mat else 0)
 
 
-def _dense(vec: Vector, n: int) -> List[Fraction]:
-    return [vec.get(i, Fraction(0)) for i in range(n)]
+def _dense(vec: Vector, n: int) -> List[Scalar]:
+    return [vec.get(i, 0) for i in range(n)]
 
 
 def rref(mat: Matrix) -> Tuple[Matrix, List[int]]:
@@ -122,13 +134,13 @@ def rank(mat: Matrix) -> int:
     return len(_factor(mat).pivots)
 
 
-def nullspace(mat: Matrix) -> List[List[Fraction]]:
+def nullspace(mat: Matrix) -> Matrix:
     """Basis of the right nullspace, as a list of column vectors."""
     elim = _factor(mat)
     return [_dense(v, elim.shape[1]) for v in elim.nullspace()]
 
 
-def solve(mat: Matrix, rhs: Sequence[Fraction]) -> Optional[List[Fraction]]:
+def solve(mat: Matrix, rhs: Sequence[Scalar]) -> Optional[List[Scalar]]:
     """One solution of mat @ x = rhs, or None if inconsistent."""
     elim = _factor(mat)
     x = elim.solve(dict(enumerate(rhs)))
@@ -165,7 +177,7 @@ class QuotientSpace:
         return {k: sol[j] for k, j in enumerate(self._rep_idx) if j in sol}
 
 
-def sparse_rank(entries: Dict[Tuple[Hashable, Hashable], Fraction]) -> int:
+def sparse_rank(entries: Dict[Tuple[Hashable, Hashable], Scalar]) -> int:
     """Rank of a sparse rational matrix keyed by (row, col) labels; no
     library code calls it, as a complex's ranks come from its factor."""
     rows: Dict[Hashable, Vector] = {}

@@ -14,8 +14,8 @@ values may stay stored as an integral ``Fraction``.  Since
 ``3 == Fraction(3)`` and the two hash alike, equality and hashing do not
 depend on the storage.  No float ever arises: the one division, in
 :meth:`NovikovScalar.invert`, goes through ``Fraction``.  The views
-``terms``, ``coefficient`` and ``reduce_t0`` give ``Fraction``
-coefficients.
+``terms`` and ``coefficient`` give ``Fraction`` coefficients;
+``reduce_t0`` gives the stored one.
 
 Exponents are stored on a lattice ``(1/den) Z``: a scalar keeps one
 positive ``int`` denominator ``den``, the ``int`` numerator of each
@@ -308,15 +308,15 @@ class NovikovScalar:
         return from_series(self.series(d, r.numerator * (d // r.denominator)),
                            d)
 
-    def reduce_t0(self) -> Fraction:
-        """Constant term, defined on scalars of nonnegative valuation."""
+    def reduce_t0(self) -> Union[int, Fraction]:
+        """The stored constant term (``int`` or ``Fraction``); val >= 0."""
         t = self._t
         if t and t[0][0] < 0:
             raise NegativeValuation(
                 "reduce_t0 needs val >= 0, got %s" % (self.val(),))
         if self._m is not None and self._m <= 0:
             raise PrecisionExhausted("constant term not determined at precision")
-        return _frac(t[0][1]) if t and t[0][0] == 0 else _F0
+        return t[0][1] if t and t[0][0] == 0 else 0
 
     def invert(self, work: Optional[RationalLike] = None) -> "NovikovScalar":
         """Multiplicative inverse, modulo T^work after valuation shift.

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 import sympy
@@ -17,6 +18,7 @@ from novcube.linalg import (Elimination, QuotientSpace, column_space_selector,
                             is_exact, nullspace, rank, rref, solve,
                             sparse_rank)
 from novcube.morse import bundled_model, minmax_square
+from novcube.novikov import NovikovScalar
 from novcube.rays import mayer_vietoris
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -251,15 +253,25 @@ def test_views_of_one_factor_match_the_per_parity_oracle(cx):
         assert space.reps == want.reps
 
 
-def test_qcomplex_stores_fractions_and_keeps_given_ones():
+def test_qcomplex_keeps_given_values_and_divides_exactly():
     half = F(1, 2)
     q = QComplex([Generator("a", 0), Generator("b", 1), Generator("c", 1)],
                  {("b", "a"): 2, ("c", "a"): half, ("b", "b"): 0})
     assert q.differential == {("b", "a"): 2, ("c", "a"): half}
-    assert all(type(v) is F for v in q.differential.values())
+    assert type(q.differential[("b", "a")]) is int
     assert q.differential[("c", "a")] is half
-    # an int entry divides exactly, never into a float
-    assert q.differential[("b", "a")] / 4 == half
+    # a non-unit pivot divides into an exact Fraction, never a float
+    rows = Elimination([{0: 2, 1: 1}], 2).rows
+    assert rows == [{0: 1, 1: F(1, 2)}]
+    assert [type(v) for v in rows[0].values()] == [int, F]
+    x = Elimination([{0: 2}], 1).solve({0: 1})
+    assert x == {0: F(1, 2)} and type(x[0]) is F
+    # setting T = 0 keeps each scalar's stored constant term
+    m = NovikovScalar.monomial
+    d = {("b", "a"): m(3, 0) + m(1, 1), ("c", "a"): m(half, 0)}
+    t0 = ChainComplex(q.generators, d).reduce_t0().differential
+    assert t0 == {("b", "a"): 3, ("c", "a"): half}
+    assert [type(v) for v in t0.values()] == [int, F]
 
 
 def test_is_exact_direct_cases():
@@ -322,6 +334,122 @@ def test_is_exact_matches_a_dense_reference(pair):
     outgoing = [sparse([B[i][j] for i in range(len(B))])
                 for j in range(dim)]
     assert is_exact(incoming, outgoing, dim) == expected
+
+
+# -- the integer kernel against the Fraction-only path -----------------------
+
+int_entries = st.one_of(st.just(0), st.just(0), st.integers(-3, 3))
+
+
+@st.composite
+def int_matrices(draw, max_rows=5, max_cols=5):
+    """Small matrices of ``int`` entries, rank-deficient now and then; a
+    third of them hold some ``Fraction`` entries as well."""
+    pool = (int_entries if draw(st.integers(0, 2))
+            else st.one_of(int_entries, entries))
+    m = draw(st.integers(0, max_rows))
+    n = draw(st.integers(0, max_cols))
+    mat = [[draw(pool) for _ in range(n)] for _ in range(m)]
+    for i in range(2, m):
+        if draw(st.booleans()):
+            a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            mat[i] = [a * x + b * y for x, y in zip(mat[0], mat[1])]
+    return mat
+
+
+def int_combination(cols, coeffs, n):
+    """sum_k coeffs[k] * cols[k] in Q^n, with ``int`` arithmetic on ints."""
+    return [sum((c * col[i] for c, col in zip(coeffs, cols)), 0)
+            for i in range(n)]
+
+
+def fractions(vec):
+    """The sparse vector ``vec`` with every value made a ``Fraction``."""
+    return {i: F(x) for i, x in vec.items()}
+
+
+def exact_values(*vectors):
+    """Every value is an ``int`` or a ``Fraction``: no float, no bool."""
+    return all(type(x) in (int, F) for vec in vectors for x in vec.values())
+
+
+@SETTINGS
+@given(int_matrices(), st.data())
+def test_int_elimination_matches_the_fraction_oracle(mat, data):
+    """Factored as given, and with every entry a Fraction (the oracle),
+    a matrix has the same pivots, logged operations, RREF, solutions and
+    nullspace; every value the integer path returns is exact."""
+    n = len(mat[0]) if mat else 0
+    rows = [sparse(row) for row in mat]
+    got = Elimination(rows, n)
+    want = Elimination([fractions(row) for row in rows], n)
+    assert got.pivots == want.pivots
+    x = [data.draw(int_entries) for _ in range(n)]
+    consistent = sparse(int_combination(list(zip(*mat)), x, len(mat)))
+    arbitrary = sparse([data.draw(int_entries) for _ in mat])
+    for rhs in (consistent, arbitrary):
+        sol = got.solve(rhs)
+        assert sol == want.solve(fractions(rhs))
+        assert sol is None or exact_values(sol)
+    assert got.solve(consistent) is not None
+    assert got.rows == want.rows
+    assert got.nullspace() == want.nullspace()
+    assert got._ops == want._ops
+    assert exact_values(*got.rows, *got.nullspace())
+    assert all(type(f) in (int, F) for _, f, _ in got._ops)
+
+
+@SETTINGS
+@given(st.integers(0, 5), st.data())
+def test_int_quotient_space_matches_the_fraction_oracle(n, data):
+    def cols(k):
+        return [[data.draw(int_entries) for _ in range(n)] for _ in range(k)]
+
+    w_cols = cols(data.draw(st.integers(0, 3)))
+    v_cols = w_cols + cols(data.draw(st.integers(0, 3)))
+    got = QuotientSpace(n, [sparse(c) for c in v_cols],
+                        [sparse(c) for c in w_cols])
+    want = QuotientSpace(n, [fractions(sparse(c)) for c in v_cols],
+                         [fractions(sparse(c)) for c in w_cols])
+    assert (got.dim, got.reps) == (want.dim, want.reps)
+    inside = int_combination(
+        v_cols, [data.draw(int_entries) for _ in v_cols], n)
+    anywhere = [data.draw(int_entries) for _ in range(n)]
+    for v in (inside, anywhere):
+        try:
+            coords = got.coords(sparse(v))
+        except ValueError:
+            assert v is anywhere
+            with pytest.raises(ValueError):
+                want.coords(fractions(sparse(v)))
+            continue
+        assert coords == want.coords(fractions(sparse(v)))
+        assert exact_values(coords)
+
+
+@SETTINGS
+@given(map_pairs())
+def test_int_is_exact_matches_the_fraction_oracle(pair):
+    """Each column of A and each row of B is scaled to ``int`` entries,
+    which keeps im A and ker B; is_exact then agrees on the ints, on the
+    same values as Fractions, and on the pair as drawn."""
+    dim, A, B = pair
+    a = len(A[0]) if A else 0
+
+    def scaled(vec):
+        m = lcm(*[x.denominator for x in vec])
+        return [int(x * m) for x in vec]
+
+    cols_a = [scaled([A[i][j] for i in range(dim)]) for j in range(a)]
+    rows_b = [scaled(row) for row in B]
+    incoming = [sparse(col) for col in cols_a]
+    outgoing = [sparse([row[j] for row in rows_b]) for j in range(dim)]
+    verdict = is_exact(incoming, outgoing, dim)
+    assert verdict == is_exact([fractions(c) for c in incoming],
+                               [fractions(c) for c in outgoing], dim)
+    assert verdict == is_exact(
+        [sparse([A[i][j] for i in range(dim)]) for j in range(a)],
+        [sparse([B[i][j] for i in range(len(B))]) for j in range(dim)], dim)
 
 
 def test_mayer_vietoris_factors_the_total_complex_once(monkeypatch):
