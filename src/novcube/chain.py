@@ -259,10 +259,6 @@ class ChainComplex:
         diff = {(fn(t), fn(s)): v for (t, s), v in self.differential.items()}
         return ChainComplex(gens, diff, self.verified_mod)
 
-    def truncate(self, r) -> "ChainComplex":
-        diff = {k: v.truncate(r) for k, v in self.differential.items()}
-        return ChainComplex(self.generators, diff)
-
     def reduce_t0(self) -> "QComplex":
         """Set T = 0 entrywise; needs all entries of valuation >= 0."""
         return QComplex(self.generators, reduce_map_t0(self.differential))
@@ -299,31 +295,26 @@ def direct_sum(parts: Iterable[ChainComplex]) -> ChainComplex:
 
 
 def is_chain_map(entries: MatrixEntries, source: ChainComplex,
-                 target: ChainComplex, work=None) -> bool:
-    """f d = d' f, exactly or modulo T^work."""
+                 target: ChainComplex) -> bool:
+    """f d = d' f, exactly."""
     lhs = mat_compose(entries, source.differential)
     rhs = mat_compose(target.differential, entries)
-    diff = mat_add(lhs, mat_neg(rhs))
-    if work is None:
-        return not mat_clean(diff)
-    return not residual_violations(diff, work)
+    return not mat_clean(mat_add(lhs, mat_neg(rhs)))
 
 
 def cone_of_map(source: ChainComplex, target: ChainComplex,
-                entries: MatrixEntries, check: bool = True,
-                work=None) -> ChainComplex:
-    """Mapping cone of an even chain map.
+                entries: MatrixEntries) -> ChainComplex:
+    """Mapping cone of an even chain map, checked to be one exactly.
 
     Underlying module ``source[1] (+) target`` with block differential
     ``[[-d, 0], [f, d']]``.  Source generators are relabelled ("0", l) and
     target generators ("1", l), matching the cone of a 1-cube.
     """
-    if check:
-        for (t, s) in entries:
-            if (target.parity(t) - source.parity(s)) % 2 != 0:
-                raise NotChainMap("map has an odd entry (%r, %r)" % (t, s))
-        if not is_chain_map(entries, source, target, work):
-            raise NotChainMap("matrix does not commute with differentials")
+    for (t, s) in entries:
+        if (target.parity(t) - source.parity(s)) % 2 != 0:
+            raise NotChainMap("map has an odd entry (%r, %r)" % (t, s))
+    if not is_chain_map(entries, source, target):
+        raise NotChainMap("matrix does not commute with differentials")
     shifted = source.shift().relabel(lambda l: ("0", l))
     tgt = target.relabel(lambda l: ("1", l))
     diff = dict(shifted.differential)

@@ -13,8 +13,9 @@ code)``, and :func:`_report` adds the keys every report carries.  Each
 subcommand states its own flags in :func:`build_parser`: the ``--work``
 default or that ``--work`` is mandatory, and which of ``--precision`` and
 ``--depth`` it needs.  :data:`MORSE_ACTIONS` says which actions need
-``--depth`` and which read ``--precision``, which is mandatory for those
-and a usage error for the others.  ``sh`` and ``descent`` verify every
+``--depth`` and which of ``--precision``, ``--work`` and ``--subset`` each
+reads: ``--precision`` is mandatory for those that read it, and a flag an
+action does not read is a usage error.  ``sh`` and ``descent`` verify every
 cube of a ray file at the working precision they compute at, before they
 compute; each passing check is the cube's certificate, so the telescope
 built from the cubes is not checked again.  ``verify-cube``, ``cone``,
@@ -338,13 +339,14 @@ def _descent_involutive(args, path):
 
 
 # action -> (handler, --depth when unset (None makes --depth mandatory),
-# whether it reads --precision (mandatory if so, refused if not))
+# which of --precision, --work and --subset it reads: --precision is
+# mandatory if read, and a flag it does not read is refused)
 MORSE_ACTIONS = {
-    "global-sections": (_global_sections, None, True),
-    "empty-set": (_empty_set, 2, True),
-    "relative-sh": (_relative_sh, None, True),
-    "minmax": (_minmax, 2, False),
-    "descent-involutive": (_descent_involutive, None, True),
+    "global-sections": (_global_sections, None, {"precision"}),
+    "empty-set": (_empty_set, 2, {"precision"}),
+    "relative-sh": (_relative_sh, None, {"precision", "subset"}),
+    "minmax": (_minmax, 2, {"work"}),
+    "descent-involutive": (_descent_involutive, None, {"precision"}),
 }
 
 
@@ -475,15 +477,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "morse":
-        args.handler, depth, precision = MORSE_ACTIONS[args.action]
+        args.handler, depth, reads = MORSE_ACTIONS[args.action]
         if args.depth is None:
             if depth is None:
                 parser.exit(2, "error: --depth is mandatory for completed "
                                "computations\n")
             args.depth = depth
-        if precision != (args.precision is not None):
-            parser.exit(2, "error: --precision is %s morse %s\n" % (
-                "mandatory for" if precision else "not read by", args.action))
+        if "precision" in reads and args.precision is None:
+            parser.exit(2, "error: --precision is mandatory for morse %s\n"
+                        % args.action)
+        for flag in ("precision", "work", "subset"):
+            if flag not in reads and getattr(args, flag) is not None:
+                parser.exit(2, "error: --%s is not read by morse %s\n"
+                            % (flag, args.action))
     if args.work == "":
         parser.exit(2, "error: flag --work expects a rational p/q, got ''\n")
     for flag in ("precision", "work"):

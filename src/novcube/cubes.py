@@ -636,7 +636,7 @@ def compose(first: CubeDiagram, second: CubeDiagram) -> CubeDiagram:
 # shape predicates and the triangle-to-slit conversion
 
 
-def is_id_cube(cube: CubeDiagram, work) -> bool:
+def is_id_cube(cube: CubeDiagram) -> bool:
     """Outer faces equal, identity edges in the last direction, no fillers."""
     if cube.n < 1 or not glueable(cube, cube):
         return False
@@ -649,15 +649,15 @@ def is_slit(cube: CubeDiagram, work) -> bool:
     """A homotopy between two maps: both outermost faces are id cubes."""
     if cube.n < 2 or not verify_cube(cube, work):
         return False
-    return (is_id_cube(cube.subcube(cube.n, "0"), work)
-            and is_id_cube(cube.subcube(cube.n, "1"), work))
+    return (is_id_cube(cube.subcube(cube.n, "0"))
+            and is_id_cube(cube.subcube(cube.n, "1")))
 
 
 def is_triangle(cube: CubeDiagram, work) -> bool:
     """A homotopy-commuting triangle: face {x_n = 0} is an id cube."""
     if cube.n < 2 or not verify_cube(cube, work):
         return False
-    return is_id_cube(cube.subcube(cube.n, "0"), work)
+    return is_id_cube(cube.subcube(cube.n, "0"))
 
 
 def triangle_to_slit(tri: CubeDiagram, work=1) -> CubeDiagram:

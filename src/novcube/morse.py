@@ -7,7 +7,8 @@ not decrease the value function; weighting its entries by T to the value
 difference produces complexes over the nonnegative part of the Novikov
 ring, and monotone families of weight functions produce rays whose
 completed telescopes are computed here in closed form and cross-checked
-against finite stages.
+against finite stages.  Every such ray is built by :func:`family_ray`
+from one stage rule per vertex of its slice cube.
 
 Weights are compared and subtracted on the exponent lattice: each call
 puts its weight functions on one denominator (:func:`on_lattice`) and
@@ -22,12 +23,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
 from .chain import (Barcode, ChainComplex, Generator, Label,
                     MatrixEntries, QComplex, json_field, json_rational,
-                    mat_compose)
+                    mat_compose, mat_equal)
 from .cubes import (CubeDiagram, face_codes, initial_vertex,
                     positive_sign_exponent, terminal_vertex, vertex_codes)
 from .errors import (Inadmissible, InadmissibleSubset, NotMonotone,
@@ -204,14 +207,29 @@ def scaling_hamiltonian(model: MorseModel, n: int) -> Hamiltonian:
     return {l: model.values[l] / n for l in model.labels}
 
 
-def scaling_ray(model: MorseModel, r0) -> Ray:
-    def stage(k):
-        return hamiltonian_cube(
-            model, {"0": scaling_hamiltonian(model, k),
-                    "1": scaling_hamiltonian(model, k + 1)})
+def family_ray(model: MorseModel, weights: Dict[str, Callable],
+               closed_form=None) -> Ray:
+    """The ray of a monotone family, the one builder of this module's rays.
 
-    closed = lambda prec: open_bar_barcode(model.betti(), prec)
-    return Ray(1, [], TailSpec.model(stage, closed_form=closed), check=False)
+    ``weights`` maps each vertex w of the slice cube to a stage rule
+    ``k -> Hamiltonian``; stage k is the :func:`hamiltonian_cube` of
+    w0 -> ``weights[w](k)`` and w1 -> ``weights[w](k + 1)``.
+    """
+    def stage(k):
+        assign = {}
+        for w, rule in weights.items():
+            assign[w + "0"], assign[w + "1"] = rule(k), rule(k + 1)
+        return hamiltonian_cube(model, assign)
+
+    return Ray(len(next(iter(weights))) + 1, [],
+               TailSpec.model(stage, closed_form=closed_form), check=False)
+
+
+def scaling_ray(model: MorseModel) -> Ray:
+    """The 1-ray of the scaling family H/k."""
+    return family_ray(
+        model, {"": partial(scaling_hamiltonian, model)},
+        lambda prec: open_bar_barcode(model.betti(), prec))
 
 
 @dataclass(frozen=True)
@@ -255,8 +273,7 @@ def global_sections(model: MorseModel, r0, depth: int
             raise StageCheckFailed(
                 "stage %d free ranks %r differ from the Betti numbers %r"
                 % (n, code.free_ranks(), betti))
-    ray = scaling_ray(model, r0)
-    barcode = completed_homology(ray, r0)
+    barcode = completed_homology(scaling_ray(model), r0)
     return GlobalSectionsReport(barcode, betti, weights_checked,
                                 tuple(free_ranks))
 
@@ -335,14 +352,9 @@ def projected_betti(model: MorseModel, cells: Set[Label]) -> Tuple[int, int]:
 def subset_ray(model: MorseModel, cells: Set[Label]) -> Ray:
     """The 1-ray of the cofinal family of a region with these cells,
     which :func:`cofinal_family` has found admissible."""
-    def stage(k):
-        return hamiltonian_cube(
-            model, {"0": region_hamiltonian(model, cells, k),
-                    "1": region_hamiltonian(model, cells, k + 1)})
-
-    closed = lambda prec: open_bar_barcode(projected_betti(model, cells),
-                                           prec)
-    return Ray(1, [], TailSpec.model(stage, closed_form=closed), check=False)
+    return family_ray(
+        model, {"": partial(region_hamiltonian, model, cells)},
+        lambda prec: open_bar_barcode(projected_betti(model, cells), prec))
 
 
 @dataclass(frozen=True)
@@ -402,7 +414,8 @@ def minmax_square(model: MorseModel, h_x: Hamiltonian, h_y: Hamiltonian
     """The square min -> (X, Y) -> max with zero filler.
 
     Both edge composites weight by max - min, so the square commutes
-    strictly.  At T = 0 the iterated cone decomposes per cell: where the
+    strictly; ``strict_commutation`` compares the square's two composites
+    00 -> 11.  At T = 0 the iterated cone decomposes per cell: where the
     two weights differ the four copies split into two length-one pieces,
     where they agree they form the four-generator piece
     dx1 = y1 + y2, dy1 = x2, dy2 = -x2, dx2 = 0 (after rescaling); either
@@ -420,9 +433,8 @@ def minmax_square(model: MorseModel, h_x: Hamiltonian, h_y: Hamiltonian
             raise Inadmissible("violations %r" % (bad,))
     square = hamiltonian_cube(model, {"00": h_min, "10": h_x,
                                       "01": h_y, "11": h_max})
-    lhs = {l: h_max[l] - h_x[l] + (h_x[l] - h_min[l]) for l in model.labels}
-    rhs = {l: h_max[l] - h_y[l] + (h_y[l] - h_min[l]) for l in model.labels}
-    strict = lhs == rhs
+    strict = mat_equal(mat_compose(square.face("1-"), square.face("-0")),
+                       mat_compose(square.face("-1"), square.face("0-")))
 
     tot = square.total_t0
     blocks: Dict[Label, Dict[Tuple[str, str], Fraction]] = {}
@@ -497,17 +509,8 @@ def descent_ray(model: MorseModel, regions: Sequence[Iterable[Label]]) -> Ray:
         if bad:
             raise InadmissibleSubset(
                 "region at %r admits arrows %r from outside" % (w, bad))
-    n = len(regions)
-
-    def stage(k):
-        assign = {}
-        for wa in vertex_codes(n + 1):
-            w, a = wa[:-1], wa[-1]
-            assign[wa] = region_hamiltonian(model, fam[w],
-                                            k + (1 if a == "1" else 0))
-        return hamiltonian_cube(model, assign)
-
-    return Ray(n + 1, [], TailSpec.model(stage), check=False)
+    return family_ray(model, {w: partial(region_hamiltonian, model, cells)
+                              for w, cells in fam.items()})
 
 
 @dataclass(frozen=True)

@@ -391,6 +391,19 @@ def test_global_sections_of_nonnegative_values_is_a_domain_failure(
      "--depth", "2"),
     ("morse", "empty-set", "bundled:circle", "--precision", "2",
      "--work", ""),
+    # each morse action refuses the flags it does not read
+    ("morse", "descent-involutive", os.path.join(DATA, "descent_circle6.json"),
+     "--precision", "1", "--depth", "2", "--work", "5"),
+    ("morse", "empty-set", "bundled:circle", "--precision", "2",
+     "--work", "1/1000"),
+    ("morse", "global-sections", "bundled:circle", "--precision", "1",
+     "--depth", "2", "--subset", "nowhere"),
+    ("morse", "global-sections", "bundled:circle", "--precision", "1",
+     "--depth", "2", "--work", "3"),
+    ("morse", "relative-sh", "bundled:circle6", "--precision", "1",
+     "--depth", "2", "--subset", "v0", "--work", "3"),
+    ("morse", "minmax", os.path.join(DATA, "minmax_circle.json"),
+     "--subset", "v0"),
 ])
 def test_meaningless_parameters_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
@@ -403,6 +416,19 @@ def test_meaningless_parameters_exit_2(argv):
      "--precision is not read by morse minmax"),
     (["relative-sh", "bundled:circle6", "--subset", "v0", "--depth", "2"],
      "--precision is mandatory for morse relative-sh"),
+    (["descent-involutive", os.path.join(DATA, "descent_circle6.json"),
+      "--precision", "1", "--depth", "2", "--work", "5"],
+     "--work is not read by morse descent-involutive"),
+    (["empty-set", "bundled:circle", "--precision", "2", "--work", "1/1000"],
+     "--work is not read by morse empty-set"),
+    (["global-sections", "bundled:circle", "--precision", "1", "--depth",
+      "2", "--subset", "nowhere"],
+     "--subset is not read by morse global-sections"),
+    (["relative-sh", "bundled:circle6", "--precision", "1", "--depth", "2",
+      "--subset", "v0", "--work", "3"],
+     "--work is not read by morse relative-sh"),
+    (["minmax", os.path.join(DATA, "minmax_circle.json"), "--subset", "v0"],
+     "--subset is not read by morse minmax"),
 ])
 def test_morse_precision_rule_names_the_flag(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -11,7 +11,7 @@ from t0_oracle import propagated_match
 
 from novcube import morse
 from novcube.chain import Generator, mat_compose, mat_equal, is_chain_map
-from novcube.cubes import verify_cube
+from novcube.cubes import CubeDiagram, verify_cube
 from novcube.linalg import nullspace, rank
 from novcube.morse import (Inadmissible, InadmissibleSubset, MorseModel,
                            NotMonotone, NotNegative, StageCheckFailed,
@@ -20,7 +20,7 @@ from novcube.morse import (Inadmissible, InadmissibleSubset, MorseModel,
                            global_sections, involutive_descent_instance,
                            minmax_square, model_from_json, model_to_json,
                            projected_betti, region_hamiltonian, relative_sh,
-                           resolve_region)
+                           resolve_region, scaling_ray, subset_ray)
 from novcube.novikov import NovikovScalar, parse_scalar
 from novcube.rays import Ray, TailSpec, mayer_vietoris
 
@@ -251,6 +251,26 @@ def test_minmax_square_checks_admissibility_twice(monkeypatch):
     assert len(calls) == 2
 
 
+def test_strict_commutation_reads_the_square(monkeypatch):
+    """Doubling one entry of the 1- edge breaks the square's commutation,
+    and the flag says so."""
+    build = morse.hamiltonian_cube
+
+    def skewed(model, assign):
+        cube = build(model, assign)
+        faces = {code: cube.face(code) for code in ("-0", "0-", "-1", "1-")}
+        key = min(faces["1-"], key=repr)
+        faces["1-"] = {**faces["1-"], key: faces["1-"][key].scale(2)}
+        return CubeDiagram(2, cube.vertices, faces)
+
+    m = bundled_model("circle6")
+    h = dict(m.values)
+    h2 = {l: h[l] + F(1, 2) for l in m.labels}
+    assert minmax_square(m, h, h2).strict_commutation
+    monkeypatch.setattr(morse, "hamiltonian_cube", skewed)
+    assert not minmax_square(m, h, h2).strict_commutation
+
+
 def admissible_closure(m, raw):
     """The least weight above ``raw`` that is admissible on ``m``: raise
     each arrow's target to its source and each base fibre to its maximum
@@ -457,6 +477,33 @@ def test_descent_two_subsets_iff_mayer_vietoris():
     # the square of the materialized per-region telescopes is exact too
     tel_square = telescope(ray, 2)
     assert mayer_vietoris(tel_square, WORK).ok
+
+
+@pytest.mark.parametrize("name, a, b", [
+    ("circle6", {"v0", "e0", "v1"}, {"v1", "e1", "v2"}),
+    ("grid9", {"v00", "ex0", "v10"}, {"v10", "ey1", "v11"}),
+])
+def test_family_rays_build_the_stages_of_their_assignments(name, a, b):
+    """Stage k of each ray is the cube of the weight functions at k (on
+    x = 0) and at k + 1 (on x = 1), vertex by vertex of the slice cube."""
+    from novcube.morse import descent_ray, hamiltonian_cube
+    m = bundled_model(name)
+
+    def region(cells, i):
+        return {l: F(-1, i) if l in cells else F(i) for l in m.labels}
+
+    scaling, subset = scaling_ray(m), subset_ray(m, a)
+    descent = descent_ray(m, [a, b])
+    corners = {"00": a | b, "10": a, "01": b, "11": a & b}
+    for k in (1, 2, 3):
+        assert scaling.map_cube(k) == hamiltonian_cube(m, {
+            "0": {l: m.values[l] / k for l in m.labels},
+            "1": {l: m.values[l] / (k + 1) for l in m.labels}})
+        assert subset.map_cube(k) == hamiltonian_cube(m, {
+            "0": region(a, k), "1": region(a, k + 1)})
+        assert descent.map_cube(k) == hamiltonian_cube(m, {
+            w + x: region(cells, k + int(x))
+            for w, cells in corners.items() for x in "01"})
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from novcube.chain import (ChainComplex, Generator, mat_add, mat_clean,
                            mat_equal, mat_identity, mat_neg)
 from novcube.cubes import (CubeDiagram, cone, glueable, id_cube,
                            verify_cube, vertex_codes)
+from novcube.errors import NotChainMap
 from novcube.novikov import NovikovScalar
 from novcube.rays import (NotAcyclic, Ray, SliceNotAcyclic, TailSpec,
                           TailVerdict, acyclic_slices_implies_acyclic,
@@ -193,6 +194,24 @@ def test_maps_to_the_last_slice_compose_once_per_stage(depth, monkeypatch):
                         lambda a, b: products.append(1) or compose(a, b))
     rays._to_last_slice(r, depth + 1, lambda t: t)
     assert len(products) == depth
+
+
+def test_a_comparison_that_does_not_commute_is_refused(monkeypatch):
+    """The colimit comparison and the compression's telescope map are
+    checked once, by ``cone_of_map``: doubling the image of one plain
+    generator a (d a = b, b kept) makes either map fail to commute."""
+    to_last = rays._to_last_slice
+
+    def skewed(ray, stop, target):
+        return {k: v.scale(2) if k[1][3] == "c_a0" else v
+                for k, v in to_last(ray, stop, target).items()}
+
+    r = identity_ray(simple_complex("c"), 3)
+    monkeypatch.setattr(rays, "_to_last_slice", skewed)
+    with pytest.raises(NotChainMap, match="does not commute"):
+        colimit_t0(r, 2)
+    with pytest.raises(NotChainMap, match="does not commute"):
+        compression(r, [1, 2, 3])
 
 
 def test_compression_identity_reindexing():

@@ -32,3 +32,56 @@ def test_linalg_divides_only_in_its_exact_helper():
                  and isinstance(node.op, ast.Div)]
     inside = {id(node) for node in ast.walk(helper)}
     assert divisions and all(id(node) in inside for node in divisions)
+
+
+def _modules():
+    root = Path(novcube.__file__).parent
+    return [(path.relative_to(root).with_suffix("").as_posix(),
+             ast.parse(path.read_text(), str(path)))
+            for path in sorted(root.rglob("*.py"))]
+
+
+def _loads(nodes):
+    return {node.id for top in nodes for node in ast.walk(top)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+# perfbench/workloads.py passes r0 positionally; the descent verdict is
+# computed at ``work`` and does not read it
+UNREAD_PARAMETERS = {"morse.involutive_descent_instance.r0"}
+
+
+def test_every_parameter_is_read():
+    """A parameter that its function never reads is a setting that does
+    nothing.  ``self``, ``cls``, ``*args``, ``**kwargs`` and dunder
+    methods are exempt."""
+    unread = set()
+    for module, tree in _modules():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    or node.name.startswith("__"):
+                continue
+            a = node.args
+            names = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
+            read = _loads(node.body)
+            unread |= {"%s.%s.%s" % (module, node.name, name)
+                       for name in names - read - {"self", "cls"}}
+    assert unread == UNREAD_PARAMETERS
+
+
+def test_every_module_import_is_used():
+    """Each name a module imports at its top level is read in it."""
+    unused = []
+    for module, tree in _modules():
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        read = _loads(tree.body)
+        unused += ["%s:%d %s" % (module, line, name)
+                   for name, line in imported.items() if name not in read]
+    assert unused == []
