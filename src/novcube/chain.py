@@ -478,7 +478,9 @@ def _barcode(c: ChainComplex, work: Fraction) -> Barcode:
         raise ValueError("barcode needs a verified complex: %s"
                          % (report.violations,))
     # rows[t][s] with a column index; entries that are zero at the working
-    # precision are kept so pivot ambiguity can be detected
+    # precision are kept so pivot ambiguity can be detected.  Every entry
+    # enters cut at ``work``, and series_add and series_mul keep a
+    # precision, so no entry is ever an exact zero: each has a floor
     rows: Dict[Label, Dict[Label, Series]] = {}
     cols: Dict[Label, set] = {}
     known: List[tuple] = []    # (valuation, repr, seq, t, s, series)
@@ -492,13 +494,8 @@ def _barcode(c: ChainComplex, work: Fraction) -> Barcode:
             if key is None:
                 key = reprs[(t, s)] = repr((t, s))
             heapq.heappush(known, (v[0][0][0], key, next(seq), t, s, v))
-        elif v[1] is not None:
-            heapq.heappush(unknown, (v[1], next(seq), t, s, v))
         else:
-            if s in rows.get(t, {}):
-                del rows[t][s]
-                cols[s].discard(t)
-            return
+            heapq.heappush(unknown, (v[1], next(seq), t, s, v))
         rows.setdefault(t, {})[s] = v
         cols.setdefault(s, set()).add(t)
 
@@ -574,8 +571,6 @@ def _barcode(c: ChainComplex, work: Fraction) -> Barcode:
                 leftovers.append(v)
         for v in leftovers:
             floor = v[0][0][0] if v[0] else v[1]
-            if floor is None:
-                continue
             if v[0] and floor < wn - pivot_val:
                 raise ValueError(
                     "input is not a chain complex: residual %s"

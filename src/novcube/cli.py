@@ -12,10 +12,10 @@ handler in :data:`MORSE_ACTIONS`; a handler returns ``(report, exit
 code)``, and :func:`_report` adds the keys every report carries.  Each
 subcommand states its own flags in :func:`build_parser`: the ``--work``
 default or that ``--work`` is mandatory, and which of ``--precision`` and
-``--depth`` it needs.  :data:`MORSE_ACTIONS` says which actions need
-``--depth`` and which of ``--precision``, ``--work`` and ``--subset`` each
-reads: ``--precision`` is mandatory for those that read it, and a flag an
-action does not read is a usage error.  ``sh`` and ``descent`` verify every
+``--depth`` it needs.  :data:`MORSE_ACTIONS` says which of
+``--precision``, ``--subset``, ``--depth`` and ``--work`` each action
+reads: each flag it reads but ``--work`` is mandatory, and a flag it does
+not read is a usage error.  ``sh`` and ``descent`` verify every
 cube of a ray file at the working precision they compute at, before they
 compute; each passing check is the cube's certificate, so the telescope
 built from the cubes is not checked again.  ``verify-cube``, ``cone``,
@@ -278,7 +278,7 @@ def _empty_set(args, path):
     from .morse import empty_set
     model, digest = _load_model(path)
     precision = _parse_fraction(args.precision, "--precision")
-    code = empty_set(model, None, precision)
+    code = empty_set(model, precision)
     return _report(args, path, [digest], code.is_zero, barcode=code.to_json())
 
 
@@ -286,8 +286,6 @@ def _relative_sh(args, path):
     from .morse import relative_sh, resolve_region
     model, digest = _load_model(path)
     precision = _parse_fraction(args.precision, "--precision")
-    if args.subset is None:
-        raise InputError("relative-sh needs --subset")
     labels = [s for s in args.subset.split(",") if s]
     try:
         resolve_region(model, labels)
@@ -338,15 +336,14 @@ def _descent_involutive(args, path):
                              for pair, ok in rep.pairwise])
 
 
-# action -> (handler, --depth when unset (None makes --depth mandatory),
-# which of --precision, --work and --subset it reads: --precision is
-# mandatory if read, and a flag it does not read is refused)
+# action -> (handler, the flags it reads: each is mandatory but --work, and
+# a flag it does not read is refused)
 MORSE_ACTIONS = {
-    "global-sections": (_global_sections, None, {"precision"}),
-    "empty-set": (_empty_set, 2, {"precision"}),
-    "relative-sh": (_relative_sh, None, {"precision", "subset"}),
-    "minmax": (_minmax, 2, {"work"}),
-    "descent-involutive": (_descent_involutive, None, {"precision"}),
+    "global-sections": (_global_sections, {"precision", "depth"}),
+    "empty-set": (_empty_set, {"precision"}),
+    "relative-sh": (_relative_sh, {"precision", "subset", "depth"}),
+    "minmax": (_minmax, {"work"}),
+    "descent-involutive": (_descent_involutive, {"precision", "depth"}),
 }
 
 
@@ -477,19 +474,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "morse":
-        args.handler, depth, reads = MORSE_ACTIONS[args.action]
-        if args.depth is None:
-            if depth is None:
-                parser.exit(2, "error: --depth is mandatory for completed "
-                               "computations\n")
-            args.depth = depth
-        if "precision" in reads and args.precision is None:
-            parser.exit(2, "error: --precision is mandatory for morse %s\n"
-                        % args.action)
-        for flag in ("precision", "work", "subset"):
-            if flag not in reads and getattr(args, flag) is not None:
-                parser.exit(2, "error: --%s is not read by morse %s\n"
-                            % (flag, args.action))
+        args.handler, reads = MORSE_ACTIONS[args.action]
+        given = {flag for flag in ("depth", "precision", "subset", "work")
+                 if getattr(args, flag) is not None}
+        for flag in sorted(reads - given - {"work"}):
+            parser.exit(2, "error: --%s is mandatory for morse %s\n"
+                        % (flag, args.action))
+        for flag in sorted(given - reads):
+            parser.exit(2, "error: --%s is not read by morse %s\n"
+                        % (flag, args.action))
     if args.work == "":
         parser.exit(2, "error: flag --work expects a rational p/q, got ''\n")
     for flag in ("precision", "work"):

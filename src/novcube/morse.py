@@ -7,8 +7,11 @@ not decrease the value function; weighting its entries by T to the value
 difference produces complexes over the nonnegative part of the Novikov
 ring, and monotone families of weight functions produce rays whose
 completed telescopes are computed here in closed form and cross-checked
-against finite stages.  Every such ray is built by :func:`family_ray`
-from one stage rule per vertex of its slice cube.
+against finite stages of the same ray.  Every such ray is built by
+:func:`family_ray` from one stage rule per vertex of its slice cube, and
+every stage by :func:`hamiltonian_cube`, the one stage builder;
+:func:`cf` and :func:`continuation` build a stage's vertex complexes and
+edge maps one by one and serve as the references it is checked against.
 
 Weights are compared and subtracted on the exponent lattice: each call
 puts its weight functions on one denominator (:func:`on_lattice`) and
@@ -35,7 +38,7 @@ from .cubes import (CubeDiagram, face_codes, initial_vertex,
                     positive_sign_exponent, terminal_vertex, vertex_codes)
 from .errors import (Inadmissible, InadmissibleSubset, NotMonotone,
                      NotNegative, StageCheckFailed)
-from .novikov import INFINITY, NovikovScalar, from_series, json_keys, rat
+from .novikov import INFINITY, from_series, json_keys, rat
 from .rays import (DescentReport, Ray, TailSpec, completed_homology,
                    descent_complex)
 
@@ -246,57 +249,56 @@ def global_sections(model: MorseModel, r0, depth: int
 
     Requires strictly negative values.  The surviving module per cell is
     spanned by T^e with 0 < e < r0 (the union of the stage images), so the
-    answer is the boundary's rational homology in open bars.  Checked
-    against the stage-n continuation weight -H(p)/(n(n+1)) and against the
-    free ranks of the finite-stage barcodes.
+    answer is the boundary's rational homology in open bars.  Checked on
+    stages 1..depth of the :func:`scaling_ray` whose limit it returns:
+    each stage edge must weight cell p by -H(p)/(n(n+1)), and each stage
+    complex must have the boundary's Betti numbers as free ranks.
     """
     if any(v >= 0 for v in model.values.values()):
         raise NotNegative("global sections need strictly negative values")
     r0 = rat(r0)
     betti = model.betti()
+    ray = scaling_ray(model)
     weights_checked = 0
     free_ranks: List[Tuple[int, int]] = []
     for n in range(1, depth + 1):
-        h_n = scaling_hamiltonian(model, n)
-        h_n1 = scaling_hamiltonian(model, n + 1)
-        con = continuation(model, h_n, h_n1)
+        stage = ray.map_cube(n)
+        edge = stage.face("-")
         for l in model.labels:
-            expo = con[(l, l)].val()
+            expo = edge[(l, l)].val()
             if expo != -model.values[l] / (n * (n + 1)):
                 raise StageCheckFailed(
                     "stage %d weight of cell %r is %s, not -H/(n(n+1))"
                     % (n, l, expo))
             weights_checked += 1
-        code = cf(model, h_n).barcode(max(r0, 3))
+        code = stage.vertex("0").barcode(max(r0, 3))
         free_ranks.append(code.free_ranks())
         if code.free_ranks() != betti:
             raise StageCheckFailed(
                 "stage %d free ranks %r differ from the Betti numbers %r"
                 % (n, code.free_ranks(), betti))
-    barcode = completed_homology(scaling_ray(model), r0)
+    barcode = completed_homology(ray, r0)
     return GlobalSectionsReport(barcode, betti, weights_checked,
                                 tuple(free_ranks))
 
 
-def empty_set(model: MorseModel, base_h: Optional[Hamiltonian], r0,
+def empty_set(model: MorseModel, r0,
               prefix: Optional[List[CubeDiagram]] = None) -> Barcode:
-    """Completed limit of the shift family h + s: vanishes identically.
+    """Completed limit of the shift family values + s: vanishes identically.
 
     The stage complexes are all equal and the stage map is the diagonal
     multiplication by T, so the image of N composed maps sits above T^N
     and the completed direct limit is zero at every precision.
     """
-    h = base_h if base_h is not None else dict(model.values)
-    c = cf(model, h)
-    t_map = {(l, l): NovikovScalar.monomial(1, 1) for l in model.labels}
-    stationary = TailSpec.stationary(
-        CubeDiagram(1, {"0": c, "1": c}, {"-": t_map}))
-    ray = Ray(1, list(prefix or []), stationary)
+    h = model.values
+    tail = hamiltonian_cube(model, {"0": h, "1": {l: v + 1
+                                                  for l, v in h.items()}})
+    ray = Ray(1, list(prefix or []), TailSpec.stationary(tail))
     return completed_homology(ray, rat(r0))
 
 
 # ---------------------------------------------------------------------------
-# regions and cofinal families
+# regions and their rays
 
 
 def resolve_region(model: MorseModel, region: Iterable[Label]) -> Set[Label]:
@@ -311,27 +313,6 @@ def resolve_region(model: MorseModel, region: Iterable[Label]) -> Set[Label]:
     if unknown:
         raise KeyError("unknown base points %r" % (unknown,))
     return model.cells_over(region)
-
-
-def subset_violations(model: MorseModel, cells: Set[Label]):
-    """Arrows entering the region from outside break admissibility."""
-    return [(q, p) for (q, p) in model.boundary
-            if q in cells and p not in cells]
-
-
-def cofinal_family(model: MorseModel, region: Iterable[Label], stages: int
-                   ) -> List[Hamiltonian]:
-    """Weight functions -1/i on the region and +i outside, i = 1..stages.
-
-    This is where a region is checked: no arrow may enter it from outside.
-    """
-    cells = resolve_region(model, region)
-    bad = subset_violations(model, cells)
-    if bad:
-        raise InadmissibleSubset(
-            "arrows %r enter the region from outside" % (bad,))
-    return [region_hamiltonian(model, cells, i)
-            for i in range(1, stages + 1)]
 
 
 def region_hamiltonian(model: MorseModel, cells: Set[Label], i: int
@@ -349,11 +330,29 @@ def projected_betti(model: MorseModel, cells: Set[Label]) -> Tuple[int, int]:
     return QComplex(gens, diff).homology_ranks()
 
 
+def region_ray(model: MorseModel, regions: Dict[str, Set[Label]],
+               closed_form=None) -> Ray:
+    """The ray of the cofinal families of ``regions``, which maps each
+    vertex w of the slice cube to a cell set: stage k weights w's cells
+    by -1/k and the others by +k, through :func:`family_ray`.
+
+    This is where a region is checked: no arrow may enter any of them
+    from outside.
+    """
+    for w, cells in regions.items():
+        bad = [(q, p) for (q, p) in model.boundary
+               if q in cells and p not in cells]
+        if bad:
+            raise InadmissibleSubset(
+                "arrows %r enter the region at %r from outside" % (bad, w))
+    return family_ray(model, {w: partial(region_hamiltonian, model, cells)
+                              for w, cells in regions.items()}, closed_form)
+
+
 def subset_ray(model: MorseModel, cells: Set[Label]) -> Ray:
-    """The 1-ray of the cofinal family of a region with these cells,
-    which :func:`cofinal_family` has found admissible."""
-    return family_ray(
-        model, {"": partial(region_hamiltonian, model, cells)},
+    """The 1-ray of the cofinal family of a region with these cells."""
+    return region_ray(
+        model, {"": cells},
         lambda prec: open_bar_barcode(projected_betti(model, cells), prec))
 
 
@@ -372,28 +371,21 @@ def relative_sh(model: MorseModel, region: Iterable[Label], r0, depth: int
     Cells of the region survive with spans open at zero; cells outside
     die modulo T^r0 (their stage weights exceed any bound).  What remains
     is the boundary restricted to the region, so the answer is the
-    region subcomplex's rational homology in open bars.  Finite stages
-    are verified for admissibility and monotonicity up to ``depth``.
+    region subcomplex's rational homology in open bars.  Stages 1..depth
+    of the :func:`subset_ray` whose limit it returns are built, which
+    checks their weights for admissibility and monotonicity, and the
+    complex at the start of each is verified.
     """
-    r0 = rat(r0)
-    region = list(region)
-    fam = cofinal_family(model, region, depth + 1)
     cells = resolve_region(model, region)
     ray = subset_ray(model, cells)
-    checked = 0
-    for i in range(depth):
-        report = cf(model, fam[i]).verify(3)
+    for k in range(1, depth + 1):
+        report = ray.map_cube(k).vertex("0").verify(3)
         if not report.ok:
             raise StageCheckFailed("stage %d complex does not verify: %s"
-                                   % (i + 1, report.violations))
-        for l in model.labels:
-            if fam[i][l] > fam[i + 1][l]:
-                raise NotMonotone("weight decreases at %r from stage %d"
-                                  % (l, i + 1))
-        checked += 1
-    barcode = completed_homology(ray, r0)
+                                   % (k, report.violations))
+    barcode = completed_homology(ray, rat(r0))
     return RelativeReport(barcode, projected_betti(model, cells),
-                          tuple(sorted(map(str, cells))), checked)
+                          tuple(sorted(map(str, cells))), depth)
 
 
 # ---------------------------------------------------------------------------
@@ -502,15 +494,8 @@ def region_family(regions: Sequence[Set[Label]]) -> Dict[str, Set[Label]]:
 
 def descent_ray(model: MorseModel, regions: Sequence[Iterable[Label]]) -> Ray:
     """The subset-cube ray of the min/max-assembled cofinal families."""
-    resolved = [resolve_region(model, r) for r in regions]
-    fam = region_family(resolved)
-    for w, cells in fam.items():
-        bad = subset_violations(model, cells)
-        if bad:
-            raise InadmissibleSubset(
-                "region at %r admits arrows %r from outside" % (w, bad))
-    return family_ray(model, {w: partial(region_hamiltonian, model, cells)
-                              for w, cells in fam.items()})
+    return region_ray(model, region_family(
+        [resolve_region(model, r) for r in regions]))
 
 
 @dataclass(frozen=True)
@@ -525,25 +510,26 @@ class InvolutiveReport:
 
 def involutive_descent_instance(model: MorseModel,
                                 regions: Sequence[Iterable[Label]],
-                                r0, work=3, depth: int = 2
-                                ) -> InvolutiveReport:
+                                r0, depth: int = 2) -> InvolutiveReport:
     """Descent verdict for regions pulled back through the base projection.
 
     All weight functions factor through the base; unions and
     intersections are taken in the base.  For three regions the pairwise
     verdicts are computed as well, mirroring the two-subset induction.
+    ``r0`` is the precision of the verdicts' d*d checks, which the stages'
+    certificates pass by construction.
     """
     if model.base_map is None:
         raise InadmissibleSubset("model carries no base projection")
     regions = [set(r) for r in regions]
     ray = descent_ray(model, regions)
-    verdict = descent_complex(ray, work, depth)
+    verdict = descent_complex(ray, r0, depth)
     pairwise: List[Tuple[Tuple[int, int], bool]] = []
     if len(regions) >= 3:
         for i in range(len(regions)):
             for j in range(i + 1, len(regions)):
                 sub = descent_ray(model, [regions[i], regions[j]])
-                rep = descent_complex(sub, work, depth)
+                rep = descent_complex(sub, r0, depth)
                 pairwise.append(((i, j), rep.acyclic))
     return InvolutiveReport(verdict, tuple(pairwise))
 

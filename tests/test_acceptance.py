@@ -193,7 +193,7 @@ def test_criterion_6_model_limits():
                 assert con[(l, l)] == NovikovScalar.monomial(
                     1, -model.values[l] / (n * (n + 1)))
         for r0 in (F(1, 2), F(1), F(5)):
-            assert empty_set(model, None, r0).is_zero
+            assert empty_set(model, r0).is_zero
     report("criterion 6: global sections match Betti numbers; empty set "
            "vanishes at precisions 1/2, 1, 5; stage weights exact")
 

@@ -21,8 +21,9 @@ from novcube import chain, cli, cubes, rays
 from novcube.chain import ChainComplex, Generator, mat_compose
 from novcube.cubes import (CubeDiagram, cone, from_positive_signs,
                            to_positive_signs, total_complex, verify_cube)
-from novcube.morse import (MorseModel, bundled_model, cf, hamiltonian_cube,
-                           involutive_descent_instance)
+from novcube.morse import (MorseModel, bundled_model, cf, empty_set,
+                           global_sections, hamiltonian_cube,
+                           involutive_descent_instance, relative_sh)
 from novcube.novikov import INFINITY, NovikovScalar, parse_scalar
 from novcube.rays import (Ray, TailSpec, completed_homology, cone_ray,
                           map_to_zero, telescope, telescope_complex,
@@ -286,6 +287,17 @@ def test_a_descent_instance_makes_no_square_check(square_calls):
     rep = involutive_descent_instance(bundled_model("circle6"), arcs, 1)
     assert rep.acyclic and len(rep.pairwise) == 3
     assert square_calls == []
+
+
+def test_morse_limits_check_only_the_stages_they_verify(square_calls):
+    """The empty set's tail and the scaling stages are certified by
+    construction; the relative limit verifies one complex per stage."""
+    model = bundled_model("circle6")
+    assert empty_set(model, 2).is_zero
+    assert global_sections(model, 1, 3).betti == (1, 1)
+    assert square_calls == []
+    rep = relative_sh(model, ["v0", "e0", "v1"], 1, 3)
+    assert rep.stages_checked == 3 and len(square_calls) == 3
 
 
 @pytest.mark.parametrize("name", ["ray2.json", "ray1_stationary.json"])

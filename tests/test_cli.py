@@ -404,6 +404,14 @@ def test_global_sections_of_nonnegative_values_is_a_domain_failure(
      "--depth", "2", "--subset", "v0", "--work", "3"),
     ("morse", "minmax", os.path.join(DATA, "minmax_circle.json"),
      "--subset", "v0"),
+    ("morse", "empty-set", "bundled:circle", "--precision", "2",
+     "--depth", "7"),
+    ("morse", "minmax", os.path.join(DATA, "minmax_circle.json"),
+     "--depth", "2"),
+    # every flag an action reads but --work is mandatory
+    ("morse", "relative-sh", "bundled:circle6", "--precision", "1",
+     "--depth", "2"),
+    ("morse", "global-sections", "bundled:circle", "--precision", "1"),
 ])
 def test_meaningless_parameters_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
@@ -429,6 +437,14 @@ def test_meaningless_parameters_exit_2(argv):
      "--work is not read by morse relative-sh"),
     (["minmax", os.path.join(DATA, "minmax_circle.json"), "--subset", "v0"],
      "--subset is not read by morse minmax"),
+    (["empty-set", "bundled:circle", "--precision", "2", "--depth", "7"],
+     "--depth is not read by morse empty-set"),
+    (["minmax", os.path.join(DATA, "minmax_circle.json"), "--depth", "2"],
+     "--depth is not read by morse minmax"),
+    (["relative-sh", "bundled:circle6", "--precision", "1", "--depth", "2"],
+     "--subset is mandatory for morse relative-sh"),
+    (["global-sections", "bundled:circle", "--precision", "1"],
+     "--depth is mandatory for morse global-sections"),
 ])
 def test_morse_precision_rule_names_the_flag(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -15,8 +15,7 @@ from novcube.cubes import CubeDiagram, verify_cube
 from novcube.linalg import nullspace, rank
 from novcube.morse import (Inadmissible, InadmissibleSubset, MorseModel,
                            NotMonotone, NotNegative, StageCheckFailed,
-                           bundled_model, cf,
-                           cofinal_family, continuation, empty_set,
+                           bundled_model, cf, continuation, empty_set,
                            global_sections, involutive_descent_instance,
                            minmax_square, model_from_json, model_to_json,
                            projected_betti, region_hamiltonian, relative_sh,
@@ -133,7 +132,7 @@ def test_empty_set_vanishes():
     for name in ("point", "interval", "circle6"):
         m = bundled_model(name)
         for r0 in (F(1, 2), F(1), F(5)):
-            assert empty_set(m, None, r0).is_zero
+            assert empty_set(m, r0).is_zero
 
 
 def test_empty_set_with_prefix_perturbation():
@@ -143,27 +142,32 @@ def test_empty_set_with_prefix_perturbation():
     pre = CubeDiagram(1, {"0": c, "1": c},
                       {"-": {(l, l): NovikovScalar.monomial(1, F(1, 3))
                              for l in m.labels}})
-    assert empty_set(m, None, F(2), prefix=[pre]).is_zero
+    assert empty_set(m, F(2), prefix=[pre]).is_zero
 
 
 def test_cofinal_family_examples():
     m = bundled_model("interval")
-    fam = cofinal_family(m, ["a0", "a1", "b"], 3)
+
+    def cofinal_family(region, stages):
+        cells = resolve_region(m, region)
+        return [region_hamiltonian(m, cells, i) for i in range(1, stages + 1)]
+
+    fam = cofinal_family(["a0", "a1", "b"], 3)
     assert all(fam[i - 1][l] == F(-1, i)
                for i in (1, 2, 3) for l in m.labels)
-    fam0 = cofinal_family(m, [], 3)
+    fam0 = cofinal_family([], 3)
     assert all(fam0[i - 1][l] == F(i) for i in (1, 2, 3) for l in m.labels)
     # closed sublevel region is admissible at every stage
-    fam_sub = cofinal_family(m, ["a0", "a1"], 4)
-    for h in fam_sub:
-        assert cf(m, h).verify(WORK).ok
+    ray = subset_ray(m, resolve_region(m, ["a0", "a1"]))
+    for k in range(1, 5):
+        assert ray.map_cube(k).vertex("0").verify(WORK).ok
 
 
 def test_cofinal_family_rejects_open_region():
     m = bundled_model("circle")
     # an edge alone receives arrows from its endpoints
     with pytest.raises(InadmissibleSubset):
-        cofinal_family(m, ["e0"], 2)
+        subset_ray(m, resolve_region(m, ["e0"]))
 
 
 def test_minmax_square_piece_types():
@@ -613,19 +617,19 @@ def test_boundary_must_square_to_zero():
 
 def test_stage_cross_checks_raise_typed_errors(monkeypatch):
     m = bundled_model("circle6")
+    region = morse.region_hamiltonian
 
-    def decreasing_family(model, region, stages):
-        fam = cofinal_family(model, region, stages)
-        return fam[::-1]
+    def reversed_stages(model, cells, i):
+        return region(model, cells, 4 - i)
 
-    monkeypatch.setattr(morse, "cofinal_family", decreasing_family)
+    monkeypatch.setattr(morse, "region_hamiltonian", reversed_stages)
     with pytest.raises(NotMonotone):
         relative_sh(m, ["v0", "e0", "v1"], F(1), 2)
     monkeypatch.undo()
 
-    def squared(model, h, h2):
-        return {k: v * v for k, v in continuation(model, h, h2).items()}
+    def squared(model, n):
+        return {l: model.values[l] / (n * n) for l in model.labels}
 
-    monkeypatch.setattr(morse, "continuation", squared)
+    monkeypatch.setattr(morse, "scaling_hamiltonian", squared)
     with pytest.raises(StageCheckFailed, match="weight"):
         global_sections(bundled_model("t2"), F(1), 2)

@@ -421,6 +421,55 @@ def test_derived_rays_read_the_parent_cache():
     assert calls == Counter({1: 1, 2: 1, 3: 1})
 
 
+def test_derived_rays_of_stationary_rays_map_the_tail():
+    """The stationary branch of ``_derived``: a vertex ray of a 1-ray has
+    the ray's own stages, and a cone ray the coned tail."""
+    base = simple_complex("s", pairs=2)
+    shift = {k: v.shift(1) for k, v in mat_identity(base.labels).items()}
+    edge = one_cube(base, base, shift)
+    ray = Ray(1, [one_cube(base, base, mat_identity(base.labels))],
+              TailSpec.stationary(edge))
+    sub = vertex_ray(ray, "")
+    assert sub.tail.kind == "stationary"
+    for k in (1, 2, 3):
+        assert sub.map_cube(k) == ray.map_cube(k)
+    ident = mat_identity(base.labels)
+    square = CubeDiagram(2, dict.fromkeys(vertex_codes(2), base),
+                         {"-0": ident, "-1": dict(ident), "0-": shift,
+                          "1-": dict(shift)})
+    ray2 = Ray(2, [square], TailSpec.stationary(square))
+    coned = cone_ray(ray2, 1)
+    assert coned.tail.kind == "stationary"
+    assert coned.tail.cube == cone(square, 1)
+    for k in (1, 2, 3):
+        assert coned.map_cube(k) == cone(ray2.map_cube(k), 1)
+
+
+def test_a_summand_that_differs_from_its_block_is_reported(monkeypatch):
+    """``d0_matches_summands`` compares each vertex's block of d_0 with the
+    telescope of that vertex's ray: one stage-edge entry doubled in the
+    vertex rays makes it False."""
+    build = rays.vertex_ray
+
+    def skewed(ray, w):
+        sub = build(ray, w)
+
+        def stage(k):
+            cube = sub.map_cube(k)
+            edge = cube.face("-")
+            key = min(edge, key=repr)
+            return one_cube(cube.vertex("0"), cube.vertex("1"),
+                            {**edge, key: edge[key].scale(2)})
+
+        return Ray(1, [], TailSpec.model(stage), check=False)
+
+    assert descent_complex(identity_square_model_ray(lambda k: 1), WORK,
+                           2).d0_matches_summands
+    monkeypatch.setattr(rays, "vertex_ray", skewed)
+    rep = descent_complex(identity_square_model_ray(lambda k: 1), WORK, 2)
+    assert not rep.d0_matches_summands
+
+
 def pair_complex(c):
     return ChainComplex([Generator("x", 1), Generator("y", 0)],
                         {("y", "x"): NovikovScalar.rational(c)})

@@ -46,11 +46,6 @@ def _loads(nodes):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
 
 
-# perfbench/workloads.py passes r0 positionally; the descent verdict is
-# computed at ``work`` and does not read it
-UNREAD_PARAMETERS = {"morse.involutive_descent_instance.r0"}
-
-
 def test_every_parameter_is_read():
     """A parameter that its function never reads is a setting that does
     nothing.  ``self``, ``cls``, ``*args``, ``**kwargs`` and dunder
@@ -66,7 +61,7 @@ def test_every_parameter_is_read():
             read = _loads(node.body)
             unread |= {"%s.%s.%s" % (module, node.name, name)
                        for name in names - read - {"self", "cls"}}
-    assert unread == UNREAD_PARAMETERS
+    assert unread == set()
 
 
 def test_every_module_import_is_used():
@@ -85,3 +80,19 @@ def test_every_module_import_is_used():
         unused += ["%s:%d %s" % (module, line, name)
                    for name, line in imported.items() if name not in read]
     assert unused == []
+
+
+def test_no_function_calls_the_stage_references():
+    """``hamiltonian_cube`` is the one stage builder: ``cf`` and
+    ``continuation`` are the references it is checked against, and no
+    function of the library calls them."""
+    calls = []
+    for module, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else \
+                    getattr(f, "attr", None)
+                if name in ("cf", "continuation"):
+                    calls.append("%s:%d %s" % (module, node.lineno, name))
+    assert calls == []
