@@ -22,20 +22,26 @@ complexes and JSON are views of D; ``positive`` only chooses whether
 those views are signed.  The (w', w) block of D.D is the coherence
 equation of the face F = [w, w'] times (-1)^(#(0-,F) + dim F), so
 :func:`verify_cube` is one matrix product; :func:`cone`, :func:`compose`
-and telescopes relabel or multiply D, :func:`total_complex` is D with
-shifted parities, and :func:`glueable` compares two faces of D in place.
+and telescopes relabel or multiply D, and :func:`total_complex` is D with
+shifted parities.  Faces, subcubes and gluing are read from D alone:
+:meth:`CubeDiagram.face_cube` is the one cut of a face out of D,
+:meth:`CubeDiagram.recode` the one re-sign of D when a face moves, and
+``==`` compares D, so :func:`glueable` is the equality of two subcubes.
 D is clean: its only zeros are vertex-block entries known modulo a power
 of T.  The face-map constructor, :func:`compose` and :func:`decone` drop
 the others, and relabellings and restrictions keep D clean.
 
 Certificates.  A cube carries ``verified_mod`` as a complex does (see
 :mod:`novcube.chain`): ``morse.hamiltonian_cube`` sets ``INFINITY``, a
-passing :func:`verify_cube` records its precision, and subcubes,
+passing :func:`verify_cube` records its precision, and face cubes,
 relabellings, sign conversions, :func:`cone`, vertex views,
 :func:`total_complex` of a total cube and ``rays.telescope`` of stages
 that glue pass on the least certificate of their parts; every other
-construction starts with None.  ``rays.mayer_vietoris`` checks a square
-through ``chain.checked``; :func:`verify_cube` always runs in full.
+construction starts with None.  A vertex view is built from D when it
+is first read, with the cube's certificate at that moment; the face-map
+constructor keeps no view of the complexes it is given.
+``rays.mayer_vietoris`` checks a square through ``chain.checked``;
+:func:`verify_cube` always runs in full.
 """
 
 from __future__ import annotations
@@ -46,11 +52,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .chain import (ChainComplex, Generator, MatrixEntries, QComplex, Report,
                     complex_from_json, complex_to_json, json_field,
-                    mat_clean, mat_compose, mat_equal, mat_neg,
-                    matrix_from_json, matrix_to_json, record,
-                    square_violations)
+                    mat_compose, mat_equal, mat_neg, matrix_from_json,
+                    matrix_to_json, record, square_violations)
 from .errors import NotConiform, NotGluable
-from .novikov import ONE, NovikovScalar, json_keys, rat
+from .novikov import ONE, json_keys, rat
 
 
 class InvalidDirection(ValueError):
@@ -171,17 +176,14 @@ Gens = Dict[str, Tuple[Generator, ...]]
 
 
 def _put(D: MatrixEntries, code: str, entries: MatrixEntries,
-         positive: bool, keys: dict) -> None:
+         positive: bool) -> None:
     """Add the face map ``entries`` at ``code`` to D in positive form, but
-    not its zeros, except those of a vertex known only modulo a power of T;
-    ``keys`` hands out one (vertex, label) tuple per generator, shared by
-    the entries of D."""
+    not its zeros, except those of a vertex known only modulo a power of T."""
     flip = entries and not positive and positive_sign_exponent(code) % 2
     ws, wt = initial_vertex(code), terminal_vertex(code)
     for (t, s), v in entries.items():
         if v or (v.floor is not None and ws == wt):
-            D[(keys.setdefault((wt, t), (wt, t)),
-               keys.setdefault((ws, s), (ws, s)))] = -v if flip else v
+            D[((wt, t), (ws, s))] = -v if flip else v
 
 
 class CubeDiagram:
@@ -215,13 +217,10 @@ class CubeDiagram:
                                  "complex differential" % w)
             given[w] = diff
         D: MatrixEntries = {}
-        keys: dict = {}
         for code, entries in given.items():
-            _put(D, code, entries, positive, keys)
+            _put(D, code, entries, positive)
         self._init(n, {w: vertices[w].generators for w in vertex_codes(n)},
                    D, positive, set(given) if partial else None, verified_mod)
-        # the given complexes already are the vertex views of D
-        self._vertices = {w: vertices[w] for w in vertex_codes(n)}
 
     @classmethod
     def from_matrix(cls, n: int, gens: Gens, D: MatrixEntries,
@@ -309,12 +308,16 @@ class CubeDiagram:
         return total_complex(self).reduce_t0()
 
     def __eq__(self, other):
+        """Same dimension, sign form, defined faces, generator set at each
+        vertex and D; D is clean, so D is compared as it is."""
         if not isinstance(other, CubeDiagram):
             return NotImplemented
         return (self.n == other.n and self.positive == other.positive
                 and self._defined == other._defined
-                and self.vertices == other.vertices
-                and mat_clean(self.D) == mat_clean(other.D))
+                and self.gens.keys() == other.gens.keys()
+                and all(set(g) == set(other.gens[w])
+                        for w, g in self.gens.items())
+                and self.D == other.D)
 
     def __repr__(self):
         return "CubeDiagram(n=%d, %s)" % (
@@ -339,19 +342,29 @@ class CubeDiagram:
             D[((b, t), (a, s))] = v
         return gens, D
 
+    def face_cube(self, code: str) -> "CubeDiagram":
+        """The face ``code`` as a cube in its dashed coordinates: D cut
+        and re-signed by :meth:`recode`, with this cube's certificate."""
+        if len(code) != self.n or any(ch not in "01-" for ch in code):
+            raise ValueError("bad face code %r" % code)
+        free = [i for i, ch in enumerate(code) if ch == "-"]
+
+        def at(c):  # c's code in the face, None when c is not on it
+            if all(a in ("-", b) for a, b in zip(code, c)):
+                return "".join([c[i] for i in free])
+            return None
+
+        defined = None if self._defined is None else \
+            {at(c) for c in self._defined} - {None}
+        gens, D = self.recode({w: at(w) for w in self.gens}.get)
+        return CubeDiagram.from_matrix(len(free), gens, D, self.positive,
+                                       defined, self.verified_mod)
+
     def subcube(self, i: int, value: str) -> "CubeDiagram":
         """The (n-1)-cube sitting at {x_i = value}, value in '01'."""
         if not 1 <= i <= self.n:
             raise InvalidDirection("direction %d out of range" % i)
-
-        def at(code):
-            return code[:i - 1] + code[i:] if code[i - 1] == value else None
-
-        defined = None if self._defined is None else \
-            {at(c) for c in self._defined if at(c) is not None}
-        gens, D = self.recode(at)
-        return CubeDiagram.from_matrix(self.n - 1, gens, D, self.positive,
-                                       defined, self.verified_mod)
+        return self.face_cube("-" * (i - 1) + value + "-" * (self.n - i))
 
     def relabel_vertices(self, fn) -> "CubeDiagram":
         """Apply a per-vertex label map: fn(vertex_code, label) -> label."""
@@ -584,21 +597,10 @@ def id_cube(cube: CubeDiagram) -> CubeDiagram:
 def glueable(first: CubeDiagram, second: CubeDiagram, k: Optional[int] = None
              ) -> bool:
     """Whether ``second`` glues after ``first`` in direction k, that is
-    ``first.subcube(k, "1") == second.subcube(k, "0")``, compared in place
-    (D entries re-signed as :meth:`CubeDiagram.recode` re-signs them)."""
+    ``first.subcube(k, "1") == second.subcube(k, "0")``."""
     k = first.n if k is None else k
-
-    def face(cube, bit):
-        at = {w: w[:k - 1] + w[k:] for w in cube.gens if w[k - 1] == bit}
-        signed = not cube.positive
-        return (cube.positive, {at[w]: set(cube.gens[w]) for w in at}, {
-            ((at[wt], t), (at[ws], s)):
-            -v if signed and _flips(ws, wt) != _flips(at[ws], at[wt]) else v
-            for ((wt, t), (ws, s)), v in cube.D.items()
-            if ws in at and wt in at}, cube._defined and {
-                c[:k - 1] + c[k:] for c in cube._defined if c[k - 1] == bit})
     return (first.n == second.n and 1 <= k <= first.n
-            and face(first, "1") == face(second, "0"))
+            and first.subcube(k, "1") == second.subcube(k, "0"))
 
 
 def _straddles(key) -> bool:
@@ -673,8 +675,8 @@ def triangle_to_slit(tri: CubeDiagram, work=1) -> CubeDiagram:
     f = tri.subcube(n - 1, "0")        # map C -> C', last coord is x_n
     fprime = tri.subcube(n, "1")       # map C' -> C'', last coord is x_(n-1)
     g = tri.subcube(n - 1, "1")        # map C -> C''
-    source = f.subcube(n - 1, "0")     # the cube C
-    target = fprime.subcube(n - 1, "1")  # the cube C''
+    source = tri.face_cube("-" * (n - 2) + "00")  # the cube C
+    target = tri.face_cube("-" * (n - 2) + "11")  # the cube C''
     _, D = compose(f, fprime).recode(lambda w: w[:-1] + "0" + w[-1])
     D.update(g.recode(lambda w: w[:-1] + "1" + w[-1])[1])
     D.update((k, v) for k, v in tri.D.items()
@@ -683,8 +685,8 @@ def triangle_to_slit(tri: CubeDiagram, work=1) -> CubeDiagram:
             for w in vertex_codes(n)}
     for w in vertex_codes(n - 2):
         for last, cx in (("0", source), ("1", target)):
-            _put(D, w + "-" + last, {(l, l): NovikovScalar.one()
-                                     for l in cx.vertex(w).labels}, False, {})
+            _put(D, w + "-" + last, {(g.label, g.label): ONE
+                                     for g in cx.gens[w]}, False)
     return CubeDiagram.from_matrix(n, gens, D)
 
 

@@ -175,7 +175,6 @@ def hamiltonian_cube(model: MorseModel,
         steps[w], bad = _steps(model, num[w], den)
         if bad:
             raise Inadmissible("weight function decreases along %r" % (bad,))
-    key = {(w, l): (w, l) for w in codes for l in model.labels}
     D: MatrixEntries = {}
     for code in face_codes(n):
         if code.count("-") != 1:
@@ -186,12 +185,12 @@ def hamiltonian_cube(model: MorseModel,
             step = num[wt][l] - num[ws][l]
             if step < 0:
                 raise NotMonotone("weight decreases at %r" % (l,))
-            D[key[wt, l], key[ws, l]] = from_series(
+            D[(wt, l), (ws, l)] = from_series(
                 (((step, sign),), None), den)
     for w in codes:
         sign = -1 if positive_sign_exponent(w) % 2 else 1
         for (t, s), c in model.boundary.items():
-            D[key[w, t], key[w, s]] = from_series(
+            D[(w, t), (w, s)] = from_series(
                 (((steps[w][t, s], sign * c),), None), den)
     return CubeDiagram.from_matrix(n, dict.fromkeys(codes, model.cells), D,
                                    verified_mod=INFINITY)
@@ -282,8 +281,7 @@ def global_sections(model: MorseModel, r0, depth: int
                                 tuple(free_ranks))
 
 
-def empty_set(model: MorseModel, r0,
-              prefix: Optional[List[CubeDiagram]] = None) -> Barcode:
+def empty_set(model: MorseModel, r0) -> Barcode:
     """Completed limit of the shift family values + s: vanishes identically.
 
     The stage complexes are all equal and the stage map is the diagonal
@@ -293,7 +291,7 @@ def empty_set(model: MorseModel, r0,
     h = model.values
     tail = hamiltonian_cube(model, {"0": h, "1": {l: v + 1
                                                   for l, v in h.items()}})
-    ray = Ray(1, list(prefix or []), TailSpec.stationary(tail))
+    ray = Ray(1, [], TailSpec.stationary(tail))
     return completed_homology(ray, rat(r0))
 
 

@@ -10,7 +10,8 @@ closed-form family supplied by the Morse model, whose rays
 must be a pure function of the stage index: each ray builds a stage once
 and keeps it for its own lifetime.  Rays derived from a ray (cones,
 vertex rays) all come from :func:`_derived`, which maps each stage and
-reads model stages from the ray they were derived from.
+reads model stages from the ray they were derived from; a vertex ray's
+stages are face cubes of the stages it is derived from, cut out of D.
 
 The telescope of a ray is the homotopy-colimit cube: per vertex the sum of
 a shifted and an unshifted copy of every slice, with the differential
@@ -184,23 +185,22 @@ def telescope(ray: Ray, depth: int) -> CubeDiagram:
     """Materialized telescope: stages 1..depth shifted + 1..depth+1 plain.
 
     One pass over the stages' generators and positive-form D writes slice
-    1 (face x_n = 0 of stage 1, negated if signed, as ``subcube`` re-signs
-    it) as ("tel", 1, "u", l), then the last-direction cone of each stage
-    k: x_n = 0 as ("tel", k, "s", l) with parities flipped, x_n = 1 as
-    ("tel", k + 1, "u", l), and the copy map +1 from each shifted summand
-    to its plain one, which makes contracting the telescope equal the
-    telescope of the contracted ray.  It is quasi-isomorphic to slice
-    depth+1, with its stages' least certificate when they glue.
+    1 (``subcube(n, "0")`` of stage 1) as ("tel", 1, "u", l), then the
+    last-direction cone of each stage k: x_n = 0 as ("tel", k, "s", l)
+    with parities flipped, x_n = 1 as ("tel", k + 1, "u", l), and the copy
+    map +1 from each shifted summand to its plain one, which makes
+    contracting the telescope equal the telescope of the contracted ray.
+    It is quasi-isomorphic to slice depth+1, with its stages' least
+    certificate when they glue.
     """
     n = ray.n
     stages = [ray.map_cube(k) for k in range(1, max(depth, 1) + 1)]
     cert = _glued_certificate(stages, n)
-    one, first = NovikovScalar.one(), stages[0]
-    gens = {w: [Generator(("tel", 1, "u", g.label), g.parity)
-                for g in first.gens[w + "0"]] for w in vertex_codes(n - 1)}
-    D = {((wt[:-1], ("tel", 1, "u", t)), (ws[:-1], ("tel", 1, "u", s))):
-         v if first.positive else -v for ((wt, t), (ws, s)), v
-         in first.D.items() if wt[-1] == ws[-1] == "0"}
+    one, first = NovikovScalar.one(), stages[0].subcube(n, "0")
+    gens = {w: [Generator(("tel", 1, "u", g.label), g.parity) for g in gs]
+            for w, gs in first.gens.items()}
+    D = {((wt, ("tel", 1, "u", t)), (ws, ("tel", 1, "u", s))): v
+         for ((wt, t), (ws, s)), v in first.D.items()}
     for k, stage in enumerate(stages[:depth], 1):
         if stage.positive or stage.partial:  # refused as ``cone`` does
             raise ValueError("cone applies to " + (
@@ -609,13 +609,9 @@ def mayer_vietoris(square: CubeDiagram, work) -> ExactnessReport:
 
 
 def vertex_ray(ray: Ray, w: str) -> Ray:
-    """The 1-ray sitting over one vertex of the slice cube."""
-    def edge(big):
-        return CubeDiagram(
-            1, {"0": big.vertex(w + "0"), "1": big.vertex(w + "1")},
-            {"-": big.face(w + "-")}, verified_mod=big.verified_mod)
-
-    return _derived(ray, 1, edge)
+    """The 1-ray sitting over one vertex of the slice cube: the face
+    cubes w- of its stages."""
+    return _derived(ray, 1, lambda big: big.face_cube(w + "-"))
 
 
 def degree_parts(cx: ChainComplex) -> Dict[int, MatrixEntries]:
@@ -652,11 +648,13 @@ def descent_complex(ray: Ray, work, depth: int) -> DescentReport:
     """
     cx = telescope_complex(ray, depth)
     parts = degree_parts(cx)
+    blocks: Dict[Tuple[str, str], MatrixEntries] = {}
+    for (t, s), v in parts.get(0, {}).items():
+        blocks.setdefault((t[0], s[0]), {})[(t[1], s[1])] = v
     d0_ok = True
     for w in vertex_codes(ray.n - 1):
         z = w.count("0")
-        block = {(t[1], s[1]): v for (t, s), v in parts.get(0, {}).items()
-                 if t[0] == w and s[0] == w}
+        block = blocks.get((w, w), {})
         summand = telescope_complex(vertex_ray(ray, w), depth)
         # the summand sits inside the iterated cone shifted z times: for
         # odd z its differential is negated and then transported by the

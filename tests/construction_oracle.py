@@ -1,16 +1,59 @@
-"""The compositions that three one-pass constructions replaced.
+"""The compositions and cuts that the library's one-pass code replaced.
 
 ``rays.telescope`` used to relabel a subcube and the cones of its stages,
 ``cubes.glueable`` compared two subcubes, and ``morse.hamiltonian_cube``
 built ``cf`` and ``continuation`` for every vertex and edge and passed them
-to the face-map constructor.  Each is kept here, building the intermediate
-cubes the library no longer builds, as an oracle for the tests.
+to the face-map constructor.  ``CubeDiagram.face_cube`` now cuts every
+face out of D at once, where ``subcube`` cut one coordinate at a time;
+``CubeDiagram.__eq__`` compares D, where it compared vertex views; and
+``rays.vertex_ray`` cuts its stages out of D, where it rebuilt each edge
+from the views of a stage through the face-map constructor.  Each old way
+is kept here, building the intermediate cubes and views the library no
+longer builds, as an oracle for the tests.
 """
 
+from novcube.chain import mat_clean
 from novcube.cubes import (CubeDiagram, cone, face_codes, initial_vertex,
                            terminal_vertex, vertex_codes)
 from novcube.morse import cf, continuation
 from novcube.novikov import INFINITY, NovikovScalar
+
+
+def subcube(cube, i, value):
+    """The (n-1)-cube at {x_i = value}, cut from D one coordinate at a
+    time."""
+    def at(code):
+        return code[:i - 1] + code[i:] if code[i - 1] == value else None
+
+    defined = None if cube._defined is None else \
+        {at(c) for c in cube._defined if at(c) is not None}
+    gens, D = cube.recode(at)
+    return CubeDiagram.from_matrix(cube.n - 1, gens, D, cube.positive,
+                                   defined, cube.verified_mod)
+
+
+def face_cube(cube, code):
+    """The face ``code``: one :func:`subcube` per fixed coordinate, the
+    last one first."""
+    for i in range(len(code), 0, -1):
+        if code[i - 1] != "-":
+            cube = subcube(cube, i, code[i - 1])
+    return cube
+
+
+def equal(a, b):
+    """Equality through the vertex views, D compared without its zeros."""
+    return (a.n == b.n and a.positive == b.positive
+            and a._defined == b._defined and a.vertices == b.vertices
+            and mat_clean(a.D) == mat_clean(b.D))
+
+
+def vertex_ray_edge(big, w):
+    """Stage ``big`` of a vertex ray over w: the edge over w rebuilt from
+    its views by the face-map constructor."""
+    return CubeDiagram(
+        1, {"0": big.vertex(w + "0"), "1": big.vertex(w + "1")},
+        {"-": big.face(w + "-")}, verified_mod=big.verified_mod)
 
 
 def kept(D):

@@ -101,6 +101,55 @@ def test_compare_keeps_the_traced_metrics_of_each_side():
                                "change": {"novikov.mul_calls": 0.0}}
 
 
+def traced_run(value):
+    """The parsed output of one traced run, with one per-layer metric."""
+    return {"result": {"metrics": {
+        "chain.barcode.self_s": {"value": value, "unit": "s"}}}}
+
+
+def test_compare_keeps_the_median_and_every_traced_reading():
+    pairs = [{"parent": run(1.0, 1.0), "change": run(2.0, 0.5)}]
+    readings = {"parent": [0.30, 0.10, 0.20], "change": [5.0, 1.0, 3.0]}
+    traced = [{side: traced_run(readings[side][i]) for side in readings}
+              for i in range(3)]
+    entry = bench_pairs.compare(pairs, END_TO_END, *traced)
+    assert entry["traced"] == {"parent": {"chain.barcode.self_s": 0.20},
+                               "change": {"chain.barcode.self_s": 3.0}}
+    assert entry["traced_runs"] == {
+        side: {"chain.barcode.self_s": values}
+        for side, values in readings.items()}
+    assert "traced" not in bench_pairs.compare(pairs, END_TO_END)
+
+
+def test_main_alternates_the_sides_in_pairs_and_traced_runs(
+        tmp_path, monkeypatch):
+    for side in bench_pairs.SIDES:
+        (tmp_path / side / "src" / "novcube").mkdir(parents=True)
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "end_to_end": END_TO_END}))
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds, trace):
+        calls.append((checkout.name, trace))
+        return run(1.0, 1.0) if trace == 0 else traced_run(len(calls))
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.chdir(tmp_path)
+    assert bench_pairs.main([
+        str(tmp_path / "parent"), str(tmp_path / "change"), "--pr", "x",
+        "--workloads", "w", "--seeds", "1", "--pairs", "2"]) == 0
+    assert calls == [("parent", 0), ("change", 0), ("change", 0),
+                     ("parent", 0), ("parent", 1), ("change", 1),
+                     ("change", 1), ("parent", 1), ("parent", 1),
+                     ("change", 1)]
+    entry = json.loads((tmp_path / "BENCH_x.json").read_text())["runs"]["w/1"]
+    assert entry["traced_runs"] == {
+        "parent": {"chain.barcode.self_s": [5, 8, 9]},
+        "change": {"chain.barcode.self_s": [6, 7, 10]}}
+    assert entry["traced"] == {"parent": {"chain.barcode.self_s": 8},
+                               "change": {"chain.barcode.self_s": 7}}
+
+
 def test_source_hash_names_the_code_and_skips_bytecode(tmp_path):
     src = tmp_path / "src" / "novcube"
     (src / "__pycache__").mkdir(parents=True)

@@ -357,6 +357,17 @@ def test_a_partial_cube_does_not_certify_its_total_complex():
     assert total_complex(cube).verified_mod is None
 
 
+def test_vertex_views_of_a_loaded_cube_carry_its_certificate(square_calls):
+    """The face-map constructor keeps no view of the complexes it was
+    given: each vertex view is built from D when first read, with the
+    cube's certificate, so a verified vertex is not checked again."""
+    cube, _ = cli._load_cube(os.path.join(DATA, "cube3.json"))
+    assert verify_cube(cube, 3) and len(square_calls) == 1
+    assert all(cube.vertex(w).verified_mod == 3 for w in cube.gens)
+    cube.vertex("000").is_acyclic(3)
+    assert len(square_calls) == 1
+
+
 def test_a_checked_ray_stage_that_is_not_square_zero_stays_uncertified(
         monkeypatch):
     """``check`` tests gluing, not coherence: a telescope's exact check of

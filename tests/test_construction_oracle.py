@@ -2,14 +2,17 @@
 
 ``tests/construction_oracle.py`` keeps the old ways: a telescope from a
 subcube, cones and relabellings, gluing as the equality of two subcubes,
-and a stage cube from ``cf`` and ``continuation`` through the face-map
-constructor.  Each one-pass result must match its oracle in generator
-order, D order, values and certificate, and fail where it fails, with
-the same exception and message.  A last property checks that no
-constructor leaves an entry that vanishes outside the vertex blocks.
+a stage cube from ``cf`` and ``continuation`` through the face-map
+constructor, a face cut one coordinate at a time, equality through the
+vertex views, and a vertex ray's edges rebuilt from a stage's views.
+Each one-pass result must match its oracle in generator order, D order,
+values and certificate, and fail where it fails, with the same exception
+and message.  A last property checks that no constructor leaves an entry
+that vanishes outside the vertex blocks.
 """
 
 import random
+import re
 from fractions import Fraction as F
 
 import construction_oracle as oracle
@@ -26,8 +29,8 @@ from novcube.cubes import (CubeDiagram, compose, cone, cube_from_json,
 from novcube.morse import (MorseModel, bundled_model, descent_ray,
                            hamiltonian_cube, region_family,
                            region_hamiltonian, resolve_region)
-from novcube.novikov import NovikovScalar
-from novcube.rays import Ray, TailSpec, map_to_zero, telescope
+from novcube.novikov import INFINITY, NovikovScalar
+from novcube.rays import Ray, TailSpec, map_to_zero, telescope, vertex_ray
 
 SETTINGS = settings(max_examples=40, deadline=None)
 # seeds of ``random.Random``, whose draws spread further than
@@ -108,6 +111,95 @@ def random_variant(rng, cube):
     if pick == 3:
         return with_vertex_zero(rng, cube, rng.choice(vertex_codes(cube.n)))
     return cube
+
+
+# ---------------------------------------------------------------------------
+# faces and equality
+
+
+@SETTINGS
+@given(SEEDS, st.integers(2, 4))
+def test_face_cube_matches_iterated_subcubes(rng, n):
+    cube = random_variant(rng, random_cube(rng, n, max_gens=2, mix=4))
+    cube.verified_mod = rng.choice([None, F(3), INFINITY])
+    for code in face_codes(n):
+        assert_same_cube(cube.face_cube(code), oracle.face_cube(cube, code))
+    for i in range(1, n + 1):
+        for value in "01":
+            assert_same_cube(cube.subcube(i, value),
+                             oracle.subcube(cube, i, value))
+
+
+def test_face_cube_refuses_a_bad_code():
+    cube = random_cube(random.Random(5), 2)
+    for code in ("0", "0-1", "0x", "*-"):
+        with pytest.raises(ValueError,
+                           match=re.escape("bad face code %r" % code)):
+            cube.face_cube(code)
+
+
+def without_generator(rng, cube):
+    """``cube`` with one generator and every entry of D at it left out, or
+    unchanged when it has none."""
+    full = [w for w, gs in cube.gens.items() if gs]
+    if not full:
+        return cube
+    w = rng.choice(full)
+    gone = (w, rng.choice(cube.gens[w]).label)
+    gens = {v: [g for g in gs if (v, g.label) != gone]
+            for v, gs in cube.gens.items()}
+    D = {k: v for k, v in cube.D.items() if gone not in k}
+    return CubeDiagram.from_matrix(cube.n, gens, D, cube.positive,
+                                   cube._defined, cube.verified_mod)
+
+
+def perturbed(rng, cube):
+    """``cube`` with one entry of D scaled or raised by a monomial, or
+    unchanged when D is empty."""
+    if not cube.D:
+        return cube
+    D = dict(cube.D)
+    key = rng.choice(sorted(D, key=repr))
+    D[key] = D[key].scale(2) if rng.random() < 0.5 else \
+        D[key] + NovikovScalar.monomial(1, 7)
+    return CubeDiagram.from_matrix(cube.n, cube.gens, D, cube.positive,
+                                   cube._defined, cube.verified_mod)
+
+
+def vertex_zero_moved(rng, cube):
+    """``cube`` with a vertex entry known only modulo T^R known modulo
+    another power of T instead, or unchanged when it has none."""
+    zeros = [k for k, v in cube.D.items() if not v]
+    if not zeros:
+        return cube
+    D = dict(cube.D)
+    key = rng.choice(sorted(zeros, key=repr))
+    D[key] = zero_mod(D[key].val_floor() + 1)
+    return CubeDiagram.from_matrix(cube.n, cube.gens, D, cube.positive,
+                                   cube._defined, cube.verified_mod)
+
+
+@SETTINGS
+@given(SEEDS, st.integers(1, 3))
+def test_equality_matches_the_vertex_view_comparison(rng, n):
+    cube = random_variant(rng, random_cube(rng, n, max_gens=2, mix=4))
+    if rng.random() < 0.5:
+        cube = with_vertex_zero(rng, cube, rng.choice(vertex_codes(n)))
+    same = CubeDiagram.from_matrix(n, cube.gens, dict(cube.D),
+                                   cube.positive, cube._defined)
+    others = [same, perturbed(rng, cube), without_generator(rng, cube),
+              vertex_zero_moved(rng, cube),
+              with_vertex_zero(rng, cube, rng.choice(vertex_codes(n))),
+              CubeDiagram.from_matrix(n, cube.gens, cube.D,
+                                      not cube.positive, cube._defined),
+              random_cube(rng, n, max_gens=2, mix=4)]
+    assert cube == same
+    for other in others:
+        a, b = (CubeDiagram.from_matrix(c.n, c.gens, c.D, c.positive,
+                                        c._defined) for c in (cube, other))
+        new = (a == b, b == a)
+        assert not a._vertices and not b._vertices
+        assert new == (oracle.equal(a, b), oracle.equal(b, a))
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +416,20 @@ def test_stage_cubes_and_telescopes_of_a_descent_ray_match():
                          oracle.hamiltonian_cube(model, assign))
     for depth in (0, 1, 2):
         assert_same_cube(telescope(ray, depth), oracle.telescope(ray, depth))
+
+
+@pytest.mark.parametrize("name, regions", [
+    ("circle6", [{"v0", "e0", "v1"}, {"v1", "e1", "v2", "e2", "v0"}]),
+    ("grid9", [{"v00", "ex0", "v10"}, {"v01", "ex1", "v11"},
+               {"v00", "ey0", "v01"}]),
+])
+def test_vertex_ray_stages_match_the_constructor_edges(name, regions):
+    ray = descent_ray(bundled_model(name), regions)
+    for w in vertex_codes(ray.n - 1):
+        sub = vertex_ray(ray, w)
+        for k in (1, 2, 3):
+            assert_same_cube(sub.map_cube(k),
+                             oracle.vertex_ray_edge(ray.map_cube(k), w))
 
 
 # ---------------------------------------------------------------------------

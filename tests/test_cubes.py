@@ -495,6 +495,16 @@ def test_partial_cube_checks_only_defined_equations():
     assert not verify_cube(total, WORK).ok
 
 
+def test_equality_builds_no_vertex_view():
+    cube = random_cube(random.Random(0), 2)
+    assert cube.D
+    a, b = (CubeDiagram.from_matrix(2, cube.gens, dict(cube.D))
+            for _ in range(2))
+    other = CubeDiagram.from_matrix(2, cube.gens, {})
+    assert a == b and a != other and b != other
+    assert a._vertices == b._vertices == other._vertices == {}
+
+
 def test_json_roundtrip():
     rng = random.Random(24)
     c = random_cube(rng, 2).relabel_vertices(lambda w, l: "%s:%s" % (w, l))

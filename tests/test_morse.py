@@ -135,16 +135,6 @@ def test_empty_set_vanishes():
             assert empty_set(m, r0).is_zero
 
 
-def test_empty_set_with_prefix_perturbation():
-    m = bundled_model("interval")
-    c = cf(m, dict(m.values))
-    from novcube.cubes import CubeDiagram
-    pre = CubeDiagram(1, {"0": c, "1": c},
-                      {"-": {(l, l): NovikovScalar.monomial(1, F(1, 3))
-                             for l in m.labels}})
-    assert empty_set(m, F(2), prefix=[pre]).is_zero
-
-
 def test_cofinal_family_examples():
     m = bundled_model("interval")
 

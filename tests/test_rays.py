@@ -15,6 +15,7 @@ from novcube.chain import (ChainComplex, Generator, mat_add, mat_clean,
 from novcube.cubes import (CubeDiagram, cone, glueable, id_cube,
                            verify_cube, vertex_codes)
 from novcube.errors import NotChainMap
+from novcube.morse import bundled_model, descent_ray
 from novcube.novikov import NovikovScalar
 from novcube.rays import (NotAcyclic, Ray, SliceNotAcyclic, TailSpec,
                           TailVerdict, acyclic_slices_implies_acyclic,
@@ -414,11 +415,22 @@ def test_derived_rays_read_the_parent_cache():
     for w in vertex_codes(2):
         sub = vertex_ray(ray, w)
         telescope_complex(sub, 2)
-        assert sub.map_cube(1).vertex("1") is stages[0].vertex(w + "1")
+        assert sub.map_cube(1) == stages[0].face_cube(w + "-")
     coned = cone_ray(ray, 1)
     telescope_complex(coned, 2)
     assert coned.map_cube(2) == cone(stages[1], 1)
     assert calls == Counter({1: 1, 2: 1, 3: 1})
+
+
+def test_vertex_rays_build_no_view_of_their_stages():
+    model = bundled_model("circle6")
+    ray = descent_ray(model, [{"v0", "e0", "v1"},
+                              {"v1", "e1", "v2", "e2", "v0"}])
+    stage = ray.map_cube(1)
+    for w in vertex_codes(ray.n - 1):
+        edge = vertex_ray(ray, w).map_cube(1)
+        assert edge.n == 1 and edge.verified_mod == stage.verified_mod
+    assert stage._vertices == {}
 
 
 def test_derived_rays_of_stationary_rays_map_the_tail():

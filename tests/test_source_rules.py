@@ -96,3 +96,22 @@ def test_no_function_calls_the_stage_references():
                 if name in ("cf", "continuation"):
                     calls.append("%s:%d %s" % (module, node.lineno, name))
     assert calls == []
+
+
+def test_only_recode_and_the_face_views_re_sign_d():
+    """``_flips`` tells where the signed and the positive form of a face
+    map differ.  ``CubeDiagram.recode`` is the one re-sign of D when a
+    face moves, and ``CubeDiagram._view`` reads a signed face map off D;
+    every other cut or comparison goes through them."""
+    callers = set()
+    for module, tree in _modules():
+        for top in tree.body:
+            members = top.body if isinstance(top, ast.ClassDef) else [top]
+            for node in members:
+                if any(isinstance(call, ast.Call)
+                       and getattr(call.func, "id", None) == "_flips"
+                       for call in ast.walk(node)):
+                    owner = top.name + "." if node is not top else ""
+                    callers.add("%s:%s%s" % (module, owner, getattr(
+                        node, "name", "<module>")))
+    assert callers == {"cubes:CubeDiagram.recode", "cubes:CubeDiagram._view"}

@@ -10,11 +10,12 @@ PARENT and CHANGE are checkouts of the repository (each with its own
 ``perfbench/`` and ``src/``).  For every workload and seed the script runs
 ``perfbench/run.py --trace 0`` of each checkout ``--pairs`` times for
 ``BENCHMARK.json``'s ``run_seconds``, the parent first in even pairs and
-the change first in odd ones, then one ``--trace 1`` run on each side for
-the per-layer counters.  It writes ``BENCH_<pr>.json`` in the current
-directory, recording each checkout's commit (as the benchmark reads it,
-``null`` outside a git checkout) and the sha256 of its ``src/novcube``
-files, and holding per workload and seed:
+the change first in odd ones, then ``--trace 1`` ``TRACED_RUNS`` times on
+each side, alternating the same way, for the per-layer metrics.  It
+writes ``BENCH_<pr>.json`` in the current directory, recording each
+checkout's commit (as the benchmark reads it, ``null`` outside a git
+checkout) and the sha256 of its ``src/novcube`` files, and holding per
+workload and seed:
 
 - the input and output digests of both sides, and whether they agree;
 - the instances attempted and failed on each side;
@@ -24,7 +25,8 @@ files, and holding per workload and seed:
   more than the distance between the parent's quartiles, and whether the
   change's median is worse than the parent's by more than the metric's
   bound;
-- the per-layer metrics of each side's traced run.
+- under ``traced``, each per-layer metric's median over each side's
+  traced runs, and under ``traced_runs`` every reading, in run order.
 
 Runs are sequential: two runs at once would time each other.
 """
@@ -42,6 +44,15 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# traced runs per side; a layer's time is compared by its median over
+# them, since one traced reading moves with run-to-run noise
+TRACED_RUNS = 3
+
+
+def in_turn(i: int):
+    """The sides in the order run i takes them: the parent first in even
+    runs, the change first in odd ones."""
+    return SIDES if i % 2 == 0 else SIDES[::-1]
 
 
 def parse_output(stdout: str) -> dict:
@@ -109,11 +120,11 @@ def compare_metric(parent, change, better: str, bound: float) -> dict:
     }
 
 
-def compare(pairs, end_to_end, traced=None) -> dict:
+def compare(pairs, end_to_end, *traced) -> dict:
     """The entry of one workload and seed: ``pairs`` is a list of
     ``{"parent": run, "change": run}`` of parsed untraced runs,
-    ``end_to_end`` the metric list of ``BENCHMARK.json``, ``traced`` a
-    parsed traced run per side."""
+    ``end_to_end`` the metric list of ``BENCHMARK.json``, and each of
+    ``traced`` such a pair of parsed traced runs."""
     entry = {}
     for key in ("input_digest", "output_digest"):
         seen = {side: sorted({p[side]["record"][key] for p in pairs})
@@ -133,10 +144,15 @@ def compare(pairs, end_to_end, traced=None) -> dict:
             unit=m["unit"], better=m["better"], bound=m["bound"],
             **compare_metric(values["parent"], values["change"],
                              m["better"], m["bound"]))
-    if traced is not None:
-        entry["traced"] = {side: {name: v["value"] for name, v in
-                                  traced[side]["result"]["metrics"].items()}
-                           for side in SIDES}
+    if traced:
+        entry["traced_runs"] = {side: {
+            name: [t[side]["result"]["metrics"][name]["value"]
+                   for t in traced]
+            for name in traced[0][side]["result"]["metrics"]}
+            for side in SIDES}
+        entry["traced"] = {side: {name: statistics.median(values)
+                                  for name, values in runs.items()}
+                           for side, runs in entry["traced_runs"].items()}
     return entry
 
 
@@ -164,24 +180,24 @@ def main(argv=None) -> int:
         for seed in args.seeds:
             pairs = []
             for i in range(args.pairs):
-                order = SIDES if i % 2 == 0 else SIDES[::-1]
                 pair = {side: run_once(checkouts[side], workload, seed,
-                                       seconds, 0) for side in order}
+                                       seconds, 0) for side in in_turn(i)}
                 pairs.append(pair)
                 print("%s seed %d pair %d: %s" % (
                     workload, seed, i, ", ".join(
                         "%s %.4g" % (side, pair[side]["result"]["metrics"]
                                      ["instances_per_s"]["value"])
                         for side in SIDES)), file=sys.stderr)
-            traced = {side: run_once(checkouts[side], workload, seed,
-                                     seconds, 1) for side in SIDES}
+            traced = [{side: run_once(checkouts[side], workload, seed,
+                                      seconds, 1) for side in in_turn(i)}
+                      for i in range(TRACED_RUNS)]
             for side in SIDES:
                 out.setdefault(side, {
                     "checkout": checkouts[side].name,
                     "commit": pairs[0][side]["record"]["commit"],
                     "src_sha256": source_hash(checkouts[side])})
             out["runs"]["%s/%d" % (workload, seed)] = compare(
-                pairs, bench["end_to_end"], traced)
+                pairs, bench["end_to_end"], *traced)
     path = Path("BENCH_%s.json" % args.pr)
     path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     print("wrote %s" % path, file=sys.stderr)
