@@ -22,11 +22,10 @@ complexes and JSON are views of D; ``positive`` only chooses whether
 those views are signed.  The (w', w) block of D.D is the coherence
 equation of the face F = [w, w'] times (-1)^(#(0-,F) + dim F), so
 :func:`verify_cube` is one matrix product; :func:`cone`, :func:`compose`
-and telescopes relabel or multiply D, and :func:`total_complex` is D with
-shifted parities.  Faces, subcubes and gluing are read from D alone:
-:meth:`CubeDiagram.face_cube` is the one cut of a face out of D,
-:meth:`CubeDiagram.recode` the one re-sign of D when a face moves, and
-``==`` compares D, so :func:`glueable` is the equality of two subcubes.
+and telescopes relabel or multiply D, :func:`total_complex` is D with
+shifted parities, :meth:`CubeDiagram.face_cube` is the one cut of a face
+(or subcube) out of D and :meth:`CubeDiagram.recode` the one re-sign of
+it, and ``==`` compares D, so :func:`glueable` builds no vertex complex.
 D is clean: its only zeros are vertex-block entries known modulo a power
 of T.  The face-map constructor, :func:`compose` and :func:`decone` drop
 the others, and relabellings and restrictions keep D clean.
@@ -37,11 +36,9 @@ passing :func:`verify_cube` records its precision, and face cubes,
 relabellings, sign conversions, :func:`cone`, vertex views,
 :func:`total_complex` of a total cube and ``rays.telescope`` of stages
 that glue pass on the least certificate of their parts; every other
-construction starts with None.  A vertex view is built from D when it
-is first read, with the cube's certificate at that moment; the face-map
-constructor keeps no view of the complexes it is given.
-``rays.mayer_vietoris`` checks a square through ``chain.checked``;
-:func:`verify_cube` always runs in full.
+construction starts with None; a vertex view is built from D when first
+read, with the cube's certificate then.  ``rays.mayer_vietoris`` checks a
+square through ``chain.checked``; :func:`verify_cube` always runs in full.
 """
 
 from __future__ import annotations
@@ -158,6 +155,15 @@ def _flips(ws: str, wt: str) -> bool:
     """Whether the signed and the positive form differ on the face from
     ws to wt."""
     return positive_sign_exponent(face_between(ws, wt)) % 2 == 1
+
+
+@lru_cache(maxsize=4096)
+def _on_face(code: str, c: str) -> Optional[str]:
+    """The code of the vertex or face ``c`` within the face ``code``, or
+    None when c is not on it."""
+    if all(a in ("-", b) for a, b in zip(code, c)):
+        return "".join([b for a, b in zip(code, c) if a == "-"])
+    return None
 
 
 def face_equation_terms(code: str, positive: bool = False):
@@ -308,8 +314,7 @@ class CubeDiagram:
         return total_complex(self).reduce_t0()
 
     def __eq__(self, other):
-        """Same dimension, sign form, defined faces, generator set at each
-        vertex and D; D is clean, so D is compared as it is."""
+        """Same n, sign form, defined faces, vertex generators and D."""
         if not isinstance(other, CubeDiagram):
             return NotImplemented
         return (self.n == other.n and self.positive == other.positive
@@ -347,17 +352,10 @@ class CubeDiagram:
         and re-signed by :meth:`recode`, with this cube's certificate."""
         if len(code) != self.n or any(ch not in "01-" for ch in code):
             raise ValueError("bad face code %r" % code)
-        free = [i for i, ch in enumerate(code) if ch == "-"]
-
-        def at(c):  # c's code in the face, None when c is not on it
-            if all(a in ("-", b) for a, b in zip(code, c)):
-                return "".join([c[i] for i in free])
-            return None
-
         defined = None if self._defined is None else \
-            {at(c) for c in self._defined} - {None}
-        gens, D = self.recode({w: at(w) for w in self.gens}.get)
-        return CubeDiagram.from_matrix(len(free), gens, D, self.positive,
+            {_on_face(code, c) for c in self._defined} - {None}
+        gens, D = self.recode({w: _on_face(code, w) for w in self.gens}.get)
+        return CubeDiagram.from_matrix(face_dim(code), gens, D, self.positive,
                                        defined, self.verified_mod)
 
     def subcube(self, i: int, value: str) -> "CubeDiagram":
