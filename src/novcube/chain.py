@@ -10,6 +10,8 @@ The d*d check and the barcode run on series (:mod:`novcube.novikov`) on
 one lattice, building scalars only to invert a pivot and in messages.
 At T = 0 a :class:`QComplex` factors its odd differential once; its Betti
 numbers, acyclicity and homology spaces are views of that elimination.
+No mapping cone is built here: it is a 1-cube's total complex,
+``cubes.cone_of_map``, which tests its map with :func:`is_chain_map`.
 
 Each d*d fact is established once.  A complex carries a certificate,
 ``verified_mod``: the precision R at which d*d = 0 mod T^R is known (with
@@ -17,12 +19,11 @@ parity and nonnegative valuations), ``INFINITY`` when it is exact by
 construction, None when nothing is known.  It is set by the cell model
 (``morse.cf``), by a passing :meth:`ChainComplex.verify`, which records
 its precision, and by the constructions that pass on the least
-certificate of their parts: :meth:`~ChainComplex.shift`,
-:meth:`~ChainComplex.relabel`, and in :mod:`novcube.cubes` the vertex
-views and the total complex of a cube.  ``is_acyclic`` and the barcode
-call :func:`checked`, which runs the full check only when the
-certificate is missing or below the precision asked for; ``verify``
-itself always runs in full.
+certificate of their parts: :meth:`~ChainComplex.relabel`, and in
+:mod:`novcube.cubes` the vertex views and the total complex of a cube.
+``is_acyclic`` and the barcode call :func:`checked`, which runs the full
+check only when the certificate is missing or below the precision asked
+for; ``verify`` itself always runs in full.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from functools import cached_property
 from math import lcm
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
-from .errors import NotChainMap, PrecisionExhausted
+from .errors import PrecisionExhausted
 from .linalg import Elimination, QuotientSpace
 from .novikov import (INFINITY, NovikovScalar, Series, format_scalar,
                       from_series, json_keys, parse_scalar, rat,
@@ -248,12 +249,6 @@ class ChainComplex:
 
     # -- elementary operations ----------------------------------------------
 
-    def shift(self) -> "ChainComplex":
-        """Flip all parities and negate the differential."""
-        gens = [Generator(g.label, 1 - g.parity) for g in self.generators]
-        return ChainComplex(gens, mat_neg(self.differential),
-                            self.verified_mod)
-
     def relabel(self, fn: Callable[[Label], Label]) -> "ChainComplex":
         gens = [Generator(fn(g.label), g.parity) for g in self.generators]
         diff = {(fn(t), fn(s)): v for (t, s), v in self.differential.items()}
@@ -285,43 +280,12 @@ class ChainComplex:
         return (be, bo) == (0, 0), cert
 
 
-def direct_sum(parts: Iterable[ChainComplex]) -> ChainComplex:
-    gens: List[Generator] = []
-    diff: MatrixEntries = {}
-    for c in parts:
-        gens.extend(c.generators)
-        diff.update(c.differential)
-    return ChainComplex(gens, diff)
-
-
 def is_chain_map(entries: MatrixEntries, source: ChainComplex,
                  target: ChainComplex) -> bool:
     """f d = d' f, exactly."""
     lhs = mat_compose(entries, source.differential)
     rhs = mat_compose(target.differential, entries)
     return not mat_clean(mat_add(lhs, mat_neg(rhs)))
-
-
-def cone_of_map(source: ChainComplex, target: ChainComplex,
-                entries: MatrixEntries) -> ChainComplex:
-    """Mapping cone of an even chain map, checked to be one exactly.
-
-    Underlying module ``source[1] (+) target`` with block differential
-    ``[[-d, 0], [f, d']]``.  Source generators are relabelled ("0", l) and
-    target generators ("1", l), matching the cone of a 1-cube.
-    """
-    for (t, s) in entries:
-        if (target.parity(t) - source.parity(s)) % 2 != 0:
-            raise NotChainMap("map has an odd entry (%r, %r)" % (t, s))
-    if not is_chain_map(entries, source, target):
-        raise NotChainMap("matrix does not commute with differentials")
-    shifted = source.shift().relabel(lambda l: ("0", l))
-    tgt = target.relabel(lambda l: ("1", l))
-    diff = dict(shifted.differential)
-    diff.update(tgt.differential)
-    for (t, s), v in entries.items():
-        diff[(("1", t), ("0", s))] = v
-    return ChainComplex(shifted.generators + tgt.generators, diff)
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,12 @@ and telescopes relabel or multiply D, :func:`total_complex` is D with
 shifted parities, :meth:`CubeDiagram.face_cube` is the one cut of a face
 (or subcube) out of D and :meth:`CubeDiagram.recode` the one re-sign of
 it, and ``==`` compares D, so :func:`glueable` builds no vertex complex.
-D is clean: its only zeros are vertex-block entries known modulo a power
-of T.  The face-map constructor, :func:`compose` and :func:`decone` drop
-the others, and relabellings and restrictions keep D clean.
+The mapping cone of a chain map, :func:`cone_of_map`, is the total
+complex of its 1-cube.  D keeps what a complex keeps: it holds no exact
+zero, and an entry known only modulo a power of T stays on every face,
+vertex or not.  The face-map constructor and :func:`compose` drop exact
+zeros; the other constructions relabel, cut or copy D and write no zero
+of their own.
 
 Certificates.  A cube carries ``verified_mod`` as a complex does (see
 :mod:`novcube.chain`): ``morse.hamiltonian_cube`` sets ``INFINITY``, a
@@ -36,9 +39,10 @@ passing :func:`verify_cube` records its precision, and face cubes,
 relabellings, sign conversions, :func:`cone`, vertex views,
 :func:`total_complex` of a total cube and ``rays.telescope`` of stages
 that glue pass on the least certificate of their parts; every other
-construction starts with None; a vertex view is built from D when first
-read, with the cube's certificate then.  ``rays.mayer_vietoris`` checks a
-square through ``chain.checked``; :func:`verify_cube` always runs in full.
+construction starts with None.  A vertex view holds nothing of its own:
+it is built from D on every read, with the cube's certificate as it
+stands.  ``rays.mayer_vietoris`` checks a square through
+``chain.checked``; :func:`verify_cube` always runs in full.
 """
 
 from __future__ import annotations
@@ -48,10 +52,11 @@ from itertools import product
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .chain import (ChainComplex, Generator, MatrixEntries, QComplex, Report,
-                    complex_from_json, complex_to_json, json_field,
-                    mat_compose, mat_equal, mat_neg, matrix_from_json,
-                    matrix_to_json, record, square_violations)
-from .errors import NotConiform, NotGluable
+                    complex_from_json, complex_to_json, is_chain_map,
+                    json_field, mat_compose, mat_equal, mat_neg,
+                    matrix_from_json, matrix_to_json, record,
+                    square_violations)
+from .errors import NotChainMap, NotConiform, NotGluable
 from .novikov import ONE, json_keys, rat
 
 
@@ -184,11 +189,11 @@ Gens = Dict[str, Tuple[Generator, ...]]
 def _put(D: MatrixEntries, code: str, entries: MatrixEntries,
          positive: bool) -> None:
     """Add the face map ``entries`` at ``code`` to D in positive form, but
-    not its zeros, except those of a vertex known only modulo a power of T."""
+    not its exact zeros."""
     flip = entries and not positive and positive_sign_exponent(code) % 2
     ws, wt = initial_vertex(code), terminal_vertex(code)
     for (t, s), v in entries.items():
-        if v or (v.floor is not None and ws == wt):
+        if v.floor is not None:
             D[((wt, t), (ws, s))] = -v if flip else v
 
 
@@ -232,8 +237,9 @@ class CubeDiagram:
     def from_matrix(cls, n: int, gens: Gens, D: MatrixEntries,
                     positive: bool = False, defined: Optional[set] = None,
                     verified_mod=None) -> "CubeDiagram":
-        """The cube of vertex generators ``gens`` and clean positive-form D,
-        which it keeps; ``defined`` lists a partial cube's face codes."""
+        """The cube of vertex generators ``gens`` and positive-form D,
+        which holds no exact zero and which it keeps; ``defined`` lists a
+        partial cube's face codes."""
         cube = cls.__new__(cls)
         cube._init(n, gens, D, positive, defined, verified_mod)
         return cube
@@ -245,7 +251,6 @@ class CubeDiagram:
         self.gens: Gens = {w: tuple(gens[w]) for w in sorted(gens)}
         self.D: MatrixEntries = D
         self._defined = defined
-        self._vertices: Dict[str, ChainComplex] = {}
 
     # -- views of D ------------------------------------------------------
 
@@ -295,12 +300,10 @@ class CubeDiagram:
         return out
 
     def vertex(self, code: str) -> ChainComplex:
-        c = self._vertices.get(code)
-        if c is None:
-            c = ChainComplex(self.gens[code], self._view(code, code),
-                             self.verified_mod)
-            self._vertices[code] = c
-        return c
+        """The complex at vertex ``code``, built from D on every read,
+        with the cube's certificate as it stands."""
+        return ChainComplex(self.gens[code], self._view(code, code),
+                            self.verified_mod)
 
     @property
     def vertices(self) -> Dict[str, ChainComplex]:
@@ -522,8 +525,7 @@ def decone(cube: CubeDiagram, i: int,
         if bs is None or bt is None or (bs, bt) == ("1", "0"):
             raise NotConiform("face %r has an upper-triangular entry "
                               "(%r, %r)" % (face_between(ws, wt), t, s))
-        if v or bs == bt:  # a zero of a vertex block may leave it
-            D[((grow(wt, bt), unwrap(t)), (grow(ws, bs), unwrap(s)))] = v
+        D[((grow(wt, bt), unwrap(t)), (grow(ws, bs), unwrap(s)))] = v
     gens = {grow(w, bit): [Generator(unwrap(g.label),
                                      1 - g.parity if bit == "0" else g.parity)
                            for g in gs if side(w, g.label) == bit]
@@ -543,6 +545,20 @@ def total_complex(cube: CubeDiagram) -> ChainComplex:
             for w, gs in cube.gens.items() for g in gs]
     return ChainComplex(gens, cube.D,
                         None if cube.partial else cube.verified_mod)
+
+
+def cone_of_map(source: ChainComplex, target: ChainComplex,
+                entries: MatrixEntries) -> ChainComplex:
+    """Mapping cone of an even chain map, checked to be one exactly: the
+    total complex of its 1-cube, ``[[-d, 0], [f, d']]`` on generators
+    ("0", l) of ``source``, parities flipped, and ("1", l) of ``target``."""
+    for (t, s) in entries:
+        if (target.parity(t) - source.parity(s)) % 2 != 0:
+            raise NotChainMap("map has an odd entry (%r, %r)" % (t, s))
+    if not is_chain_map(entries, source, target):
+        raise NotChainMap("matrix does not commute with differentials")
+    return total_complex(CubeDiagram(1, {"0": source, "1": target},
+                                     {"-": entries}))
 
 
 def cone_labels_canonical(label, order: List[int]):
@@ -626,7 +642,8 @@ def compose(first: CubeDiagram, second: CubeDiagram) -> CubeDiagram:
     into = {((t[0][:-1] + "0", t[1]), s): v
             for (t, s), v in first.D.items() if _straddles((t, s))}
     onto = {k: v for k, v in second.D.items() if _straddles(k)}
-    D.update((k, v) for k, v in mat_compose(onto, into).items() if v)
+    D.update((k, v) for k, v in mat_compose(onto, into).items()
+             if v.floor is not None)
     gens = {w: (first if w[-1] == "0" else second).gens[w]
             for w in first.gens}
     return CubeDiagram.from_matrix(n, gens, D)

@@ -34,8 +34,11 @@ class Elimination:
 
     Entries, and so results, are ``int`` when integral, else ``Fraction``.
 
-    Rows (zeros dropped) are taken sparsest first and reduced against the
-    row holding their leading column; that forward pass fixes ``pivots``.
+    Rows are copied, zeros dropped, since the reduction writes into them
+    and callers pass rows they read again: ``rays.mayer_vietoris`` hands
+    one list of columns to ``is_exact`` twice.  The copies are taken
+    sparsest first and reduced against the row holding their leading
+    column; that forward pass fixes ``pivots``.
     Clearing above every pivot is left until ``rows``, ``solve`` or
     ``nullspace`` first needs it, so a rank costs the forward pass alone.
     ``solve`` replays the logged row operations on a right-hand side; the

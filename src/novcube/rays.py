@@ -12,6 +12,7 @@ and keeps it for its own lifetime.  Rays derived from a ray (cones,
 vertex rays) all come from :func:`_derived`, which maps each stage and
 reads model stages from the ray they were derived from; a vertex ray's
 stages are face cubes of the stages it is derived from, cut out of D.
+Derived rays carry no closed form: one answers for its own ray only.
 
 The telescope of a ray is the homotopy-colimit cube: per vertex the sum of
 a shifted and an unshifted copy of every slice, with the differential
@@ -32,9 +33,9 @@ from functools import reduce
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .chain import (Barcode, ChainComplex, Generator, Label, MatrixEntries,
-                    checked, cone_of_map, mat_clean, mat_compose, mat_equal,
-                    mat_identity, reduce_map_t0)
-from .cubes import (CubeDiagram, cone, compose, entry_violations,
+                    checked, mat_clean, mat_compose, mat_equal, mat_identity,
+                    reduce_map_t0)
+from .cubes import (CubeDiagram, cone, cone_of_map, compose, entry_violations,
                     glueable, total_complex, verify_cube, vertex_codes)
 from .errors import NotAcyclic, NotCoherent, SliceNotAcyclic
 from .linalg import Vector, is_exact
@@ -88,12 +89,6 @@ class TailSpec:
     @staticmethod
     def model(stage_fn, closed_form=None) -> "TailSpec":
         return TailSpec("model", stage_fn=stage_fn, closed_form=closed_form)
-
-    @property
-    def gap(self) -> Fraction:
-        if self.kind != "stationary":
-            raise UnsupportedTail("gap is defined for stationary tails")
-        return map_cube_gap(self.cube)
 
 
 class Ray:
@@ -255,8 +250,8 @@ def telescope_complex(ray: Ray, depth: int) -> ChainComplex:
     return total_complex(tel)
 
 
-def _derived(ray: Ray, n: int, f: Callable[[CubeDiagram], CubeDiagram],
-             closed_form: Optional[Callable] = None) -> Ray:
+def _derived(ray: Ray, n: int, f: Callable[[CubeDiagram], CubeDiagram]
+             ) -> Ray:
     """The n-ray whose stages are ``f`` of the stages of ``ray``, model
     stages read from its cache: the one derivation of rays from rays."""
     prefix = [f(c) for c in ray.prefix]
@@ -264,8 +259,7 @@ def _derived(ray: Ray, n: int, f: Callable[[CubeDiagram], CubeDiagram],
     if tail.kind == "stationary":
         tail = TailSpec.stationary(f(tail.cube))
     elif tail.kind == "model":
-        tail = TailSpec.model(lambda k: f(ray.map_cube(k)),
-                              closed_form=closed_form)
+        tail = TailSpec.model(lambda k: f(ray.map_cube(k)))
     return Ray(n, prefix, tail, check=False)
 
 
@@ -273,8 +267,7 @@ def cone_ray(ray: Ray, d: int) -> Ray:
     """Cone every stage in a non-last direction; an (n-1)-ray results."""
     if not 1 <= d <= ray.n - 1:
         raise ValueError("cone direction must avoid the gluing direction")
-    return _derived(ray, ray.n - 1, lambda c: cone(c, d),
-                    ray.tail.closed_form)
+    return _derived(ray, ray.n - 1, lambda c: cone(c, d))
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +393,7 @@ def truncate_ray(ray: Ray, depth: int) -> Ray:
 
 
 def stationary_stage_bound(ray: Ray, r0: Fraction) -> int:
-    gap = ray.tail.gap
+    gap = map_cube_gap(ray.tail.cube)
     need = int(-((-r0) // gap))  # ceil(r0 / gap)
     return len(ray.prefix) + need
 

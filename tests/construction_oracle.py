@@ -9,12 +9,16 @@ face out of D at once, where ``subcube`` cut one coordinate at a time;
 ``rays.vertex_ray`` cuts its stages out of D, where it rebuilt each edge
 from the views of a stage through the face-map constructor.  Each old way
 is kept here, building the intermediate cubes and views the library no
-longer builds, as an oracle for the tests.
+longer builds, as an oracle for the tests.  So is the mapping cone of a
+chain map as a complex put together by hand, which ``cubes.cone_of_map``
+replaced by the total complex of the map's 1-cube.
 """
 
-from novcube.chain import mat_clean
+from novcube.chain import (ChainComplex, Generator, is_chain_map, mat_clean,
+                           mat_neg)
 from novcube.cubes import (CubeDiagram, cone, face_codes, initial_vertex,
                            terminal_vertex, vertex_codes)
+from novcube.errors import NotChainMap
 from novcube.morse import cf, continuation
 from novcube.novikov import INFINITY, NovikovScalar
 
@@ -56,13 +60,6 @@ def vertex_ray_edge(big, w):
         {"-": big.face(w + "-")}, verified_mod=big.verified_mod)
 
 
-def kept(D):
-    """D without the entries that vanish, but for vertex-block entries
-    that vanish only at their precision: what every cube used to keep."""
-    return {k: v for k, v in D.items()
-            if v or (v.floor is not None and k[0][0] == k[1][0])}
-
-
 def glueable(first, second, k=None):
     k = first.n if k is None else k
     return (first.n == second.n and 1 <= k <= first.n
@@ -90,7 +87,7 @@ def telescope(ray, depth):
             for g in stage.gens[w + "0"]:
                 D[((w, ("tel", k, "u", g.label)),
                    (w, ("tel", k, "s", g.label)))] = one
-    return CubeDiagram.from_matrix(n - 1, gens, kept(D), verified_mod=cert)
+    return CubeDiagram.from_matrix(n - 1, gens, D, verified_mod=cert)
 
 
 def hamiltonian_cube(model, assign):
@@ -100,3 +97,27 @@ def hamiltonian_cube(model, assign):
                                 assign[terminal_vertex(code)])
              for code in face_codes(n) if code.count("-") == 1}
     return CubeDiagram(n, vertices, faces, verified_mod=INFINITY)
+
+
+def shift(c):
+    """``c`` with every parity flipped and its differential negated."""
+    gens = [Generator(g.label, 1 - g.parity) for g in c.generators]
+    return ChainComplex(gens, mat_neg(c.differential), c.verified_mod)
+
+
+def cone_of_map(source, target, entries):
+    """The mapping cone put together by hand: ``source`` shifted and
+    relabelled ("0", l), ``target`` relabelled ("1", l), and their
+    differentials merged with the map, after the same two checks."""
+    for (t, s) in entries:
+        if (target.parity(t) - source.parity(s)) % 2 != 0:
+            raise NotChainMap("map has an odd entry (%r, %r)" % (t, s))
+    if not is_chain_map(entries, source, target):
+        raise NotChainMap("matrix does not commute with differentials")
+    shifted = shift(source).relabel(lambda l: ("0", l))
+    tgt = target.relabel(lambda l: ("1", l))
+    diff = dict(shifted.differential)
+    diff.update(tgt.differential)
+    for (t, s), v in entries.items():
+        diff[(("1", t), ("0", s))] = v
+    return ChainComplex(shifted.generators + tgt.generators, diff)

@@ -6,6 +6,7 @@ preserve d*d = 0, parities and nonnegative valuations exactly.
 """
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction as F
 
 from novcube.chain import ChainComplex, Generator, mat_clean
@@ -94,6 +95,16 @@ def random_acyclic_t0_complex(rng, max_pairs=3, prefix="a"):
         gens += [Generator(s, p), Generator(t, 1 - p)]
         diff[(t, s)] = NovikovScalar.monomial(rng.choice(COEFFS), 0)
     diff = mix_basis(rng, gens, diff)
+    return ChainComplex(gens, diff)
+
+
+def direct_sum(parts):
+    """The complexes ``parts``, which share no label, side by side."""
+    gens = []
+    diff = {}
+    for c in parts:
+        gens.extend(c.generators)
+        diff.update(c.differential)
     return ChainComplex(gens, diff)
 
 
@@ -304,3 +315,22 @@ def make_triangle(f, fprime, fillers=None):
     for w in vertex_codes(n - 1):
         faces[w + "-0"] = mat_identity(source.vertex(w).labels)
     return CubeDiagram(n + 1, vertices, faces)
+
+
+@contextmanager
+def vertex_views():
+    """The list of (cube, code) of every ``CubeDiagram.vertex`` call made
+    inside the block."""
+    from novcube.cubes import CubeDiagram
+    calls = []
+    original = CubeDiagram.vertex
+
+    def counting(self, code):
+        calls.append((self, code))
+        return original(self, code)
+
+    CubeDiagram.vertex = counting
+    try:
+        yield calls
+    finally:
+        CubeDiagram.vertex = original

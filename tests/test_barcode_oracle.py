@@ -4,11 +4,11 @@ import random
 from fractions import Fraction as F
 
 from barcode_oracle import full_scan_barcode
-from helpers import random_complex
+from helpers import direct_sum, random_complex
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from novcube.chain import ChainComplex, Generator, _barcode, direct_sum
+from novcube.chain import ChainComplex, Generator, _barcode
 from novcube.novikov import NovikovScalar, PrecisionExhausted
 
 WORKS = [F(1), F(3, 2), F(3), F(10)]

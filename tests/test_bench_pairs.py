@@ -20,10 +20,13 @@ END_TO_END = [
 ]
 
 
-def run(rate, latency, output="out", failed=0):
+def run(rate, latency, output="out", failed=0, raw=2.0, wall=1.0,
+        slowness=(0.5,)):
     """The parsed output of one untraced run."""
     return {"record": {"input_digest": "in", "output_digest": output,
-                       "commit": None},
+                       "commit": None, "instances_per_s_raw": raw,
+                       "instances_per_s_wall": wall,
+                       "round_slowness": list(slowness)},
             "result": {"attempted": 10, "failed": failed, "metrics": {
                 "instances_per_s": {"value": rate, "unit": "1/s"},
                 "latency_p50_ms": {"value": latency, "unit": "ms"}}}}
@@ -89,6 +92,26 @@ def test_compare_flags_regressions_and_differing_outputs():
     assert entry["output_digest"]["change"] == ["other", "out"]
     assert not entry["output_digest"]["equal"]
     assert entry["failed"] == {"parent": 0, "change": 4}
+
+
+def test_compare_keeps_raw_and_wall_throughput_and_the_slowness():
+    """Both sides' raw and wall rates and each run's median round
+    slowness, as spreads over the pairs, beside the end-to-end metrics."""
+    pairs = [{"parent": run(100.0, 10.0, raw=200.0 + i, wall=90.0 - i,
+                            slowness=(0.6, 0.5 + i / 10, 0.7)),
+              "change": run(97.0, 10.0, raw=210.0 + i, wall=95.0,
+                            slowness=(0.4,))}
+             for i in range(3)]
+    got = bench_pairs.compare(pairs, END_TO_END)["throughput"]
+    assert got["instances_per_s_raw"]["parent"]["runs"] == [200.0, 201.0,
+                                                            202.0]
+    assert got["instances_per_s_raw"]["change"]["median"] == 211.0
+    assert got["instances_per_s_wall"]["parent"]["runs"] == [90.0, 89.0,
+                                                             88.0]
+    assert got["instances_per_s_wall"]["change"] == bench_pairs.spread(
+        [95.0] * 3)
+    assert got["round_slowness_median"]["parent"]["runs"] == [0.6, 0.6, 0.7]
+    assert got["round_slowness_median"]["change"]["median"] == 0.4
 
 
 def test_compare_keeps_the_traced_metrics_of_each_side():

@@ -135,7 +135,7 @@ def test_every_certificate_holds_under_the_full_check(rnd, depth):
     q = hamiltonian_cube(model, square)
     c = cf(model, square["00"])
     tot = total_complex(q)
-    made = [c, q, tot, tot.shift(), tot.relabel(lambda l: ("r", l)),
+    made = [c, q, tot, tot.relabel(lambda l: ("r", l)),
             q.subcube(1, "0"), q.subcube(2, "1"),
             q.subcube(1, "1").vertex("1"),
             q.relabel_vertices(lambda w, l: (w, l)), cone(q, 1), cone(q, 2),
@@ -359,11 +359,23 @@ def test_a_partial_cube_does_not_certify_its_total_complex():
 
 def test_vertex_views_of_a_loaded_cube_carry_its_certificate(square_calls):
     """The face-map constructor keeps no view of the complexes it was
-    given: each vertex view is built from D when first read, with the
+    given: each vertex view is built from D on every read, with the
     cube's certificate, so a verified vertex is not checked again."""
     cube, _ = cli._load_cube(os.path.join(DATA, "cube3.json"))
     assert verify_cube(cube, 3) and len(square_calls) == 1
     assert all(cube.vertex(w).verified_mod == 3 for w in cube.gens)
+    cube.vertex("000").is_acyclic(3)
+    assert len(square_calls) == 1
+
+
+def test_a_vertex_view_read_before_the_check_carries_its_pass(square_calls):
+    """A vertex view holds nothing of its own: one read before
+    ``verify_cube`` does not keep the cube's old certificate, so the
+    vertex is not checked again after the cube passes."""
+    cube, _ = cli._load_cube(os.path.join(DATA, "cube3.json"))
+    assert cube.vertex("000").verified_mod is None
+    assert verify_cube(cube, 3) and len(square_calls) == 1
+    assert cube.vertex("000").verified_mod == 3
     cube.vertex("000").is_acyclic(3)
     assert len(square_calls) == 1
 

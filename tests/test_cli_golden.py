@@ -3,8 +3,8 @@
 ``tests/data/cli`` holds small cube, ray, square, min/max and descent
 instance files (n <= 4) and, in ``expected.json``, the exit code and
 standard output of each recorded command line, each in both output
-formats: ``verify-cube`` on valid, broken, partial and positive-form cubes,
-``cone`` in every direction, ``compose``, ``tel``, ``sh``, ``mv``,
+formats: ``verify-cube`` on valid, broken, partial and positive-form cubes
+and on edges known only modulo T, ``cone`` in every direction, ``compose``, ``tel``, ``sh``, ``mv``,
 ``descent`` and every ``morse`` action, with usage and load errors among
 them.
 """

@@ -7,8 +7,10 @@ constructor, a face cut one coordinate at a time, equality through the
 vertex views, and a vertex ray's edges rebuilt from a stage's views.
 Each one-pass result must match its oracle in generator order, D order,
 values and certificate, and fail where it fails, with the same exception
-and message.  A last property checks that no constructor leaves an entry
-that vanishes outside the vertex blocks.
+and message.  So must ``cubes.cone_of_map``, the total complex of a
+map's 1-cube, against the mapping cone put together by hand.  A last
+property checks that no constructor leaves an exact zero in D, and that
+each keeps every entry known only modulo a power of T that it was given.
 """
 
 import random
@@ -17,15 +19,16 @@ from fractions import Fraction as F
 
 import construction_oracle as oracle
 import pytest
-from helpers import random_cube, random_ray_cubes
+from helpers import (null_homotopic_map, random_complex, random_cube,
+                     random_ray_cubes, vertex_views)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from novcube.chain import ChainComplex, Generator
-from novcube.cubes import (CubeDiagram, compose, cone, cube_from_json,
-                           cube_to_json, decone, face_codes,
-                           from_positive_signs, glueable, id_cube,
-                           to_positive_signs, vertex_codes)
+from novcube.cubes import (CubeDiagram, NotChainMap, compose, cone,
+                           cone_of_map, cube_from_json, cube_to_json, decone,
+                           face_codes, from_positive_signs, glueable,
+                           id_cube, to_positive_signs, vertex_codes)
 from novcube.morse import (MorseModel, bundled_model, descent_ray,
                            hamiltonian_cube, region_family,
                            region_hamiltonian, resolve_region)
@@ -62,11 +65,18 @@ def assert_same_cube(new, old):
     assert list(new.D.values()) == list(old.D.values())
 
 
-def assert_clean(cube):
-    """Every entry of D is nonzero, or vanishes only at its precision
-    inside a vertex block."""
-    for ((wt, t), (ws, s)), v in cube.D.items():
-        assert v or (v.floor is not None and ws == wt), (wt, t, ws, s, v)
+def precision_only(D):
+    """The number of entries of D known only modulo a power of T."""
+    return sum(1 for v in D.values() if not v)
+
+
+def assert_clean(cube, kept=None):
+    """D holds no exact zero and, when ``kept`` is given, that many
+    entries known only modulo a power of T."""
+    for key, v in cube.D.items():
+        assert v.floor is not None, (key, v)
+    if kept is not None:
+        assert precision_only(cube.D) == kept
 
 
 def rebuild(cube, vertices=(), faces=(), drop=()):
@@ -197,8 +207,9 @@ def test_equality_matches_the_vertex_view_comparison(rng, n):
     for other in others:
         a, b = (CubeDiagram.from_matrix(c.n, c.gens, c.D, c.positive,
                                         c._defined) for c in (cube, other))
-        new = (a == b, b == a)
-        assert not a._vertices and not b._vertices
+        with vertex_views() as views:
+            new = (a == b, b == a)
+        assert views == []
         assert new == (oracle.equal(a, b), oracle.equal(b, a))
 
 
@@ -289,12 +300,14 @@ def test_glueable_on_ray_stages(rng, n):
 
 def random_ray(rng, n):
     length = rng.randint(1, 3)
-    kind = rng.randrange(3)
+    kind = rng.randrange(4)
     if kind == 0:  # stages that glue
         return Ray(n, random_ray_cubes(rng, n, length), TailSpec.finite())
     cubes = [random_cube(rng, n, mix=4) for _ in range(length)]
     if kind == 2:  # positive, partial or precision-zero stages
         cubes = [random_variant(rng, c) for c in cubes]
+    if kind == 3:  # precision-zero entries on every face
+        cubes = [zeros_cube(rng, n) for _ in range(length)]
     return Ray(n, cubes, TailSpec.finite(), check=False)
 
 
@@ -433,7 +446,55 @@ def test_vertex_ray_stages_match_the_constructor_edges(name, regions):
 
 
 # ---------------------------------------------------------------------------
-# no constructor leaves an entry that vanishes off the vertex blocks
+# the mapping cone
+
+
+def fuzzy(rng, entries, targets, sources, parity):
+    """``entries`` and, at some free positions (t, s) whose parities
+    differ by ``parity``, exact zeros and entries known only modulo a
+    power of T."""
+    out = dict(entries)
+    for t in targets:
+        for s in sources:
+            if (t.parity - s.parity) % 2 == parity and \
+                    (t.label, s.label) not in out and rng.random() < 0.3:
+                out[(t.label, s.label)] = rng.choice([
+                    NovikovScalar.zero(), zero_mod(F(1)), zero_mod(F(3, 2))])
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS)
+def test_cone_of_map_matches_the_hand_built_cone(rng):
+    src = random_complex(rng, max_gens=4, prefix="s")
+    tgt = random_complex(rng, max_gens=4, prefix="t")
+    f = fuzzy(rng, null_homotopic_map(rng, src, tgt), tgt.generators,
+              src.generators, 0)
+    src, tgt = (ChainComplex(c.generators, fuzzy(
+        rng, c.differential, c.generators, c.generators, 1))
+        for c in (src, tgt))
+    new, old = cone_of_map(src, tgt, f), oracle.cone_of_map(src, tgt, f)
+    assert new.generators == old.generators
+    assert new.differential == old.differential
+    assert new.verified_mod is old.verified_mod is None
+
+
+def test_cone_of_map_refuses_as_the_hand_built_cone_did():
+    one = NovikovScalar.one()
+    c = ChainComplex([Generator("x", 0), Generator("y", 1)],
+                     {("y", "x"): one})
+    d = ChainComplex([Generator("u", 0), Generator("v", 1)],
+                     {("v", "u"): one})
+    for f, message in (({("u", "y"): one}, "map has an odd entry ('u', 'y')"),
+                       ({("u", "x"): one},
+                        "matrix does not commute with differentials")):
+        new = outcome(cone_of_map, c, d, f)
+        assert new == (NotChainMap, message)
+        assert new == outcome(oracle.cone_of_map, c, d, f)
+
+
+# ---------------------------------------------------------------------------
+# no constructor leaves an exact zero, and none drops a precision-only entry
 
 
 def zeros_cube(rng, n):
@@ -441,6 +502,7 @@ def zeros_cube(rng, n):
     vertex entries that vanish only modulo T^r."""
     cube = random_cube(rng, n, max_gens=2, mix=4)
     faces = {}
+    given = 0
     for c in face_codes(n):
         if "-" not in c:
             continue
@@ -452,8 +514,10 @@ def zeros_cube(rng, n):
                 if (t, s) not in m and rng.random() < 0.3:
                     m[(t, s)] = rng.choice([NovikovScalar.zero(),
                                             zero_mod(F(3, 2))])
+                    given += m[(t, s)].floor is not None
         faces[c] = m
     cube = rebuild(cube, faces=faces)
+    assert_clean(cube, given)
     for w in vertex_codes(n):
         if rng.random() < 0.5:
             cube = with_vertex_zero(rng, cube, w)
@@ -462,20 +526,25 @@ def zeros_cube(rng, n):
 
 @SETTINGS
 @given(SEEDS, st.integers(1, 3))
-def test_no_constructor_leaves_an_off_block_zero(rng, n):
+def test_no_constructor_leaves_an_exact_zero(rng, n):
     cube = zeros_cube(rng, n)
-    built = [cube, to_positive_signs(cube), id_cube(cube),
-             from_positive_signs(to_positive_signs(cube)),
-             cube.relabel_vertices(lambda w, l: (w, l)),
-             map_to_zero(cube), cube_from_json(cube_to_json(cube))]
+    k = precision_only(cube.D)
+    built = [(cube, k), (to_positive_signs(cube), k), (id_cube(cube), 2 * k),
+             (from_positive_signs(to_positive_signs(cube)), k),
+             (cube.relabel_vertices(lambda w, l: (w, l)), k),
+             (map_to_zero(cube), k), (cube_from_json(cube_to_json(cube)), k)]
     for i in range(1, n + 1):
         coned = cone(cube, i)
-        built += [cube.subcube(i, "0"), cube.subcube(i, "1"), coned,
-                  decone(coned, i)]
+        built += [(coned, k), (decone(coned, i), k)]
+        for value in "01":
+            on = precision_only({key: v for key, v in cube.D.items()
+                                 if key[0][0][i - 1] == value
+                                 and key[1][0][i - 1] == value})
+            built.append((cube.subcube(i, value), on))
     ray = Ray(n, [cube, zeros_cube(rng, n)], TailSpec.finite(), check=False)
-    built += [telescope(ray, d) for d in range(4)]
-    for c in built:
-        assert_clean(c)
+    built += [(telescope(ray, d), None) for d in range(4)]
+    for c, kept in built:
+        assert_clean(c, kept)
 
 
 def test_compose_drops_products_that_vanish():
@@ -488,25 +557,26 @@ def test_compose_drops_products_that_vanish():
     g = CubeDiagram(1, {"0": b, "1": c},
                     {"-": {("y", "a"): one, ("y", "b"): -one,
                            ("z", "a"): NovikovScalar.monomial(1, 1)}})
-    # (1 + O(T)) - 1 leaves a zero known only modulo T
+    # (1 + O(T)) - 1 leaves a zero known only modulo T, which stays
     f2 = CubeDiagram(1, {"0": a, "1": b},
                      {"-": {("a", "x"): NovikovScalar([(0, 1)], 1),
                             ("b", "x"): one}})
     g2 = CubeDiagram(1, {"0": b, "1": c},
                      {"-": {("y", "a"): one, ("y", "b"): -one}})
     for first, second in ((f, g), (f2, g2)):
-        composite = compose(first, second)
-        assert_clean(composite)
-        assert ((("1", "y"), ("0", "x")) not in composite.D)
+        assert_clean(compose(first, second))
+    # 1 - 1 cancels exactly and goes
+    assert (("1", "y"), ("0", "x")) not in compose(f, g).D
     assert (("1", "z"), ("0", "x")) in compose(f, g).D
-    assert not compose(f2, g2).D
+    assert compose(f2, g2).D == {(("1", "y"), ("0", "x")): zero_mod(1)}
 
 
-def test_decone_drops_a_vertex_zero_that_leaves_its_block():
+def test_decone_keeps_a_vertex_zero_that_leaves_its_block():
     gens = [Generator(("0", "a"), 1), Generator(("1", "b"), 0)]
     cx = ChainComplex(gens, {(("1", "b"), ("0", "a")): zero_mod(2)})
     coned = CubeDiagram(1, {"0": cx, "1": cx}, {})
     assert len(coned.D) == 2
     split = decone(coned, 1)
-    assert_clean(split)
-    assert not split.D
+    assert_clean(split, 2)
+    assert split.D == {(("10", "b"), ("00", "a")): zero_mod(2),
+                       (("11", "b"), ("01", "a")): zero_mod(2)}

@@ -4,7 +4,8 @@ import random
 from itertools import combinations
 
 import pytest
-from helpers import make_triangle, random_cube, random_extension
+from helpers import (make_triangle, random_cube, random_extension,
+                     vertex_views)
 from property_suite import CUBE_PROPERTY_RUNNERS
 
 from novcube.chain import ChainComplex, Generator, mat_equal, mat_neg
@@ -16,7 +17,7 @@ from novcube.cubes import (CubeDiagram, InvalidDirection, NotConiform,
                            is_triangle, positive_sign_exponent,
                            subtuple_count, terminal_vertex, to_positive_signs,
                            total_complex, triangle_to_slit, verify_cube)
-from novcube.novikov import NovikovScalar
+from novcube.novikov import NovikovScalar, parse_scalar
 
 WORK = 10
 
@@ -501,8 +502,32 @@ def test_equality_builds_no_vertex_view():
     a, b = (CubeDiagram.from_matrix(2, cube.gens, dict(cube.D))
             for _ in range(2))
     other = CubeDiagram.from_matrix(2, cube.gens, {})
-    assert a == b and a != other and b != other
-    assert a._vertices == b._vertices == other._vertices == {}
+    with vertex_views() as views:
+        assert a == b and a != other and b != other
+    assert views == []
+
+
+def test_a_precision_only_edge_entry_stays_and_is_checked():
+    """An edge map known only modulo T keeps its entries through the
+    face-map constructor, ``compose`` and ``decone``, as a complex keeps
+    its own, so ``verify_cube`` cannot certify the edge below T^1; and an
+    odd entry known only modulo T is still an entry of the wrong parity."""
+    one, fuzzy = NovikovScalar.one(), parse_scalar("0 mod T^1")
+    c = ChainComplex([Generator("a", 0), Generator("b", 1)],
+                     {("b", "a"): one})
+    edge = CubeDiagram(1, {"0": c, "1": c},
+                       {"-": {("a", "a"): fuzzy, ("b", "b"): fuzzy}})
+    ident = CubeDiagram(1, {"0": c, "1": c},
+                        {"-": {("a", "a"): one, ("b", "b"): one}})
+    residual = (("-", "equation residual at ('b', 'a'): undetermined "
+                 "below T^1"),)
+    for cube in (edge, compose(ident, edge), decone(cone(edge, 1), 1)):
+        assert cube.face("-") == {("a", "a"): fuzzy, ("b", "b"): fuzzy}
+        assert verify_cube(cube, WORK).violations == residual
+    odd = CubeDiagram(1, {"0": c, "1": c}, {"-": {
+        ("a", "a"): one, ("b", "b"): one, ("b", "a"): fuzzy}})
+    assert verify_cube(odd, WORK).violations == (
+        ("-", "entry ('b', 'a') has wrong parity"),)
 
 
 def test_json_roundtrip():

@@ -1,5 +1,6 @@
 """The exact elimination kernel: sympy as an oracle, and factor-once use."""
 
+import copy
 import random
 from fractions import Fraction as F
 from math import lcm
@@ -334,6 +335,30 @@ def test_is_exact_matches_a_dense_reference(pair):
     outgoing = [sparse([B[i][j] for i in range(len(B))])
                 for j in range(dim)]
     assert is_exact(incoming, outgoing, dim) == expected
+
+
+@SETTINGS
+@given(matrices(), map_pairs())
+def test_elimination_and_is_exact_leave_their_arguments_unchanged(mat,
+                                                                 pair):
+    """The reduction writes into its rows, so it works on copies: the
+    caller's rows, here without zeros, are read again afterwards, as
+    ``mayer_vietoris`` reads one list of columns in two ``is_exact``
+    calls."""
+    rows = [{j: x for j, x in enumerate(row) if x} for row in mat]
+    before = copy.deepcopy(rows)
+    elim = Elimination(rows, len(mat[0]) if mat else 0)
+    elim.nullspace()
+    elim.solve({i: 1 for i in range(len(mat))})
+    assert rows == before
+    dim, A, B = pair
+    incoming = [{i: A[i][j] for i in range(dim) if A[i][j]}
+                for j in range(len(A[0]) if A else 0)]
+    outgoing = [{i: B[i][j] for i in range(len(B)) if B[i][j]}
+                for j in range(dim)]
+    before = copy.deepcopy((incoming, outgoing))
+    is_exact(incoming, outgoing, dim)
+    assert (incoming, outgoing) == before
 
 
 # -- the integer kernel against the Fraction-only path -----------------------

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 from helpers import (null_homotopic_map, random_acyclic_t0_complex,
                      random_complex, random_cube, random_extension,
-                     random_ray_cubes)
+                     random_ray_cubes, vertex_views)
 
 from novcube import rays
 from novcube.chain import (ChainComplex, Generator, mat_add, mat_clean,
@@ -15,10 +15,12 @@ from novcube.chain import (ChainComplex, Generator, mat_add, mat_clean,
 from novcube.cubes import (CubeDiagram, cone, glueable, id_cube,
                            verify_cube, vertex_codes)
 from novcube.errors import NotChainMap
-from novcube.morse import bundled_model, descent_ray
+from novcube.morse import (bundled_model, descent_ray, open_bar_barcode,
+                           projected_betti, region_ray)
 from novcube.novikov import NovikovScalar
 from novcube.rays import (NotAcyclic, Ray, SliceNotAcyclic, TailSpec,
-                          TailVerdict, acyclic_slices_implies_acyclic,
+                          TailVerdict, UnsupportedTail,
+                          acyclic_slices_implies_acyclic,
                           colimit_t0, completed_homology, compression,
                           cone_ray, degree_parts, descent_complex,
                           mayer_vietoris, stage_composite, telescope,
@@ -426,11 +428,12 @@ def test_vertex_rays_build_no_view_of_their_stages():
     model = bundled_model("circle6")
     ray = descent_ray(model, [{"v0", "e0", "v1"},
                               {"v1", "e1", "v2", "e2", "v0"}])
-    stage = ray.map_cube(1)
-    for w in vertex_codes(ray.n - 1):
-        edge = vertex_ray(ray, w).map_cube(1)
-        assert edge.n == 1 and edge.verified_mod == stage.verified_mod
-    assert stage._vertices == {}
+    with vertex_views() as views:
+        stage = ray.map_cube(1)
+        for w in vertex_codes(ray.n - 1):
+            edge = vertex_ray(ray, w).map_cube(1)
+            assert edge.n == 1 and edge.verified_mod == stage.verified_mod
+    assert views == []
 
 
 def test_derived_rays_of_stationary_rays_map_the_tail():
@@ -455,6 +458,23 @@ def test_derived_rays_of_stationary_rays_map_the_tail():
     assert coned.tail.cube == cone(square, 1)
     for k in (1, 2, 3):
         assert coned.map_cube(k) == cone(ray2.map_cube(k), 1)
+
+
+def test_a_coned_ray_has_no_closed_form():
+    """A model tail's closed form answers for its own ray: the cone of a
+    ray does not borrow it, so its completed homology is refused, where
+    the borrowed form gave an open bar to a cone whose slices and
+    telescope have no T = 0 homology."""
+    model = bundled_model("circle6")
+    cells = {"v0", "e0", "v1"}
+    ray = region_ray(model, {"0": cells, "1": cells}, lambda prec:
+                     open_bar_barcode(projected_betti(model, cells), prec))
+    assert not completed_homology(ray, 1).is_zero
+    coned = cone_ray(ray, 1)
+    assert coned.tail.kind == "model" and coned.tail.closed_form is None
+    assert telescope_complex(coned, 3).reduce_t0().homology_ranks() == (0, 0)
+    with pytest.raises(UnsupportedTail, match="no closed form"):
+        completed_homology(coned, 1)
 
 
 def test_a_summand_that_differs_from_its_block_is_reported(monkeypatch):

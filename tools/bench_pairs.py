@@ -25,6 +25,12 @@ workload and seed:
   more than the distance between the parent's quartiles, and whether the
   change's median is worse than the parent's by more than the metric's
   bound;
+- under ``throughput``, each side's spread of the run records'
+  ``instances_per_s_raw`` and ``instances_per_s_wall`` and of each run's
+  median ``round_slowness``: ``instances_per_s`` divides each round's
+  instance times by the reference kernel's slowness in that round, and
+  these tell a change in that divisor from a change in the code's own
+  time;
 - under ``traced``, each per-layer metric's median over each side's
   traced runs, and under ``traced_runs`` every reading, in run order.
 
@@ -47,6 +53,14 @@ SIDES = ("parent", "change")
 # traced runs per side; a layer's time is compared by its median over
 # them, since one traced reading moves with run-to-run noise
 TRACED_RUNS = 3
+
+
+# what each untraced run record holds besides the end-to-end metrics
+THROUGHPUT = {
+    "instances_per_s_raw": lambda r: r["instances_per_s_raw"],
+    "instances_per_s_wall": lambda r: r["instances_per_s_wall"],
+    "round_slowness_median": lambda r: statistics.median(r["round_slowness"]),
+}
 
 
 def in_turn(i: int):
@@ -136,6 +150,10 @@ def compare(pairs, end_to_end, *traced) -> dict:
     for key in ("attempted", "failed"):
         entry[key] = {side: sum(p[side]["result"][key] for p in pairs)
                       for side in SIDES}
+    records = {side: [p[side]["record"] for p in pairs] for side in SIDES}
+    entry["throughput"] = {name: {
+        side: spread([read(r) for r in records[side]]) for side in SIDES}
+        for name, read in THROUGHPUT.items()}
     entry["metrics"] = {}
     for m in end_to_end:
         values = {side: [p[side]["result"]["metrics"][m["name"]]["value"]
