@@ -12,6 +12,10 @@ At T = 0 a :class:`QComplex` factors its odd differential once; its Betti
 numbers, acyclicity and homology spaces are views of that elimination.
 No mapping cone is built here: it is a 1-cube's total complex,
 ``cubes.cone_of_map``, which tests its map with :func:`is_chain_map`.
+A stored map (a differential, a cube's D) drops exact zeros only, by
+:func:`mat_clean`, keeps each entry known only modulo T^R, and compares
+by ``==``; a check (:func:`mat_equal`, :func:`is_chain_map`) counts an
+entry with no stored term as vanishing.
 
 Each d*d fact is established once.  A complex carries a certificate,
 ``verified_mod``: the precision R at which d*d = 0 mod T^R is known (with
@@ -61,7 +65,8 @@ class Generator:
 
 
 def mat_clean(m: MatrixEntries) -> MatrixEntries:
-    return {k: v for k, v in m.items() if v}
+    """``m`` without its exact zeros: every stored sparse map's rule."""
+    return {k: v for k, v in m.items() if v.floor is not None}
 
 
 def mat_add(*ms: MatrixEntries) -> MatrixEntries:
@@ -94,7 +99,9 @@ def mat_compose(second: MatrixEntries, first: MatrixEntries) -> MatrixEntries:
 
 
 def mat_equal(a: MatrixEntries, b: MatrixEntries) -> bool:
-    return mat_clean(a) == mat_clean(b)
+    """Agreement in a check: an entry with no stored term vanishes."""
+    return ({k: v for k, v in a.items() if v}
+            == {k: v for k, v in b.items() if v})
 
 
 def mat_identity(labels: Iterable[Label]) -> MatrixEntries:
@@ -196,10 +203,7 @@ class ChainComplex:
         if len(set(labels)) != len(labels):
             raise ValueError("generator labels must be unique")
         self._parity = {g.label: g.parity for g in self.generators}
-        # keep entries that vanish only at their precision: they record
-        # that the true value is merely bounded below
-        diff = {k: v for k, v in differential.items()
-                if v.floor is not None}
+        diff = mat_clean(differential)
         for (t, s) in diff:
             if t not in self._parity or s not in self._parity:
                 raise ValueError("differential entry (%r, %r) uses unknown "
@@ -263,29 +267,25 @@ class ChainComplex:
     def barcode(self, work) -> "Barcode":
         return _barcode(self, rat(work))
 
-    def is_acyclic(self, work) -> Tuple[bool, dict]:
-        """Acyclicity of a finitely generated free complex.
-
-        Decided over the residue field: for such complexes, vanishing
-        homology at T = 0 is equivalent to vanishing homology over the
-        ring.  The certificate records the rank bookkeeping.
-        """
+    def is_acyclic(self, work) -> Tuple[bool, Tuple[int, int]]:
+        """Acyclicity of a finitely generated free complex, and the Betti
+        numbers (even, odd) at T = 0 that decide it: for such complexes,
+        vanishing homology at T = 0 is equivalent to vanishing homology
+        over the ring."""
         report = checked(self, rat(work), ChainComplex.verify)
         if not report:
             raise ValueError("not a chain complex at this precision: %s"
                              % (report.violations,))
-        be, bo = self.reduce_t0().homology_ranks()
-        cert = {"betti_even": be, "betti_odd": bo,
-                "generators": len(self.generators), "work": str(rat(work))}
-        return (be, bo) == (0, 0), cert
+        betti = self.reduce_t0().homology_ranks()
+        return betti == (0, 0), betti
 
 
 def is_chain_map(entries: MatrixEntries, source: ChainComplex,
                  target: ChainComplex) -> bool:
-    """f d = d' f, exactly."""
+    """f d = d' f, exactly: no entry of f d - d' f has a stored term."""
     lhs = mat_compose(entries, source.differential)
     rhs = mat_compose(target.differential, entries)
-    return not mat_clean(mat_add(lhs, mat_neg(rhs)))
+    return not any(mat_add(lhs, mat_neg(rhs)).values())
 
 
 # ---------------------------------------------------------------------------

@@ -175,12 +175,19 @@ def _flatten_label(label) -> str:
     return str(label)
 
 
+def _violations(report) -> list:
+    return [{"face": f, "detail": d} for f, d in report.violations]
+
+
 def _cube_report(args, inputs, digests, cube: CubeDiagram, work, **fields):
-    """The report of a cube a command built: verified at ``work``, and
-    serialized with its vertex labels flattened to strings."""
+    """The report of a cube a command built: verified at ``work``, with
+    any violations, and serialized with its labels flattened to strings."""
+    rep = verify_cube(cube, work)
+    if not rep.ok:
+        fields["violations"] = _violations(rep)
     flat = cube.relabel_vertices(lambda w, l: _flatten_label(l))
-    return _report(args, inputs, digests, verify_cube(cube, work).ok,
-                   cube=cube_to_json(flat), **fields)
+    return _report(args, inputs, digests, rep.ok, cube=cube_to_json(flat),
+                   **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +198,7 @@ def cmd_verify_cube(args, path):
     cube, digest = _load_cube(path)
     rep = verify_cube(cube, _parse_fraction(args.work, "--work"))
     return _report(args, path, [digest], rep.ok,
-                   faces_checked=len(cube.codes),
-                   violations=[{"face": f, "detail": d}
-                               for f, d in rep.violations])
+                   faces_checked=len(cube.codes), violations=_violations(rep))
 
 
 def cmd_cone(args, path):

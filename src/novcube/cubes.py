@@ -27,11 +27,12 @@ shifted parities, :meth:`CubeDiagram.face_cube` is the one cut of a face
 (or subcube) out of D and :meth:`CubeDiagram.recode` the one re-sign of
 it, and ``==`` compares D, so :func:`glueable` builds no vertex complex.
 The mapping cone of a chain map, :func:`cone_of_map`, is the total
-complex of its 1-cube.  D keeps what a complex keeps: it holds no exact
-zero, and an entry known only modulo a power of T stays on every face,
-vertex or not.  The face-map constructor and :func:`compose` drop exact
-zeros; the other constructions relabel, cut or copy D and write no zero
-of their own.
+complex of its 1-cube.  D is a stored map (see :mod:`novcube.chain`):
+the face-map constructor and :func:`compose` write it through
+``chain.mat_clean``, so an entry known only modulo a power of T stays on
+every face, and a given vertex face must equal its complex's differential
+exactly; other constructions relabel, cut or copy D.  Checks count an
+entry with no stored term as vanishing.
 
 Certificates.  A cube carries ``verified_mod`` as a complex does (see
 :mod:`novcube.chain`): ``morse.hamiltonian_cube`` sets ``INFINITY``, a
@@ -53,7 +54,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .chain import (ChainComplex, Generator, MatrixEntries, QComplex, Report,
                     complex_from_json, complex_to_json, is_chain_map,
-                    json_field, mat_compose, mat_equal, mat_neg,
+                    json_field, mat_clean, mat_compose, mat_neg,
                     matrix_from_json, matrix_to_json, record,
                     square_violations)
 from .errors import NotChainMap, NotConiform, NotGluable
@@ -188,13 +189,12 @@ Gens = Dict[str, Tuple[Generator, ...]]
 
 def _put(D: MatrixEntries, code: str, entries: MatrixEntries,
          positive: bool) -> None:
-    """Add the face map ``entries`` at ``code`` to D in positive form, but
-    not its exact zeros."""
+    """Add the face map ``entries`` at ``code`` to D in positive form,
+    through :func:`~novcube.chain.mat_clean`."""
     flip = entries and not positive and positive_sign_exponent(code) % 2
     ws, wt = initial_vertex(code), terminal_vertex(code)
-    for (t, s), v in entries.items():
-        if v.floor is not None:
-            D[((wt, t), (ws, s))] = -v if flip else v
+    for (t, s), v in mat_clean(entries).items():
+        D[((wt, t), (ws, s))] = -v if flip else v
 
 
 class CubeDiagram:
@@ -210,7 +210,7 @@ class CubeDiagram:
 
     def __init__(self, n: int, vertices: Dict[str, ChainComplex],
                  faces: Dict[str, MatrixEntries], positive: bool = False,
-                 partial: bool = False, verified_mod=None):
+                 partial: bool = False):
         for w in vertex_codes(n):
             if w not in vertices:
                 raise ValueError("missing vertex complex %r" % w)
@@ -223,7 +223,7 @@ class CubeDiagram:
         given = dict(faces)
         for w in vertex_codes(n):
             diff = vertices[w].differential
-            if w in given and not mat_equal(given[w], diff):
+            if w in given and mat_clean(given[w]) != diff:
                 raise ValueError("vertex face %r disagrees with the "
                                  "complex differential" % w)
             given[w] = diff
@@ -231,7 +231,7 @@ class CubeDiagram:
         for code, entries in given.items():
             _put(D, code, entries, positive)
         self._init(n, {w: vertices[w].generators for w in vertex_codes(n)},
-                   D, positive, set(given) if partial else None, verified_mod)
+                   D, positive, set(given) if partial else None, None)
 
     @classmethod
     def from_matrix(cls, n: int, gens: Gens, D: MatrixEntries,
@@ -642,8 +642,7 @@ def compose(first: CubeDiagram, second: CubeDiagram) -> CubeDiagram:
     into = {((t[0][:-1] + "0", t[1]), s): v
             for (t, s), v in first.D.items() if _straddles((t, s))}
     onto = {k: v for k, v in second.D.items() if _straddles(k)}
-    D.update((k, v) for k, v in mat_compose(onto, into).items()
-             if v.floor is not None)
+    D.update(mat_clean(mat_compose(onto, into)))
     gens = {w: (first if w[-1] == "0" else second).gens[w]
             for w in first.gens}
     return CubeDiagram.from_matrix(n, gens, D)

@@ -55,9 +55,11 @@ def equal(a, b):
 def vertex_ray_edge(big, w):
     """Stage ``big`` of a vertex ray over w: the edge over w rebuilt from
     its views by the face-map constructor."""
-    return CubeDiagram(
+    edge = CubeDiagram(
         1, {"0": big.vertex(w + "0"), "1": big.vertex(w + "1")},
-        {"-": big.face(w + "-")}, verified_mod=big.verified_mod)
+        {"-": big.face(w + "-")})
+    edge.verified_mod = big.verified_mod
+    return edge
 
 
 def glueable(first, second, k=None):
@@ -96,7 +98,9 @@ def hamiltonian_cube(model, assign):
     faces = {code: continuation(model, assign[initial_vertex(code)],
                                 assign[terminal_vertex(code)])
              for code in face_codes(n) if code.count("-") == 1}
-    return CubeDiagram(n, vertices, faces, verified_mod=INFINITY)
+    cube = CubeDiagram(n, vertices, faces)
+    cube.verified_mod = INFINITY
+    return cube
 
 
 def shift(c):

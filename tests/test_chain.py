@@ -162,8 +162,7 @@ def test_barcode_matches_t0_homology_on_random_instances():
 
 def test_is_acyclic_examples():
     q0 = cx([("a", 0), ("b", 0), ("c", 1)], {})
-    assert q0.is_acyclic(WORK) == (False, {"betti_even": 2, "betti_odd": 1,
-                                           "generators": 3, "work": "10"})
+    assert q0.is_acyclic(WORK) == (False, (2, 1))
     q1 = cx([("x", 0), ("y", 1)], {("y", "x"): "1*T^0"})
     assert q1.is_acyclic(WORK)[0]
     q2 = cx([("x1", 0), ("y1", 1), ("y2", 1), ("x2", 0)],
@@ -361,3 +360,12 @@ def test_square_cases_reach_every_verdict():
             seen.add(detail.split()[0] if "undetermined" in detail
                      or detail == "clean" else "residual")
     assert seen == {"clean", "residual", "undetermined"}, seen
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: Generator("a", 2), "parity must be 0 or 1"),
+    (lambda: cx([("a", 0), ("a", 1)], {}), "generator labels must be unique"),
+], ids=["parity", "duplicate-labels"])
+def test_malformed_complexes_are_refused(build, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        build()

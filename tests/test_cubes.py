@@ -8,7 +8,8 @@ from helpers import (make_triangle, random_cube, random_extension,
                      vertex_views)
 from property_suite import CUBE_PROPERTY_RUNNERS
 
-from novcube.chain import ChainComplex, Generator, mat_equal, mat_neg
+from novcube.chain import (ChainComplex, Generator, mat_equal, mat_identity,
+                           mat_neg)
 from novcube.cubes import (CubeDiagram, InvalidDirection, NotConiform,
                            NotGluable, NotTriangle, boundary_pairs, cone,
                            compose, cube_from_json, cube_sign, cube_to_json,
@@ -545,3 +546,51 @@ def test_json_roundtrip():
                          ids=[n for n, _ in CUBE_PROPERTY_RUNNERS])
 def test_property(name, runner):
     assert runner(40) == 40
+
+
+def test_a_vertex_face_must_equal_its_differential_exactly():
+    """A given vertex face and the complex's differential are stored maps
+    and compare exactly: an entry known only modulo T^1 that the
+    differential lacks is refused, where an exact zero is dropped."""
+    one = NovikovScalar.one()
+    c = ChainComplex([Generator("a", 0), Generator("b", 1)],
+                     {("b", "a"): one})
+    vertices = {"0": c, "1": c}
+    exact = {("b", "a"): one, ("a", "b"): NovikovScalar.zero()}
+    assert CubeDiagram(1, vertices, {"0": exact}).face("0") == c.differential
+    fuzzy = {("b", "a"): one, ("a", "b"): parse_scalar("0 mod T^1")}
+    with pytest.raises(ValueError, match="^vertex face '0' disagrees with "
+                       "the complex differential$"):
+        CubeDiagram(1, vertices, {"0": fuzzy})
+
+
+def _signed_and_positive():
+    c = ChainComplex([Generator("a", 0), Generator("b", 1)],
+                     {("b", "a"): NovikovScalar.one()})
+    signed = CubeDiagram(1, {"0": c, "1": c}, {"-": mat_identity(c.labels)})
+    return c, signed, to_positive_signs(signed)
+
+
+@pytest.mark.parametrize("call,exc,message", [
+    (lambda c, s, p: CubeDiagram(1, {"0": c, "1": c}, {"2": {}}),
+     ValueError, "bad face code '2'"),
+    (lambda c, s, p: CubeDiagram(1, {"0": c, "1": c}, {},
+                                 partial=True).face("-"),
+     KeyError, "-"),
+    (lambda c, s, p: s.subcube(2, "0"),
+     InvalidDirection, "direction 2 out of range"),
+    (lambda c, s, p: from_positive_signs(s),
+     ValueError, "cube not in positive form"),
+    (lambda c, s, p: decone(p, 1),
+     ValueError, "decone applies to cubes in signed form"),
+    (lambda c, s, p: id_cube(p),
+     ValueError, "id_cube applies to cubes in signed form"),
+    (lambda c, s, p: decone(CubeDiagram(0, {"": c}, {}), 1,
+                            {"": ({"b"}, {"a"})}),
+     NotConiform, "face '' has an upper-triangular entry ('b', 'a')"),
+], ids=["face-code", "undefined-face", "subcube-range", "from-positive",
+        "decone-positive", "id-cube-positive", "decone-upper"])
+def test_cube_refusals_name_their_cause(call, exc, message):
+    with pytest.raises(exc) as err:
+        call(*_signed_and_positive())
+    assert err.value.args == (message,)

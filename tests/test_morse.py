@@ -623,3 +623,18 @@ def test_stage_cross_checks_raise_typed_errors(monkeypatch):
     monkeypatch.setattr(morse, "scaling_hamiltonian", squared)
     with pytest.raises(StageCheckFailed, match="weight"):
         global_sections(bundled_model("t2"), F(1), 2)
+
+
+@pytest.mark.parametrize("call,exc,message", [
+    (lambda: MorseModel([Generator("a", 0), Generator("b", 0)],
+                        {("b", "a"): 1}, {"a": 0, "b": 1}),
+     ValueError, "boundary entry ('b', 'a') has even parity"),
+    (lambda: MorseModel([Generator("a", 0)], {}, {"a": 0}, base_map={}),
+     ValueError, "base map must cover every cell"),
+    (lambda: resolve_region(spec_interval(), {"z"}),
+     KeyError, "unknown cells {'z'}"),
+], ids=["even-boundary", "base-map", "unknown-cell"])
+def test_malformed_models_and_regions_are_refused(call, exc, message):
+    with pytest.raises(exc) as err:
+        call()
+    assert err.value.args == (message,)

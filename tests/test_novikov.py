@@ -302,3 +302,15 @@ def test_fast_paths_at_the_edges():
     same(u * u, general([(F(-3), F(1, 4))]))
     same(u * NovikovScalar.monomial(0, 1), general([]))
     same(u.scale(0), general([]))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: NovikovScalar.monomial(1, F(1, 2)).series(3),
+     "lattice 1/3 does not contain 1/2"),
+    (lambda: parse_scalar("1*T^0 mod X^1"),
+     "malformed precision suffix: 'X^1'"),
+], ids=["series-lattice", "mod-suffix"])
+def test_malformed_lattices_and_suffixes_are_refused(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

@@ -17,7 +17,7 @@ from novcube.cubes import (CubeDiagram, cone, glueable, id_cube,
 from novcube.errors import NotChainMap
 from novcube.morse import (bundled_model, descent_ray, open_bar_barcode,
                            projected_betti, region_ray)
-from novcube.novikov import NovikovScalar
+from novcube.novikov import NovikovScalar, parse_scalar
 from novcube.rays import (NotAcyclic, Ray, SliceNotAcyclic, TailSpec,
                           TailVerdict, UnsupportedTail,
                           acyclic_slices_implies_acyclic,
@@ -554,3 +554,78 @@ def test_finite_and_stationary_tail_verdicts():
         Ray(1, [], TailSpec.stationary(cube)), WORK, 2)
     assert cert.tail is TailVerdict.STATIONARY_ACYCLIC
     assert cert.tail_note == "stationary tail slice acyclic"
+
+
+def test_a_summand_that_differs_from_its_block_modulo_t_is_reported(
+        monkeypatch):
+    """Blocks of d_0 and telescopes of the vertex rays are stored maps and
+    compare exactly: a vertex differential of the vertex rays that gains
+    the entry ``0 mod T^1`` makes ``d0_matches_summands`` False."""
+    build = rays.vertex_ray
+    fuzzy = parse_scalar("0 mod T^1")
+
+    def skewed(ray, w):
+        sub = build(ray, w)
+
+        def stage(k):
+            cube = sub.map_cube(k)
+            src = cube.vertex("0")
+            src = ChainComplex(src.generators,
+                               {**src.differential, ("x", "y"): fuzzy})
+            return one_cube(src, cube.vertex("1"), cube.face("-"))
+
+        return Ray(1, [], TailSpec.model(stage), check=False)
+
+    monkeypatch.setattr(rays, "vertex_ray", skewed)
+    rep = descent_complex(identity_square_model_ray(lambda k: 1), WORK, 2)
+    assert not rep.d0_matches_summands
+
+
+def _rays_for_refusals():
+    """An identity 1-ray on a -> b, and the 2-ray of its identity squares."""
+    ray1 = identity_ray(simple_complex("c"), 2)
+    return ray1, Ray(2, [id_cube(ray1.map_cube(1))], TailSpec.finite())
+
+
+def _tail_not_acyclic():
+    """A prefix from an acyclic slice to a lone generator x, whose
+    stationary tail x -> x by T^1 is not acyclic."""
+    x = ChainComplex([Generator("x", 0)], {})
+    prefix = one_cube(simple_complex("c"), x, {})
+    tail = one_cube(x, x, {("x", "x"): NovikovScalar.monomial(1, 1)})
+    ray = Ray(1, [prefix], TailSpec.stationary(tail))
+    return acyclic_slices_implies_acyclic(ray, WORK, 0)
+
+
+@pytest.mark.parametrize("call,exc,message", [
+    (lambda r1, r2: TailSpec.stationary(r1.map_cube(1)), ValueError,
+     "stationary tail needs mapping valuations bounded below by a "
+     "positive gap, got 0"),
+    (lambda r1, r2: Ray(2, [r1.map_cube(1)], TailSpec.finite()),
+     ValueError, "prefix cube 1 has dimension 1"),
+    (lambda r1, r2: Ray(1, [r1.map_cube(1),
+                            identity_ray(simple_complex("d"), 1).map_cube(1)],
+                        TailSpec.finite()),
+     ValueError, "consecutive prefix cubes do not glue"),
+    (lambda r1, r2: r1.map_cube(0), IndexError, "stages are 1-based"),
+    (lambda r1, r2: cone_ray(r2, 2), ValueError,
+     "cone direction must avoid the gluing direction"),
+    (lambda r1, r2: stage_composite(r2, 1, 2), ValueError,
+     "stage composites are for 1-rays"),
+    (lambda r1, r2: colimit_t0(r2, 1), ValueError,
+     "direct limits are computed for 1-rays"),
+    (lambda r1, r2: compression(r2, [1, 2]), ValueError,
+     "compression is implemented for 1-rays"),
+    (lambda r1, r2: compression(r1, [0, 2]), ValueError,
+     "stages are 1-based"),
+    (lambda r1, r2: _tail_not_acyclic(), SliceNotAcyclic,
+     "stationary tail slice is not acyclic"),
+    (lambda r1, r2: mayer_vietoris(id_cube(r2.map_cube(1)), WORK),
+     ValueError, "mayer_vietoris expects a 2-cube"),
+], ids=["stationary-gap", "prefix-dimension", "prefix-glue", "map-cube-0",
+        "cone-ray-direction", "stage-composite", "colimit", "compression-n",
+        "compression-index", "stationary-slice", "mayer-vietoris-n"])
+def test_ray_refusals_name_their_cause(call, exc, message):
+    with pytest.raises(exc) as err:
+        call(*_rays_for_refusals())
+    assert err.value.args == (message,)

@@ -5,8 +5,9 @@ import random
 import pytest
 from helpers import random_complex
 
-from novcube.chain import mat_identity
+from novcube.chain import ChainComplex, Generator, mat_identity
 from novcube.cubes import CubeDiagram, verify_cube
+from novcube.novikov import parse_scalar
 from novcube.simplicial import (UnsupportedDimension, assemble_faces,
                                 certify_assembly, cube_equation_expansion,
                                 face_simplices, permutation_sign,
@@ -105,3 +106,23 @@ def test_concrete_assembly_strict_data():
 def test_assembly_missing_path_errors():
     with pytest.raises(KeyError):
         assemble_faces(1, {})
+
+
+def test_assembly_keeps_a_face_known_only_modulo_t():
+    """An assembled face map is a stored map: simplex maps that cancel
+    exactly leave no entry, but ones known only modulo T^1 leave the
+    entry ``0 mod T^1``."""
+    base = ChainComplex([Generator("a", 0), Generator("b", 1)],
+                        {("b", "a"): parse_scalar("1*T^0")})
+    key = ("a", "a")
+    for scalar, expected in ((parse_scalar("1*T^0"), {}),
+                             (parse_scalar("1*T^0 mod T^1"),
+                              {key: parse_scalar("0 mod T^1")})):
+        simplex_maps = {(w,): dict(base.differential)
+                        for w in ("00", "01", "10", "11")}
+        for path in [("00", "01"), ("00", "10"), ("01", "11"),
+                     ("10", "11")]:
+            simplex_maps[path] = mat_identity(base.labels)
+        for path, _ in face_simplices("--"):
+            simplex_maps[path] = {key: scalar}
+        assert assemble_faces(2, simplex_maps)["--"] == expected

@@ -115,3 +115,24 @@ def test_only_recode_and_the_face_views_re_sign_d():
                     callers.add("%s:%s%s" % (module, owner, getattr(
                         node, "name", "<module>")))
     assert callers == {"cubes:CubeDiagram.recode", "cubes:CubeDiagram._view"}
+
+
+def test_only_mat_clean_and_the_residual_check_read_floor():
+    """A scalar's ``floor`` tells an exact zero (None) from an entry known
+    only modulo T^R.  Outside ``novikov``, ``chain.mat_clean`` is the one
+    rule for what a stored map drops and ``chain.residual_violations``
+    the one check that reads how far an entry is known; every other
+    stored map and check goes through them."""
+    readers = set()
+    for module, tree in _modules():
+        if module == "novikov":
+            continue
+        for top in tree.body:
+            members = top.body if isinstance(top, ast.ClassDef) else [top]
+            for node in members:
+                if any(isinstance(a, ast.Attribute) and a.attr == "floor"
+                       for a in ast.walk(node)):
+                    owner = top.name + "." if node is not top else ""
+                    readers.add("%s:%s%s" % (module, owner, getattr(
+                        node, "name", "<module>")))
+    assert readers == {"chain:mat_clean", "chain:residual_violations"}
