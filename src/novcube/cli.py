@@ -176,7 +176,10 @@ def _flatten_label(label) -> str:
 
 
 def _violations(report) -> list:
-    return [{"face": f, "detail": d} for f, d in report.violations]
+    """Each violation with its face, the single face of a 0-cube (whose
+    code is empty) named ``(vertex)``."""
+    return [{"face": f or "(vertex)", "detail": d}
+            for f, d in report.violations]
 
 
 def _cube_report(args, inputs, digests, cube: CubeDiagram, work, **fields):
@@ -493,8 +496,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     for flag in ("precision", "work"):
         if not _positive(getattr(args, flag, None)):
             parser.exit(2, "error: --%s must be positive\n" % flag)
-    if getattr(args, "depth", None) is not None and args.depth < 1:
-        parser.exit(2, "error: --depth must be at least 1\n")
+    for flag in ("depth", "jobs"):
+        if getattr(args, flag, None) is not None and getattr(args, flag) < 1:
+            parser.exit(2, "error: --%s must be at least 1\n" % flag)
     paths = [tuple(args.files)] if args.command == "compose" else args.files
     tasks = [(args, p) for p in paths]
 

@@ -458,6 +458,14 @@ def from_positive_signs(cube: CubeDiagram) -> CubeDiagram:
 # cones
 
 
+def coneable(cube: CubeDiagram) -> None:
+    """Refuse a cube in positive form or a partial one, as cones do."""
+    if cube.positive:
+        raise ValueError("cone applies to cubes in signed form")
+    if cube.partial:
+        raise ValueError("cone applies to total cubes")
+
+
 def cone(cube: CubeDiagram, i: int) -> CubeDiagram:
     """Contract direction i, generalizing the mapping cone.
 
@@ -465,10 +473,7 @@ def cone(cube: CubeDiagram, i: int) -> CubeDiagram:
     relabelled ("0", l) and ("1", l).  In positive form this only regroups
     D: (w, l) becomes (w without coordinate i, (w_i, l)).
     """
-    if cube.positive:
-        raise ValueError("cone applies to cubes in signed form")
-    if cube.partial:
-        raise ValueError("cone applies to total cubes")
+    coneable(cube)
     if not 1 <= i <= cube.n:
         raise InvalidDirection("direction %d not in 1..%d" % (i, cube.n))
 

@@ -2,15 +2,16 @@
 
 An n-ray is a sequence of n-cubes glued in the last direction, stored as a
 finite prefix plus a tail descriptor.  Only tails whose behaviour modulo a
-declared precision is decidable are supported: ``finite`` (everything
-later vanishes), ``stationary`` (one map-cube repeats forever and its
-mapping entries all have valuation >= gap > 0), and ``model`` (a
-closed-form family supplied by the Morse model, whose rays
-:func:`novcube.morse.family_ray` builds).  A model tail's ``stage_fn``
-must be a pure function of the stage index: each ray builds a stage once
-and keeps it for its own lifetime.  Rays derived from a ray (cones,
-vertex rays) all come from :func:`_derived`, which maps each stage and
-reads model stages from the ray they were derived from; a vertex ray's
+declared precision is decidable are supported: ``finite`` (everything later
+vanishes, so the direct limit is 0), ``stationary`` (one map-cube repeats
+forever and its mapping entries all have valuation >= gap > 0, so
+N >= r0/gap composed tail maps vanish modulo T^r0), both with completed
+homology zero, and ``model`` (a closed-form family supplied by the Morse model,
+whose rays :func:`novcube.morse.family_ray` builds).  A model tail's
+``stage_fn`` must be a pure function of the stage index: each ray builds a
+stage once and keeps it for its own lifetime.  Rays derived from a ray
+(cones, vertex rays) all come from :func:`_derived`, which maps each stage
+and reads model stages from the ray they were derived from; a vertex ray's
 stages are face cubes of the stages it is derived from, cut out of D.
 Derived rays carry no closed form: one answers for its own ray only.
 
@@ -19,9 +20,10 @@ a shifted and an unshifted copy of every slice, with the differential
 ``x~ - dx + f(x)`` on shifted generators.  It is materialized to a finite
 depth, quasi-isomorphic to the last materialized slice, in one pass that
 writes each stage's generators and D entries at their telescope keys.
-A telescope whose stages glue (checked) passes on their least d*d
-certificate (see :mod:`novcube.cubes`); :func:`telescope_complex` first
-certifies each uncertified stage by one exact check, kept either way.
+A telescope whose stages glue (compared, unless ``check`` compared them
+when the ray was built) passes on their least d*d certificate (see
+:mod:`novcube.cubes`); :func:`telescope_complex` first certifies each
+uncertified stage by one exact check, kept either way.
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .chain import (Barcode, ChainComplex, Generator, Label, MatrixEntries,
                     checked, mat_clean, mat_compose, mat_identity,
                     reduce_map_t0)
-from .cubes import (CubeDiagram, cone, cone_of_map, compose, entry_violations,
-                    glueable, total_complex, verify_cube, vertex_codes)
+from .cubes import (CubeDiagram, cone, cone_of_map, compose, coneable,
+                    entry_violations, glueable, total_complex, verify_cube,
+                    vertex_codes)
 from .errors import NotAcyclic, NotCoherent, SliceNotAcyclic
 from .linalg import Vector, is_exact
 from .novikov import INFINITY, NovikovScalar, rat
@@ -100,6 +103,7 @@ class Ray:
         self.prefix = list(prefix)
         self.tail = tail
         self._stages: Dict[int, CubeDiagram] = {}
+        self.glue_checked = check  # the stored stages were compared pairwise
         if check:
             for k, cube in enumerate(self.prefix):
                 if cube.n != n:
@@ -190,16 +194,14 @@ def telescope(ray: Ray, depth: int) -> CubeDiagram:
     """
     n = ray.n
     stages = [ray.map_cube(k) for k in range(1, max(depth, 1) + 1)]
-    cert = _glued_certificate(stages, n)
+    cert = _glued_certificate(ray, stages)
     one, first = NovikovScalar.one(), stages[0].subcube(n, "0")
     gens = {w: [Generator(("tel", 1, "u", g.label), g.parity) for g in gs]
             for w, gs in first.gens.items()}
     D = {((wt, ("tel", 1, "u", t)), (ws, ("tel", 1, "u", s))): v
          for ((wt, t), (ws, s)), v in first.D.items()}
     for k, stage in enumerate(stages[:depth], 1):
-        if stage.positive or stage.partial:  # refused as ``cone`` does
-            raise ValueError("cone applies to " + (
-                "cubes in signed form" if stage.positive else "total cubes"))
+        coneable(stage)
         tag = {"0": ("tel", k, "s"), "1": ("tel", k + 1, "u")}
         for ((wt, t), (ws, s)), v in stage.D.items():
             D[(wt[:-1], tag[wt[-1]] + (t,)), (ws[:-1], tag[ws[-1]] + (s,))] = v
@@ -213,13 +215,18 @@ def telescope(ray: Ray, depth: int) -> CubeDiagram:
     return CubeDiagram.from_matrix(n - 1, gens, D, verified_mod=cert)
 
 
-def _glued_certificate(stages: List[CubeDiagram], n: int):
-    """The least certificate of ``stages`` when each has one and glues
-    onto the next in direction n (the telescope's copy maps are then
-    chain maps), else None."""
+def _glued_certificate(ray: Ray, stages: List[CubeDiagram]):
+    """The least certificate of ``stages``, the first stages of ``ray``,
+    when each has one and glues onto the next (the telescope's copy maps
+    are then chain maps), else None.  Only model stages and the stages of
+    a ray built without ``check`` are compared."""
     certs = [s.verified_mod for s in stages]
-    pairs = {(id(a), id(b)): (a, b) for a, b in zip(stages, stages[1:])}
-    if None in certs or not all(glueable(a, b, n) for a, b in pairs.values()):
+    pairs = {(id(a), id(b)): (a, b)
+             for k, (a, b) in enumerate(zip(stages, stages[1:]), 1)
+             if not ray.glue_checked
+             or k >= len(ray.prefix) and ray.tail.kind == "model"}
+    if None in certs or not all(glueable(a, b, ray.n)
+                                for a, b in pairs.values()):
         return None
     return min(certs)
 
@@ -386,36 +393,41 @@ def compression(ray: Ray, indices: List[int]) -> CompressionResult:
 # completed homology at a declared precision
 
 
-def truncate_ray(ray: Ray, depth: int) -> Ray:
-    """Forget the tail: keep stages 1..depth and fall to zero after."""
-    prefix = [ray.map_cube(k) for k in range(1, depth + 1)]
-    return Ray(ray.n, prefix, TailSpec.finite(), check=False)
-
-
-def stationary_stage_bound(ray: Ray, r0: Fraction) -> int:
-    gap = map_cube_gap(ray.tail.cube)
-    need = int(-((-r0) // gap))  # ceil(r0 / gap)
-    return len(ray.prefix) + need
-
-
 def completed_homology(ray: Ray, r0, work=None) -> Barcode:
     """Homology of the completed telescope modulo T^r0, as a barcode.
 
-    finite tail: the fully materialized telescope already is the completed
-    object (the direct limit vanishes, so the telescope is acyclic and the
-    barcode is empty).  stationary tail: beyond prefix + ceil(r0/gap) the
-    composed maps vanish modulo T^r0, so the ray is cut there and takes
-    the finite path.  model tail: delegated to the family's closed form.
+    Finite and stationary tails give zero: a finite tail's limit is 0, and
+    gap > 0 makes N >= r0/gap composed tail maps vanish modulo T^r0.  This
+    needs a ray at ``work = max(work, r0)``: stored cubes signed, total and
+    verified (certified exactly first, when they can be), stages glued (a
+    checked ray knows) and gap > 0, or ValueError names cube and face.  The
+    precision is ``work`` or the least R of a stored entry known only
+    modulo T^R.  Model tails use the family's closed form.
     """
     r0 = rat(r0)
     work = r0 if work is None else max(rat(work), r0)
-    if ray.tail.kind == "stationary":
-        ray = truncate_ray(ray, stationary_stage_bound(ray, r0))
-    if ray.tail.kind == "finite":
-        return telescope_complex(ray, len(ray.prefix) + 1).barcode(work)
-    if ray.tail.closed_form is not None:  # set on model tails only
-        return ray.tail.closed_form(r0)
-    raise UnsupportedTail("no closed form for tail %r" % (ray.tail.kind,))
+    tail = ray.tail
+    if tail.kind not in ("finite", "stationary"):
+        if tail.closed_form is None:  # set on model tails only
+            raise UnsupportedTail("no closed form for tail %r" % (tail.kind,))
+        return tail.closed_form(r0)
+    named = ray.stored_cubes()
+    after = named[1:]
+    if tail.kind == "stationary":
+        TailSpec.stationary(tail.cube)  # refuses a gap <= 0
+        after.append(named[-1])
+    for (name, cube), nxt in zip(named, after + [None]):
+        coneable(cube)
+        _certify_exactly(cube)
+        bad = checked(cube, work, verify_cube).violations
+        if not bad and nxt and not ray.glue_checked \
+                and not glueable(cube, nxt[1], ray.n):
+            bad = [("-" * (ray.n - 1) + "1", "does not glue onto " + nxt[0])]
+        if bad:
+            raise ValueError("barcode needs a verified complex: %s, face %r: "
+                             "%s" % ((name,) + bad[0]))
+    mods = [v.mod for _, c in named for v in c.D.values() if v.mod is not None]
+    return Barcode((), (), min([work] + mods))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,12 @@ from the views of a stage through the face-map constructor.  Each old way
 is kept here, building the intermediate cubes and views the library no
 longer builds, as an oracle for the tests.  So is the mapping cone of a
 chain map as a complex put together by hand, which ``cubes.cone_of_map``
-replaced by the total complex of the map's 1-cube.
+replaced by the total complex of the map's 1-cube.  So, last, is the
+completed homology of a finite or stationary ray read from the barcode of
+a materialized telescope: ``rays.completed_homology`` now states the zero
+module from its vanishing proof, where it cut a stationary ray at
+prefix + ceil(r0/gap) stages (:func:`truncate_ray`,
+:func:`stationary_stage_bound`) and reduced the telescope.
 """
 
 from novcube.chain import (ChainComplex, Generator, is_chain_map, mat_clean,
@@ -20,7 +25,8 @@ from novcube.cubes import (CubeDiagram, cone, face_codes, initial_vertex,
                            terminal_vertex, vertex_codes)
 from novcube.errors import NotChainMap
 from novcube.morse import cf, continuation
-from novcube.novikov import INFINITY, NovikovScalar
+from novcube.novikov import INFINITY, NovikovScalar, rat
+from novcube.rays import Ray, TailSpec, map_cube_gap, telescope_complex
 
 
 def subcube(cube, i, value):
@@ -125,3 +131,25 @@ def cone_of_map(source, target, entries):
     for (t, s), v in entries.items():
         diff[(("1", t), ("0", s))] = v
     return ChainComplex(shifted.generators + tgt.generators, diff)
+
+
+def truncate_ray(ray, depth):
+    """Forget the tail: keep stages 1..depth and fall to zero after."""
+    prefix = [ray.map_cube(k) for k in range(1, depth + 1)]
+    return Ray(ray.n, prefix, TailSpec.finite(), check=False)
+
+
+def stationary_stage_bound(ray, r0):
+    gap = map_cube_gap(ray.tail.cube)
+    need = int(-((-r0) // gap))  # ceil(r0 / gap)
+    return len(ray.prefix) + need
+
+
+def completed_homology(ray, r0, work=None):
+    """The barcode of the materialized telescope of a finite ray, or of a
+    stationary one cut at :func:`stationary_stage_bound`."""
+    r0 = rat(r0)
+    work = r0 if work is None else max(rat(work), r0)
+    if ray.tail.kind == "stationary":
+        ray = truncate_ray(ray, stationary_stage_bound(ray, r0))
+    return telescope_complex(ray, len(ray.prefix) + 1).barcode(work)

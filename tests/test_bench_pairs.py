@@ -182,3 +182,27 @@ def test_source_hash_names_the_code_and_skips_bytecode(tmp_path):
     assert bench_pairs.source_hash(tmp_path) == first
     (src / "a.py").write_text("x = 2\n")
     assert bench_pairs.source_hash(tmp_path) != first
+
+
+@pytest.mark.parametrize("rates,raw,wall,shift", [
+    # BENCH_19's minmax_mv: normalized down, raw and wall up
+    ((100.0, 97.6), (200.0, 201.7), (90.0, 92.0), True),
+    ((100.0, 103.0), (200.0, 198.0), (90.0, 88.0), True),
+    # normalized, raw and wall move together: the code's own time
+    ((100.0, 150.0), (200.0, 300.0), (90.0, 135.0), False),
+    # raw and wall disagree with each other
+    ((100.0, 97.6), (200.0, 201.7), (90.0, 89.0), False),
+    ((100.0, 97.6), (200.0, 201.7), (90.0, 90.0), False),
+    # an unmoved median moves against nothing
+    ((100.0, 100.0), (200.0, 201.7), (90.0, 92.0), False),
+])
+def test_compare_flags_a_divisor_shift(rates, raw, wall, shift):
+    """``divisor_shift`` is set when the median of ``instances_per_s``
+    moves against the medians of both the raw and the wall throughput."""
+    pairs = [{side: run(rates[i], 10.0, raw=raw[i] + j, wall=wall[i] - j)
+              for i, side in enumerate(bench_pairs.SIDES)}
+             for j in range(3)]
+    entry = bench_pairs.compare(pairs, END_TO_END)
+    assert entry["divisor_shift"] is shift
+    only_latency = [m for m in END_TO_END if m["name"] != "instances_per_s"]
+    assert "divisor_shift" not in bench_pairs.compare(pairs, only_latency)

@@ -13,6 +13,7 @@ import os
 from fractions import Fraction as F
 
 import pytest
+from construction_oracle import truncate_ray
 from helpers import random_ray_cubes
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +28,7 @@ from novcube.morse import (MorseModel, bundled_model, cf, empty_set,
 from novcube.novikov import INFINITY, NovikovScalar, parse_scalar
 from novcube.rays import (Ray, TailSpec, completed_homology, cone_ray,
                           map_to_zero, telescope, telescope_complex,
-                          truncate_ray, vertex_ray, zero_cube)
+                          vertex_ray, zero_cube)
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "cli")
 VALUES = [F(0), F(1), F(-1), F(1, 2), F(-2, 3), F(3, 4), F(2)]
@@ -278,6 +279,56 @@ def square_calls(monkeypatch):
     for module in (chain, cubes):
         monkeypatch.setattr(module, "square_violations", counting)
     return calls
+
+
+@pytest.fixture()
+def glue_calls(monkeypatch):
+    """Count the gluing comparisons: calls of ``cubes.glueable``, under
+    every name the library holds it by."""
+    calls = []
+    original = cubes.glueable
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (cubes, rays):
+        monkeypatch.setattr(module, "glueable", counting)
+    return calls
+
+
+def test_a_checked_ray_keeps_its_glue_verdict(glue_calls):
+    """A stationary ray built with ``check`` compares its stages once, when
+    it is built: its telescopes and its completed homology compare none
+    again.  Built without ``check``, or with a model tail, the telescope
+    compares its stages; and an unchecked tail that does not glue onto
+    itself is still refused."""
+    c = ChainComplex([Generator("a", 0), Generator("b", 1)],
+                     {("b", "a"): NovikovScalar.one()})
+    t = NovikovScalar.monomial(1, 1)
+    tail = CubeDiagram(1, {"0": c, "1": c},
+                       {"-": {("a", "a"): t, ("b", "b"): t}})
+    still = Ray(1, [tail], TailSpec.stationary(tail))
+    assert len(glue_calls) == 2  # prefix onto tail, tail onto itself
+    del glue_calls[:]
+    assert telescope_complex(still, 3).barcode(3).is_zero
+    assert telescope(still, 3).verified_mod == INFINITY
+    assert completed_homology(still, 2, 3).is_zero
+    assert glue_calls == []
+    for ray in (Ray(1, [tail], TailSpec.stationary(tail), check=False),
+                Ray(1, [], TailSpec.model(lambda k: tail))):
+        assert telescope(ray, 3).verified_mod == INFINITY
+        assert glue_calls
+        del glue_calls[:]
+    assert completed_homology(Ray(1, [tail], TailSpec.stationary(tail),
+                                  check=False), 2, 3).is_zero
+    assert len(glue_calls) == 2
+    top = ChainComplex(c.generators, {})
+    unglued = CubeDiagram(1, {"0": c, "1": top}, {})
+    with pytest.raises(ValueError, match="barcode needs a verified complex: "
+                       "tail cube, face '1': does not glue onto tail cube"):
+        completed_homology(Ray(1, [], TailSpec.stationary(unglued),
+                               check=False), 1)
 
 
 def test_a_descent_instance_makes_no_square_check(square_calls):

@@ -713,3 +713,29 @@ def test_float_weight_in_minmax_file_exits_2(tmp_path, capsys):
     assert code == 2
     error = json.loads(out)["error"]
     assert str(path) in error and "'v0'" in error
+
+
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_jobs_below_one_is_a_usage_error(jobs, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify-cube", os.path.join(DATA, "cube2.json"),
+                  "--jobs", jobs])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "--jobs must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_0_cube_violation_names_its_face(fmt, capsys):
+    """The cone of a 1-cube is a 0-cube: its one face has the empty code,
+    and a violation on it is named ``(vertex)``, not left blank."""
+    code, out = run_cli(capsys, "cone", os.path.join(DATA, "fuzzy_edge.json"),
+                        "--direction", "1", "--work", "10", "--format", fmt)
+    assert code == 1
+    detail = ("equation residual at (('1', 'b'), ('0', 'a')): "
+              "undetermined below T^1")
+    if fmt == "json":
+        assert json.loads(out)["violations"] == [{"face": "(vertex)",
+                                                  "detail": detail}]
+    else:
+        assert "\n  (vertex): %s\n" % detail in out

@@ -11,10 +11,15 @@ and message.  So must ``cubes.cone_of_map``, the total complex of a
 map's 1-cube, against the mapping cone put together by hand.  A last
 property checks that no constructor leaves an exact zero in D, and that
 each keeps every entry known only modulo a power of T that it was given.
+And ``rays.completed_homology``, which states the zero module of a
+finite or stationary ray from its vanishing proof, is run against the
+barcode of the materialized telescope: they agree but on two declared
+classes of rays, each pinned by its own test.
 """
 
 import random
 import re
+from collections import Counter
 from fractions import Fraction as F
 
 import construction_oracle as oracle
@@ -24,7 +29,7 @@ from helpers import (null_homotopic_map, random_complex, random_cube,
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from novcube.chain import ChainComplex, Generator
+from novcube.chain import Barcode, ChainComplex, Generator, mat_clean
 from novcube.cubes import (CubeDiagram, NotChainMap, compose, cone,
                            cone_of_map, cube_from_json, cube_to_json, decone,
                            face_codes, from_positive_signs, glueable,
@@ -33,7 +38,8 @@ from novcube.morse import (MorseModel, bundled_model, descent_ray,
                            hamiltonian_cube, region_family,
                            region_hamiltonian, resolve_region)
 from novcube.novikov import INFINITY, NovikovScalar
-from novcube.rays import Ray, TailSpec, map_to_zero, telescope, vertex_ray
+from novcube.rays import (Ray, TailSpec, completed_homology, map_to_zero,
+                          telescope, vertex_ray)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 # seeds of ``random.Random``, whose draws spread further than
@@ -580,3 +586,177 @@ def test_decone_keeps_a_vertex_zero_that_leaves_its_block():
     assert_clean(split, 2)
     assert split.D == {(("10", "b"), ("00", "a")): zero_mod(2),
                        (("11", "b"), ("01", "a")): zero_mod(2)}
+
+
+# ---------------------------------------------------------------------------
+# completed homology: the vanishing proof against the materialized telescope
+
+
+def stationary_cube(rng, c, gap, top=None):
+    """The 1-cube of T^gap id + T^gap (dY + Yd) on ``c``, a chain map
+    homotopic to T^gap id with mapping entries of valuation >= gap; or,
+    into another complex ``top``, of T^gap (dY + Yd) alone, a cube that
+    does not glue onto itself."""
+    top = c if top is None else top
+    f = {(l, l): NovikovScalar.monomial(1, gap)
+         for l in c.labels if top is c}
+    for key, v in null_homotopic_map(rng, c, top).items():
+        f[key] = f.get(key, NovikovScalar.zero()) + v.shift(gap)
+    return CubeDiagram(1, {"0": c, "1": top}, {"-": mat_clean(f)})
+
+
+def truncated(rng, cube, r):
+    """``cube`` with one D entry known only modulo T^r, uncertified."""
+    key = rng.choice(sorted(cube.D, key=repr))
+    D = dict(cube.D)
+    D[key] = D[key].truncate(r)
+    return CubeDiagram.from_matrix(cube.n, cube.gens, D)
+
+
+def completion_ray(seed):
+    """A seeded ray with its precision r0 and working precision: a finite
+    tail after glued random cubes, or a stationary tail T^gap id + a
+    null-homotopic term with no, one or two prefix cubes, and now and then
+    a stationary tail into another complex, which does not glue onto
+    itself; in a third of them one stored entry is cut below the working
+    precision.  The ray is built with ``check`` in half of the cases where
+    it glues."""
+    rng = random.Random(seed)
+    r0 = rng.choice([F(1, 2), F(1), F(3, 2)])
+    work = max(r0, rng.choice([F(3, 2), F(2), F(3)]))
+    if rng.random() < 0.4:
+        n = rng.randint(1, 2)
+        prefix = random_ray_cubes(rng, n, rng.randint(1, 3))
+        tail = TailSpec.finite()
+    else:
+        n = 1
+        c = random_complex(rng, max_gens=5, prefix="c")
+        chain = [c]
+        for k in range(rng.randint(0, 2)):
+            chain.insert(0, random_complex(rng, max_gens=5, prefix="p%d" % k))
+        prefix = [CubeDiagram(1, {"0": a, "1": b},
+                              {"-": null_homotopic_map(rng, a, b)})
+                  for a, b in zip(chain, chain[1:])]
+        top = random_complex(rng, max_gens=5, prefix="c") \
+            if rng.random() < 0.15 else None
+        tail = TailSpec.stationary(
+            stationary_cube(rng, c, rng.choice([F(1, 2), F(1)]), top))
+    stored = prefix + ([tail.cube] if tail.kind == "stationary" else [])
+    fuzzy = rng.random() < 1 / 3 and any(c.D for c in stored)
+    if fuzzy:
+        k = rng.choice([k for k, c in enumerate(stored) if c.D])
+        cut = truncated(rng, stored[k], rng.choice([F(1, 4), F(1, 2), F(1)]))
+        if k < len(prefix):
+            prefix[k] = cut
+        else:
+            tail = TailSpec.stationary(cut)
+    try:
+        ray = Ray(n, prefix, tail, check=rng.random() < 0.5)
+    except ValueError:
+        ray = Ray(n, prefix, tail, check=False)
+    return ray, r0, work
+
+
+def barcode_outcome(fn, ray, r0, work):
+    """The barcode's JSON, or the class and message of what was raised."""
+    try:
+        return fn(ray, r0, work).to_json()
+    except Exception as exc:  # the failure itself is compared
+        return type(exc), str(exc)
+
+
+def glues(ray):
+    """Every stored stage glues onto the next, by the subcube comparison."""
+    named = [c for _, c in ray.stored_cubes()]
+    after = named[1:] + (named[-1:] if ray.tail.kind == "stationary" else [])
+    return all(oracle.glueable(a, b) for a, b in zip(named, after))
+
+
+def least_mod(ray, work):
+    return min([work] + [v.mod for _, c in ray.stored_cubes()
+                         for v in c.D.values() if v.mod is not None])
+
+
+def zero_json(precision):
+    return Barcode((), (), precision).to_json()
+
+
+def test_completed_homology_matches_the_materialized_telescope():
+    """300 seeded rays through both paths, each on its own copy of the
+    ray, since either path certifies the cubes it checks.  Exact rays
+    agree in full; so does every ray both paths answer.  The two paths
+    differ on two declared classes only: (a) a ray that glues, with an
+    entry known only modulo T^R < work, which the telescope refuses since
+    its copy map subtracts that entry from itself, is answered zero at
+    precision R; (b) a ray built without ``check`` whose stages do not
+    glue, whose telescope was reduced anyway, is refused naming a stored
+    cube."""
+    seen = Counter()
+    for seed in range(300):
+        ray, r0, work = completion_ray(seed)
+        old = barcode_outcome(oracle.completed_homology,
+                              *completion_ray(seed))
+        new = barcode_outcome(completed_homology, ray, r0, work)
+        exact = all(v.mod is None for _, c in ray.stored_cubes()
+                    for v in c.D.values())
+        if isinstance(old, tuple) and isinstance(new, tuple):
+            assert old[0] is new[0], (seed, old, new)
+            seen["refused"] += 1
+        elif isinstance(old, tuple):
+            assert not exact and glues(ray), (seed, old)
+            assert old[0] is ValueError and old[1].startswith(
+                "barcode needs a verified complex") and "'tel'" in old[1]
+            assert new == zero_json(least_mod(ray, work)) and \
+                least_mod(ray, work) < work, seed
+            seen["a"] += 1
+        elif isinstance(new, tuple):
+            assert not ray.glue_checked and not glues(ray), (seed, new)
+            assert new[0] is ValueError and new[1].startswith(
+                "barcode needs a verified complex: ") and "tel" not in new[1]
+            assert re.search(r"(prefix|tail) cube( \d)?, face '-*1': does "
+                             r"not glue onto (prefix|tail) cube", new[1])
+            seen["b"] += 1
+        else:
+            assert new == old, seed
+            assert new == zero_json(least_mod(ray, work)), seed
+            seen["exact" if exact else "fuzzy answered"] += 1
+    assert seen["exact"] >= 150 and seen["a"] and seen["b"], seen
+
+
+def test_a_fuzzy_ray_the_telescope_refused_is_answered_zero():
+    """Class (a): the slice entry d(a) = 1 + O(T) and the tail map T id
+    verify at 3/2 (their products are known modulo T^2), but the
+    telescope's copy map meets the entry twice, x - x, which is known only
+    modulo T^1: its check refused the ray.  The proof answers zero at the
+    entry's precision."""
+    c = ChainComplex([Generator("a", 0), Generator("b", 1)],
+                     {("b", "a"): NovikovScalar([(0, 1)], 1)})
+    t = NovikovScalar.monomial(1, 1)
+    tail = CubeDiagram(1, {"0": c, "1": c},
+                       {"-": {("a", "a"): t, ("b", "b"): t}})
+    ray = Ray(1, [], TailSpec.stationary(tail))
+    with pytest.raises(ValueError, match=r"barcode needs a verified complex"
+                       r".*\('tel', 1, 'u', 'b'\), \('tel', 1, 's', 'a'\)"
+                       r".*undetermined below T\^1"):
+        oracle.completed_homology(ray, 1, F(3, 2))
+    assert completed_homology(ray, 1, F(3, 2)) == Barcode((), (), F(1))
+
+
+def test_an_unglued_ray_the_telescope_answered_is_refused():
+    """Class (b): a stationary tail from one complex into another does not
+    glue onto itself, so ``check`` refuses the ray.  At r0 = gap = 1 the
+    cut ray holds one tail stage, so its telescope never compared the
+    tail with itself and was reduced to zero; the proof refuses it,
+    naming the tail cube and its glued face."""
+    gens = [Generator("a", 0), Generator("b", 1)]
+    c = ChainComplex(gens, {})
+    top = ChainComplex(gens, {("b", "a"): NovikovScalar.one()})
+    tail = CubeDiagram(1, {"0": c, "1": top}, {})
+    with pytest.raises(ValueError, match="does not glue onto itself"):
+        Ray(1, [], TailSpec.stationary(tail))
+    ray = Ray(1, [], TailSpec.stationary(tail), check=False)
+    assert oracle.completed_homology(ray, 1).is_zero
+    with pytest.raises(ValueError) as err:
+        completed_homology(ray, 1)
+    assert err.value.args == ("barcode needs a verified complex: tail cube, "
+                              "face '1': does not glue onto tail cube",)

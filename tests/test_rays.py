@@ -285,7 +285,7 @@ def test_completed_homology_prefix_perturbed_stationary():
     code = completed_homology(r, F(2))
     assert code.is_zero
     # brute force at twice the stage bound agrees
-    from novcube.rays import stationary_stage_bound, truncate_ray
+    from construction_oracle import stationary_stage_bound, truncate_ray
     stage = stationary_stage_bound(r, F(2))
     deeper = truncate_ray(r, 2 * stage)
     brute = telescope_complex(deeper, 2 * stage + 1).barcode(WORK)

@@ -31,6 +31,10 @@ workload and seed:
   instance times by the reference kernel's slowness in that round, and
   these tell a change in that divisor from a change in the code's own
   time;
+- ``divisor_shift``: whether the median of ``instances_per_s`` moves
+  against the medians of both ``instances_per_s_raw`` and
+  ``instances_per_s_wall``, so that what it reads as a cost or a gain is
+  a change of the divisor, not of the code's own time;
 - under ``traced``, each per-layer metric's median over each side's
   traced runs, and under ``traced_runs`` every reading, in run order.
 
@@ -134,6 +138,13 @@ def compare_metric(parent, change, better: str, bound: float) -> dict:
     }
 
 
+def _moved(sides) -> int:
+    """+1, -1 or 0 as the change's median is above, below or at the
+    parent's."""
+    old, new = sides["parent"]["median"], sides["change"]["median"]
+    return (new > old) - (new < old)
+
+
 def compare(pairs, end_to_end, *traced) -> dict:
     """The entry of one workload and seed: ``pairs`` is a list of
     ``{"parent": run, "change": run}`` of parsed untraced runs,
@@ -162,6 +173,11 @@ def compare(pairs, end_to_end, *traced) -> dict:
             unit=m["unit"], better=m["better"], bound=m["bound"],
             **compare_metric(values["parent"], values["change"],
                              m["better"], m["bound"]))
+    if "instances_per_s" in entry["metrics"]:
+        rate = _moved(entry["metrics"]["instances_per_s"])
+        entry["divisor_shift"] = rate != 0 and all(
+            _moved(entry["throughput"][name]) == -rate
+            for name in ("instances_per_s_raw", "instances_per_s_wall"))
     if traced:
         entry["traced_runs"] = {side: {
             name: [t[side]["result"]["metrics"][name]["value"]
