@@ -40,7 +40,7 @@ from .cubes import (CubeDiagram, InvalidDirection, cone, compose,
                     cube_from_json, cube_to_json, entry_violations,
                     verify_cube)
 # failures of the mathematics on a well-formed input: exit 1, not 3
-from .errors import DOMAIN_ERRORS
+from .errors import DOMAIN_ERRORS, InadmissibleSubset
 from .novikov import json_keys, rat
 
 if TYPE_CHECKING:
@@ -183,12 +183,13 @@ def _violations(report) -> list:
 
 
 def _cube_report(args, inputs, digests, cube: CubeDiagram, work, **fields):
-    """The report of a cube a command built: verified at ``work``, with
-    any violations, and serialized with its labels flattened to strings."""
-    rep = verify_cube(cube, work)
+    """The report of a cube a command built, with its labels flattened to
+    strings: verified at ``work``, with any violations named by the
+    flattened labels, and serialized."""
+    flat = cube.relabel_vertices(lambda w, l: _flatten_label(l))
+    rep = verify_cube(flat, work)
     if not rep.ok:
         fields["violations"] = _violations(rep)
-    flat = cube.relabel_vertices(lambda w, l: _flatten_label(l))
     return _report(args, inputs, digests, rep.ok, cube=cube_to_json(flat),
                    **fields)
 
@@ -291,15 +292,15 @@ def _empty_set(args, path):
 
 
 def _relative_sh(args, path):
-    from .morse import relative_sh, resolve_region
+    from .morse import Region, relative_sh
     model, digest = _load_model(path)
     precision = _parse_fraction(args.precision, "--precision")
     labels = [s for s in args.subset.split(",") if s]
     try:
-        resolve_region(model, labels)
+        region = Region.of(model, labels)
     except KeyError as exc:
         raise InputError("--subset for %s: %s" % (path, exc.args[0]))
-    rep = relative_sh(model, labels, precision, args.depth)
+    rep = relative_sh(model, region, precision, args.depth)
     return _report(args, path, [digest], True, subset=sorted(labels),
                    barcode=rep.barcode.to_json(), betti=list(rep.betti))
 
@@ -328,14 +329,20 @@ def _minmax(args, path):
 
 
 def _descent_involutive(args, path):
-    from .morse import involutive_descent_instance, model_from_json
+    from .morse import Region, involutive_descent_instance, model_from_json
 
     def parse(data):
         json_keys(data, {"model", "regions"}, "the top level")
         return (model_from_json(data["model"]),
                 [set(r) for r in data["regions"]])
 
-    (model, regions), digest = _read_object(path, "descent", parse)
+    (model, labels), digest = _read_object(path, "descent", parse)
+    regions = []
+    for i, region in enumerate(labels):
+        try:
+            regions.append(Region.of(model, region))
+        except (KeyError, InadmissibleSubset) as exc:
+            raise InadmissibleSubset("region %d: %s" % (i, exc.args[0]))
     precision = _parse_fraction(args.precision, "--precision")
     rep = involutive_descent_instance(model, regions, precision,
                                       depth=args.depth)

@@ -7,28 +7,37 @@ not decrease the value function; weighting its entries by T to the value
 difference produces complexes over the nonnegative part of the Novikov
 ring, and monotone families of weight functions produce rays whose
 completed telescopes are computed here in closed form and cross-checked
-against finite stages of the same ray.  Every such ray is built by
-:func:`family_ray` from one stage rule per vertex of its slice cube, and
-every stage by :func:`hamiltonian_cube`, the one stage builder;
-:func:`cf` and :func:`continuation` build a stage's vertex complexes and
-edge maps one by one and serve as the references it is checked against.
+against finite stages of the same ray.  Every stage is built by
+:func:`hamiltonian_cube`, the one stage builder; :func:`cf` and
+:func:`continuation` build a stage's vertex complexes and edge maps one
+by one and serve as the references it is checked against.
+
+A closed region (no arrow enters it from outside) is a :class:`Region`
+value, resolved from labels and checked once by :meth:`Region.of`; its
+unions and intersections are regions.  A region keeps its Betti numbers
+and the weights of its cofinal family (-1/k on its cells, +k elsewhere)
+stage by stage, and :func:`region_ray` builds the ray of a vertex ->
+region map, which its model tail keeps.
 
 Weights are compared and subtracted on the exponent lattice: each call
 puts its weight functions on one denominator (:func:`on_lattice`) and
-works with ``int`` numerators over it.  ``MorseModel`` checks parity and
-the boundary's square once, exactly, so :func:`cf` and
-:func:`hamiltonian_cube`, which refuse weights that are not admissible or
-not monotone, carry the d*d certificate ``INFINITY``.
+works with ``int`` numerators over it; a region's weights are born there,
+as :class:`Weights`.  ``MorseModel`` checks parity and the boundary's
+square once, exactly, so :func:`cf` and :func:`hamiltonian_cube`, which
+refuse weights that are not admissible or not monotone, carry the d*d
+certificate ``INFINITY``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, reduce
+from itertools import combinations
 from math import lcm
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
+from operator import and_, or_
+from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
                     Tuple)
 
 from .chain import (Barcode, ChainComplex, Generator, Label,
@@ -43,7 +52,7 @@ from .rays import (DescentReport, Ray, TailSpec, completed_homology,
                    descent_complex)
 
 
-Hamiltonian = Dict[Label, Fraction]
+Hamiltonian = Dict[Label, Fraction]  # or :class:`Weights`
 
 
 class MorseModel:
@@ -72,37 +81,32 @@ class MorseModel:
     def parity(self, label: Label) -> int:
         return self._parity[label]
 
-    def base_points(self) -> Set[Label]:
-        if self.base_map is None:
-            return set(self.labels)
-        return set(self.base_map.values())
 
-    def cells_over(self, base_labels: Set[Label]) -> Set[Label]:
-        if self.base_map is None:
-            return {l for l in self.labels if l in base_labels}
-        return {l for l in self.labels if self.base_map[l] in base_labels}
+class Weights(dict):
+    """A weight function on the lattice (1/den)Z: each cell's ``int``
+    numerator over ``den``."""
 
-    def q_complex(self) -> QComplex:
-        return QComplex(self.cells, self.boundary)
-
-    def betti(self) -> Tuple[int, int]:
-        return self.q_complex().homology_ranks()
+    def __init__(self, den: int, numerators: Dict[Label, int]):
+        super().__init__(numerators)
+        self.den = den
 
 
 def on_lattice(model: MorseModel, *hs: Hamiltonian):
-    """One denominator ``den`` for the weight functions ``hs``, and each
-    one's ``int`` numerators over it, cell by cell."""
-    hs = [[rat(h[l]) for l in model.labels] for h in hs]
-    den = lcm(*[v.denominator for h in hs for v in h])
-    return den, [{l: v.numerator * (den // v.denominator)
-                  for l, v in zip(model.labels, h)} for h in hs]
+    """One denominator ``den`` for the weight functions ``hs``, each given
+    as :class:`Weights` or as rationals by cell, and each one's ``int``
+    numerators over it, cell by cell."""
+    hs = [[(h[l], h.den) for l in model.labels] if isinstance(h, Weights)
+          else [rat(h[l]).as_integer_ratio() for l in model.labels]
+          for h in hs]
+    den = lcm(*[d for h in hs for _, d in h])
+    return den, [{l: n * (den // d) for l, (n, d) in zip(model.labels, h)}
+                 for h in hs]
 
 
 def admissibility(model: MorseModel, h: Hamiltonian):
-    """The step h(q) - h(p) of every arrow, each computed once as an
-    ``int`` numerator over the denominator ``den`` of h, the violations
-    (arrows along which the weight function decreases, plus a
-    base-factoring violation when one is declared), and ``den``."""
+    """The step h(q) - h(p) of every arrow as an ``int`` numerator over
+    the denominator ``den`` of h, the violations (arrows along which h
+    decreases, and base fibres on which it is not constant), and ``den``."""
     den, (n,) = on_lattice(model, h)
     return _steps(model, n, den) + (den,)
 
@@ -209,29 +213,16 @@ def scaling_hamiltonian(model: MorseModel, n: int) -> Hamiltonian:
     return {l: model.values[l] / n for l in model.labels}
 
 
-def family_ray(model: MorseModel, weights: Dict[str, Callable],
-               closed_form=None) -> Ray:
-    """The ray of a monotone family, the one builder of this module's rays.
-
-    ``weights`` maps each vertex w of the slice cube to a stage rule
-    ``k -> Hamiltonian``; stage k is the :func:`hamiltonian_cube` of
-    w0 -> ``weights[w](k)`` and w1 -> ``weights[w](k + 1)``.
-    """
-    def stage(k):
-        assign = {}
-        for w, rule in weights.items():
-            assign[w + "0"], assign[w + "1"] = rule(k), rule(k + 1)
-        return hamiltonian_cube(model, assign)
-
-    return Ray(len(next(iter(weights))) + 1, [],
-               TailSpec.model(stage, closed_form=closed_form), check=False)
-
-
 def scaling_ray(model: MorseModel) -> Ray:
-    """The 1-ray of the scaling family H/k."""
-    return family_ray(
-        model, {"": partial(scaling_hamiltonian, model)},
-        lambda prec: open_bar_barcode(model.betti(), prec))
+    """The 1-ray of the scaling family H/k: stage k is the
+    :func:`hamiltonian_cube` of H/k -> H/(k+1)."""
+    def stage(k):
+        return hamiltonian_cube(model, {
+            "0": scaling_hamiltonian(model, k),
+            "1": scaling_hamiltonian(model, k + 1)})
+
+    return Ray(1, [], TailSpec.model(stage, lambda prec: open_bar_barcode(
+        Region(model, frozenset(model.labels)).betti, prec)), check=False)
 
 
 @dataclass(frozen=True)
@@ -239,7 +230,6 @@ class GlobalSectionsReport:
     barcode: Barcode
     betti: Tuple[int, int]
     stage_weights_checked: int
-    finite_stage_free_ranks: Tuple[Tuple[int, int], ...]
 
 
 def global_sections(model: MorseModel, r0, depth: int
@@ -256,10 +246,8 @@ def global_sections(model: MorseModel, r0, depth: int
     if any(v >= 0 for v in model.values.values()):
         raise NotNegative("global sections need strictly negative values")
     r0 = rat(r0)
-    betti = model.betti()
+    betti = Region(model, frozenset(model.labels)).betti
     ray = scaling_ray(model)
-    weights_checked = 0
-    free_ranks: List[Tuple[int, int]] = []
     for n in range(1, depth + 1):
         stage = ray.map_cube(n)
         edge = stage.face("-")
@@ -269,16 +257,13 @@ def global_sections(model: MorseModel, r0, depth: int
                 raise StageCheckFailed(
                     "stage %d weight of cell %r is %s, not -H/(n(n+1))"
                     % (n, l, expo))
-            weights_checked += 1
         code = stage.vertex("0").barcode(max(r0, 3))
-        free_ranks.append(code.free_ranks())
         if code.free_ranks() != betti:
             raise StageCheckFailed(
                 "stage %d free ranks %r differ from the Betti numbers %r"
                 % (n, code.free_ranks(), betti))
     barcode = completed_homology(ray, r0)
-    return GlobalSectionsReport(barcode, betti, weights_checked,
-                                tuple(free_ranks))
+    return GlobalSectionsReport(barcode, betti, depth * len(model.labels))
 
 
 def empty_set(model: MorseModel, r0) -> Barcode:
@@ -299,59 +284,88 @@ def empty_set(model: MorseModel, r0) -> Barcode:
 # regions and their rays
 
 
-def resolve_region(model: MorseModel, region: Iterable[Label]) -> Set[Label]:
-    """Cell set of a region given by base labels (or cell labels)."""
-    region = set(region)
-    if model.base_map is None:
-        unknown = region - set(model.labels)
-        if unknown:
-            raise KeyError("unknown cells %r" % (unknown,))
-        return region
-    unknown = region - model.base_points()
-    if unknown:
-        raise KeyError("unknown base points %r" % (unknown,))
-    return model.cells_over(region)
+@dataclass(frozen=True)
+class Region:
+    """A closed region of a model: cells that no arrow enters from outside.
 
-
-def region_hamiltonian(model: MorseModel, cells: Set[Label], i: int
-                       ) -> Hamiltonian:
-    """Weight -1/i on the cells and +i outside them."""
-    return {l: Fraction(-1, i) if l in cells else Fraction(i)
-            for l in model.labels}
-
-
-def projected_betti(model: MorseModel, cells: Set[Label]) -> Tuple[int, int]:
-    """Rational homology of the boundary restricted to a closed region."""
-    gens = [g for g in model.cells if g.label in cells]
-    diff = {k: v for k, v in model.boundary.items()
-            if k[0] in cells and k[1] in cells}
-    return QComplex(gens, diff).homology_ranks()
-
-
-def region_ray(model: MorseModel, regions: Dict[str, Set[Label]],
-               closed_form=None) -> Ray:
-    """The ray of the cofinal families of ``regions``, which maps each
-    vertex w of the slice cube to a cell set: stage k weights w's cells
-    by -1/k and the others by +k, through :func:`family_ray`.
-
-    This is where a region is checked: no arrow may enter any of them
-    from outside.
+    :meth:`of` resolves labels and checks; unions and intersections
+    (``|``, ``&``) of closed regions are closed and taken as they are.  A
+    region keeps the weights of each stage of its cofinal family and its
+    Betti numbers once computed, and gives the family's :meth:`ray`.
     """
-    for w, cells in regions.items():
+    model: MorseModel
+    cells: FrozenSet[Label]
+    _stages: Dict[int, Tuple[Weights, Weights]] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
+
+    @staticmethod
+    def of(model: MorseModel, labels: Iterable[Label]) -> "Region":
+        """The region over the base points ``labels`` (the cells, on a
+        model without a base projection), or ``labels`` if a region:
+        ``KeyError`` names unknown labels, ``InadmissibleSubset`` the
+        arrows that enter from outside."""
+        if isinstance(labels, Region):
+            return labels
+        labels, base = set(labels), model.base_map
+        unknown = labels - set(model.labels if base is None else base.values())
+        if unknown:
+            raise KeyError("unknown %s %r" % (
+                "cells" if base is None else "base points", unknown))
+        cells = frozenset(l for l in model.labels
+                          if (l if base is None else base[l]) in labels)
         bad = [(q, p) for (q, p) in model.boundary
                if q in cells and p not in cells]
         if bad:
-            raise InadmissibleSubset(
-                "arrows %r enter the region at %r from outside" % (bad, w))
-    return family_ray(model, {w: partial(region_hamiltonian, model, cells)
-                              for w, cells in regions.items()}, closed_form)
+            raise InadmissibleSubset("arrows %r enter the region from "
+                                     "outside" % (bad,))
+        return Region(model, cells)
+
+    def __or__(self, other: "Region") -> "Region":
+        return Region(self.model, self.cells | other.cells)
+
+    def __and__(self, other: "Region") -> "Region":
+        return Region(self.model, self.cells & other.cells)
+
+    def stage(self, k: int) -> Tuple[Weights, Weights]:
+        """Stage k's weights, at k and at k + 1, on its lattice
+        (1/(k(k+1)))Z: -1/k and -1/(k+1) on the cells, k and k + 1 off."""
+        if k not in self._stages:
+            den = k * (k + 1)
+            self._stages[k] = tuple(
+                Weights(den, {l: -den // i if l in self.cells else i * den
+                              for l in self.model.labels})
+                for i in (k, k + 1))
+        return self._stages[k]
+
+    @cached_property
+    def betti(self) -> Tuple[int, int]:
+        """Rational homology of the boundary restricted to the region (an
+        arrow into one of its cells comes from one of its cells)."""
+        return QComplex(
+            [g for g in self.model.cells if g.label in self.cells],
+            {a: c for a, c in self.model.boundary.items()
+             if a[0] in self.cells}).homology_ranks()
+
+    def ray(self) -> Ray:
+        """The 1-ray of the region's cofinal family; its closed form is
+        the region's homology in open bars."""
+        return region_ray({"": self},
+                          lambda prec: open_bar_barcode(self.betti, prec))
 
 
-def subset_ray(model: MorseModel, cells: Set[Label]) -> Ray:
-    """The 1-ray of the cofinal family of a region with these cells."""
-    return region_ray(
-        model, {"": cells},
-        lambda prec: open_bar_barcode(projected_betti(model, cells), prec))
+def region_ray(regions: Dict[str, Region], closed_form=None) -> Ray:
+    """The ray of the cofinal families of ``regions``, which maps each
+    vertex w of the slice cube to a region of one model: stage k is the
+    :func:`hamiltonian_cube` of w0 -> ``regions[w].stage(k)[0]`` and
+    w1 -> ``regions[w].stage(k)[1]``.  Its model tail keeps ``regions``."""
+    def stage(k):
+        assign = {}
+        for w, region in regions.items():
+            assign[w + "0"], assign[w + "1"] = region.stage(k)
+        return hamiltonian_cube(next(iter(regions.values())).model, assign)
+
+    return Ray(len(next(iter(regions))) + 1, [],
+               TailSpec.model(stage, closed_form, regions), check=False)
 
 
 @dataclass(frozen=True)
@@ -362,28 +376,28 @@ class RelativeReport:
     stages_checked: int
 
 
-def relative_sh(model: MorseModel, region: Iterable[Label], r0, depth: int
+def relative_sh(model: MorseModel, region, r0, depth: int
                 ) -> RelativeReport:
     """Completed limit of the region's cofinal family, at precision r0.
 
     Cells of the region survive with spans open at zero; cells outside
     die modulo T^r0 (their stage weights exceed any bound).  What remains
     is the boundary restricted to the region, so the answer is the
-    region subcomplex's rational homology in open bars.  Stages 1..depth
-    of the :func:`subset_ray` whose limit it returns are built, which
-    checks their weights for admissibility and monotonicity, and the
-    complex at the start of each is verified.
+    region subcomplex's rational homology in open bars.  ``region`` is a
+    :class:`Region` or labels for :meth:`Region.of`.  Stages 1..depth of
+    its ray, whose limit it returns, are built (which checks their
+    weights) and the complex at the start of each is verified.
     """
-    cells = resolve_region(model, region)
-    ray = subset_ray(model, cells)
+    region = Region.of(model, region)
+    ray = region.ray()
     for k in range(1, depth + 1):
         report = ray.map_cube(k).vertex("0").verify(3)
         if not report.ok:
             raise StageCheckFailed("stage %d complex does not verify: %s"
                                    % (k, report.violations))
     barcode = completed_homology(ray, rat(r0))
-    return RelativeReport(barcode, projected_betti(model, cells),
-                          tuple(sorted(map(str, cells))), depth)
+    return RelativeReport(barcode, region.betti,
+                          tuple(sorted(map(str, region.cells))), depth)
 
 
 # ---------------------------------------------------------------------------
@@ -471,31 +485,6 @@ def _match_rescaled(block, target) -> bool:
 # multi-region descent
 
 
-def region_family(regions: Sequence[Set[Label]]) -> Dict[str, Set[Label]]:
-    """Subset-cube assignment: vertex code -> region (intersection of the
-    chosen regions; the empty choice is the union)."""
-    n = len(regions)
-    out: Dict[str, Set[Label]] = {}
-    for w in vertex_codes(n):
-        chosen = [regions[i] for i in range(n) if w[i] == "1"]
-        if chosen:
-            cells = set(chosen[0])
-            for r in chosen[1:]:
-                cells &= r
-        else:
-            cells = set()
-            for r in regions:
-                cells |= r
-        out[w] = cells
-    return out
-
-
-def descent_ray(model: MorseModel, regions: Sequence[Iterable[Label]]) -> Ray:
-    """The subset-cube ray of the min/max-assembled cofinal families."""
-    return region_ray(model, region_family(
-        [resolve_region(model, r) for r in regions]))
-
-
 @dataclass(frozen=True)
 class InvolutiveReport:
     verdict: DescentReport
@@ -506,30 +495,36 @@ class InvolutiveReport:
         return self.verdict.acyclic and all(ok for _, ok in self.pairwise)
 
 
-def involutive_descent_instance(model: MorseModel,
-                                regions: Sequence[Iterable[Label]],
+def involutive_descent_instance(model: MorseModel, regions: Sequence,
                                 r0, depth: int = 2) -> InvolutiveReport:
     """Descent verdict for regions pulled back through the base projection.
 
-    All weight functions factor through the base; unions and
-    intersections are taken in the base.  For three regions the pairwise
-    verdicts are computed as well, mirroring the two-subset induction.
-    ``r0`` is the precision of the verdicts' d*d checks, which the stages'
-    certificates pass by construction.
+    ``regions`` are :class:`Region` values or labels for
+    :meth:`Region.of`.  Vertex w of the subset cube carries the
+    intersection of the regions its ones choose, the union for none.  For
+    three regions the pairwise verdicts are computed as well, mirroring
+    the two-subset induction; each distinct region is built once for all
+    these rays.  ``r0`` is the precision of the verdicts' d*d checks,
+    which the stages' certificates pass by construction.
     """
     if model.base_map is None:
         raise InadmissibleSubset("model carries no base projection")
-    regions = [set(r) for r in regions]
-    ray = descent_ray(model, regions)
-    verdict = descent_complex(ray, r0, depth)
-    pairwise: List[Tuple[Tuple[int, int], bool]] = []
-    if len(regions) >= 3:
-        for i in range(len(regions)):
-            for j in range(i + 1, len(regions)):
-                sub = descent_ray(model, [regions[i], regions[j]])
-                rep = descent_complex(sub, r0, depth)
-                pairwise.append(((i, j), rep.acyclic))
-    return InvolutiveReport(verdict, tuple(pairwise))
+    regions = [Region.of(model, r) for r in regions]
+    built: Dict[FrozenSet[Label], Region] = {}
+
+    def verdict(chosen: List[Region]) -> DescentReport:
+        family = {}
+        for w in vertex_codes(len(chosen)):
+            picked = [r for r, bit in zip(chosen, w) if bit == "1"]
+            region = reduce(and_, picked) if picked else \
+                reduce(or_, chosen, Region(model, frozenset()))
+            family[w] = built.setdefault(region.cells, region)
+        return descent_complex(region_ray(family), r0, depth)
+
+    whole = verdict(regions)
+    pairs = combinations(range(len(regions)), 2) if len(regions) >= 3 else ()
+    return InvolutiveReport(whole, tuple(
+        ((i, j), verdict([regions[i], regions[j]]).acyclic) for i, j in pairs))
 
 
 # ---------------------------------------------------------------------------

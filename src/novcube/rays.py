@@ -13,7 +13,8 @@ stage once and keeps it for its own lifetime.  Rays derived from a ray
 (cones, vertex rays) all come from :func:`_derived`, which maps each stage
 and reads model stages from the ray they were derived from; a vertex ray's
 stages are face cubes of the stages it is derived from, cut out of D.
-Derived rays carry no closed form: one answers for its own ray only.
+Derived rays carry no closed form: one answers for its own ray only.  A
+vertex ray keeps the region of its vertex when its ray keeps regions.
 
 The telescope of a ray is the homotopy-colimit cube: per vertex the sum of
 a shifted and an unshifted copy of every slice, with the differential
@@ -70,12 +71,15 @@ class TailSpec:
     kind "model": ``stage_fn(k)`` yields the k-th map-cube; ``closed_form``,
     when present, evaluates the completed homology directly.  ``stage_fn``
     must be a pure function of k: a :class:`Ray` calls it at most once per
-    stage and serves the cached cube afterwards.
+    stage and serves the cached cube afterwards.  ``regions``, when
+    present, maps each vertex of the slice cube to the region of the model
+    whose cofinal family the stages weigh (see :mod:`novcube.morse`).
     """
     kind: str
     cube: Optional[CubeDiagram] = None
     stage_fn: Optional[Callable[[int], CubeDiagram]] = None
     closed_form: Optional[Callable] = None
+    regions: Optional[Dict[str, object]] = None
 
     @staticmethod
     def finite() -> "TailSpec":
@@ -90,8 +94,9 @@ class TailSpec:
         return TailSpec("stationary", cube=cube)
 
     @staticmethod
-    def model(stage_fn, closed_form=None) -> "TailSpec":
-        return TailSpec("model", stage_fn=stage_fn, closed_form=closed_form)
+    def model(stage_fn, closed_form=None, regions=None) -> "TailSpec":
+        return TailSpec("model", stage_fn=stage_fn, closed_form=closed_form,
+                        regions=regions)
 
 
 class Ray:
@@ -116,17 +121,10 @@ class Ray:
                 bad = entry_violations(cube)
                 if bad:
                     raise ValueError("%s, face %r: %s" % ((name,) + bad[0]))
-            for a, b in zip(self.prefix, self.prefix[1:]):
-                if not glueable(a, b, n):
-                    raise ValueError("consecutive prefix cubes do not glue")
-            if tail.kind == "stationary":
-                if self.prefix and not glueable(self.prefix[-1], tail.cube,
-                                                n):
-                    raise ValueError("stationary tail does not glue onto "
-                                     "the prefix")
-                if not glueable(tail.cube, tail.cube, n):
-                    raise ValueError("stationary tail does not glue onto "
-                                     "itself")
+            for (name, cube), after in self.stored_pairs():
+                bad = self.glue_violation(cube, after)
+                if bad:
+                    raise ValueError("%s, face %r: %s" % ((name,) + bad))
 
     def stored_cubes(self) -> List[Tuple[str, CubeDiagram]]:
         """The prefix cubes and a stationary tail's cube, each with the
@@ -136,6 +134,21 @@ class Ray:
         if self.tail.kind == "stationary":
             named.append(("tail cube", self.tail.cube))
         return named
+
+    def stored_pairs(self):
+        """Each named stored cube with the named one it glues onto (a
+        stationary tail onto itself), None after a finite ray's last."""
+        named = self.stored_cubes()
+        after = named[1:] + (named[-1:] if self.tail.kind == "stationary"
+                             else [])
+        return list(zip(named, after + [None]))
+
+    def glue_violation(self, cube: CubeDiagram, after):
+        """``(face, detail)`` when ``cube`` does not glue onto the named
+        cube ``after``, else None."""
+        if after and not glueable(cube, after[1], self.n):
+            return "-" * (self.n - 1) + "1", "does not glue onto " + after[0]
+        return None
 
     def map_cube(self, k: int) -> CubeDiagram:
         """The k-th map-cube D_k (1-based), synthesizing the tail.
@@ -257,16 +270,17 @@ def telescope_complex(ray: Ray, depth: int) -> ChainComplex:
     return total_complex(tel)
 
 
-def _derived(ray: Ray, n: int, f: Callable[[CubeDiagram], CubeDiagram]
-             ) -> Ray:
+def _derived(ray: Ray, n: int, f: Callable[[CubeDiagram], CubeDiagram],
+             regions=None) -> Ray:
     """The n-ray whose stages are ``f`` of the stages of ``ray``, model
-    stages read from its cache: the one derivation of rays from rays."""
+    stages read from its cache, with the model tail's ``regions``: the one
+    derivation of rays from rays."""
     prefix = [f(c) for c in ray.prefix]
     tail = ray.tail
     if tail.kind == "stationary":
         tail = TailSpec.stationary(f(tail.cube))
     elif tail.kind == "model":
-        tail = TailSpec.model(lambda k: f(ray.map_cube(k)))
+        tail = TailSpec.model(lambda k: f(ray.map_cube(k)), regions=regions)
     return Ray(n, prefix, tail, check=False)
 
 
@@ -411,22 +425,19 @@ def completed_homology(ray: Ray, r0, work=None) -> Barcode:
         if tail.closed_form is None:  # set on model tails only
             raise UnsupportedTail("no closed form for tail %r" % (tail.kind,))
         return tail.closed_form(r0)
-    named = ray.stored_cubes()
-    after = named[1:]
     if tail.kind == "stationary":
         TailSpec.stationary(tail.cube)  # refuses a gap <= 0
-        after.append(named[-1])
-    for (name, cube), nxt in zip(named, after + [None]):
+    for (name, cube), after in ray.stored_pairs():
         coneable(cube)
         _certify_exactly(cube)
         bad = checked(cube, work, verify_cube).violations
-        if not bad and nxt and not ray.glue_checked \
-                and not glueable(cube, nxt[1], ray.n):
-            bad = [("-" * (ray.n - 1) + "1", "does not glue onto " + nxt[0])]
-        if bad:
+        glue = None if bad or ray.glue_checked else \
+            ray.glue_violation(cube, after)
+        if bad or glue:
             raise ValueError("barcode needs a verified complex: %s, face %r: "
-                             "%s" % ((name,) + bad[0]))
-    mods = [v.mod for _, c in named for v in c.D.values() if v.mod is not None]
+                             "%s" % ((name,) + (glue or bad[0])))
+    mods = [v.mod for _, c in ray.stored_cubes() for v in c.D.values()
+            if v.mod is not None]
     return Barcode((), (), min([work] + mods))
 
 
@@ -614,8 +625,10 @@ def mayer_vietoris(square: CubeDiagram, work) -> ExactnessReport:
 
 def vertex_ray(ray: Ray, w: str) -> Ray:
     """The 1-ray sitting over one vertex of the slice cube: the face
-    cubes w- of its stages."""
-    return _derived(ray, 1, lambda big: big.face_cube(w + "-"))
+    cubes w- of its stages, and the region at w when the ray keeps its
+    regions."""
+    regions = ray.tail.regions and {"": ray.tail.regions[w]}
+    return _derived(ray, 1, lambda big: big.face_cube(w + "-"), regions)
 
 
 def degree_parts(cx: ChainComplex) -> Dict[int, MatrixEntries]:

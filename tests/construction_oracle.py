@@ -17,14 +17,26 @@ a materialized telescope: ``rays.completed_homology`` now states the zero
 module from its vanishing proof, where it cut a stationary ray at
 prefix + ceil(r0/gap) stages (:func:`truncate_ray`,
 :func:`stationary_stage_bound`) and reduced the telescope.
+
+Regions, last, travelled as cell sets: :func:`resolve_region` turned
+labels into cells, :func:`region_hamiltonian` built a stage's weights as
+``Fraction``s on every call, :func:`projected_betti` reduced the region's
+subcomplex on every call, and :func:`region_family` assigned a region to
+each vertex of a subset cube.  ``morse.Region`` now resolves, checks and
+weighs a region once, on the stage lattice in ``int`` numerators; these
+are kept as its references.  :func:`projected_betti` counts ranks of
+dense ``Fraction`` matrices, where the library reduces a ``QComplex``.
 """
+
+from fractions import Fraction
 
 from novcube.chain import (ChainComplex, Generator, is_chain_map, mat_clean,
                            mat_neg)
 from novcube.cubes import (CubeDiagram, cone, face_codes, initial_vertex,
                            terminal_vertex, vertex_codes)
 from novcube.errors import NotChainMap
-from novcube.morse import cf, continuation
+from novcube.linalg import rank
+from novcube.morse import Region, cf, continuation, region_ray
 from novcube.novikov import INFINITY, NovikovScalar, rat
 from novcube.rays import Ray, TailSpec, map_cube_gap, telescope_complex
 
@@ -153,3 +165,66 @@ def completed_homology(ray, r0, work=None):
     if ray.tail.kind == "stationary":
         ray = truncate_ray(ray, stationary_stage_bound(ray, r0))
     return telescope_complex(ray, len(ray.prefix) + 1).barcode(work)
+
+
+def resolve_region(model, region):
+    """Cell set of a region given by base labels (or cell labels)."""
+    region = set(region)
+    if model.base_map is None:
+        unknown = region - set(model.labels)
+        if unknown:
+            raise KeyError("unknown cells %r" % (unknown,))
+        return region
+    unknown = region - set(model.base_map.values())
+    if unknown:
+        raise KeyError("unknown base points %r" % (unknown,))
+    return {l for l in model.labels if model.base_map[l] in region}
+
+
+def is_closed(model, cells):
+    """Whether no arrow enters ``cells`` from outside."""
+    return not any(q in cells and p not in cells for (q, p) in model.boundary)
+
+
+def region_hamiltonian(model, cells, i):
+    """Weight -1/i on the cells and +i outside them."""
+    return {l: Fraction(-1, i) if l in cells else Fraction(i)
+            for l in model.labels}
+
+
+def projected_betti(model, cells):
+    """Rational homology of the boundary restricted to ``cells``, from the
+    ranks of its dense blocks: b_p = #cells of parity p - rank of d out of
+    them - rank of d into them."""
+    by_parity = [[l for l in model.labels
+                  if l in cells and model.parity(l) == p] for p in (0, 1)]
+
+    def block(targets, sources):
+        if not targets or not sources:
+            return 0
+        return rank([[Fraction(model.boundary.get((t, s), 0))
+                      for s in sources] for t in targets])
+
+    out = [block(by_parity[1], by_parity[0]),
+           block(by_parity[0], by_parity[1])]
+    return tuple(len(by_parity[p]) - out[p] - out[1 - p] for p in (0, 1))
+
+
+def region_family(regions):
+    """Subset-cube assignment: vertex code -> cell set (intersection of the
+    chosen regions; the empty choice is the union)."""
+    out = {}
+    for w in vertex_codes(len(regions)):
+        chosen = [regions[i] for i in range(len(regions)) if w[i] == "1"]
+        cells = set.intersection(*map(set, chosen)) if chosen else \
+            set().union(*regions)
+        out[w] = cells
+    return out
+
+
+def descent_ray(model, regions):
+    """The subset-cube ray of ``regions`` (label sets), its regions
+    assigned by :func:`region_family`."""
+    family = region_family([resolve_region(model, r) for r in regions])
+    return region_ray({w: Region(model, frozenset(cells))
+                       for w, cells in family.items()})

@@ -255,7 +255,8 @@ def test_a_stationary_tail_that_does_not_glue_onto_itself():
         gens, {("b", "c"): NovikovScalar.monomial(1, 1)})},
         {"-": {("a", "a"): NovikovScalar.monomial(1, 1)}})
     assert verify_cube(tail, 3) and tail.verified_mod == 3
-    with pytest.raises(ValueError, match="does not glue onto itself"):
+    with pytest.raises(ValueError, match="^tail cube, face '1': does not "
+                                         "glue onto tail cube$"):
         Ray(1, [], TailSpec.stationary(tail))
     ray = Ray(1, [], TailSpec.stationary(tail), check=False)
     assert telescope(ray, 1).verified_mod == 3
@@ -372,7 +373,8 @@ def test_sh_refuses_a_stationary_tail_that_does_not_glue_onto_itself(
                 for w, diff in (("0", []), ("1", [
                     {"source": "c", "target": "b", "scalar": "1*T^1"}]))}}}}))
     assert cli.main(["sh", str(path), "--precision", "3"]) == 2
-    assert "does not glue onto itself" in capsys.readouterr().out
+    assert "tail cube, face '1': does not glue onto tail cube" in \
+        capsys.readouterr().out
 
 
 def test_tel_checks_only_the_telescope(square_calls, capsys):

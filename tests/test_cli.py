@@ -732,10 +732,48 @@ def test_a_0_cube_violation_names_its_face(fmt, capsys):
     code, out = run_cli(capsys, "cone", os.path.join(DATA, "fuzzy_edge.json"),
                         "--direction", "1", "--work", "10", "--format", fmt)
     assert code == 1
-    detail = ("equation residual at (('1', 'b'), ('0', 'a')): "
+    detail = ("equation residual at ('(1,b)', '(0,a)'): "
               "undetermined below T^1")
     if fmt == "json":
         assert json.loads(out)["violations"] == [{"face": "(vertex)",
                                                   "detail": detail}]
     else:
         assert "\n  (vertex): %s\n" % detail in out
+
+
+@pytest.mark.parametrize("regions, detail", [
+    ([["v0", "e0", "v1"], ["v1", "nowhere"]],
+     "region 1: unknown base points {'nowhere'}"),
+    ([["v0", "e0", "v1"], ["e1", "v2"]],
+     "region 1: arrows [('e1', 'v1')] enter the region from outside"),
+], ids=["unknown-base-point", "open-region"])
+def test_descent_regions_are_checked_when_the_file_is_read(
+        tmp_path, capsys, regions, detail):
+    """Each region of a descent file is resolved and checked at load: a
+    domain failure (exit 1) naming the file and the region's index, not
+    an internal error or a vertex of the slice cube."""
+    data = json.loads(open(os.path.join(DATA, "descent_circle6.json")).read())
+    data["regions"] = regions
+    path = tmp_path / "descent.json"
+    path.write_text(json.dumps(data))
+    code, out = run_cli(capsys, "morse", "descent-involutive", str(path),
+                        "--precision", "1", "--depth", "2", "--format",
+                        "json")
+    assert code == 1
+    assert json.loads(out)["error"] == "%s: InadmissibleSubset: %s" % (
+        path, detail)
+
+
+def test_cube_report_violations_name_the_labels_of_its_cube(capsys):
+    """A failing ``cone`` report names each violation by the flattened
+    labels its ``cube`` field spells."""
+    code, out = run_cli(capsys, "cone", os.path.join(DATA, "broken4.json"),
+                        "--direction", "2", "--format", "json")
+    report = json.loads(out)
+    assert code == 1 and report["violations"]
+    labels = {g["label"] for v in report["cube"]["vertices"].values()
+              for g in v["generators"]}
+    for v in report["violations"]:
+        named = v["detail"].split(" at (", 1)[1].split("):", 1)[0]
+        target, source = named.split("', '")
+        assert {target.strip("'"), source.strip("'")} <= labels, v

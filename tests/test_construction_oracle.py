@@ -17,6 +17,7 @@ barcode of the materialized telescope: they agree but on two declared
 classes of rays, each pinned by its own test.
 """
 
+import itertools
 import random
 import re
 from collections import Counter
@@ -34,9 +35,8 @@ from novcube.cubes import (CubeDiagram, NotChainMap, compose, cone,
                            cone_of_map, cube_from_json, cube_to_json, decone,
                            face_codes, from_positive_signs, glueable,
                            id_cube, to_positive_signs, vertex_codes)
-from novcube.morse import (MorseModel, bundled_model, descent_ray,
-                           hamiltonian_cube, region_family,
-                           region_hamiltonian, resolve_region)
+from novcube.morse import (InadmissibleSubset, MorseModel, Region,
+                           bundled_model, hamiltonian_cube)
 from novcube.novikov import INFINITY, NovikovScalar
 from novcube.rays import (Ray, TailSpec, completed_homology, map_to_zero,
                           telescope, vertex_ray)
@@ -423,13 +423,55 @@ def test_hamiltonian_cube_matches_cf_and_continuation(rng, n):
         assert new.faces[w] == old.faces[w]
 
 
+BUNDLED = ["circle", "circle12", "circle24", "circle6", "grid9", "interval",
+           "point", "s2", "t2"]
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_regions_weigh_and_count_as_the_references(name):
+    """Every set of base points (of cells, without a base projection) of
+    a bundled model: ``Region.of`` refuses it when an arrow enters it from
+    outside, and each admissible region has the references' cells, stage
+    weights (stages k = 1..4, at k and at k + 1, in ``int`` numerators)
+    and Betti numbers.  Unions and intersections of admissible regions
+    are the cell sets' own, and admissible."""
+    model = bundled_model(name)
+    points = sorted(set(model.labels) if model.base_map is None
+                    else set(model.base_map.values()))
+    regions = []
+    for labels in itertools.chain.from_iterable(
+            itertools.combinations(points, size)
+            for size in range(len(points) + 1)):
+        cells = oracle.resolve_region(model, labels)
+        if not oracle.is_closed(model, cells):
+            with pytest.raises(InadmissibleSubset):
+                Region.of(model, labels)
+            continue
+        region = Region.of(model, labels)
+        assert region.cells == cells
+        for k in range(1, 5):
+            for h, i in zip(region.stage(k), (k, k + 1)):
+                assert all(type(n) is int for n in h.values())
+                assert {l: F(n, h.den) for l, n in h.items()} == \
+                    oracle.region_hamiltonian(model, cells, i)
+        assert region.betti == oracle.projected_betti(model, cells)
+        regions.append(region)
+    assert regions
+    for a, b in itertools.combinations(regions, 2):
+        for joined, cells in ((a | b, a.cells | b.cells),
+                              (a & b, a.cells & b.cells)):
+            assert joined.cells == cells
+            assert oracle.is_closed(model, cells)
+
+
 def test_stage_cubes_and_telescopes_of_a_descent_ray_match():
     model = bundled_model("circle6")
     regions = [{"v0", "e0", "v1"}, {"v1", "e1", "v2", "e2", "v0"}]
-    ray = descent_ray(model, regions)
-    fam = region_family([resolve_region(model, r) for r in regions])
+    ray = oracle.descent_ray(model, regions)
+    fam = oracle.region_family([oracle.resolve_region(model, r)
+                                for r in regions])
     for k in (1, 2, 3):
-        assign = {w + a: region_hamiltonian(model, fam[w], k + int(a))
+        assign = {w + a: oracle.region_hamiltonian(model, fam[w], k + int(a))
                   for w in fam for a in "01"}
         assert_same_cube(ray.map_cube(k),
                          oracle.hamiltonian_cube(model, assign))
@@ -443,7 +485,7 @@ def test_stage_cubes_and_telescopes_of_a_descent_ray_match():
                {"v00", "ey0", "v01"}]),
 ])
 def test_vertex_ray_stages_match_the_constructor_edges(name, regions):
-    ray = descent_ray(bundled_model(name), regions)
+    ray = oracle.descent_ray(bundled_model(name), regions)
     for w in vertex_codes(ray.n - 1):
         sub = vertex_ray(ray, w)
         for k in (1, 2, 3):
@@ -752,7 +794,8 @@ def test_an_unglued_ray_the_telescope_answered_is_refused():
     c = ChainComplex(gens, {})
     top = ChainComplex(gens, {("b", "a"): NovikovScalar.one()})
     tail = CubeDiagram(1, {"0": c, "1": top}, {})
-    with pytest.raises(ValueError, match="does not glue onto itself"):
+    with pytest.raises(ValueError, match="^tail cube, face '1': does not "
+                                         "glue onto tail cube$"):
         Ray(1, [], TailSpec.stationary(tail))
     ray = Ray(1, [], TailSpec.stationary(tail), check=False)
     assert oracle.completed_homology(ray, 1).is_zero

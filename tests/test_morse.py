@@ -1,10 +1,17 @@
 """The cell model: weighted complexes, completed limits, min/max, descent."""
 
+import importlib.util
+import json
 import random
+import sys
 from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from construction_oracle import (descent_ray, projected_betti,
+                                 region_family, region_hamiltonian,
+                                 resolve_region)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from t0_oracle import propagated_match
@@ -14,14 +21,14 @@ from novcube.chain import Generator, mat_compose, mat_equal, is_chain_map
 from novcube.cubes import CubeDiagram, verify_cube
 from novcube.linalg import nullspace, rank
 from novcube.morse import (Inadmissible, InadmissibleSubset, MorseModel,
-                           NotMonotone, NotNegative, StageCheckFailed,
-                           bundled_model, cf, continuation, empty_set,
-                           global_sections, involutive_descent_instance,
-                           minmax_square, model_from_json, model_to_json,
-                           projected_betti, region_hamiltonian, relative_sh,
-                           resolve_region, scaling_ray, subset_ray)
+                           NotMonotone, NotNegative, Region,
+                           StageCheckFailed, bundled_model, cf, continuation,
+                           empty_set, global_sections,
+                           involutive_descent_instance, minmax_square,
+                           model_from_json, model_to_json, relative_sh,
+                           scaling_ray)
 from novcube.novikov import NovikovScalar, parse_scalar
-from novcube.rays import Ray, TailSpec, mayer_vietoris
+from novcube.rays import Ray, TailSpec, mayer_vietoris, vertex_ray
 
 WORK = 3
 
@@ -148,7 +155,7 @@ def test_cofinal_family_examples():
     fam0 = cofinal_family([], 3)
     assert all(fam0[i - 1][l] == F(i) for i in (1, 2, 3) for l in m.labels)
     # closed sublevel region is admissible at every stage
-    ray = subset_ray(m, resolve_region(m, ["a0", "a1"]))
+    ray = Region.of(m, ["a0", "a1"]).ray()
     for k in range(1, 5):
         assert ray.map_cube(k).vertex("0").verify(WORK).ok
 
@@ -157,7 +164,7 @@ def test_cofinal_family_rejects_open_region():
     m = bundled_model("circle")
     # an edge alone receives arrows from its endpoints
     with pytest.raises(InadmissibleSubset):
-        subset_ray(m, resolve_region(m, ["e0"]))
+        Region.of(m, ["e0"])
 
 
 def test_minmax_square_piece_types():
@@ -340,9 +347,9 @@ def test_restriction_maps_presheaf_property():
     k1 = {"v0", "e0", "v1"}
     k0 = {"v0", "e0", "v1", "e1", "v2"}
     for i in (1, 2, 3):
-        h0 = region_hamiltonian(m, m.cells_over(k0), i)
-        h1 = region_hamiltonian(m, m.cells_over(k1), i)
-        h2 = region_hamiltonian(m, m.cells_over(k2), i)
+        h0 = region_hamiltonian(m, resolve_region(m, k0), i)
+        h1 = region_hamiltonian(m, resolve_region(m, k1), i)
+        h2 = region_hamiltonian(m, resolve_region(m, k2), i)
         r01 = continuation(m, h0, h1)
         r12 = continuation(m, h1, h2)
         r02 = continuation(m, h0, h2)
@@ -445,8 +452,8 @@ def test_minmax_on_sublevel_pair_circle():
     # two closed-region weight functions on the circle: the square is a
     # descent slice, and the six-term sequence is exact at all three spots
     m = bundled_model("circle")
-    r1 = m.cells_over({"v0", "e0", "v1"})
-    r2 = m.cells_over({"v1", "e1", "v0"})
+    r1 = resolve_region(m, {"v0", "e0", "v1"})
+    r2 = resolve_region(m, {"v1", "e1", "v0"})
     for stage in (1, 2, 3):
         hx = region_hamiltonian(m, r1, stage)
         hy = region_hamiltonian(m, r2, stage)
@@ -458,7 +465,6 @@ def test_minmax_on_sublevel_pair_circle():
 def test_descent_two_subsets_iff_mayer_vietoris():
     # cross-validation: the two-subset verdict is acyclic exactly when the
     # corresponding min/max squares pass the exact-sequence extraction
-    from novcube.morse import descent_ray
     from novcube.rays import descent_complex, telescope
     m = bundled_model("circle6")
     regions = [{"v0", "e0", "v1"}, {"v1", "e1", "v2", "e2", "v0"}]
@@ -480,13 +486,13 @@ def test_descent_two_subsets_iff_mayer_vietoris():
 def test_family_rays_build_the_stages_of_their_assignments(name, a, b):
     """Stage k of each ray is the cube of the weight functions at k (on
     x = 0) and at k + 1 (on x = 1), vertex by vertex of the slice cube."""
-    from novcube.morse import descent_ray, hamiltonian_cube
+    from novcube.morse import hamiltonian_cube
     m = bundled_model(name)
 
     def region(cells, i):
         return {l: F(-1, i) if l in cells else F(i) for l in m.labels}
 
-    scaling, subset = scaling_ray(m), subset_ray(m, a)
+    scaling, subset = scaling_ray(m), Region.of(m, a).ray()
     descent = descent_ray(m, [a, b])
     corners = {"00": a | b, "10": a, "01": b, "11": a & b}
     for k in (1, 2, 3):
@@ -531,10 +537,10 @@ REST6 = {"v1", "e1", "v2", "e2", "v0"}
 def test_involutive_descent_builds_each_stage_once(monkeypatch, name,
                                                    regions):
     counters = []
-    build = morse.descent_ray
+    build = morse.region_ray
 
-    def counting_descent_ray(model, regs):
-        ray = build(model, regs)
+    def counting_region_ray(regs):
+        ray = build(regs)
         stage_fn = ray.tail.stage_fn
         calls = Counter()
         counters.append(calls)
@@ -545,7 +551,7 @@ def test_involutive_descent_builds_each_stage_once(monkeypatch, name,
 
         return Ray(ray.n, ray.prefix, TailSpec.model(stage), check=False)
 
-    monkeypatch.setattr(morse, "descent_ray", counting_descent_ray)
+    monkeypatch.setattr(morse, "region_ray", counting_region_ray)
     rep = involutive_descent_instance(bundled_model(name), regions, F(1),
                                       depth=2)
     assert rep.acyclic
@@ -553,6 +559,90 @@ def test_involutive_descent_builds_each_stage_once(monkeypatch, name,
     assert len(counters) == (4 if len(regions) == 3 else 1)
     for calls in counters:
         assert calls and set(calls.values()) == {1}
+
+
+def test_a_descent_ray_and_its_vertex_rays_carry_their_regions(
+        monkeypatch):
+    """The rays of a three-region instance keep their subset cubes'
+    regions, each distinct region built once for all four rays; a vertex
+    ray carries its vertex's region and, being derived, no closed form."""
+    rays = []
+    build = morse.region_ray
+
+    def keeping(regions, closed_form=None):
+        rays.append(build(regions, closed_form))
+        return rays[-1]
+
+    monkeypatch.setattr(morse, "region_ray", keeping)
+    m = bundled_model("circle6")
+    assert involutive_descent_instance(m, ARCS6, F(1)).acyclic
+    assert len(rays) == 4
+    ray = rays[0]
+    assert {w: r.cells for w, r in ray.tail.regions.items()} == \
+        region_family([resolve_region(m, r) for r in ARCS6])
+    for w, region in ray.tail.regions.items():
+        sub = vertex_ray(ray, w)
+        assert sub.tail.regions == {"": region}
+        assert sub.tail.regions[""] is region
+        assert sub.tail.closed_form is None
+    built = {}
+    for r in rays:
+        for region in r.tail.regions.values():
+            assert built.setdefault(region.cells, region) is region
+
+
+def fractions_built_in_morse(run) -> int:
+    """How many ``Fraction``s code in ``morse.py`` constructs while
+    ``run()`` runs (calls of ``Fraction.__new__`` made from it)."""
+    count = 0
+    new, where = F.__new__.__code__, morse.__file__
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code is new and \
+                frame.f_back.f_code.co_filename == where:
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return count
+
+
+def test_a_descent_round_builds_no_fraction_in_morse(tmp_path):
+    """One round of the benchmark's ``descent`` workload at seed 43: the
+    regions' stage weights are ``int`` numerators on the stage lattice,
+    so ``morse`` builds no ``Fraction``.  A refused weight function, whose
+    message prints its drops as ``Fraction``s, shows the count works."""
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", root / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    instances, _ = gen.generate("descent", 43, tmp_path)
+    inputs = []
+    for instance in instances:
+        data = json.loads((tmp_path / instance["file"]).read_text())
+        inputs.append((model_from_json(data["model"]),
+                       [set(r) for r in data["regions"]]))
+    verdicts = []
+
+    def round_():
+        for model, regions in inputs:
+            verdicts.append(involutive_descent_instance(model, regions, 1))
+
+    assert fractions_built_in_morse(round_) == 0
+    assert len(verdicts) == len(instances) == 10
+    assert all(v.acyclic for v in verdicts)
+
+    def refused():
+        with pytest.raises(Inadmissible):
+            cf(spec_interval(), {"a0": F(1), "a1": F(0), "b": F(0)})
+
+    assert fractions_built_in_morse(refused) == 1
 
 
 def test_involutive_requires_base():
@@ -607,15 +697,15 @@ def test_boundary_must_square_to_zero():
 
 def test_stage_cross_checks_raise_typed_errors(monkeypatch):
     m = bundled_model("circle6")
-    region = morse.region_hamiltonian
-
-    def reversed_stages(model, cells, i):
-        return region(model, cells, 4 - i)
-
-    monkeypatch.setattr(morse, "region_hamiltonian", reversed_stages)
+    arc = Region.of(m, ["v0", "e0", "v1"])
+    # stage 2 of this one region weighs k + 1 before k: the weights of
+    # its outside cells fall along the stage
+    at_2, at_3 = arc.stage(2)
+    monkeypatch.setitem(arc._stages, 2, (at_3, at_2))
     with pytest.raises(NotMonotone):
-        relative_sh(m, ["v0", "e0", "v1"], F(1), 2)
-    monkeypatch.undo()
+        relative_sh(m, arc, F(1), 2)
+    # a region built anew keeps its own weights
+    assert relative_sh(m, ["v0", "e0", "v1"], F(1), 2).betti == (1, 0)
 
     def squared(model, n):
         return {l: model.values[l] / (n * n) for l in model.labels}
@@ -631,9 +721,15 @@ def test_stage_cross_checks_raise_typed_errors(monkeypatch):
      ValueError, "boundary entry ('b', 'a') has even parity"),
     (lambda: MorseModel([Generator("a", 0)], {}, {"a": 0}, base_map={}),
      ValueError, "base map must cover every cell"),
-    (lambda: resolve_region(spec_interval(), {"z"}),
+    (lambda: Region.of(spec_interval(), {"z"}),
      KeyError, "unknown cells {'z'}"),
-], ids=["even-boundary", "base-map", "unknown-cell"])
+    (lambda: Region.of(bundled_model("circle6"), {"v0", "nowhere"}),
+     KeyError, "unknown base points {'nowhere'}"),
+    (lambda: Region.of(spec_interval(), {"a0", "b"}),
+     InadmissibleSubset, "arrows [('b', 'a1')] enter the region from "
+                         "outside"),
+], ids=["even-boundary", "base-map", "unknown-cell", "unknown-base-point",
+        "open-region"])
 def test_malformed_models_and_regions_are_refused(call, exc, message):
     with pytest.raises(exc) as err:
         call()

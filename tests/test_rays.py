@@ -5,6 +5,7 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from construction_oracle import descent_ray
 from helpers import (null_homotopic_map, random_acyclic_t0_complex,
                      random_complex, random_cube, random_extension,
                      random_ray_cubes, vertex_views)
@@ -15,8 +16,7 @@ from novcube.chain import (ChainComplex, Generator, mat_add, mat_clean,
 from novcube.cubes import (CubeDiagram, cone, glueable, id_cube,
                            verify_cube, vertex_codes)
 from novcube.errors import NotChainMap
-from novcube.morse import (bundled_model, descent_ray, open_bar_barcode,
-                           projected_betti, region_ray)
+from novcube.morse import Region, bundled_model, region_ray
 from novcube.novikov import NovikovScalar, parse_scalar
 from novcube.rays import (NotAcyclic, Ray, SliceNotAcyclic, TailSpec,
                           TailVerdict, UnsupportedTail,
@@ -466,9 +466,8 @@ def test_a_coned_ray_has_no_closed_form():
     the borrowed form gave an open bar to a cone whose slices and
     telescope have no T = 0 homology."""
     model = bundled_model("circle6")
-    cells = {"v0", "e0", "v1"}
-    ray = region_ray(model, {"0": cells, "1": cells}, lambda prec:
-                     open_bar_barcode(projected_betti(model, cells), prec))
+    arc = Region.of(model, {"v0", "e0", "v1"})
+    ray = region_ray({"0": arc, "1": arc}, arc.ray().tail.closed_form)
     assert not completed_homology(ray, 1).is_zero
     coned = cone_ray(ray, 1)
     assert coned.tail.kind == "model" and coned.tail.closed_form is None
@@ -597,6 +596,15 @@ def _tail_not_acyclic():
     return acyclic_slices_implies_acyclic(ray, WORK, 0)
 
 
+def _tail_after_another_slice():
+    """A prefix cube on c followed by the stationary tail T id on d."""
+    d = simple_complex("d")
+    tail = one_cube(d, d, {(l, l): NovikovScalar.monomial(1, 1)
+                           for l in d.labels})
+    return Ray(1, identity_ray(simple_complex("c"), 1).prefix,
+               TailSpec.stationary(tail))
+
+
 @pytest.mark.parametrize("call,exc,message", [
     (lambda r1, r2: TailSpec.stationary(r1.map_cube(1)), ValueError,
      "stationary tail needs mapping valuations bounded below by a "
@@ -606,7 +614,10 @@ def _tail_not_acyclic():
     (lambda r1, r2: Ray(1, [r1.map_cube(1),
                             identity_ray(simple_complex("d"), 1).map_cube(1)],
                         TailSpec.finite()),
-     ValueError, "consecutive prefix cubes do not glue"),
+     ValueError,
+     "prefix cube 1, face '1': does not glue onto prefix cube 2"),
+    (lambda r1, r2: _tail_after_another_slice(), ValueError,
+     "prefix cube 1, face '1': does not glue onto tail cube"),
     (lambda r1, r2: r1.map_cube(0), IndexError, "stages are 1-based"),
     (lambda r1, r2: cone_ray(r2, 2), ValueError,
      "cone direction must avoid the gluing direction"),
@@ -622,9 +633,10 @@ def _tail_not_acyclic():
      "stationary tail slice is not acyclic"),
     (lambda r1, r2: mayer_vietoris(id_cube(r2.map_cube(1)), WORK),
      ValueError, "mayer_vietoris expects a 2-cube"),
-], ids=["stationary-gap", "prefix-dimension", "prefix-glue", "map-cube-0",
-        "cone-ray-direction", "stage-composite", "colimit", "compression-n",
-        "compression-index", "stationary-slice", "mayer-vietoris-n"])
+], ids=["stationary-gap", "prefix-dimension", "prefix-glue", "tail-glue",
+        "map-cube-0", "cone-ray-direction", "stage-composite", "colimit",
+        "compression-n", "compression-index", "stationary-slice",
+        "mayer-vietoris-n"])
 def test_ray_refusals_name_their_cause(call, exc, message):
     with pytest.raises(exc) as err:
         call(*_rays_for_refusals())

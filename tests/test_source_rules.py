@@ -136,3 +136,28 @@ def test_only_mat_clean_and_the_residual_check_read_floor():
                     readers.add("%s:%s%s" % (module, owner, getattr(
                         node, "name", "<module>")))
     assert readers == {"chain:mat_clean", "chain:residual_violations"}
+
+
+def test_morse_builds_fractions_only_on_the_lattice_and_in_refusals():
+    """``morse`` keeps weights as ``int`` numerators over one denominator:
+    ``on_lattice`` is the one place that reads rationals into that form.
+    Elsewhere a ``Fraction`` is built only to print a refusal: inside a
+    ``raise``, or as an entry of a violation list, a comprehension whose
+    filter keeps only the arrows with a step below zero."""
+    path = Path(novcube.__file__).parent / "morse.py"
+    tree = ast.parse(path.read_text(), str(path))
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "on_lattice" \
+                or isinstance(node, ast.Raise):
+            allowed |= {id(n) for n in ast.walk(node)}
+        elif isinstance(node, ast.ListComp) and all(
+                any(isinstance(c, ast.Compare)
+                    and isinstance(c.ops[0], ast.Lt)
+                    and getattr(c.comparators[0], "value", None) == 0
+                    for c in gen.ifs) for gen in node.generators):
+            allowed |= {id(n) for n in ast.walk(node.elt)}
+    built = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "Fraction"]
+    assert built and ["morse.py:%d" % node.lineno for node in built
+                      if id(node) not in allowed] == []
