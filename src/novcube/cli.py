@@ -15,11 +15,12 @@ default or that ``--work`` is mandatory, and which of ``--precision`` and
 ``--depth`` it needs.  :data:`MORSE_ACTIONS` says which of
 ``--precision``, ``--subset``, ``--depth`` and ``--work`` each action
 reads: each flag it reads but ``--work`` is mandatory, and a flag it does
-not read is a usage error.  ``sh`` and ``descent`` verify every
-cube of a ray file at the working precision they compute at, before they
-compute; each passing check is the cube's certificate, so the telescope
-built from the cubes is not checked again.  ``verify-cube``, ``cone``,
-``compose`` and ``tel`` run the full check on the cube they report.
+not read is a usage error.  ``sh`` and ``descent`` refuse a ray file
+with a cube that is not signed or does not verify at the working
+precision, before they compute; each passing check is the cube's
+certificate, so the telescope built from the cubes is not checked again.
+``verify-cube``, ``cone``, ``compose`` and ``tel`` run the full check on
+the cube they report.
 
 ``morse`` and ``rays`` are imported by the handlers that use them, so
 ``verify-cube``, ``cone`` and ``compose`` start without them.
@@ -129,17 +130,15 @@ def _load_ray(path: str) -> Tuple[Ray, str]:
 
 def _load_coherent_ray(args, path: str):
     """The ray in ``path``, its digest, the precision, and the working
-    precision ``max(--work, --precision)``, at which every cube of the
-    file must verify; the check certifies the cubes at that precision."""
+    precision ``max(--work, --precision)``, at which the ray must have no
+    :meth:`Ray.fault`, which certifies its cubes at that precision."""
     ray, digest = _load_ray(path)
     precision = work = _parse_fraction(args.precision, "--precision")
     if args.work is not None:
         work = max(_parse_fraction(args.work, "--work"), precision)
-    for name, cube in ray.stored_cubes():
-        bad = verify_cube(cube, work).violations
-        if bad:
-            raise InputError("bad ray file %s: %s, face %r: %s"
-                             % ((path, name) + bad[0]))
+    bad = ray.fault(work)
+    if bad:
+        raise InputError("bad ray file %s: %s" % (path, bad))
     return ray, digest, precision, work
 
 
@@ -300,6 +299,9 @@ def _relative_sh(args, path):
         region = Region.of(model, labels)
     except KeyError as exc:
         raise InputError("--subset for %s: %s" % (path, exc.args[0]))
+    except InadmissibleSubset as exc:
+        raise InadmissibleSubset("--subset %s: %s"
+                                 % (",".join(labels), exc.args[0]))
     rep = relative_sh(model, region, precision, args.depth)
     return _report(args, path, [digest], True, subset=sorted(labels),
                    barcode=rep.barcode.to_json(), betti=list(rep.betti))
@@ -333,6 +335,8 @@ def _descent_involutive(args, path):
 
     def parse(data):
         json_keys(data, {"model", "regions"}, "the top level")
+        if not data["regions"]:
+            raise ValueError("regions: an empty cover has no descent")
         return (model_from_json(data["model"]),
                 [set(r) for r in data["regions"]])
 

@@ -505,8 +505,11 @@ def involutive_descent_instance(model: MorseModel, regions: Sequence,
     three regions the pairwise verdicts are computed as well, mirroring
     the two-subset induction; each distinct region is built once for all
     these rays.  ``r0`` is the precision of the verdicts' d*d checks,
-    which the stages' certificates pass by construction.
+    which the stages' certificates pass by construction.  An empty cover
+    is refused: its one vertex would carry the empty union.
     """
+    if not regions:
+        raise ValueError("an empty cover has no descent: no regions given")
     if model.base_map is None:
         raise InadmissibleSubset("model carries no base projection")
     regions = [Region.of(model, r) for r in regions]

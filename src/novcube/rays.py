@@ -7,7 +7,8 @@ vanishes, so the direct limit is 0), ``stationary`` (one map-cube repeats
 forever and its mapping entries all have valuation >= gap > 0, so
 N >= r0/gap composed tail maps vanish modulo T^r0), both with completed
 homology zero, and ``model`` (a closed-form family supplied by the Morse model,
-whose rays :func:`novcube.morse.family_ray` builds).  A model tail's
+whose rays :func:`novcube.morse.region_ray` and
+:func:`novcube.morse.scaling_ray` build).  A model tail's
 ``stage_fn`` must be a pure function of the stage index: each ray builds a
 stage once and keeps it for its own lifetime.  Rays derived from a ray
 (cones, vertex rays) all come from :func:`_derived`, which maps each stage
@@ -21,8 +22,8 @@ a shifted and an unshifted copy of every slice, with the differential
 ``x~ - dx + f(x)`` on shifted generators.  It is materialized to a finite
 depth, quasi-isomorphic to the last materialized slice, in one pass that
 writes each stage's generators and D entries at their telescope keys.
-A telescope whose stages glue (compared, unless ``check`` compared them
-when the ray was built) passes on their least d*d certificate (see
+A telescope whose stages glue (each pair compared once per ray, see
+:meth:`Ray.glued_through`) passes on their least d*d certificate (see
 :mod:`novcube.cubes`); :func:`telescope_complex` first certifies each
 uncertified stage by one exact check, kept either way.
 """
@@ -32,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .chain import (Barcode, ChainComplex, Generator, Label, MatrixEntries,
@@ -100,7 +101,9 @@ class TailSpec:
 
 
 class Ray:
-    """n-cubes D_1, D_2, ... consecutively gluable in the last direction."""
+    """n-cubes D_1, D_2, ... consecutively gluable in the last direction.
+    It keeps :meth:`fault` without ``work``, how far its stages glue and
+    the least R of a stored entry known only modulo T^R."""
 
     def __init__(self, n: int, prefix: List[CubeDiagram], tail: TailSpec,
                  check: bool = True):
@@ -108,47 +111,75 @@ class Ray:
         self.prefix = list(prefix)
         self.tail = tail
         self._stages: Dict[int, CubeDiagram] = {}
-        self.glue_checked = check  # the stored stages were compared pairwise
-        if check:
-            for k, cube in enumerate(self.prefix):
-                if cube.n != n:
-                    raise ValueError("prefix cube %d has dimension %d"
-                                     % (k + 1, cube.n))
-            for name, cube in self.stored_cubes():
-                if cube.partial:
-                    raise ValueError("%s is partial; a ray needs total "
-                                     "cubes" % name)
-                bad = entry_violations(cube)
-                if bad:
-                    raise ValueError("%s, face %r: %s" % ((name,) + bad[0]))
-            for (name, cube), after in self.stored_pairs():
-                bad = self.glue_violation(cube, after)
-                if bad:
-                    raise ValueError("%s, face %r: %s" % ((name,) + bad))
+        self._glued, self._unglued = 0, False  # stages 1.._glued glue on
+        if check and self._built_fault:
+            raise ValueError(self._built_fault)
 
     def stored_cubes(self) -> List[Tuple[str, CubeDiagram]]:
         """The prefix cubes and a stationary tail's cube, each with the
         name that errors give it."""
-        named = [("prefix cube %d" % (k + 1), cube)
-                 for k, cube in enumerate(self.prefix)]
-        if self.tail.kind == "stationary":
-            named.append(("tail cube", self.tail.cube))
-        return named
+        tail = [("tail cube", self.tail.cube)] \
+            if self.tail.kind == "stationary" else []
+        return [("prefix cube %d" % k, c)
+                for k, c in enumerate(self.prefix, 1)] + tail
 
-    def stored_pairs(self):
-        """Each named stored cube with the named one it glues onto (a
-        stationary tail onto itself), None after a finite ray's last."""
-        named = self.stored_cubes()
-        after = named[1:] + (named[-1:] if self.tail.kind == "stationary"
-                             else [])
-        return list(zip(named, after + [None]))
-
-    def glue_violation(self, cube: CubeDiagram, after):
-        """``(face, detail)`` when ``cube`` does not glue onto the named
-        cube ``after``, else None."""
-        if after and not glueable(cube, after[1], self.n):
-            return "-" * (self.n - 1) + "1", "does not glue onto " + after[0]
+    def fault(self, work=None) -> Optional[str]:
+        """Why the stored cubes make no ray, as ``"<cube>, face '<code>':
+        <detail>"``, else None: a prefix cube of another dimension, a cube
+        partial or with unsound entries, or one not glued onto the next.
+        At ``work`` a cube must also be signed and pass :func:`checked`,
+        certified exactly first when it can be."""
+        if self._built_fault or work is None:
+            return self._built_fault
+        for name, cube in self.stored_cubes():
+            if cube.positive:
+                return "%s is in positive form; a ray needs signed " \
+                       "cubes" % name
+            _certify_exactly(cube)
+            bad = checked(cube, work, verify_cube).violations
+            if bad:
+                return "%s, face %r: %s" % ((name,) + bad[0])
         return None
+
+    @cached_property
+    def _built_fault(self) -> Optional[str]:
+        named = self.stored_cubes()
+        for name, cube in named[:len(self.prefix)]:
+            if cube.n != self.n:
+                return "%s has dimension %d" % (name, cube.n)
+        for name, cube in named:
+            if cube.partial:
+                return "%s is partial; a ray needs total cubes" % name
+            bad = entry_violations(cube)
+            if bad:
+                return "%s, face %r: %s" % ((name,) + bad[0])
+        if not self.glued_through(len(self.prefix) + 1 if self.tail.kind
+                                  == "stationary" else len(self.prefix) - 1):
+            return "%s, face %r: does not glue onto %s" % (
+                named[self._glued][0], "-" * (self.n - 1) + "1",
+                named[min(self._glued + 1, len(named) - 1)][0])
+        return None
+
+    def glued_through(self, k) -> bool:
+        """Whether stages 1..k each glue onto the next, each pair compared
+        once per ray: a finite tail's stages glue by construction, and a
+        stationary tail's pair onto itself repeats."""
+        p, kind = len(self.prefix), self.tail.kind
+        if kind != "model":
+            k = min(k, p + 1 if kind == "stationary" else p - 1)
+        while self._glued < k and not self._unglued:
+            if glueable(self.map_cube(self._glued + 1),
+                        self.map_cube(self._glued + 2), self.n):
+                self._glued += 1
+            else:
+                self._unglued = True
+        return self._glued >= k
+
+    @cached_property
+    def _least_mod(self):
+        return min((v.mod for _, c in self.stored_cubes()
+                    for v in c.D.values() if v.mod is not None),
+                   default=INFINITY)
 
     def map_cube(self, k: int) -> CubeDiagram:
         """The k-th map-cube D_k (1-based), synthesizing the tail.
@@ -156,25 +187,21 @@ class Ray:
         A model tail's stages, and a finite tail's map to zero, are built
         on first use and kept on the ray.
         """
+        p, kind = len(self.prefix), self.tail.kind
         if k <= 0:
             raise IndexError("stages are 1-based")
-        if k <= len(self.prefix):
+        if k <= p:
             return self.prefix[k - 1]
-        if self.tail.kind == "finite":
-            if k == len(self.prefix) + 1 and self.prefix:
-                if k not in self._stages:
-                    last = self.prefix[-1].subcube(self.n, "1")
-                    self._stages[k] = map_to_zero(last)
-                return self._stages[k]
-            return zero_cube(self.n)
-        if self.tail.kind == "stationary":
+        if kind == "stationary":
             return self.tail.cube
-        if self.tail.kind == "model":
-            cube = self._stages.get(k)
-            if cube is None:
-                cube = self._stages[k] = self.tail.stage_fn(k)
-            return cube
-        raise UnsupportedTail(self.tail.kind)
+        if kind == "finite" and (k > p + 1 or not p):
+            return zero_cube(self.n)
+        if kind not in ("finite", "model"):
+            raise UnsupportedTail(kind)
+        if k not in self._stages:
+            self._stages[k] = self.tail.stage_fn(k) if kind == "model" \
+                else map_to_zero(self.prefix[-1].subcube(self.n, "1"))
+        return self._stages[k]
 
     def slice(self, k: int) -> CubeDiagram:
         """The k-th slice C_k, an (n-1)-cube."""
@@ -207,7 +234,9 @@ def telescope(ray: Ray, depth: int) -> CubeDiagram:
     """
     n = ray.n
     stages = [ray.map_cube(k) for k in range(1, max(depth, 1) + 1)]
-    cert = _glued_certificate(ray, stages)
+    certs = [s.verified_mod for s in stages]
+    cert = None if None in certs or not ray.glued_through(len(stages) - 1) \
+        else min(certs)
     one, first = NovikovScalar.one(), stages[0].subcube(n, "0")
     gens = {w: [Generator(("tel", 1, "u", g.label), g.parity) for g in gs]
             for w, gs in first.gens.items()}
@@ -226,22 +255,6 @@ def telescope(ray: Ray, depth: int) -> CubeDiagram:
                 D[(w, ("tel", k, "u", g.label)),
                   (w, ("tel", k, "s", g.label))] = one
     return CubeDiagram.from_matrix(n - 1, gens, D, verified_mod=cert)
-
-
-def _glued_certificate(ray: Ray, stages: List[CubeDiagram]):
-    """The least certificate of ``stages``, the first stages of ``ray``,
-    when each has one and glues onto the next (the telescope's copy maps
-    are then chain maps), else None.  Only model stages and the stages of
-    a ray built without ``check`` are compared."""
-    certs = [s.verified_mod for s in stages]
-    pairs = {(id(a), id(b)): (a, b)
-             for k, (a, b) in enumerate(zip(stages, stages[1:]), 1)
-             if not ray.glue_checked
-             or k >= len(ray.prefix) and ray.tail.kind == "model"}
-    if None in certs or not all(glueable(a, b, ray.n)
-                                for a, b in pairs.values()):
-        return None
-    return min(certs)
 
 
 def _certify_exactly(cube: CubeDiagram) -> None:
@@ -339,8 +352,7 @@ def colimit_t0(ray: Ray, depth: int):
     tel = telescope_complex(ray, depth)
     last = ray.slice(depth + 1).vertex("")
     comparison = _to_last_slice(ray, depth + 1, lambda t: t)
-    cone_cx = cone_of_map(tel, last, comparison)
-    qiso = cone_cx.reduce_t0().is_acyclic()
+    qiso = cone_of_map(tel, last, comparison).reduce_t0().is_acyclic()
     return last.reduce_t0(), comparison, qiso
 
 
@@ -368,19 +380,16 @@ def compression(ray: Ray, indices: List[int]) -> CompressionResult:
     if any(i < 1 for i in indices):
         raise ValueError("stages are 1-based")
     m = len(indices)
-    sub_prefix = []
-    for a, b in zip(indices, indices[1:]):
-        sub_prefix.append(reduce(compose, [ray.map_cube(k)
-                                           for k in range(a, b)]))
+    sub_prefix = [reduce(compose, [ray.map_cube(k) for k in range(a, b)])
+                  for a, b in zip(indices, indices[1:])]
     subray = Ray(1, sub_prefix, TailSpec.finite(), check=False)
 
     squares = []
     for k in range(1, m):
-        c_k = ray.slice(k).vertex("")
-        c_k1 = ray.slice(k + 1).vertex("")
-        s_k = subray.slice(k).vertex("")
-        s_k1 = subray.slice(k + 1).vertex("")
-        vert = {"00": c_k, "10": c_k1, "01": s_k, "11": s_k1}
+        vert = {"00": ray.slice(k).vertex(""),
+                "10": ray.slice(k + 1).vertex(""),
+                "01": subray.slice(k).vertex(""),
+                "11": subray.slice(k + 1).vertex("")}
         faces = {
             "-0": ray.map_cube(k).face("-"),
             "-1": subray.map_cube(k).face("-"),
@@ -391,15 +400,12 @@ def compression(ray: Ray, indices: List[int]) -> CompressionResult:
 
     # telescope map: source stages go through the colimit comparison onto
     # the final slice, included as the subray's last plain copy
-    src_depth = indices[-1] - 1
-    src = telescope_complex(ray, src_depth)
+    src = telescope_complex(ray, indices[-1] - 1)
     dst = telescope_complex(subray, m - 1)
     tel_map = mat_clean(_to_last_slice(ray, indices[-1],
                                        lambda t: ("tel", m, "u", t)))
-    cone_cx = cone_of_map(src, dst, tel_map)
-    qiso = cone_cx.reduce_t0().is_acyclic()
-    qiso = qiso and (src.reduce_t0().homology_ranks()
-                     == dst.reduce_t0().homology_ranks())
+    qiso = cone_of_map(src, dst, tel_map).reduce_t0().is_acyclic() and (
+        src.reduce_t0().homology_ranks() == dst.reduce_t0().homology_ranks())
     return CompressionResult(subray, tuple(squares), tel_map, qiso)
 
 
@@ -412,11 +418,10 @@ def completed_homology(ray: Ray, r0, work=None) -> Barcode:
 
     Finite and stationary tails give zero: a finite tail's limit is 0, and
     gap > 0 makes N >= r0/gap composed tail maps vanish modulo T^r0.  This
-    needs a ray at ``work = max(work, r0)``: stored cubes signed, total and
-    verified (certified exactly first, when they can be), stages glued (a
-    checked ray knows) and gap > 0, or ValueError names cube and face.  The
-    precision is ``work`` or the least R of a stored entry known only
-    modulo T^R.  Model tails use the family's closed form.
+    needs gap > 0 and no :meth:`Ray.fault` at ``work = max(work, r0)``,
+    or ValueError names cube and face.  The precision is ``work`` or the
+    least R of a stored entry known only modulo T^R.  Model tails use the
+    family's closed form.
     """
     r0 = rat(r0)
     work = r0 if work is None else max(rat(work), r0)
@@ -427,18 +432,10 @@ def completed_homology(ray: Ray, r0, work=None) -> Barcode:
         return tail.closed_form(r0)
     if tail.kind == "stationary":
         TailSpec.stationary(tail.cube)  # refuses a gap <= 0
-    for (name, cube), after in ray.stored_pairs():
-        coneable(cube)
-        _certify_exactly(cube)
-        bad = checked(cube, work, verify_cube).violations
-        glue = None if bad or ray.glue_checked else \
-            ray.glue_violation(cube, after)
-        if bad or glue:
-            raise ValueError("barcode needs a verified complex: %s, face %r: "
-                             "%s" % ((name,) + (glue or bad[0])))
-    mods = [v.mod for _, c in ray.stored_cubes() for v in c.D.values()
-            if v.mod is not None]
-    return Barcode((), (), min([work] + mods))
+    bad = ray.fault(work)
+    if bad:
+        raise ValueError("barcode needs a verified complex: " + bad)
+    return Barcode((), (), min(work, ray._least_mod))
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +576,7 @@ def mayer_vietoris(square: CubeDiagram, work) -> ExactnessReport:
     ranks = {w: (spaces[w][0][1].dim, spaces[w][1][1].dim)
              for w in spaces}
 
-    rho = {}
-    sigma = {}
+    rho, sigma = {}, {}
     for p in (0, 1):
         l00, h00 = spaces["00"][p]
         l10, h10 = spaces["10"][p]
@@ -599,14 +595,13 @@ def mayer_vietoris(square: CubeDiagram, work) -> ExactnessReport:
         l00s, h00s = spaces["00"][1 - p]
         at11 = [tq.index[("11", l)] for l in l11]
         at00 = [tq.index[("00", l)] for l in l00s]
-        delta_cols = []
+        delta[p] = []
         for z in h11.reps:
             sol = tq.factor.solve({at11[i]: v for i, v in z.items()})
             if sol is None:
                 raise NotAcyclic("cycle failed to lift in the total complex")
-            delta_cols.append(h00s.coords(
+            delta[p].append(h00s.coords(
                 {k: sol[j] for k, j in enumerate(at00) if j in sol}))
-        delta[p] = delta_cols
 
     spots: Dict[str, Dict[int, bool]] = {"sum": {}, "terminal": {},
                                          "initial": {}}

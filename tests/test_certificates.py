@@ -301,9 +301,10 @@ def glue_calls(monkeypatch):
 def test_a_checked_ray_keeps_its_glue_verdict(glue_calls):
     """A stationary ray built with ``check`` compares its stages once, when
     it is built: its telescopes and its completed homology compare none
-    again.  Built without ``check``, or with a model tail, the telescope
-    compares its stages; and an unchecked tail that does not glue onto
-    itself is still refused."""
+    again.  Built without ``check``, or with a model tail, the first
+    telescope or completed homology compares its stages and later ones
+    compare none; and an unchecked tail that does not glue onto itself is
+    still refused."""
     c = ChainComplex([Generator("a", 0), Generator("b", 1)],
                      {("b", "a"): NovikovScalar.one()})
     t = NovikovScalar.monomial(1, 1)
@@ -321,9 +322,15 @@ def test_a_checked_ray_keeps_its_glue_verdict(glue_calls):
         assert telescope(ray, 3).verified_mod == INFINITY
         assert glue_calls
         del glue_calls[:]
-    assert completed_homology(Ray(1, [tail], TailSpec.stationary(tail),
-                                  check=False), 2, 3).is_zero
+        assert telescope(ray, 3).verified_mod == INFINITY
+        assert glue_calls == []
+    loose = Ray(1, [tail], TailSpec.stationary(tail), check=False)
+    assert completed_homology(loose, 2, 3).is_zero
     assert len(glue_calls) == 2
+    del glue_calls[:]
+    assert completed_homology(loose, 2, 3).is_zero
+    assert telescope(loose, 3).verified_mod == INFINITY
+    assert glue_calls == []
     top = ChainComplex(c.generators, {})
     unglued = CubeDiagram(1, {"0": c, "1": top}, {})
     with pytest.raises(ValueError, match="barcode needs a verified complex: "

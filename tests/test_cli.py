@@ -463,10 +463,14 @@ def test_empty_work_names_the_flag(capsys):
     assert "flag --work expects a rational p/q, got ''" in captured.err
 
 
-@pytest.mark.parametrize("command", [
+# the commands that check every cube of a ray file before they compute
+RAY_COMMANDS = [
     ("sh", "--precision", "2"),
     ("descent", "--precision", "1", "--work", "2", "--depth", "1"),
-])
+]
+
+
+@pytest.mark.parametrize("command", RAY_COMMANDS)
 @pytest.mark.parametrize("name", ["prefix cube 1", "tail cube"])
 def test_ray_with_a_cube_that_does_not_verify_exits_2(command, name,
                                                       tmp_path, capsys):
@@ -487,6 +491,28 @@ def test_ray_with_a_cube_that_does_not_verify_exits_2(command, name,
     assert code == 2
     assert json.loads(out)["error"] == "bad ray file %s: %s, face %r: %s" \
         % (path, name, face, detail)
+
+
+@pytest.mark.parametrize("command", RAY_COMMANDS)
+def test_ray_in_positive_form_exits_2(command, tmp_path, capsys):
+    """``ray1_stationary.json`` with every cube in positive form is a bad
+    ray file naming its first cube, not an internal error.  Each face
+    entry from the odd generator changes sign, so that the cubes still
+    verify and glue in positive form, and only their form is refused."""
+    data = json.loads(open(os.path.join(DATA, "ray1_stationary.json")).read())
+    for cube in data["prefix"] + [data["tail"]["cube"]]:
+        cube["positive"] = True
+        for entry in cube["faces"]["-"]:
+            if entry["source"] == "b":
+                entry["scalar"] = scalar_to_json(-parse_scalar(
+                    entry["scalar"]))
+    path = tmp_path / "positive_ray.json"
+    path.write_text(json.dumps(data))
+    code, out = run_cli(capsys, *command[:1], str(path), *command[1:],
+                        "--format", "json")
+    assert code == 2
+    assert json.loads(out)["error"] == "bad ray file %s: prefix cube 1 " \
+        "is in positive form; a ray needs signed cubes" % path
 
 
 def test_pool_size_is_capped_by_tasks_and_cpus():
@@ -762,6 +788,31 @@ def test_descent_regions_are_checked_when_the_file_is_read(
     assert code == 1
     assert json.loads(out)["error"] == "%s: InadmissibleSubset: %s" % (
         path, detail)
+
+
+def test_descent_file_with_an_empty_cover_is_a_bad_file(tmp_path, capsys):
+    """No region is a malformed descent file (exit 2), not a descent that
+    fails on the empty union."""
+    data = json.loads(open(os.path.join(DATA, "descent_circle6.json")).read())
+    data["regions"] = []
+    path = tmp_path / "descent.json"
+    path.write_text(json.dumps(data))
+    code, out = run_cli(capsys, "morse", "descent-involutive", str(path),
+                        "--precision", "1", "--depth", "2", "--format",
+                        "json")
+    assert code == 2
+    assert json.loads(out)["error"] == "bad descent file %s: regions: an " \
+        "empty cover has no descent" % path
+
+
+def test_an_inadmissible_subset_names_the_flag_and_its_labels(capsys):
+    code, out = run_cli(capsys, "morse", "relative-sh", "bundled:circle6",
+                        "--subset", "e0,v0", "--precision", "1", "--depth",
+                        "2", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["error"] == (
+        "bundled:circle6: InadmissibleSubset: --subset e0,v0: arrows "
+        "[('e0', 'v1')] enter the region from outside")
 
 
 def test_cube_report_violations_name_the_labels_of_its_cube(capsys):

@@ -752,7 +752,7 @@ def test_completed_homology_matches_the_materialized_telescope():
                 least_mod(ray, work) < work, seed
             seen["a"] += 1
         elif isinstance(new, tuple):
-            assert not ray.glue_checked and not glues(ray), (seed, new)
+            assert ray.fault() and not glues(ray), (seed, new)
             assert new[0] is ValueError and new[1].startswith(
                 "barcode needs a verified complex: ") and "tel" not in new[1]
             assert re.search(r"(prefix|tail) cube( \d)?, face '-*1': does "

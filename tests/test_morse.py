@@ -728,8 +728,10 @@ def test_stage_cross_checks_raise_typed_errors(monkeypatch):
     (lambda: Region.of(spec_interval(), {"a0", "b"}),
      InadmissibleSubset, "arrows [('b', 'a1')] enter the region from "
                          "outside"),
+    (lambda: involutive_descent_instance(bundled_model("circle6"), [], F(1)),
+     ValueError, "an empty cover has no descent: no regions given"),
 ], ids=["even-boundary", "base-map", "unknown-cell", "unknown-base-point",
-        "open-region"])
+        "open-region", "empty-cover"])
 def test_malformed_models_and_regions_are_refused(call, exc, message):
     with pytest.raises(exc) as err:
         call()
