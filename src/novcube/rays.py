@@ -126,9 +126,9 @@ class Ray:
     def fault(self, work=None) -> Optional[str]:
         """Why the stored cubes make no ray, as ``"<cube>, face '<code>':
         <detail>"``, else None: a prefix cube of another dimension, a cube
-        partial or with unsound entries, or one not glued onto the next.
-        At ``work`` a cube must also be signed and pass :func:`checked`,
-        certified exactly first when it can be."""
+        partial or with unsound entries, or one not glued onto the next; a
+        stationary tail's gap <= 0 raises.  At ``work`` a cube must also be
+        signed and pass :func:`checked`, certified exactly first if it can."""
         if self._built_fault or work is None:
             return self._built_fault
         for name, cube in self.stored_cubes():
@@ -143,6 +143,8 @@ class Ray:
 
     @cached_property
     def _built_fault(self) -> Optional[str]:
+        if self.tail.kind == "stationary":  # refuses a gap <= 0
+            TailSpec.stationary(self.tail.cube)
         named = self.stored_cubes()
         for name, cube in named[:len(self.prefix)]:
             if cube.n != self.n:
@@ -430,8 +432,6 @@ def completed_homology(ray: Ray, r0, work=None) -> Barcode:
         if tail.closed_form is None:  # set on model tails only
             raise UnsupportedTail("no closed form for tail %r" % (tail.kind,))
         return tail.closed_form(r0)
-    if tail.kind == "stationary":
-        TailSpec.stationary(tail.cube)  # refuses a gap <= 0
     bad = ray.fault(work)
     if bad:
         raise ValueError("barcode needs a verified complex: " + bad)

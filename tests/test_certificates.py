@@ -339,6 +339,33 @@ def test_a_checked_ray_keeps_its_glue_verdict(glue_calls):
                                check=False), 1)
 
 
+def test_a_ray_checks_its_stationary_gap_once(monkeypatch):
+    """The gap of a stationary tail is checked when the ray first checks
+    its stored cubes, so completed homology reads no mapping entry again;
+    a tail built without :meth:`TailSpec.stationary` and with gap 0 is
+    still refused as that constructor refuses it."""
+    c = ChainComplex([Generator("a", 0), Generator("b", 1)],
+                     {("b", "a"): NovikovScalar.one()})
+    gaps = []
+    original = rays.map_cube_gap
+    monkeypatch.setattr(rays, "map_cube_gap",
+                        lambda cube: gaps.append(cube) or original(cube))
+
+    def tail(v):
+        return CubeDiagram(1, {"0": c, "1": c},
+                           {"-": {("a", "a"): v, ("b", "b"): v}})
+
+    ray = Ray(1, [], TailSpec.stationary(tail(NovikovScalar.monomial(1, 1))))
+    del gaps[:]
+    for _ in range(2):
+        assert completed_homology(ray, 2, 3).is_zero
+    assert gaps == []
+    flat = Ray(1, [], TailSpec("stationary", cube=tail(NovikovScalar.one())),
+               check=False)
+    with pytest.raises(ValueError, match="positive gap, got 0$"):
+        completed_homology(flat, 1)
+
+
 def test_a_descent_instance_makes_no_square_check(square_calls):
     """Three arcs of circle6, with their pairwise verdicts: every slice
     and telescope is certified by construction."""
