@@ -15,12 +15,12 @@ default or that ``--work`` is mandatory, and which of ``--precision`` and
 ``--depth`` it needs.  :data:`MORSE_ACTIONS` says which of
 ``--precision``, ``--subset``, ``--depth`` and ``--work`` each action
 reads: each flag it reads but ``--work`` is mandatory, and a flag it does
-not read is a usage error.  ``sh`` and ``descent`` refuse a ray file
-with a cube that is not signed or does not verify at the working
-precision, before they compute; each passing check is the cube's
-certificate, so the telescope built from the cubes is not checked again.
-``verify-cube``, ``cone``, ``compose`` and ``tel`` run the full check on
-the cube they report.
+not read is a usage error.  At load ``cone`` refuses a cube file in
+positive form, ``tel``, ``sh`` and ``descent`` a ray file with such a
+cube, and ``sh`` and ``descent`` one with a cube that does not verify at
+the working precision; each passing check is the cube's certificate, so
+the telescope built from the cubes is not checked again.  ``verify-cube``,
+``cone``, ``compose`` and ``tel`` fully check the cube they report.
 
 ``morse`` and ``rays`` are imported by the handlers that use them, so
 ``verify-cube``, ``cone`` and ``compose`` start without them.

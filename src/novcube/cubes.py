@@ -18,21 +18,23 @@ block matrix D that is triangular along the vertex order, and that is how
 a :class:`CubeDiagram` is stored: the generators of each vertex complex
 plus D, keyed ``((w_t, t), (w_s, s))``, whose (w_s, w_t) block is the
 positive-form map of the face from w_s to w_t.  Face maps, vertex
-complexes and JSON are views of D; ``positive`` only chooses whether
-those views are signed.  The (w', w) block of D.D is the coherence
-equation of the face F = [w, w'] times (-1)^(#(0-,F) + dim F), so
-:func:`verify_cube` is one matrix product; :func:`cone`, :func:`compose`
-and telescopes relabel or multiply D, :func:`total_complex` is D with
-shifted parities, :meth:`CubeDiagram.face_cube` is the one cut of a face
-(or subcube) out of D and :meth:`CubeDiagram.recode` the one re-sign of
-it, and ``==`` compares D, so :func:`glueable` builds no vertex complex.
-The mapping cone of a chain map, :func:`cone_of_map`, is the total
-complex of its 1-cube.  D is a stored map (see :mod:`novcube.chain`):
-the face-map constructor and :func:`compose` write it through
-``chain.mat_clean``, so an entry known only modulo a power of T stays on
-every face, and a given vertex face must equal its complex's differential
-exactly; other constructions relabel, cut or copy D.  Checks count an
-entry with no stored term as vanishing.
+complexes, JSON and a check's residuals are views of D; ``positive``
+only chooses whether they are signed, and constructions read D alone, so
+a cut of a cube's positive twin (the same D) is the twin of its cut.
+The (w', w) block of D.D is the coherence equation of the face
+F = [w, w'] times (-1)^(#(0-,F) + dim F), so :func:`verify_cube` is one
+matrix product; :func:`cone`, :func:`compose` and telescopes relabel or
+multiply D, :func:`total_complex` is D with shifted parities,
+:meth:`CubeDiagram.face_cube` is the one cut of a face (or subcube) out
+of D and :meth:`CubeDiagram.recode` the one re-sign of it, and ``==``
+compares D, so :func:`glueable` builds no vertex complex.  The mapping
+cone of a chain map, :func:`cone_of_map`, is the total complex of its
+1-cube.  D is a stored map (see :mod:`novcube.chain`): the face-map
+constructor and :func:`compose` write it through ``chain.mat_clean``, so
+an entry known only modulo a power of T stays on every face, and a given
+vertex face must equal its complex's differential exactly; other
+constructions relabel, cut or copy D.  Checks count an entry with no
+stored term as vanishing.
 
 Certificates.  A cube carries ``verified_mod`` as a complex does (see
 :mod:`novcube.chain`): ``morse.hamiltonian_cube`` sets ``INFINITY``, a
@@ -337,7 +339,7 @@ class CubeDiagram:
                ) -> Tuple[Gens, MatrixEntries]:
         """Generators and D carried to the vertex codes ``move`` gives
         (vertices it maps to None are dropped), re-signed so that every
-        face map keeps its value in this cube's convention."""
+        signed face map keeps its value, whatever this cube's form."""
         gens = {move(w): g for w, g in self.gens.items()}
         gens.pop(None, None)
         D: MatrixEntries = {}
@@ -345,7 +347,7 @@ class CubeDiagram:
             a, b = move(ws), move(wt)
             if a is None or b is None:
                 continue
-            if not self.positive and _flips(ws, wt) != _flips(a, b):
+            if _flips(ws, wt) != _flips(a, b):
                 v = -v
             D[((b, t), (a, s))] = v
         return gens, D
@@ -459,9 +461,7 @@ def from_positive_signs(cube: CubeDiagram) -> CubeDiagram:
 
 
 def coneable(cube: CubeDiagram) -> None:
-    """Refuse a cube in positive form or a partial one, as cones do."""
-    if cube.positive:
-        raise ValueError("cone applies to cubes in signed form")
+    """Refuse a partial cube, as cones do; either form is read as D."""
     if cube.partial:
         raise ValueError("cone applies to total cubes")
 
@@ -503,8 +503,6 @@ def decone(cube: CubeDiagram, i: int,
     wrappers are stripped again.  All face maps must be block lower
     triangular for the splitting.
     """
-    if cube.positive:
-        raise ValueError("decone applies to cubes in signed form")
     strip = splittings is None
     if splittings is None:
         splittings = {}
@@ -601,8 +599,6 @@ def id_cube(cube: CubeDiagram) -> CubeDiagram:
     Both outer faces are the cube, edges in the new direction carry the
     identity, all higher fillers vanish.
     """
-    if cube.positive:
-        raise ValueError("id_cube applies to cubes in signed form")
     gens, D = cube.recode(lambda w: w + "0")
     top_gens, top_D = cube.recode(lambda w: w + "1")
     gens.update(top_gens)

@@ -24,8 +24,9 @@ depth, quasi-isomorphic to the last materialized slice, in one pass that
 writes each stage's generators and D entries at their telescope keys.
 A telescope whose stages glue (each pair compared once per ray, see
 :meth:`Ray.glued_through`) passes on their least d*d certificate (see
-:mod:`novcube.cubes`); :func:`telescope_complex` first certifies each
-uncertified stage by one exact check, kept either way.
+:mod:`novcube.cubes`) capped by its least entry precision, since its
+copy maps meet each entry with itself; :func:`telescope_complex` first
+certifies each uncertified stage by one exact check, kept either way.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from .chain import (Barcode, ChainComplex, Generator, Label, MatrixEntries,
                     checked, mat_clean, mat_compose, mat_identity,
                     reduce_map_t0)
 from .cubes import (CubeDiagram, cone, cone_of_map, compose, coneable,
-                    entry_violations, glueable, total_complex, verify_cube,
-                    vertex_codes)
+                    entry_violations, from_positive_signs, glueable,
+                    total_complex, verify_cube, vertex_codes)
 from .errors import NotAcyclic, NotCoherent, SliceNotAcyclic
 from .linalg import Vector, is_exact
 from .novikov import INFINITY, NovikovScalar, rat
@@ -126,15 +127,12 @@ class Ray:
     def fault(self, work=None) -> Optional[str]:
         """Why the stored cubes make no ray, as ``"<cube>, face '<code>':
         <detail>"``, else None: a prefix cube of another dimension, a cube
-        partial or with unsound entries, or one not glued onto the next; a
-        stationary tail's gap <= 0 raises.  At ``work`` a cube must also be
-        signed and pass :func:`checked`, certified exactly first if it can."""
+        positive, partial or with unsound entries, or one not glued onto
+        the next; a stationary tail's gap <= 0 raises.  At ``work`` a cube
+        must also pass :func:`checked`, certified exactly first if it can."""
         if self._built_fault or work is None:
             return self._built_fault
         for name, cube in self.stored_cubes():
-            if cube.positive:
-                return "%s is in positive form; a ray needs signed " \
-                       "cubes" % name
             _certify_exactly(cube)
             bad = checked(cube, work, verify_cube).violations
             if bad:
@@ -150,6 +148,9 @@ class Ray:
             if cube.n != self.n:
                 return "%s has dimension %d" % (name, cube.n)
         for name, cube in named:
+            if cube.positive:
+                return "%s is in positive form; a ray needs signed " \
+                       "cubes" % name
             if cube.partial:
                 return "%s is partial; a ray needs total cubes" % name
             bad = entry_violations(cube)
@@ -232,13 +233,12 @@ def telescope(ray: Ray, depth: int) -> CubeDiagram:
     map +1 from each shifted summand to its plain one, which makes
     contracting the telescope equal the telescope of the contracted ray.
     It is quasi-isomorphic to slice depth+1, with its stages' least
-    certificate when they glue.
+    certificate, capped by its least entry precision, when they glue.
     """
     n = ray.n
     stages = [ray.map_cube(k) for k in range(1, max(depth, 1) + 1)]
     certs = [s.verified_mod for s in stages]
-    cert = None if None in certs or not ray.glued_through(len(stages) - 1) \
-        else min(certs)
+    glued = None not in certs and ray.glued_through(len(stages) - 1)
     one, first = NovikovScalar.one(), stages[0].subcube(n, "0")
     gens = {w: [Generator(("tel", 1, "u", g.label), g.parity) for g in gs]
             for w, gs in first.gens.items()}
@@ -256,6 +256,8 @@ def telescope(ray: Ray, depth: int) -> CubeDiagram:
             for g in stage.gens[w + "0"]:
                 D[(w, ("tel", k, "u", g.label)),
                   (w, ("tel", k, "s", g.label))] = one
+    cert = min(certs + [v.mod for v in D.values() if v.mod is not None]) \
+        if glued else None
     return CubeDiagram.from_matrix(n - 1, gens, D, verified_mod=cert)
 
 
@@ -556,6 +558,7 @@ def mayer_vietoris(square: CubeDiagram, work) -> ExactnessReport:
     """
     if square.n != 2:
         raise ValueError("mayer_vietoris expects a 2-cube")
+    square = from_positive_signs(square) if square.positive else square
     rep = checked(square, rat(work), verify_cube)
     if not rep:
         raise NotCoherent("square does not verify: %s" % (rep.violations,))

@@ -8,6 +8,7 @@ above the exponent of every product of two entries.  Objects without a
 certificate are still checked in full.
 """
 
+import itertools
 import json
 import os
 from fractions import Fraction as F
@@ -244,6 +245,28 @@ def test_stages_that_do_not_glue_give_an_uncertified_telescope():
     assert not report and report.violations
     with pytest.raises(ValueError, match="barcode needs a verified"):
         telescope_complex(ray, 2).barcode(3)
+
+
+def test_a_telescope_barcode_does_not_depend_on_an_earlier_check():
+    """Slice d(a) = (1 mod T^1) b and tail map T id: the tail verifies at
+    3/2, but each copy map meets the slice entry with itself, so the
+    telescope's d*d is known modulo T^1 only, whatever was checked."""
+    c = ChainComplex([Generator("a", 0), Generator("b", 1)],
+                     {("b", "a"): parse_scalar("1 mod T^1")})
+    t = NovikovScalar.monomial(1, 1)
+    for tail_checked_first, work in itertools.product((False, True),
+                                                      (F(3, 2), F(1))):
+        tail = CubeDiagram(1, {"0": c, "1": c},
+                           {"-": {("a", "a"): t, ("b", "b"): t}})
+        if tail_checked_first:
+            assert verify_cube(tail, F(3, 2)) and tail.verified_mod == F(3, 2)
+        ray = Ray(1, [], TailSpec.stationary(tail))
+        if work > 1:
+            with pytest.raises(ValueError, match="barcode needs a verified"):
+                telescope_complex(ray, 2).barcode(work)
+        else:
+            code = telescope_complex(ray, 2).barcode(work)
+            assert code.is_zero and code.precision == 1
 
 
 def test_a_stationary_tail_that_does_not_glue_onto_itself():

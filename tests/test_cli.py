@@ -9,7 +9,8 @@ from helpers import random_cube
 
 from novcube import cli
 from novcube.chain import ChainComplex, Generator, mat_identity
-from novcube.cubes import CubeDiagram, cube_to_json, id_cube, verify_cube
+from novcube.cubes import (CubeDiagram, cube_to_json, id_cube,
+                           to_positive_signs, verify_cube)
 from novcube.morse import bundled_model, model_to_json
 from novcube.novikov import NovikovScalar, parse_scalar, scalar_to_json
 
@@ -493,12 +494,13 @@ def test_ray_with_a_cube_that_does_not_verify_exits_2(command, name,
         % (path, name, face, detail)
 
 
-@pytest.mark.parametrize("command", RAY_COMMANDS)
+@pytest.mark.parametrize("command", RAY_COMMANDS + [
+    ("tel", "--work", "2", "--depth", "1")])
 def test_ray_in_positive_form_exits_2(command, tmp_path, capsys):
     """``ray1_stationary.json`` with every cube in positive form is a bad
     ray file naming its first cube, not an internal error.  Each face
     entry from the odd generator changes sign, so that the cubes still
-    verify and glue in positive form, and only their form is refused."""
+    verify in positive form; their form is refused ahead of any glue."""
     data = json.loads(open(os.path.join(DATA, "ray1_stationary.json")).read())
     for cube in data["prefix"] + [data["tail"]["cube"]]:
         cube["positive"] = True
@@ -513,6 +515,35 @@ def test_ray_in_positive_form_exits_2(command, tmp_path, capsys):
     assert code == 2
     assert json.loads(out)["error"] == "bad ray file %s: prefix cube 1 " \
         "is in positive form; a ray needs signed cubes" % path
+
+
+def test_positive_twins_of_corpus_cubes_report_as_the_signed_files(
+        tmp_path, capsys):
+    """``mv`` of each corpus square and ``compose`` of each corpus pair,
+    every file replaced by its positive twin (the same D): the report is
+    the signed files' report but for the input names and digests."""
+    cases = [c["argv"][:-2] for c in json.loads(open(os.path.join(
+        DATA, "expected.json")).read()) if c["argv"][0] in ("mv", "compose")
+        and c["argv"][-1] == "json"]
+    assert len(cases) == 7
+    for command, *names in cases:
+        reports = []
+        for twin in (False, True):
+            paths = [os.path.join(DATA, name) for name in names]
+            if twin:
+                paths = [str(tmp_path / ("positive_" + name)) for name in names]
+                for name, path in zip(names, paths):
+                    cube, _ = cli._load_cube(os.path.join(DATA, name))
+                    with open(path, "w") as fh:
+                        json.dump(cube_to_json(to_positive_signs(cube)), fh)
+            code, out = run_cli(capsys, command, *paths, "--format", "json")
+            for path, name in zip(paths, names):
+                out = out.replace(path, name)
+            report = json.loads(out)
+            for part in (report, report.get("provenance", {})):
+                part.pop("input", None), part.pop("inputs", None)
+            reports.append((code, report))
+        assert reports[1] == reports[0], names
 
 
 def test_pool_size_is_capped_by_tasks_and_cpus():

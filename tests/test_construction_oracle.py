@@ -225,7 +225,11 @@ def test_equality_matches_the_vertex_view_comparison(rng, n):
 
 def glued_after(first, k):
     """A cube whose face x_k = 0 is ``first``'s face x_k = 1: both of its
-    faces in direction k are that face, and its maps along k vanish."""
+    faces in direction k are that face, and its maps along k vanish.  A
+    positive cube's partner is the positive twin of its signed twin's."""
+    if first.positive:
+        return to_positive_signs(glued_after(from_positive_signs(first), k))
+
     def up(code):
         return code[:k - 1] + "1" + code[k:]
     faces = {}
@@ -332,15 +336,15 @@ def test_telescope_refuses_positive_and_partial_stages_as_cones_did():
     rng = random.Random(11)
     cube = random_cube(rng, 2)
     assert cube.face("-0") and cube.vertex("00").differential  # slice 1
-    for stage, message in ((to_positive_signs(cube),
-                            "cone applies to cubes in signed form"),
-                           (partial_of(rng, cube),
-                            "cone applies to total cubes")):
-        ray = Ray(2, [stage], TailSpec.finite(), check=False)
-        for fn in (telescope, oracle.telescope):
-            with pytest.raises(ValueError, match=message):
-                fn(ray, 1)
-        assert_same_cube(telescope(ray, 0), oracle.telescope(ray, 0))
+    ray = Ray(2, [partial_of(rng, cube)], TailSpec.finite(), check=False)
+    for fn in (telescope, oracle.telescope):
+        with pytest.raises(ValueError, match="cone applies to total cubes"):
+            fn(ray, 1)
+    assert_same_cube(telescope(ray, 0), oracle.telescope(ray, 0))
+    signed, twin = (Ray(2, [c], TailSpec.finite(), check=False)
+                    for c in (cube, to_positive_signs(cube)))
+    for depth in (0, 1, 2):
+        assert_same_cube(telescope(twin, depth), telescope(signed, depth))
 
 
 # ---------------------------------------------------------------------------

@@ -581,16 +581,21 @@ def _signed_and_positive():
      InvalidDirection, "direction 2 out of range"),
     (lambda c, s, p: from_positive_signs(s),
      ValueError, "cube not in positive form"),
-    (lambda c, s, p: decone(p, 1),
-     ValueError, "decone applies to cubes in signed form"),
-    (lambda c, s, p: id_cube(p),
-     ValueError, "id_cube applies to cubes in signed form"),
     (lambda c, s, p: decone(CubeDiagram(0, {"": c}, {}), 1,
                             {"": ({"b"}, {"a"})}),
      NotConiform, "face '' has an upper-triangular entry ('b', 'a')"),
 ], ids=["face-code", "undefined-face", "subcube-range", "from-positive",
-        "decone-positive", "id-cube-positive", "decone-upper"])
+        "decone-upper"])
 def test_cube_refusals_name_their_cause(call, exc, message):
     with pytest.raises(exc) as err:
         call(*_signed_and_positive())
     assert err.value.args == (message,)
+
+
+@pytest.mark.parametrize("call", [
+    lambda cube: decone(cube, 1, {w: ({"a"}, {"b"}) for w in "01"}),
+    id_cube,
+], ids=["decone-positive", "id-cube-positive"])
+def test_positive_twin_builds_what_the_signed_cube_builds(call):
+    _, signed, positive = _signed_and_positive()
+    assert call(positive) == call(signed)

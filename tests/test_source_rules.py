@@ -117,6 +117,32 @@ def test_only_recode_and_the_face_views_re_sign_d():
     assert callers == {"cubes:CubeDiagram.recode", "cubes:CubeDiagram._view"}
 
 
+def test_only_views_form_keepers_and_input_rules_read_the_sign_form():
+    """A cube is its D: ``positive`` chooses how D is viewed (face maps,
+    ``==``, JSON, a check's residuals), a cut or relabelling keeps it, the
+    sign conversions switch it, ``mayer_vietoris`` reads a positive
+    square as its signed twin, and the input rules of ``cone`` and of a
+    ray's construction check refuse it.  No construction reads it."""
+    readers = set()
+    for module, tree in _modules():
+        for top in tree.body:
+            members = top.body if isinstance(top, ast.ClassDef) else [top]
+            for node in members:
+                if any(isinstance(a, ast.Attribute) and a.attr == "positive"
+                       and isinstance(a.ctx, ast.Load)
+                       for a in ast.walk(node)):
+                    owner = top.name + "." if node is not top else ""
+                    readers.add("%s:%s%s" % (module, owner, getattr(
+                        node, "name", "<module>")))
+    assert readers == {
+        "cubes:CubeDiagram._view", "cubes:CubeDiagram.__eq__",
+        "cubes:CubeDiagram.__repr__", "cubes:cube_to_json",
+        "cubes:verify_cube", "cubes:CubeDiagram.face_cube",
+        "cubes:CubeDiagram.relabel_vertices", "cubes:to_positive_signs",
+        "cubes:from_positive_signs", "rays:mayer_vietoris",
+        "rays:Ray._built_fault", "cli:cmd_cone"}
+
+
 def test_only_mat_clean_and_the_residual_check_read_floor():
     """A scalar's ``floor`` tells an exact zero (None) from an entry known
     only modulo T^R.  Outside ``novikov``, ``chain.mat_clean`` is the one
