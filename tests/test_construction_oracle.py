@@ -333,6 +333,8 @@ def test_telescope_matches_subcubes_and_cones(rng, n):
 
 
 def test_telescope_refuses_positive_and_partial_stages_as_cones_did():
+    """A partial stage is refused as cones refuse it; a positive stage is
+    read as D, so it telescopes as its signed twin does."""
     rng = random.Random(11)
     cube = random_cube(rng, 2)
     assert cube.face("-0") and cube.vertex("00").differential  # slice 1
