@@ -27,7 +27,7 @@ matrix product; :func:`cone`, :func:`compose` and telescopes relabel or
 multiply D, :func:`total_complex` is D with shifted parities,
 :meth:`CubeDiagram.face_cube` is the one cut of a face (or subcube) out
 of D and :meth:`CubeDiagram.recode` the one re-sign of it, and ``==``
-compares D, so :func:`glueable` builds no vertex complex.  The mapping
+and :func:`glueable` compare D, building no vertex complex.  The mapping
 cone of a chain map, :func:`cone_of_map`, is the total complex of its
 1-cube.  D is a stored map (see :mod:`novcube.chain`): the face-map
 constructor and :func:`compose` write it through ``chain.mat_clean``, so
@@ -564,31 +564,6 @@ def cone_of_map(source: ChainComplex, target: ChainComplex,
                                      {"-": entries}))
 
 
-def cone_labels_canonical(label, order: List[int]):
-    """Flatten nested cone labels for identification across cone orders.
-
-    ``order`` lists the absolute directions in the order they were
-    contracted; the innermost wrapper belongs to the first contraction.
-    Returns (vertex_code, base_label).
-    """
-    bits = []
-    cur = label
-    for _ in order:
-        bits.append(cur[0])
-        cur = cur[1]
-    by_abs = sorted(zip(order, reversed(bits)))
-    return ("".join(b for _, b in by_abs), cur)
-
-
-def iterated_cone(cube: CubeDiagram) -> ChainComplex:
-    """Cone away direction 1 repeatedly, then canonicalize the labels."""
-    c = cube
-    while c.n > 0:
-        c = cone(c, 1)
-    order = list(range(1, cube.n + 1))
-    return c.vertex("").relabel(lambda l: cone_labels_canonical(l, order))
-
-
 # ---------------------------------------------------------------------------
 # structural constructions
 
@@ -611,11 +586,21 @@ def id_cube(cube: CubeDiagram) -> CubeDiagram:
 
 def glueable(first: CubeDiagram, second: CubeDiagram, k: Optional[int] = None
              ) -> bool:
-    """Whether ``second`` glues after ``first`` in direction k, that is
-    ``first.subcube(k, "1") == second.subcube(k, "0")``."""
+    """Whether ``second`` glues after ``first`` in direction k: their faces
+    x_k = 1 and x_k = 0 agree, compared in place under the sign rule of
+    :meth:`CubeDiagram.recode`, so whatever the two cubes' sign forms."""
     k = first.n if k is None else k
-    return (first.n == second.n and 1 <= k <= first.n
-            and first.subcube(k, "1") == second.subcube(k, "0"))
+    if first.n != second.n or not 1 <= k <= first.n:
+        return False
+
+    def face(c, b):  # generators, D and defined faces of x_k = b at x_k = 0
+        at = {w: w[:k - 1] + "0" + w[k:] for w in c.gens if w[k - 1] == b}
+        return c.recode(at.get) + (c._defined and {
+            f[:k - 1] + f[k:] for f in c._defined if f[k - 1] == b},)
+
+    (g1, D1, f1), (g2, D2, f2) = face(first, "1"), face(second, "0")
+    return D1 == D2 and f1 == f2 and all(set(g) == set(g2[w])
+                                         for w, g in g1.items())
 
 
 def _straddles(key) -> bool:

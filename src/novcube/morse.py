@@ -49,7 +49,7 @@ from .errors import (Inadmissible, InadmissibleSubset, NotMonotone,
                      NotNegative, StageCheckFailed)
 from .novikov import INFINITY, from_series, json_keys, rat
 from .rays import (DescentReport, Ray, TailSpec, completed_homology,
-                   descent_complex)
+                   descent_complex, telescope_complex)
 
 
 Hamiltonian = Dict[Label, Fraction]  # or :class:`Weights`
@@ -503,26 +503,31 @@ def involutive_descent_instance(model: MorseModel, regions: Sequence,
     :meth:`Region.of`.  Vertex w of the subset cube carries the
     intersection of the regions its ones choose, the union for none.  For
     three regions the pairwise verdicts are computed as well, mirroring
-    the two-subset induction; each distinct region is built once for all
-    these rays.  ``r0`` is the precision of the verdicts' d*d checks,
-    which the stages' certificates pass by construction.  An empty cover
-    is refused: its one vertex would carry the empty union.
+    the two-subset induction; each distinct region, and the telescope of
+    its own :meth:`Region.ray` that the verdicts take as its d_0 summand,
+    is built once for all these rays.  ``r0`` is the precision of the
+    verdicts' d*d checks, which the stages' certificates pass by
+    construction.  An empty cover is refused: its one vertex would carry
+    the empty union.
     """
     if not regions:
         raise ValueError("an empty cover has no descent: no regions given")
     if model.base_map is None:
         raise InadmissibleSubset("model carries no base projection")
     regions = [Region.of(model, r) for r in regions]
-    built: Dict[FrozenSet[Label], Region] = {}
+    built: Dict[FrozenSet[Label], Tuple[Region, ChainComplex]] = {}
 
     def verdict(chosen: List[Region]) -> DescentReport:
-        family = {}
+        family, summands = {}, {}
         for w in vertex_codes(len(chosen)):
             picked = [r for r, bit in zip(chosen, w) if bit == "1"]
             region = reduce(and_, picked) if picked else \
                 reduce(or_, chosen, Region(model, frozenset()))
-            family[w] = built.setdefault(region.cells, region)
-        return descent_complex(region_ray(family), r0, depth)
+            if region.cells not in built:
+                built[region.cells] = region, telescope_complex(
+                    region.ray(), depth)
+            family[w], summands[w] = built[region.cells]
+        return descent_complex(region_ray(family), r0, depth, summands)
 
     whole = verdict(regions)
     pairs = combinations(range(len(regions)), 2) if len(regions) >= 3 else ()

@@ -8,25 +8,21 @@ forever and its mapping entries all have valuation >= gap > 0, so
 N >= r0/gap composed tail maps vanish modulo T^r0), both with completed
 homology zero, and ``model`` (a closed-form family supplied by the Morse model,
 whose rays :func:`novcube.morse.region_ray` and
-:func:`novcube.morse.scaling_ray` build).  A model tail's
-``stage_fn`` must be a pure function of the stage index: each ray builds a
-stage once and keeps it for its own lifetime.  Rays derived from a ray
-(cones, vertex rays) all come from :func:`_derived`, which maps each stage
-and reads model stages from the ray they were derived from; a vertex ray's
-stages are face cubes of the stages it is derived from, cut out of D.
-Derived rays carry no closed form: one answers for its own ray only.  A
-vertex ray keeps the region of its vertex when its ray keeps regions.
+:func:`novcube.morse.scaling_ray` build, each stage once per ray).  Rays
+derived from a ray (cones, vertex rays cut out of D) come from
+:func:`_derived` and carry no closed form.  Descent matches d_0 with the
+telescopes of the vertices' own rays (the caller's regions', else vertex
+rays) and reads each slice at T = 0 in place in D.
 
 The telescope of a ray is the homotopy-colimit cube: per vertex the sum of
 a shifted and an unshifted copy of every slice, with the differential
-``x~ - dx + f(x)`` on shifted generators.  It is materialized to a finite
-depth, quasi-isomorphic to the last materialized slice, in one pass that
-writes each stage's generators and D entries at their telescope keys.
-A telescope whose stages glue (each pair compared once per ray, see
-:meth:`Ray.glued_through`) passes on their least d*d certificate (see
-:mod:`novcube.cubes`) capped by its least entry precision, since its
-copy maps meet each entry with itself; :func:`telescope_complex` first
-certifies each uncertified stage by one exact check, kept either way.
+``x~ - dx + f(x)`` on shifted generators, materialized to a finite depth
+in one pass (:func:`telescope`).  A telescope whose stages glue (each
+pair compared once per ray, see :meth:`Ray.glued_through`) passes on
+their least d*d certificate (see :mod:`novcube.cubes`) capped by its
+least entry precision, since its copy maps meet each entry with itself;
+:func:`telescope_complex` first certifies each uncertified stage by one
+exact check, kept either way.
 """
 
 from __future__ import annotations
@@ -39,7 +35,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .chain import (Barcode, ChainComplex, Generator, Label, MatrixEntries,
                     checked, mat_clean, mat_compose, mat_identity,
-                    reduce_map_t0)
+                    record, reduce_map_t0)
 from .cubes import (CubeDiagram, cone, cone_of_map, compose, coneable,
                     entry_violations, from_positive_signs, glueable,
                     total_complex, verify_cube, vertex_codes)
@@ -235,14 +231,13 @@ def telescope(ray: Ray, depth: int) -> CubeDiagram:
     It is quasi-isomorphic to slice depth+1, with its stages' least
     certificate, capped by its least entry precision, when they glue.
     """
-    n = ray.n
     stages = [ray.map_cube(k) for k in range(1, max(depth, 1) + 1)]
     certs = [s.verified_mod for s in stages]
     glued = None not in certs and ray.glued_through(len(stages) - 1)
-    one, first = NovikovScalar.one(), stages[0].subcube(n, "0")
+    one, first = NovikovScalar.one(), _slice_in_place(stages[0])
     gens = {w: [Generator(("tel", 1, "u", g.label), g.parity) for g in gs]
             for w, gs in first.gens.items()}
-    D = {((wt, ("tel", 1, "u", t)), (ws, ("tel", 1, "u", s))): v
+    D = {((wt, ("tel", 1, "u", t)), (ws, ("tel", 1, "u", s))): -v
          for ((wt, t), (ws, s)), v in first.D.items()}
     for k, stage in enumerate(stages[:depth], 1):
         coneable(stage)
@@ -258,7 +253,18 @@ def telescope(ray: Ray, depth: int) -> CubeDiagram:
                   (w, ("tel", k, "s", g.label))] = one
     cert = min(certs + [v.mod for v in D.values() if v.mod is not None]) \
         if glued else None
-    return CubeDiagram.from_matrix(n - 1, gens, D, verified_mod=cert)
+    return CubeDiagram.from_matrix(ray.n - 1, gens, D, verified_mod=cert)
+
+
+def _slice_in_place(stage: CubeDiagram) -> CubeDiagram:
+    """``stage.subcube(n, "0")`` without the cut's re-sign, which negates
+    every entry (a "0" appended to a face code adds one to its sign
+    exponent): no rank or d*d residual sees it."""
+    gens = {w[:-1]: g for w, g in stage.gens.items() if w[-1] == "0"}
+    D = {((wt[:-1], t), (ws[:-1], s)): v for ((wt, t), (ws, s)), v
+         in stage.D.items() if wt[-1] == ws[-1] == "0"}
+    return CubeDiagram.from_matrix(stage.n - 1, gens, D, verified_mod=None
+                                   if stage.partial else stage.verified_mod)
 
 
 def _certify_exactly(cube: CubeDiagram) -> None:
@@ -477,16 +483,16 @@ def acyclic_slices_implies_acyclic(ray: Ray, work, depth: int, *,
                                    ) -> SliceCertificate:
     """Certify telescope acyclicity from per-slice acyclicity.
 
-    Each materialized slice's iterated cone must be acyclic at T = 0; for
-    stationary and stage-independent model tails this extends to every
-    stage, and then the telescope (and its completion) is acyclic.  A
-    direct check of the materialized telescope is included; ``tel`` is
-    that telescope, ``telescope_complex(ray, depth)``, when the caller
-    has already built it.
+    Each materialized slice's iterated cone (:func:`_slice_in_place`) must
+    be acyclic at T = 0; for stationary and stage-independent model tails
+    this extends to every stage, and then the telescope (and its
+    completion) is acyclic.  A direct check of the materialized telescope
+    is included; ``tel`` is that telescope, ``telescope_complex(ray,
+    depth)``, when the caller has already built it.
     """
     bettis = []
     for k in range(1, depth + 2):
-        cx = total_complex(ray.slice(k))
+        cx = total_complex(_slice_in_place(ray.map_cube(k)))
         ok, betti = cx.is_acyclic(work)
         bettis.append(betti)
         if not ok:
@@ -495,14 +501,14 @@ def acyclic_slices_implies_acyclic(ray: Ray, work, depth: int, *,
     if tail.kind == "finite":
         verdict = TailVerdict.FINITE
     elif tail.kind == "stationary":
-        ok, _ = total_complex(tail.cube.subcube(ray.n, "0")).is_acyclic(work)
+        ok, _ = total_complex(_slice_in_place(tail.cube)).is_acyclic(work)
         if not ok:
             raise SliceNotAcyclic("stationary tail slice is not acyclic")
         verdict = TailVerdict.STATIONARY_ACYCLIC
     else:
         # cx is still the total complex of slice depth + 1
         a = reduce_map_t0(cx.differential)
-        b = reduce_map_t0(total_complex(ray.slice(depth + 2)).differential)
+        b = reduce_map_t0(_slice_in_place(ray.map_cube(depth + 2)).D)
         verdict = TailVerdict.MODEL_STABLE if a == b \
             else TailVerdict.MODEL_VARIES
     if tel is None:
@@ -554,16 +560,19 @@ def mayer_vietoris(square: CubeDiagram, work) -> ExactnessReport:
     coordinates over the residue field, and each of the three spots, per
     parity, is tested by ``linalg.is_exact``: exact iff the composite of
     the incoming and the outgoing map vanishes and their ranks add up to
-    the dimension of the homology at the spot.
+    the dimension of the homology at the spot.  A positive square is read
+    as its signed twin but keeps its own pass.
     """
     if square.n != 2:
         raise ValueError("mayer_vietoris expects a 2-cube")
+    given = square
     square = from_positive_signs(square) if square.positive else square
     rep = checked(square, rat(work), verify_cube)
     if not rep:
         raise NotCoherent("square does not verify: %s" % (rep.violations,))
+    record(given, rat(work))
     # the T = 0 total complex, factored once; its factor lifts the cycles
-    tq = square.total_t0
+    tq = given.total_t0
     if not tq.is_acyclic():
         raise NotAcyclic("the square's iterated cone has T=0 homology %r"
                          % (tq.homology_ranks(),))
@@ -652,14 +661,16 @@ class DescentReport:
     acyclic: bool
 
 
-def descent_complex(ray: Ray, work, depth: int) -> DescentReport:
+def descent_complex(ray: Ray, work, depth: int, summands=None
+                    ) -> DescentReport:
     """The single complex of a subset-cube ray, with its degree filtration.
 
     Materializes the telescoped, fully coned complex; exposes the
     decomposition d = d_0 + d_1 + ... by subset size (d_0 being the direct
     sum of the per-subset telescope differentials, up to the iterated-cone
     sign); reports acyclicity from per-slice acyclicity, cross-checked on
-    the materialized telescope.
+    the materialized telescope.  ``summands`` maps each vertex to the
+    telescope of its own ray, by default its :func:`vertex_ray`.
     """
     cx = telescope_complex(ray, depth)
     parts = degree_parts(cx)
@@ -668,7 +679,8 @@ def descent_complex(ray: Ray, work, depth: int) -> DescentReport:
         blocks.setdefault((t[0], s[0]), {})[(t[1], s[1])] = v
     d0_ok = True
     for w in vertex_codes(ray.n - 1):
-        summand = telescope_complex(vertex_ray(ray, w), depth)
+        summand = summands[w] if summands is not None else \
+            telescope_complex(vertex_ray(ray, w), depth)
         # the summand sits inside the iterated cone shifted #0(w) times:
         # for an odd count its differential is negated and then transported
         # by the diagonal sign +1 on shifted, -1 on plain copies

@@ -1,7 +1,9 @@
 """The compositions and cuts that the library's one-pass code replaced.
 
 ``rays.telescope`` used to relabel a subcube and the cones of its stages,
-``cubes.glueable`` compared two subcubes, and ``morse.hamiltonian_cube``
+``cubes.glueable`` compared two subcubes (of the signed twins here, as
+``==`` also compares the sign form; the library compares D blocks in
+place), and ``morse.hamiltonian_cube``
 built ``cf`` and ``continuation`` for every vertex and edge and passed them
 to the face-map constructor.  ``CubeDiagram.face_cube`` now cuts every
 face out of D at once, where ``subcube`` cut one coordinate at a time;
@@ -32,7 +34,8 @@ from fractions import Fraction
 
 from novcube.chain import (ChainComplex, Generator, is_chain_map, mat_clean,
                            mat_neg)
-from novcube.cubes import (CubeDiagram, cone, face_codes, initial_vertex,
+from novcube.cubes import (CubeDiagram, cone, face_codes,
+                           from_positive_signs, initial_vertex,
                            terminal_vertex, vertex_codes)
 from novcube.errors import NotChainMap
 from novcube.linalg import rank
@@ -80,10 +83,17 @@ def vertex_ray_edge(big, w):
     return edge
 
 
+def signed(cube):
+    """The signed twin of ``cube`` (the same D), or the cube if signed."""
+    return from_positive_signs(cube) if cube.positive else cube
+
+
 def glueable(first, second, k=None):
+    """The two gluing subcubes of the signed twins compared by ``==``,
+    which also compares the sign form."""
     k = first.n if k is None else k
-    return (first.n == second.n and 1 <= k <= first.n
-            and first.subcube(k, "1") == second.subcube(k, "0"))
+    return (first.n == second.n and 1 <= k <= first.n and
+            signed(first).subcube(k, "1") == signed(second).subcube(k, "0"))
 
 
 def telescope(ray, depth):

@@ -14,7 +14,9 @@ from helpers import random_complex, random_cube, random_ray_cubes
 from property_suite import CUBE_PROPERTY_RUNNERS
 from test_cubes import golden_two_cube, block
 
-from novcube.chain import ChainComplex, Generator, mat_equal, mat_neg
+from novcube import morse
+from novcube.chain import (ChainComplex, Generator, mat_equal, mat_neg,
+                           reduce_map_t0)
 from novcube.cubes import (cone, face_equation_terms, subtuple_count,
                            boundary_pairs, terminal_vertex, initial_vertex,
                            total_complex, verify_cube)
@@ -22,8 +24,10 @@ from novcube.morse import (bundled_model, empty_set, global_sections,
                            involutive_descent_instance, minmax_square,
                            continuation, scaling_hamiltonian)
 from novcube.novikov import NovikovScalar
-from novcube.rays import (Ray, TailSpec, colimit_t0, compression, cone_ray,
-                          mayer_vietoris, telescope, telescope_complex)
+from novcube.rays import (Ray, TailSpec, TailVerdict,
+                          acyclic_slices_implies_acyclic, colimit_t0,
+                          compression, cone_ray, mayer_vietoris, telescope,
+                          telescope_complex)
 from novcube.simplicial import certify_assembly
 
 WORK = 10
@@ -249,20 +253,22 @@ def test_criterion_7_minmax_decomposition():
 # -- criterion 8: descent battery --------------------------------------------
 
 
+ARCS6 = [{"v0", "e0", "v1"}, {"v1", "e1", "v2"}, {"v2", "e2", "v0"}]
+DESCENT_BATTERY = [
+    ("circle6", 2, [ARCS6[0], {"v1", "e1", "v2", "e2", "v0"}]),
+    ("circle6", 3, ARCS6),
+    ("circle12", 2, [ARCS6[0], {"v1", "e1", "v2", "e2", "v0"}]),
+    ("circle24", 2, [ARCS6[0], {"v1", "e1", "v2", "e2", "v0"}]),
+    ("circle24", 3, ARCS6),
+    ("grid9", 2, [{"v00", "ex0", "v10"}, {"v01", "ex1", "v11"}]),
+    ("grid9", 3, [{"v00", "ex0", "v10"}, {"v01", "ex1", "v11"},
+                  {"v00", "ey0", "v01"}]),
+]
+
+
 def test_criterion_8_descent_battery():
     t0 = time.time()
-    arcs6 = [{"v0", "e0", "v1"}, {"v1", "e1", "v2"}, {"v2", "e2", "v0"}]
-    battery = [
-        ("circle6", 2, [arcs6[0], {"v1", "e1", "v2", "e2", "v0"}]),
-        ("circle6", 3, arcs6),
-        ("circle12", 2, [arcs6[0], {"v1", "e1", "v2", "e2", "v0"}]),
-        ("circle24", 2, [arcs6[0], {"v1", "e1", "v2", "e2", "v0"}]),
-        ("circle24", 3, arcs6),
-        ("grid9", 2, [{"v00", "ex0", "v10"}, {"v01", "ex1", "v11"}]),
-        ("grid9", 3, [{"v00", "ex0", "v10"}, {"v01", "ex1", "v11"},
-                      {"v00", "ey0", "v01"}]),
-    ]
-    for name, n, regions in battery:
+    for name, n, regions in DESCENT_BATTERY:
         model = bundled_model(name)
         rep = involutive_descent_instance(model, regions, F(1))
         assert rep.acyclic, (name, n)
@@ -275,6 +281,37 @@ def test_criterion_8_descent_battery():
     assert elapsed < 300, "battery exceeded the five-minute budget"
     report("criterion 8: descent battery (n=2,3; largest 24-cell instance) "
            "in %.1fs" % elapsed)
+
+
+def test_criterion_8_slices_read_in_place_match_the_cut_slices(
+        monkeypatch):
+    """Every descent ray of the battery, pairwise ones included: the slice
+    Betti numbers, read in place from each stage's D, are those of the
+    iterated cone of the cut slice ``ray.slice(k)``, and the tail verdict
+    is that of comparing the cut slices depth + 1 and depth + 2 at T = 0."""
+    built = []
+    make = morse.region_ray
+
+    def keeping(regions, closed_form=None):
+        built.append(make(regions, closed_form))
+        return built[-1]
+
+    monkeypatch.setattr(morse, "region_ray", keeping)
+    for name, n, regions in DESCENT_BATTERY:
+        built.clear()
+        rep = involutive_descent_instance(bundled_model(name), regions, F(1))
+        descents = [r for r in built if r.n > 1]
+        assert len(descents) == (4 if n == 3 else 1)
+        for ray in descents:
+            cut = [total_complex(ray.slice(k)) for k in range(1, 5)]
+            cert = acyclic_slices_implies_acyclic(ray, F(1), 2)
+            assert cert.betti == tuple(c.is_acyclic(F(1))[1]
+                                       for c in cut[:3]), name
+            stable = reduce_map_t0(cut[2].differential) == \
+                reduce_map_t0(cut[3].differential)
+            assert (cert.tail is TailVerdict.MODEL_STABLE) == stable
+        assert rep.verdict.certificate == \
+            acyclic_slices_implies_acyclic(descents[0], F(1), 2)
 
 
 # -- criterion 9: the valuation-ring kernel ----------------------------------

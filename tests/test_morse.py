@@ -529,6 +529,34 @@ ARCS6 = [{"v0", "e0", "v1"}, {"v1", "e1", "v2"}, {"v2", "e2", "v0"}]
 REST6 = {"v1", "e1", "v2", "e2", "v0"}
 
 
+def test_a_region_summand_with_other_stage_weights_is_reported(
+        monkeypatch):
+    """A model ray's d_0 summands are the telescopes of its regions' own
+    rays, built apart from it: one region whose own ray weighs the cells
+    off it by 2k, where its family weighs k, makes ``d0_matches_summands``
+    False and leaves the slice verdict as it is."""
+    m = bundled_model("circle6")
+    arc = Region.of(m, ARCS6[0])
+    own = Region.ray
+
+    def patched(region):
+        if region.cells != arc.cells:
+            return own(region)
+        twin = Region(m, region.cells)
+        for k in (1, 2, 3):
+            twin._stages[k] = tuple(
+                morse.Weights(w.den, {l: 2 * n if n > 0 else n
+                                      for l, n in w.items()})
+                for w in region.stage(k))
+        return own(twin)
+
+    assert involutive_descent_instance(
+        m, [ARCS6[0], REST6], F(1)).verdict.d0_matches_summands
+    monkeypatch.setattr(Region, "ray", patched)
+    rep = involutive_descent_instance(m, [ARCS6[0], REST6], F(1))
+    assert rep.acyclic and not rep.verdict.d0_matches_summands
+
+
 @pytest.mark.parametrize("name, regions", [
     ("circle6", [ARCS6[0], REST6]),
     ("circle6", ARCS6),
@@ -539,11 +567,11 @@ def test_involutive_descent_builds_each_stage_once(monkeypatch, name,
     counters = []
     build = morse.region_ray
 
-    def counting_region_ray(regs):
-        ray = build(regs)
+    def counting_region_ray(regs, closed_form=None):
+        ray = build(regs, closed_form)
         stage_fn = ray.tail.stage_fn
         calls = Counter()
-        counters.append(calls)
+        counters.append((regs, calls))
 
         def stage(k):
             calls[k] += 1
@@ -555,17 +583,23 @@ def test_involutive_descent_builds_each_stage_once(monkeypatch, name,
     rep = involutive_descent_instance(bundled_model(name), regions, F(1),
                                       depth=2)
     assert rep.acyclic
-    # the triple ray plus one ray per pair
-    assert len(counters) == (4 if len(regions) == 3 else 1)
-    for calls in counters:
+    # the triple ray plus one ray per pair, and the own ray of each
+    # distinct region of their subset cubes, its d_0 summand
+    descents = [regs for regs, _ in counters if "" not in regs]
+    own = [regs[""].cells for regs, _ in counters if "" in regs]
+    assert len(descents) == (4 if len(regions) == 3 else 1)
+    assert sorted(own, key=sorted) == sorted(
+        {r.cells for regs in descents for r in regs.values()}, key=sorted)
+    for _, calls in counters:
         assert calls and set(calls.values()) == {1}
 
 
 def test_a_descent_ray_and_its_vertex_rays_carry_their_regions(
         monkeypatch):
     """The rays of a three-region instance keep their subset cubes'
-    regions, each distinct region built once for all four rays; a vertex
-    ray carries its vertex's region and, being derived, no closed form."""
+    regions, each distinct region built once for all four descent rays and
+    for its own ray, the d_0 summand; a vertex ray carries its vertex's
+    region and, being derived, no closed form."""
     rays = []
     build = morse.region_ray
 
@@ -576,8 +610,12 @@ def test_a_descent_ray_and_its_vertex_rays_carry_their_regions(
     monkeypatch.setattr(morse, "region_ray", keeping)
     m = bundled_model("circle6")
     assert involutive_descent_instance(m, ARCS6, F(1)).acyclic
-    assert len(rays) == 4
-    ray = rays[0]
+    # four descent rays, and 11 distinct regions: the triple's eight, and
+    # the union of each pair
+    assert len(rays) == 15
+    descents = [r for r in rays if r.n > 1]
+    assert len(descents) == 4
+    ray = descents[0]
     assert {w: r.cells for w, r in ray.tail.regions.items()} == \
         region_family([resolve_region(m, r) for r in ARCS6])
     for w, region in ray.tail.regions.items():
@@ -589,6 +627,7 @@ def test_a_descent_ray_and_its_vertex_rays_carry_their_regions(
     for r in rays:
         for region in r.tail.regions.values():
             assert built.setdefault(region.cells, region) is region
+    assert len(built) == len(rays) - len(descents) == 11
 
 
 def fractions_built_in_morse(run) -> int:

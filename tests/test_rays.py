@@ -14,7 +14,7 @@ from novcube import rays
 from novcube.chain import (ChainComplex, Generator, mat_add, mat_clean,
                            mat_equal, mat_identity, mat_neg)
 from novcube.cubes import (CubeDiagram, cone, glueable, id_cube,
-                           verify_cube, vertex_codes)
+                           total_complex, verify_cube, vertex_codes)
 from novcube.errors import NotChainMap
 from novcube.morse import Region, bundled_model, region_ray
 from novcube.novikov import NovikovScalar, parse_scalar
@@ -315,6 +315,24 @@ def test_acyclic_slices_certificate():
     r_bad = identity_ray(live, 3)
     with pytest.raises(SliceNotAcyclic):
         acyclic_slices_implies_acyclic(r_bad, WORK, 2)
+
+
+def test_a_slice_that_is_no_complex_at_work_raises():
+    """Slices are read in place from D with their stage's certificate: an
+    uncertified stage whose slice fails d*d at ``work`` raises, with the
+    message of the iterated cone of the cut slice."""
+    one = NovikovScalar.one()
+    src = ChainComplex([Generator("x", 0), Generator("y", 1),
+                        Generator("z", 0)], {("y", "x"): one, ("z", "y"): one})
+    ray = Ray(1, [one_cube(src, ChainComplex([], {}), {})],
+              TailSpec.finite(), check=False)
+    assert ray.map_cube(1).verified_mod is None
+    with pytest.raises(ValueError) as cut:
+        total_complex(ray.slice(1)).is_acyclic(WORK)
+    with pytest.raises(ValueError, match="^not a chain complex at this "
+                       "precision: ") as in_place:
+        acyclic_slices_implies_acyclic(ray, WORK, 0)
+    assert str(in_place.value) == str(cut.value)
 
 
 def test_mayer_vietoris_zero_square():

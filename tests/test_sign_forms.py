@@ -13,8 +13,9 @@ from helpers import random_cube, random_ray_cubes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from novcube import rays
 from novcube.cubes import (compose, cone, decone, glueable, id_cube,
-                           to_positive_signs)
+                           to_positive_signs, verify_cube)
 from novcube.rays import Ray, TailSpec, mayer_vietoris, telescope
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -76,3 +77,45 @@ def test_a_positive_square_has_its_signed_twins_six_term_sequence(rng):
         square = random_cube(rng, 2, max_gens=2, mix=4)
     assert outcome(mayer_vietoris, to_positive_signs(square), 3) == \
         outcome(mayer_vietoris, square, 3)
+
+
+@SETTINGS
+@given(SEEDS, st.integers(1, 3))
+def test_cubes_of_either_form_glue_and_compose_as_their_signed_cubes(rng, n):
+    """``glueable`` compares the two faces' D blocks, so a signed cube and
+    a positive one glue and compose as the two signed cubes do."""
+    stages = random_ray_cubes(rng, n, 3)
+    twins = [to_positive_signs(c) for c in stages]
+    for a, b in zip(range(3), (1, 2, 0)):
+        for k in range(0, n + 2):
+            signed = glueable(stages[a], stages[b], k)
+            assert glueable(stages[a], twins[b], k) == signed
+            assert glueable(twins[a], stages[b], k) == signed
+    for a, b in zip(range(2), (1, 2)):
+        assert compose(stages[a], twins[b]).D == \
+            compose(twins[a], stages[b]).D == compose(stages[a], stages[b]).D
+
+
+def test_a_signed_stage_glues_onto_the_positive_twin_of_the_next():
+    a, b = random_ray_cubes(random.Random(3), 2, 2)
+    twin = to_positive_signs(b)
+    assert glueable(a, b) and glueable(a, twin)
+    assert compose(a, twin).D == compose(a, b).D
+
+
+def test_a_positive_square_keeps_the_pass_of_its_check(monkeypatch):
+    """Mayer–Vietoris checks a positive square through its signed twin
+    but records the pass, and keeps the T = 0 total complex, on the square
+    it was given: a second call checks nothing."""
+    checks = []
+
+    def counting(cube, work):
+        checks.append(cube)
+        return verify_cube(cube, work)
+
+    monkeypatch.setattr(rays, "verify_cube", counting)
+    square = to_positive_signs(id_cube(id_cube(
+        random_cube(random.Random(1), 0, max_gens=3))))
+    assert mayer_vietoris(square, 3).ok and mayer_vietoris(square, 3).ok
+    assert len(checks) == 1 and square.verified_mod == 3
+    assert "total_t0" in vars(square)
