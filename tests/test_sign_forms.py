@@ -2,9 +2,10 @@
 
 Constructions read D alone: on the twins of random signed cubes (n <= 3)
 and of glued pairs, ``cone``, ``decone``, ``id_cube``, ``compose``,
-``glueable``, the telescope of an unchecked ray and the Mayer–Vietoris
-report give what they give on the signed cubes, and a subcube of a twin
-is the twin of the subcube.
+``glueable`` (of a signed cube with a positive one too), the telescope of
+an unchecked ray and the Mayer–Vietoris report give what they give on the
+signed cubes, and a subcube of a twin is the twin of the subcube; a
+positive square keeps the pass of its own check.
 """
 
 import random
@@ -48,14 +49,20 @@ def test_a_twin_is_cut_coned_and_copied_as_its_signed_cube(rng, n):
 @SETTINGS
 @given(SEEDS, st.integers(1, 3))
 def test_twins_glue_compose_and_telescope_as_their_signed_cubes(rng, n):
+    """Twins, and a signed cube with the twin of another, glue and compose
+    as the signed cubes do: ``glueable`` compares the faces' D blocks."""
     stages = random_ray_cubes(rng, n, 3)
     twins = [to_positive_signs(c) for c in stages]
     for a, b in zip(range(3), (1, 2, 0)):
         for k in range(0, n + 2):
-            assert glueable(twins[a], twins[b], k) == \
-                glueable(stages[a], stages[b], k)
+            signed = glueable(stages[a], stages[b], k)
+            assert glueable(twins[a], twins[b], k) == signed
+            assert glueable(stages[a], twins[b], k) == signed
+            assert glueable(twins[a], stages[b], k) == signed
     for a, b in zip(stages, stages[1:]):
         assert compose(*map(to_positive_signs, (a, b))) == compose(a, b)
+        assert compose(a, to_positive_signs(b)).D == \
+            compose(to_positive_signs(a), b).D == compose(a, b).D
     signed, positive = (Ray(n, cubes, TailSpec.finite(), check=False)
                         for cubes in (stages, twins))
     for depth in range(0, 5):
@@ -77,23 +84,6 @@ def test_a_positive_square_has_its_signed_twins_six_term_sequence(rng):
         square = random_cube(rng, 2, max_gens=2, mix=4)
     assert outcome(mayer_vietoris, to_positive_signs(square), 3) == \
         outcome(mayer_vietoris, square, 3)
-
-
-@SETTINGS
-@given(SEEDS, st.integers(1, 3))
-def test_cubes_of_either_form_glue_and_compose_as_their_signed_cubes(rng, n):
-    """``glueable`` compares the two faces' D blocks, so a signed cube and
-    a positive one glue and compose as the two signed cubes do."""
-    stages = random_ray_cubes(rng, n, 3)
-    twins = [to_positive_signs(c) for c in stages]
-    for a, b in zip(range(3), (1, 2, 0)):
-        for k in range(0, n + 2):
-            signed = glueable(stages[a], stages[b], k)
-            assert glueable(stages[a], twins[b], k) == signed
-            assert glueable(twins[a], stages[b], k) == signed
-    for a, b in zip(range(2), (1, 2)):
-        assert compose(stages[a], twins[b]).D == \
-            compose(twins[a], stages[b]).D == compose(stages[a], stages[b]).D
 
 
 def test_a_signed_stage_glues_onto_the_positive_twin_of_the_next():
