@@ -49,7 +49,7 @@ from .errors import (Inadmissible, InadmissibleSubset, NotMonotone,
                      NotNegative, StageCheckFailed)
 from .novikov import INFINITY, from_series, json_keys, rat
 from .rays import (DescentReport, Ray, TailSpec, completed_homology,
-                   descent_complex, telescope_complex)
+                   descent_complex, descent_depth, telescope_complex)
 
 
 Hamiltonian = Dict[Label, Fraction]  # or :class:`Weights`
@@ -156,6 +156,19 @@ def continuation(model: MorseModel, h: Hamiltonian, h2: Hamiltonian
     return out
 
 
+class _Monomials(dict):
+    """The scalar T^(e/den) c of each term (e, c), built when first asked
+    for; one instance serves one :func:`hamiltonian_cube` call."""
+
+    def __init__(self, den: int):
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, term):
+        self[term] = x = from_series(((term,), None), self.den)
+        return x
+
+
 def hamiltonian_cube(model: MorseModel,
                      assign: Dict[str, Hamiltonian]) -> CubeDiagram:
     """Strict cube of weighted complexes over a vertex-indexed family.
@@ -168,7 +181,9 @@ def hamiltonian_cube(model: MorseModel,
     edge as :func:`continuation` does, with their exceptions and in their
     order, and positive-form D is written directly, edges first (in
     :func:`face_codes` order) and then the vertex complexes, whose views
-    equal ``cf`` of each weight function.
+    equal ``cf`` of each weight function.  Every entry is a monomial, and
+    the entries with one (exponent numerator, coefficient) share one
+    immutable scalar, built on first use; nothing is kept past the call.
     """
     n = len(next(iter(assign)))
     codes = vertex_codes(n)
@@ -179,6 +194,7 @@ def hamiltonian_cube(model: MorseModel,
         steps[w], bad = _steps(model, num[w], den)
         if bad:
             raise Inadmissible("weight function decreases along %r" % (bad,))
+    mono = _Monomials(den)
     D: MatrixEntries = {}
     for code in face_codes(n):
         if code.count("-") != 1:
@@ -189,13 +205,11 @@ def hamiltonian_cube(model: MorseModel,
             step = num[wt][l] - num[ws][l]
             if step < 0:
                 raise NotMonotone("weight decreases at %r" % (l,))
-            D[(wt, l), (ws, l)] = from_series(
-                (((step, sign),), None), den)
+            D[(wt, l), (ws, l)] = mono[step, sign]
     for w in codes:
         sign = -1 if positive_sign_exponent(w) % 2 else 1
         for (t, s), c in model.boundary.items():
-            D[(w, t), (w, s)] = from_series(
-                (((steps[w][t, s], sign * c),), None), den)
+            D[(w, t), (w, s)] = mono[steps[w][t, s], sign * c]
     return CubeDiagram.from_matrix(n, dict.fromkeys(codes, model.cells), D,
                                    verified_mod=INFINITY)
 
@@ -357,15 +371,23 @@ def region_ray(regions: Dict[str, Region], closed_form=None) -> Ray:
     """The ray of the cofinal families of ``regions``, which maps each
     vertex w of the slice cube to a region of one model: stage k is the
     :func:`hamiltonian_cube` of w0 -> ``regions[w].stage(k)[0]`` and
-    w1 -> ``regions[w].stage(k)[1]``.  Its model tail keeps ``regions``."""
+    w1 -> ``regions[w].stage(k)[1]``.  Its model tail keeps ``regions``
+    and proves its glue from those weights: stages k and k + 1 glue when
+    every region's ``stage(k)[1]`` equals its ``stage(k + 1)[0]`` as
+    rationals at every cell, since a stage's face is a function of them."""
     def stage(k):
         assign = {}
         for w, region in regions.items():
             assign[w + "0"], assign[w + "1"] = region.stage(k)
         return hamiltonian_cube(next(iter(regions.values())).model, assign)
 
-    return Ray(len(next(iter(regions))) + 1, [],
-               TailSpec.model(stage, closed_form, regions), check=False)
+    def glued(k):
+        pairs = [(r.stage(k)[1], r.stage(k + 1)[0]) for r in regions.values()]
+        return all(a[l] * b.den == b[l] * a.den for a, b in pairs for l in a)
+
+    return Ray(len(next(iter(regions))) + 1, [], TailSpec(
+        "model", stage_fn=stage, closed_form=closed_form, regions=regions,
+        glue=glued), check=False)
 
 
 @dataclass(frozen=True)
@@ -508,8 +530,9 @@ def involutive_descent_instance(model: MorseModel, regions: Sequence,
     is built once for all these rays.  ``r0`` is the precision of the
     verdicts' d*d checks, which the stages' certificates pass by
     construction.  An empty cover is refused: its one vertex would carry
-    the empty union.
+    the empty union, and so is a negative ``depth``, before any stage.
     """
+    descent_depth(depth)
     if not regions:
         raise ValueError("an empty cover has no descent: no regions given")
     if model.base_map is None:

@@ -18,11 +18,11 @@ The telescope of a ray is the homotopy-colimit cube: per vertex the sum of
 a shifted and an unshifted copy of every slice, with the differential
 ``x~ - dx + f(x)`` on shifted generators, materialized to a finite depth
 in one pass (:func:`telescope`).  A telescope whose stages glue (each
-pair compared once per ray, see :meth:`Ray.glued_through`) passes on
-their least d*d certificate (see :mod:`novcube.cubes`) capped by its
-least entry precision, since its copy maps meet each entry with itself;
-:func:`telescope_complex` first certifies each uncertified stage by one
-exact check, kept either way.
+pair decided once per ray by :meth:`Ray.glued_through`: a region ray's
+from its weights, any other's on faces) passes on their least d*d
+certificate capped by its least entry precision, since its copy maps
+meet each entry with itself; :func:`telescope_complex` first certifies
+each uncertified stage by one exact check, kept either way.
 """
 
 from __future__ import annotations
@@ -72,12 +72,15 @@ class TailSpec:
     stage and serves the cached cube afterwards.  ``regions``, when
     present, maps each vertex of the slice cube to the region of the model
     whose cofinal family the stages weigh (see :mod:`novcube.morse`).
+    ``glue(k)``, set by :func:`novcube.morse.region_ray` alone, proves
+    from the weights that stages k and k + 1 glue; other rays compare.
     """
     kind: str
     cube: Optional[CubeDiagram] = None
     stage_fn: Optional[Callable[[int], CubeDiagram]] = None
     closed_form: Optional[Callable] = None
     regions: Optional[Dict[str, object]] = None
+    glue: Optional[Callable[[int], bool]] = None
 
     @staticmethod
     def finite() -> "TailSpec":
@@ -160,15 +163,17 @@ class Ray:
         return None
 
     def glued_through(self, k) -> bool:
-        """Whether stages 1..k each glue onto the next, each pair compared
-        once per ray: a finite tail's stages glue by construction, and a
-        stationary tail's pair onto itself repeats."""
-        p, kind = len(self.prefix), self.tail.kind
+        """Whether stages 1..k each glue onto the next, each pair decided
+        once per ray: finite tails glue by construction, a stationary
+        tail's pair repeats, a tail's ``glue`` proves its pairs, and the
+        rest compare faces."""
+        p, kind, proof = len(self.prefix), self.tail.kind, self.tail.glue
         if kind != "model":
             k = min(k, p + 1 if kind == "stationary" else p - 1)
         while self._glued < k and not self._unglued:
-            if glueable(self.map_cube(self._glued + 1),
-                        self.map_cube(self._glued + 2), self.n):
+            j = self._glued + 1
+            if proof(j) if proof and j > p else glueable(
+                    self.map_cube(j), self.map_cube(j + 1), self.n):
                 self._glued += 1
             else:
                 self._unglued = True
@@ -288,9 +293,7 @@ def telescope_complex(ray: Ray, depth: int) -> ChainComplex:
     for k in range(1, max(depth, 1) + 1):
         _certify_exactly(ray.map_cube(k))
     tel = telescope(ray, depth)
-    if tel.n == 0:
-        return tel.vertex("")
-    return total_complex(tel)
+    return tel.vertex("") if tel.n == 0 else total_complex(tel)
 
 
 def _derived(ray: Ray, n: int, f: Callable[[CubeDiagram], CubeDiagram],
@@ -478,6 +481,12 @@ class SliceCertificate:
         return all(b == (0, 0) for b in self.betti) and self.telescope_acyclic
 
 
+def descent_depth(depth: int) -> int:
+    if depth < 0:
+        raise ValueError("depth %d is negative: no slice to check" % depth)
+    return depth
+
+
 def acyclic_slices_implies_acyclic(ray: Ray, work, depth: int, *,
                                    tel: Optional[ChainComplex] = None
                                    ) -> SliceCertificate:
@@ -491,7 +500,7 @@ def acyclic_slices_implies_acyclic(ray: Ray, work, depth: int, *,
     depth)``, when the caller has already built it.
     """
     bettis = []
-    for k in range(1, depth + 2):
+    for k in range(1, descent_depth(depth) + 2):
         cx = total_complex(_slice_in_place(ray.map_cube(k)))
         ok, betti = cx.is_acyclic(work)
         bettis.append(betti)
@@ -672,7 +681,7 @@ def descent_complex(ray: Ray, work, depth: int, summands=None
     the materialized telescope.  ``summands`` maps each vertex to the
     telescope of its own ray, by default its :func:`vertex_ray`.
     """
-    cx = telescope_complex(ray, depth)
+    cx = telescope_complex(ray, descent_depth(depth))
     parts = degree_parts(cx)
     blocks: Dict[Tuple[str, str], MatrixEntries] = {}
     for (t, s), v in parts.get(0, {}).items():
