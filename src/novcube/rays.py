@@ -73,7 +73,7 @@ class TailSpec:
     present, maps each vertex of the slice cube to the region of the model
     whose cofinal family the stages weigh (see :mod:`novcube.morse`).
     ``glue(k)``, set by :func:`novcube.morse.region_ray` alone, proves
-    from the weights that stages k and k + 1 glue; other rays compare.
+    from the weights that stages k and k + 1 glue; other rays compare faces.
     """
     kind: str
     cube: Optional[CubeDiagram] = None
@@ -163,10 +163,9 @@ class Ray:
         return None
 
     def glued_through(self, k) -> bool:
-        """Whether stages 1..k each glue onto the next, each pair decided
-        once per ray: finite tails glue by construction, a stationary
-        tail's pair repeats, a tail's ``glue`` proves its pairs, and the
-        rest compare faces."""
+        """Whether stages 1..k each glue onto the next, each pair decided once
+        per ray: finite tails glue by construction, a stationary tail's pair
+        repeats, a tail's ``glue`` proves its pairs, faces decide the rest."""
         p, kind, proof = len(self.prefix), self.tail.kind, self.tail.glue
         if kind != "model":
             k = min(k, p + 1 if kind == "stationary" else p - 1)
@@ -293,7 +292,9 @@ def telescope_complex(ray: Ray, depth: int) -> ChainComplex:
     for k in range(1, max(depth, 1) + 1):
         _certify_exactly(ray.map_cube(k))
     tel = telescope(ray, depth)
-    return tel.vertex("") if tel.n == 0 else total_complex(tel)
+    if tel.n == 0:
+        return tel.vertex("")
+    return total_complex(tel)
 
 
 def _derived(ray: Ray, n: int, f: Callable[[CubeDiagram], CubeDiagram],

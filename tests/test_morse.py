@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from t0_oracle import propagated_match
 
-from novcube import morse
+from novcube import cubes, morse, novikov, rays
 from novcube.chain import Generator, mat_compose, mat_equal, is_chain_map
 from novcube.cubes import CubeDiagram, verify_cube
 from novcube.linalg import nullspace, rank
@@ -27,8 +27,10 @@ from novcube.morse import (Inadmissible, InadmissibleSubset, MorseModel,
                            involutive_descent_instance, minmax_square,
                            model_from_json, model_to_json, relative_sh,
                            scaling_ray)
-from novcube.novikov import NovikovScalar, parse_scalar
-from novcube.rays import Ray, TailSpec, mayer_vietoris, vertex_ray
+from novcube.novikov import INFINITY, NovikovScalar, parse_scalar
+from novcube.rays import (Ray, TailSpec, acyclic_slices_implies_acyclic,
+                          descent_complex, mayer_vietoris, telescope,
+                          vertex_ray)
 
 WORK = 3
 
@@ -682,6 +684,156 @@ def test_a_descent_round_builds_no_fraction_in_morse(tmp_path):
             cf(spec_interval(), {"a0": F(1), "a1": F(0), "b": F(0)})
 
     assert fractions_built_in_morse(refused) == 1
+
+
+def scalars_built(run) -> int:
+    """How many ``NovikovScalar``s ``run()`` builds: calls of
+    ``novikov._make`` and of ``NovikovScalar.__init__``, the two ways to
+    ``NovikovScalar.__new__``."""
+    count = 0
+    makers = (novikov._make.__code__, NovikovScalar.__init__.__code__)
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code in makers:
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return count
+
+
+def test_a_stage_shares_one_scalar_per_monomial_within_one_call():
+    """Equal entries of one ``hamiltonian_cube`` are one object; two calls
+    on the same weights build equal cubes that share no entry."""
+    m = bundled_model("circle6")
+    arc = Region.of(m, ARCS6[0])
+    assign = dict(zip(("0", "1"), arc.stage(2)))
+    first, second = (morse.hamiltonian_cube(m, assign) for _ in range(2))
+    for cube in (first, second):
+        one = {}
+        for v in cube.D.values():
+            assert one.setdefault(v, v) is v
+        assert len(one) < len(cube.D)
+    assert first == second
+    assert not {id(v) for v in first.D.values()} & \
+        {id(v) for v in second.D.values()}
+
+
+def test_a_descent_round_builds_its_scalars_afresh(monkeypatch, tmp_path):
+    """No scalar outlives the ``hamiltonian_cube`` call that built it: one
+    round of the benchmark's ``descent`` workload at seed 43, on the same
+    model objects, builds as many ``NovikovScalar``s the second time as
+    the first, and at most 10,000 (31,919 with one scalar per entry), and
+    the stages of the two rounds share no entry."""
+    stages = []
+    make = morse.hamiltonian_cube
+
+    def keeping(*args):
+        stages[-1].append(make(*args))
+        return stages[-1][-1]
+
+    monkeypatch.setattr(morse, "hamiltonian_cube", keeping)
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", root / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    instances, _ = gen.generate("descent", 43, tmp_path)
+    inputs = []
+    for instance in instances:
+        data = json.loads((tmp_path / instance["file"]).read_text())
+        inputs.append((model_from_json(data["model"]), data["regions"]))
+
+    def round_():
+        stages.append([])
+        for model, regions in inputs:
+            assert involutive_descent_instance(model, regions, 1).acyclic
+
+    first = scalars_built(round_)
+    assert first == scalars_built(round_) <= 10_000
+    a, b = ({id(v) for cube in cs for v in cube.D.values()} for cs in stages)
+    assert a and not a & b
+
+
+def test_region_rays_prove_their_glue_and_refuse_bad_glue(monkeypatch):
+    """A descent call compares no stage faces: its region rays glue by
+    their weights.  A model tail that keeps the same regions but has a
+    stage function of its own still compares faces, and refuses a stage 2
+    with the same weights and one boundary coefficient negated; a region
+    whose stage 2 weights are another region's is refused by the proof,
+    and the faces disagree too.  Neither telescope has a certificate."""
+    compared = []
+
+    def counting(*args):
+        compared.append(args)
+        return cubes.glueable(*args)
+
+    monkeypatch.setattr(rays, "glueable", counting)
+    m = bundled_model("circle6")
+    assert involutive_descent_instance(m, ARCS6, F(1)).acyclic
+    assert compared == []
+
+    arc = Region.of(m, ARCS6[0])
+    regions = {"0": arc, "1": arc}
+    good = morse.region_ray(regions)
+    assert good.glued_through(3) and compared == []
+    assert telescope(good, 2).verified_mod == INFINITY
+    flipped = MorseModel(m.cells, {a: -c if a == ("e0", "v0") else c
+                                   for a, c in m.boundary.items()},
+                         m.values, m.base_map)
+
+    def foreign(k):
+        if k != 2:
+            return good.map_cube(k)
+        return morse.hamiltonian_cube(flipped, {
+            w + b: h for w, r in regions.items()
+            for b, h in zip("01", r.stage(k))})
+
+    other = Ray(2, [], TailSpec.model(foreign, regions=regions),
+                check=False)
+    assert other.tail.regions is regions
+    assert not other.glued_through(1) and len(compared) == 1
+    assert telescope(other, 2).verified_mod is None
+
+    patched = Region.of(m, ARCS6[0])
+    patched._stages[2] = Region.of(m, ARCS6[1]).stage(2)
+    ray = morse.region_ray({"0": patched, "1": patched})
+    assert not ray.glued_through(1) and len(compared) == 1
+    assert telescope(ray, 2).verified_mod is None
+    assert not cubes.glueable(ray.map_cube(1), ray.map_cube(2))
+
+
+@pytest.mark.parametrize("entry", ["involutive", "descent", "slices"])
+def test_a_negative_depth_is_refused_before_any_stage(monkeypatch, entry):
+    """A negative depth checks no slice: each descent entry point raises
+    ``ValueError`` naming it before it builds a stage, where the slice
+    check read a complex it never bound.  Depth 0 is still computed."""
+    built = []
+    make = morse.hamiltonian_cube
+
+    def counting(*args):
+        built.append(args)
+        return make(*args)
+
+    monkeypatch.setattr(morse, "hamiltonian_cube", counting)
+    m = bundled_model("circle6")
+    arc = Region.of(m, ARCS6[0])
+    ray = morse.region_ray({"0": arc, "1": arc})
+    run = {"involutive": lambda depth: involutive_descent_instance(
+               m, ARCS6[:2], 1, depth),
+           "descent": lambda depth: descent_complex(ray, 1, depth),
+           "slices": lambda depth: acyclic_slices_implies_acyclic(
+               ray, 1, depth)}[entry]
+    with pytest.raises(ValueError, match="^depth -1 is negative"):
+        run(-1)
+    assert built == []
+    run(0)
+    assert built
 
 
 def test_involutive_requires_base():
