@@ -426,48 +426,50 @@ def _barcode(c: ChainComplex, work: Fraction) -> Barcode:
     ``repr((target, source))``.  Entries known only modulo T^R bound the
     valuations still unseen: the reduction stops with ``PrecisionExhausted``
     when one lies below the next pivot.  Both kinds of entry wait in a
-    queue (a heap keyed by valuation and repr, and one keyed by R); every
-    write pushes the new series, and an entry is checked only when it
-    reaches the top, where it is dropped unless it is still the series at
-    its position.
+    queue (a heap keyed by valuation and repr, and one keyed by R), and an
+    entry is checked only when it reaches the top, where it is dropped
+    unless it is still the series at its position.  A write pushes the new
+    series unless it lies in the pivot's rows or columns: those are split
+    off before the next pivot, as leftovers read in generator order.
 
-    The rows hold series (see :mod:`novcube.novikov`), read on entry on
-    one lattice ``(1/L) Z`` that also holds ``work`` and cut at ``work``:
+    Rows and columns are indexed by position in ``c.generators``; labels
+    serve only parities, messages and the tie key, built from each label's
+    repr, taken once.  The rows hold series (see :mod:`novcube.novikov`) on
+    one lattice ``(1/L) Z`` that also holds ``work``, cut at ``work``:
     valuations, precisions and heap keys are ``int`` numerators over L.
-    Scalars are built only to invert each pivot and in messages; bars and
-    the valid precision become Fractions at the end.
+    Scalars are built only to invert each pivot and in messages.
     """
     report = checked(c, work, ChainComplex.verify)
     if not report:
         raise ValueError("barcode needs a verified complex: %s"
                          % (report.violations,))
+    gens = c.generators
+    index = {g.label: i for i, g in enumerate(gens)}
+    R = [repr(g.label) for g in gens]
     # rows[t][s] with a column index; entries that are zero at the working
     # precision are kept so pivot ambiguity can be detected.  Every entry
     # enters cut at ``work``, and series_add and series_mul keep a
     # precision, so no entry is ever an exact zero: each has a floor
-    rows: Dict[Label, Dict[Label, Series]] = {}
-    cols: Dict[Label, set] = {}
+    rows: List[Dict[int, Series]] = [{} for _ in gens]
+    cols: List[set] = [set() for _ in gens]
     known: List[tuple] = []    # (valuation, repr, seq, t, s, series)
     unknown: List[tuple] = []  # (precision, seq, t, s, series)
-    reprs: Dict[Tuple[Label, Label], str] = {}
     seq = itertools.count()
 
-    def put(t, s, v):
-        if v[0]:
-            key = reprs.get((t, s))
-            if key is None:
-                key = reprs[(t, s)] = repr((t, s))
-            heapq.heappush(known, (v[0][0][0], key, next(seq), t, s, v))
-        else:
+    def put(t, s, v, queue=True):
+        if queue and v[0]:
+            heapq.heappush(known, (v[0][0][0], "(%s, %s)" % (R[t], R[s]),
+                                   next(seq), t, s, v))
+        elif queue:
             heapq.heappush(unknown, (v[1], next(seq), t, s, v))
-        rows.setdefault(t, {})[s] = v
-        cols.setdefault(s, set()).add(t)
+        rows[t][s] = v
+        cols[s].add(t)
 
     def top(heap):
         """The queue's least entry still stored at its position, or None."""
         while heap:
             t, s, v = heap[0][-3:]
-            if rows.get(t, {}).get(s) is v:
+            if rows[t].get(s) is v:
                 return heap[0]
             heapq.heappop(heap)
         return None
@@ -475,9 +477,9 @@ def _barcode(c: ChainComplex, work: Fraction) -> Barcode:
     L = lcm(work.denominator, *[v.den for v in c.differential.values()])
     wn = work.numerator * (L // work.denominator)
     for (t, s), v in c.differential.items():
-        put(t, s, v.series(L, wn))
+        put(index[t], index[s], v.series(L, wn))
 
-    alive = set(c.labels)
+    alive = set(range(len(gens)))
     torsion: List[Tuple[int, int, str]] = []
     valid_mod = wn
     imprecise = False
@@ -502,50 +504,48 @@ def _barcode(c: ChainComplex, work: Fraction) -> Barcode:
         for pp, v in [(s, v) for s, v in rows[q].items() if s != p]:
             factor = series_mul(v, pinv)
             neg = series_neg(factor)
-            for t in list(cols.get(p, ())):
-                w = rows[t][p]
-                cur = rows.get(t, {}).get(pp, ((), None))
-                put(t, pp, series_add(cur, series_mul(neg, w)))
-            for s, w in list(rows.get(pp, {}).items()):
-                cur = rows.get(p, {}).get(s, ((), None))
-                put(p, s, series_add(cur, series_mul(factor, w)))
+            for t in list(cols[p]):
+                cur = rows[t].get(pp, ((), None))
+                put(t, pp, series_add(cur, series_mul(neg, rows[t][p])),
+                    t != q)
+            for s, w in list(rows[pp].items()):
+                cur = rows[p].get(s, ((), None))
+                put(p, s, series_add(cur, series_mul(factor, w)), False)
         # clear column p by row operations row_qq -= factor*row_q (row q now
         # holds only the pivot), each with its dual col_q += factor*col_qq
-        for qq in [t for t in cols.get(p, set()) if t != q]:
+        for qq in [t for t in cols[p] if t != q]:
             v = rows[qq][p]
             factor = series_mul(v, pinv)
-            put(qq, p, series_add(v, series_mul(series_neg(factor), pval)))
-            for t in list(cols.get(qq, ())):
-                w = rows[t][qq]
-                cur = rows.get(t, {}).get(q, ((), None))
-                put(t, q, series_add(cur, series_mul(factor, w)))
-        # split off generators p and q; d*d = 0 makes their remaining row
-        # and column vanish at (slightly reduced) precision
-        rows[q].pop(p)
-        cols[p].discard(q)
-        leftovers = []
-        for t in list(cols.get(p, ())) + list(cols.get(q, ())):
-            for s in (p, q):
-                if s in rows.get(t, {}):
-                    leftovers.append(rows[t].pop(s))
-                    cols[s].discard(t)
+            put(qq, p, series_add(v, series_mul(series_neg(factor), pval)),
+                False)
+            for t in list(cols[qq]):
+                cur = rows[t].get(q, ((), None))
+                put(t, q, series_add(cur, series_mul(factor, rows[t][qq])),
+                    False)
+        # split off generators p and q (no later step reads their columns);
+        # d*d = 0 makes their remaining rows and columns vanish at (slightly
+        # reduced) precision
+        leftovers = {(t, s): rows[t].pop(s) for s in (p, q) for t in cols[s]}
         for t in (p, q):
-            for s, v in list(rows.pop(t, {}).items()):
+            for s, v in rows[t].items():
                 cols[s].discard(t)
-                leftovers.append(v)
-        for v in leftovers:
-            floor = v[0][0][0] if v[0] else v[1]
-            if v[0] and floor < wn - pivot_val:
-                raise ValueError(
-                    "input is not a chain complex: residual %s"
-                    % format_scalar(from_series(v, L)))
+                leftovers[t, s] = v
+            rows[t].clear()
+        del leftovers[q, p]
+        bad = [k for k, v in leftovers.items()
+               if v[0] and v[0][0][0] < wn - pivot_val]
+        if bad:
+            t, s = min(bad)
+            raise ValueError(
+                "input is not a chain complex: residual %s at (%s, %s)"
+                % (format_scalar(from_series(leftovers[t, s], L)), R[t], R[s]))
+        for v in leftovers.values():
             imprecise = True
-            valid_mod = min(valid_mod, floor)
-        alive.discard(p)
-        alive.discard(q)
+            valid_mod = min(valid_mod, v[0][0][0] if v[0] else v[1])
+        alive -= {p, q}
         if pivot_val > 0:
-            torsion.append((c.parity(q), pivot_val, repr(q)))
-    free = sorted(c.parity(l) for l in alive)
+            torsion.append((gens[q].parity, pivot_val, R[q]))
+    free = sorted(gens[i].parity for i in alive)
     torsion_sorted = tuple((p, Fraction(l, L)) for p, l, _ in sorted(torsion))
     return Barcode(tuple(free), torsion_sorted, Fraction(valid_mod, L),
                    free_at_precision=imprecise and bool(free))

@@ -322,8 +322,9 @@ class NovikovScalar:
         """Multiplicative inverse, modulo T^work after valuation shift.
 
         Factors ``x = c T^v (1 + n)`` with val(n) > 0 and expands the
-        geometric series for ``(1+n)^{-1}``, truncated at ``work``.  For a
-        monomial the series terminates and ``work`` may be omitted.
+        geometric series for ``(1+n)^{-1}``, truncated at ``work``.  A
+        monomial's inverse is ``c^-1 T^-v``, built with no series, and
+        ``work`` may be omitted for it.
         """
         t = self._t
         if not t:
@@ -343,28 +344,26 @@ class NovikovScalar:
             wn = work.numerator * (d // work.denominator)
             if w is None or wn < w:
                 w = wn
-        if len(t) == 1:
+        if len(t) == 1:  # an exact monomial's inverse is exact
             if m is None:
-                w = None  # exact monomial: the inverse is exact
-            unit = ((0, 1),) if w is None or w > 0 else ()
-        elif w is None:
+                return _make(((-v, ic),), d)
+            return _make(((-v, ic),) if w > 0 else (), d, w - v)
+        if w is None:
             raise ValueError("working precision required: inverse is an "
                              "infinite series")
-        elif w <= 0:
+        if w <= 0:
             raise ValueError("truncation precision must be positive")
-        else:
-            n = (tuple([(e - v, cc * ic) for e, cc in t[1:]]), None)
-            step = t[1][0] - v
-            unit = power = (((0, 1),), None)
-            k = 1
-            while k * step < w:
-                power = (tuple([p for p in series_mul(power, n)[0]
-                                if p[0] < w]), None)
-                unit = series_add(unit, series_neg(power) if k % 2 else power)
-                k += 1
-            unit = unit[0]
-        return _make(tuple([(e - v, _coeff(cc * ic)) for e, cc in unit]), d,
-                     None if w is None else w - v)
+        n = (tuple([(e - v, cc * ic) for e, cc in t[1:]]), None)
+        step = t[1][0] - v
+        unit = power = (((0, 1),), None)
+        k = 1
+        while k * step < w:
+            power = (tuple([p for p in series_mul(power, n)[0]
+                            if p[0] < w]), None)
+            unit = series_add(unit, series_neg(power) if k % 2 else power)
+            k += 1
+        return _make(tuple([(e - v, _coeff(cc * ic)) for e, cc in unit[0]]),
+                     d, w - v)
 
 
 _set_t = NovikovScalar._t.__set__
