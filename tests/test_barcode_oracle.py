@@ -4,12 +4,14 @@ import random
 from fractions import Fraction as F
 
 from barcode_oracle import full_scan_barcode
-from helpers import direct_sum, random_complex
+from helpers import direct_sum, null_homotopic_map, random_complex
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from novcube.chain import ChainComplex, Generator, _barcode
+from novcube.chain import ChainComplex, Generator, _barcode, mat_clean
+from novcube.cubes import CubeDiagram
 from novcube.novikov import NovikovScalar, PrecisionExhausted
+from novcube.rays import Ray, TailSpec, telescope_complex
 
 WORKS = [F(1), F(3, 2), F(3), F(10)]
 PRECISIONS = [F(1, 3), F(1, 2), F(1), F(2)]
@@ -92,3 +94,44 @@ def test_oracle_cases_reach_every_outcome():
                      else "torsion" if got.torsion_bars else "barcode")
     assert {"PrecisionExhausted", "free_at_precision",
             "torsion"} <= seen, seen
+
+
+def telescope_case(rng):
+    """The telescope of a stationary 1-ray whose cube is T^gap id + T^gap
+    (dY + Yd) on a random complex of 11 to 16 generators, at a depth that
+    gives it 40 to 80 generators; labels run ('tel', k, 's', 'g10'), so
+    repr order and numeric order disagree."""
+    while True:
+        c = random_complex(rng, max_gens=16, mix=6)
+        if len(c.generators) < 11:
+            continue
+        gap = rng.choice([F(1, 2), F(1)])
+        f = {(l, l): NovikovScalar.monomial(1, gap) for l in c.labels}
+        for key, v in null_homotopic_map(rng, c, c, terms=3).items():
+            f[key] = f.get(key, NovikovScalar.zero()) + v.shift(gap)
+        ray = Ray(1, [], TailSpec.stationary(
+            CubeDiagram(1, {"0": c, "1": c}, {"-": mat_clean(f)})))
+        tel = telescope_complex(ray, rng.randint(1, 2))
+        if 40 <= len(tel.generators) <= 80:
+            return tel
+
+
+def test_queued_barcode_matches_full_scan_at_telescope_size():
+    rng = random.Random(27)
+    for _ in range(24):
+        tel = telescope_case(rng)
+        work = rng.choice([F(3, 2), F(3)])
+        got = outcome(_barcode, tel, work)
+        assert got == outcome(full_scan_barcode, tel, work)
+
+
+def test_generator_order_does_not_change_the_barcode():
+    """Permuting ``c.generators`` leaves the barcode and the pivots taken
+    as they were: the positions the reduction numbers stay inside it."""
+    rng = random.Random(29)
+    for _ in range(200):
+        c, work = oracle_case(rng)
+        gens = list(c.generators)
+        rng.shuffle(gens)
+        assert (outcome(_barcode, ChainComplex(gens, c.differential), work)
+                == outcome(_barcode, c, work))

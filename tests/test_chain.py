@@ -217,6 +217,42 @@ def test_barcode_residual_of_a_non_complex_raises(monkeypatch):
         c.barcode(WORK)
 
 
+RESIDUAL_CASE = """
+from novcube.chain import ChainComplex, Generator, Report
+from novcube.novikov import NovikovScalar
+ChainComplex.verify = lambda self, work: Report(True, ())
+gens = [Generator(l, p) for l, p in
+        [("w", 1), ("x", 0), ("y", 1), ("z3", 0), ("z1", 0), ("z2", 0)]]
+diff = {("y", "x"): NovikovScalar.monomial(1, 0),
+        ("x", "w"): NovikovScalar.monomial(5, 1)}
+for k in (1, 2, 3):
+    diff[("z%d" % k, "y")] = NovikovScalar.monomial(k, 0)
+try:
+    ChainComplex(gens, diff).barcode(10)
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_barcode_residual_message_does_not_depend_on_the_hash_seed():
+    # splitting off the pivot (y, x) leaves three residuals in column y,
+    # held in a set of string labels, and one in row x; the one named is
+    # the first in generator order, under every PYTHONHASHSEED
+    import os
+    import subprocess
+    import sys
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    seen = set()
+    for seed in ("0", "1", "2", "3"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        seen.add(subprocess.run([sys.executable, "-c", RESIDUAL_CASE],
+                                env=env, capture_output=True, text=True,
+                                check=True).stdout.strip())
+    assert seen == {"input is not a chain complex: residual 5*T^1 mod T^10 "
+                    "at ('x', 'w')"}
+
+
 def test_barcode_invariant_under_unit_basis_change():
     from helpers import mix_basis
     rng = random.Random(6)
