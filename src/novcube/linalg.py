@@ -4,17 +4,18 @@ through ``_div``, which is exact, so no float ever arises.
 
 :class:`Elimination` is the one elimination: it factors a matrix, given as
 sparse rows ``{column: value}`` and a column count, once into its reduced
-row echelon form, as ``chain.QComplex.factor`` does once per complex.
-:class:`QuotientSpace` and ``is_exact`` (exactness of a pair of maps given
-as sparse columns) are sparse views of it; ``sparse_rank`` and the dense
-``rref``, ``rank``, ``nullspace``, ``solve`` and ``column_space_selector``
-are views that nothing in the library calls.
+row echelon form, as ``chain.QComplex.factor`` does once per complex, and
+reads homology classes off that one factor (:meth:`Elimination.forward`).
+:class:`QuotientSpace`, ``sparse_rank`` and the dense ``rref``, ``rank``,
+``nullspace``, ``solve`` and ``column_space_selector`` are views of it that
+nothing in the library calls.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 Scalar = int | Fraction
@@ -35,15 +36,15 @@ class Elimination:
     Entries, and so results, are ``int`` when integral, else ``Fraction``.
 
     Rows are copied, zeros dropped, since the reduction writes into them
-    and callers pass rows they read again: ``rays.mayer_vietoris`` hands
-    one list of columns to ``is_exact`` twice.  The copies are taken
-    sparsest first and reduced against the row holding their leading
-    column; that forward pass fixes ``pivots``.
+    and callers may read their rows again.  The copies are taken sparsest
+    first and reduced against the row holding their leading column; that
+    forward pass fixes ``pivots``.
     Clearing above every pivot is left until ``rows``, ``solve`` or
     ``nullspace`` first needs it, so a rank costs the forward pass alone.
-    ``solve`` replays the logged row operations on a right-hand side; the
-    rows that reduce to zero give the consistency conditions.  The RREF is
-    unique for a fixed column order, so no result depends on the row order.
+    ``forward`` replays the logged forward operations on a right-hand side,
+    and ``solve`` the clearing ones after it; the rows that reduce to zero
+    give the consistency conditions.  The RREF is unique for a fixed column
+    order, so no result depends on the row order.
     """
 
     def __init__(self, rows: Iterable[Vector], ncols: int):
@@ -59,6 +60,7 @@ class Elimination:
                 lead[c] = i
             else:
                 self._null.append(i)
+        self._nforward = len(self._ops)
         self.pivots = sorted(lead)
         # clearing above a pivot never changes a pivot value
         self._lead = [(lead[c], rows[lead[c]][c]) for c in self.pivots]
@@ -92,16 +94,28 @@ class Elimination:
             else:
                 del rows[i][j]
 
+    def forward(self, rhs: Vector) -> Tuple[Vector, Vector]:
+        """rhs after the forward row operations, and its residue: its
+        nonzero entries at the rows that reduce to zero, the consistency
+        conditions of mat @ x = rhs.  The residue is linear in rhs and
+        vanishes exactly on the column space.  Clearing only combines
+        pivot rows, so it leaves the residue as it is."""
+        b = dict(rhs)
+        for i, f, k in islice(self._ops, self._nforward):
+            if b.get(k):
+                b[i] = b.get(i, 0) - f * b[k]
+        return b, {i: x for i in self._null if (x := b.get(i))}
+
     def solve(self, rhs: Vector) -> Optional[Vector]:
         """The solution of mat @ x = rhs whose free variables are 0, or
         None if the system is inconsistent."""
-        self._cleared  # clear above the pivots first: solve replays that too
-        b = dict(rhs)
-        for i, f, k in self._ops:
+        b, residue = self.forward(rhs)
+        if residue:
+            return None
+        self._cleared  # clear above the pivots, then replay that too
+        for i, f, k in islice(self._ops, self._nforward, None):
             if b.get(k):
                 b[i] = b.get(i, 0) - f * b[k]
-        if any(b.get(i) for i in self._null):
-            return None
         return {c: _div(x, p) for c, (i, p) in zip(self.pivots, self._lead)
                 if (x := b.get(i))}
 
@@ -189,27 +203,3 @@ def sparse_rank(entries: Dict[Tuple[Hashable, Hashable], Scalar]) -> int:
         rows.setdefault(r, {})[cols.setdefault(c, len(cols))] = v
     return len(Elimination(rows.values(), len(cols)).pivots)
 
-
-def is_exact(incoming: Sequence[Vector], outgoing: Sequence[Vector],
-             dim: int) -> bool:
-    """Whether im(incoming) = ker(outgoing) inside Q^dim.
-
-    Both maps are lists of sparse columns: ``incoming`` has columns in
-    Q^dim and ``outgoing`` one column per coordinate of Q^dim.  Exact
-    means the composite vanishes and rank(incoming) + rank(outgoing) =
-    dim; a column rank is a row rank, so each map's columns enter the
-    elimination as its rows.
-    """
-    if len(outgoing) != dim:
-        raise ValueError("outgoing has %d columns, not %d"
-                         % (len(outgoing), dim))
-    for col in incoming:
-        image: Vector = {}
-        for i, x in col.items():
-            for j, v in outgoing[i].items():
-                image[j] = image.get(j, 0) + v * x
-        if any(image.values()):
-            return False
-    width = 1 + max((j for col in outgoing for j in col), default=-1)
-    return (len(Elimination(incoming, dim).pivots)
-            + len(Elimination(outgoing, width).pivots)) == dim

@@ -34,13 +34,13 @@ from functools import cached_property, reduce
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .chain import (Barcode, ChainComplex, Generator, Label, MatrixEntries,
-                    checked, mat_clean, mat_compose, mat_identity,
+                    QComplex, checked, mat_clean, mat_compose, mat_identity,
                     record, reduce_map_t0)
 from .cubes import (CubeDiagram, cone, cone_of_map, compose, coneable,
                     entry_violations, from_positive_signs, glueable,
                     total_complex, verify_cube, vertex_codes)
 from .errors import NotAcyclic, NotCoherent, SliceNotAcyclic
-from .linalg import Vector, is_exact
+from .linalg import Elimination, Vector
 from .novikov import INFINITY, NovikovScalar, rat
 
 
@@ -541,37 +541,77 @@ class ExactnessReport:
         return self.ok
 
 
-def _induced(qmap, src_labels, src_space, dst_labels, dst_space
-             ) -> List[Vector]:
-    """The induced map on homology: for each rep of ``src_space``, the
-    ``dst_space`` coordinates of its image under ``qmap``."""
-    idx = {l: i for i, l in enumerate(dst_labels)}
-    by_source: Dict[Label, List[Tuple[int, Fraction]]] = {}
-    for (t, s), v in qmap.items():
-        if t in idx:
-            by_source.setdefault(s, []).append((idx[t], v))
-    cols = []
-    for rep in src_space.reps:
-        image: Vector = {}
-        for i, x in rep.items():
-            for j, v in by_source.get(src_labels[i], ()):
-                image[j] = image.get(j, 0) + v * x
-        cols.append(dst_space.coords(image))
-    return cols
+def _combine(coef: Vector, cols) -> Vector:
+    """sum coef[j] * cols[j], zeros dropped."""
+    out: Vector = {}
+    for j, x in coef.items():
+        for k, v in cols[j].items():
+            out[k] = out.get(k, 0) + x * v
+    return {k: v for k, v in out.items() if v}
+
+
+def _corner(tq: QComplex, w: str, gens: Tuple[Generator, ...]):
+    """Corner w of a square's T = 0 total complex ``tq``, factored once:
+    its Betti numbers, its spanning cycles per parity (the nullspace
+    vectors of d; a cycle is their sum weighted by its free entries) and
+    their classes (residues), keyed by free column, in ``tq``'s positions."""
+    q = QComplex(gens, {(t, s): v for ((wt, t), (ws, s)), v
+                        in tq.differential.items() if ws == wt == w})
+    at = [tq.index[(w, g.label)] for g in gens]
+    cycles, classes = {0: {}, 1: {}}, {}  # by parity, free column
+    for z in q.factor.nullspace():
+        fc = next(iter(z))
+        cycles[gens[fc].parity][at[fc]] = {at[i]: v for i, v in z.items()}
+        classes[at[fc]] = {at[i]: v
+                           for i, v in q.factor.forward(z)[1].items()}
+    return q.homology_ranks(), cycles, classes
+
+
+def _induced(images: Dict[int, Vector], classes: Dict[int, Vector], n: int):
+    """A map on homology from the images of the spanning cycles: their
+    free entries over the target's spanning cycles (``classes``' keys),
+    their classes, and the rank of those, taken once."""
+    coefs = {j: {i: x for i, x in z.items() if i in classes}
+             for j, z in images.items()}
+    cols = {j: _combine(c, classes) for j, c in coefs.items()}
+    return coefs, cols, len(Elimination(cols.values(), n).pivots)
+
+
+def _exact(incoming, outgoing, dim: int) -> bool:
+    """im(incoming) = ker(outgoing) on a homology space of dimension dim:
+    the ranks add up to dim, and the composite kills every class."""
+    (coefs, _, r_in), (_, cols, r_out) = incoming, outgoing
+    return r_in + r_out == dim and not any(_combine(c, cols)
+                                           for c in coefs.values())
+
+
+def _verdict(rho, sigma, delta, ranks) -> ExactnessReport:
+    """The spots of the sequence, per parity, from its maps per parity."""
+    spots: Dict[str, Dict[int, bool]] = {"sum": {}, "terminal": {},
+                                         "initial": {}}
+    for p in (0, 1):
+        dim_sum = ranks["10"][p] + ranks["01"][p]
+        spots["sum"][p] = _exact(rho[p], sigma[p], dim_sum)
+        spots["terminal"][p] = _exact(sigma[p], delta[p], ranks["11"][p])
+        spots["initial"][p] = _exact(delta[1 - p], rho[p], ranks["00"][p])
+    ok = all(all(v.values()) for v in spots.values())
+    return ExactnessReport(ok, spots, ranks)
 
 
 def mayer_vietoris(square: CubeDiagram, work) -> ExactnessReport:
     """Six-term exact sequence extracted from an acyclic square.
 
-    The degree-preserving maps are x -> (e10 x, e01 x) and (a, b) ->
-    e11 a - e11' b; the connecting map lifts a cycle of the terminal
-    corner through the acyclic total complex and reads off its initial
-    component.  Each map is kept as sparse columns of homology
-    coordinates over the residue field, and each of the three spots, per
-    parity, is tested by ``linalg.is_exact``: exact iff the composite of
-    the incoming and the outgoing map vanishes and their ranks add up to
-    the dimension of the homology at the spot.  A positive square is read
-    as its signed twin but keeps its own pass.
+    Read at T = 0 off the factored total complex: D's blocks are the
+    corners and faces in positive form, a unit times the signed ones, so
+    no image or kernel moves, and D.D = 0 makes (f11a, f11b) kill the
+    image of (e10, e01) on homology.  The connecting map lifts a cycle of
+    corner 11 through D and reads off its 00 part.  Each corner is factored
+    once; its row operations keep to one parity and Q^n = B + span{e_t :
+    row t reduces to 0}, so a cycle's residue is its class.  A map's rank
+    is that of the classes of the images of the spanning cycles, and a
+    spot is exact iff the composite kills each spanning cycle's class and
+    the ranks add up to the dimension there.  A positive square is checked
+    as its signed twin but keeps its pass.
     """
     if square.n != 2:
         raise ValueError("mayer_vietoris expects a 2-cube")
@@ -586,54 +626,24 @@ def mayer_vietoris(square: CubeDiagram, work) -> ExactnessReport:
     if not tq.is_acyclic():
         raise NotAcyclic("the square's iterated cone has T=0 homology %r"
                          % (tq.homology_ranks(),))
-    corners = {w: square.vertex(w).reduce_t0()
-               for w in ("00", "10", "01", "11")}
-    e10 = reduce_map_t0(square.face("-0"))
-    e01 = reduce_map_t0(square.face("0-"))
-    f11a = reduce_map_t0(square.face("1-"))   # from corner 10
-    f11b = reduce_map_t0(square.face("-1"))   # from corner 01
-
-    spaces = {w: {p: q.homology_space(p) for p in (0, 1)}
-              for w, q in corners.items()}
-    ranks = {w: (spaces[w][0][1].dim, spaces[w][1][1].dim)
-             for w in spaces}
-
-    rho, sigma = {}, {}
+    n = len(tq.generators)
+    d: List[Vector] = [{} for _ in range(n)]  # D by source
+    for (t, s), v in tq.differential.items():
+        d[tq.index[s]][tq.index[t]] = v
+    ranks, cyc, cls = {}, {}, {}
+    for w in ("00", "10", "01", "11"):
+        ranks[w], cyc[w], cls[w] = _corner(tq, w, given.gens[w])
+    rho, sigma, delta = {}, {}, {}
     for p in (0, 1):
-        l00, h00 = spaces["00"][p]
-        l10, h10 = spaces["10"][p]
-        l01, h01 = spaces["01"][p]
-        l11, h11 = spaces["11"][p]
-        rho[p] = [{**a, **{h10.dim + k: v for k, v in b.items()}}
-                  for a, b in zip(_induced(e10, l00, h00, l10, h10),
-                                  _induced(e01, l00, h00, l01, h01))]
-        sigma[p] = (_induced(f11a, l10, h10, l11, h11)
-                    + [{k: -v for k, v in col.items()}
-                       for col in _induced(f11b, l01, h01, l11, h11)])
-
-    delta = {}
-    for p in (0, 1):
-        l11, h11 = spaces["11"][p]
-        l00s, h00s = spaces["00"][1 - p]
-        at11 = [tq.index[("11", l)] for l in l11]
-        at00 = [tq.index[("00", l)] for l in l00s]
-        delta[p] = []
-        for z in h11.reps:
-            sol = tq.factor.solve({at11[i]: v for i, v in z.items()})
-            if sol is None:
-                raise NotAcyclic("cycle failed to lift in the total complex")
-            delta[p].append(h00s.coords(
-                {k: sol[j] for k, j in enumerate(at00) if j in sol}))
-
-    spots: Dict[str, Dict[int, bool]] = {"sum": {}, "terminal": {},
-                                         "initial": {}}
-    for p in (0, 1):
-        dim_sum = ranks["10"][p] + ranks["01"][p]
-        spots["sum"][p] = is_exact(rho[p], sigma[p], dim_sum)
-        spots["terminal"][p] = is_exact(sigma[p], delta[p], ranks["11"][p])
-        spots["initial"][p] = is_exact(delta[1 - p], rho[p], ranks["00"][p])
-    ok = all(all(v.values()) for v in spots.values())
-    return ExactnessReport(ok, spots, ranks)
+        rho[p] = _induced({j: _combine(z, d) for j, z in cyc["00"][p].items()},
+                          {**cls["10"], **cls["01"]}, n)
+        sigma[p] = _induced({j: _combine(z, d) for w in ("10", "01")
+                             for j, z in cyc[w][p].items()}, cls["11"], n)
+        lifts = {j: tq.factor.solve(z) for j, z in cyc["11"][p].items()}
+        if None in lifts.values():
+            raise NotAcyclic("cycle failed to lift in the total complex")
+        delta[p] = _induced(lifts, cls["00"], n)
+    return _verdict(rho, sigma, delta, ranks)
 
 
 # ---------------------------------------------------------------------------

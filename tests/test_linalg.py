@@ -10,14 +10,13 @@ import sympy
 from helpers import random_cube
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from t0_oracle import per_parity_ranks, per_parity_space
+from t0_oracle import is_exact, per_parity_ranks, per_parity_space
 
 from novcube import chain, cubes, linalg, rays
 from novcube.chain import ChainComplex, Generator, QComplex
 from novcube.cubes import CubeDiagram, id_cube, total_complex
 from novcube.linalg import (Elimination, QuotientSpace, column_space_selector,
-                            is_exact, nullspace, rank, rref, solve,
-                            sparse_rank)
+                            nullspace, rank, rref, solve, sparse_rank)
 from novcube.morse import bundled_model, minmax_square
 from novcube.novikov import NovikovScalar
 from novcube.rays import mayer_vietoris
@@ -342,9 +341,8 @@ def test_is_exact_matches_a_dense_reference(pair):
 def test_elimination_and_is_exact_leave_their_arguments_unchanged(mat,
                                                                  pair):
     """The reduction writes into its rows, so it works on copies: the
-    caller's rows, here without zeros, are read again afterwards, as
-    ``mayer_vietoris`` reads one list of columns in two ``is_exact``
-    calls."""
+    caller's rows, here without zeros, are read again afterwards, as the
+    oracle's ``is_exact`` reads one list of columns at two spots."""
     rows = [{j: x for j, x in enumerate(row) if x} for row in mat]
     before = copy.deepcopy(rows)
     elim = Elimination(rows, len(mat[0]) if mat else 0)
