@@ -202,4 +202,3 @@ def sparse_rank(entries: Dict[Tuple[Hashable, Hashable], Scalar]) -> int:
     for (r, c), v in entries.items():
         rows.setdefault(r, {})[cols.setdefault(c, len(cols))] = v
     return len(Elimination(rows.values(), len(cols)).pivots)
-
