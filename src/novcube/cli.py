@@ -80,11 +80,16 @@ def _read_object(path: str, kind: str, parse) -> Tuple[object, str]:
 
 
 def _load_model(path: str):
+    from importlib import resources
     from .morse import bundled_model, model_from_json
     if path.startswith("bundled:"):
-        model = bundled_model(path.split(":", 1)[1])
-        digest = "bundled:" + path.split(":", 1)[1]
-        return model, digest
+        name = path.split(":", 1)[1]
+        names = sorted(f.name[:-5] for f in resources.files(
+            "novcube.models").iterdir() if f.name.endswith(".json"))
+        if name not in names:
+            raise InputError("unknown bundled model %r; bundled models: %s"
+                             % (name, ", ".join(names)))
+        return bundled_model(name), path
     return _read_object(path, "model", model_from_json)
 
 
@@ -220,6 +225,8 @@ def cmd_cone(args, path):
 
 def cmd_compose(args, paths):
     (first, d1), (second, d2) = [_load_sound_cube(p) for p in paths]
+    if 0 in (first.n, second.n):
+        raise InputError("compose of %s and %s: 0-cubes do not glue" % paths)
     work = _parse_fraction(args.work, "--work")
     return _cube_report(args, paths, [d1, d2], compose(first, second), work)
 

@@ -59,15 +59,11 @@ from .chain import (ChainComplex, Generator, MatrixEntries, QComplex, Report,
                     json_field, mat_clean, mat_compose, mat_neg,
                     matrix_from_json, matrix_to_json, record,
                     square_violations)
-from .errors import NotChainMap, NotConiform, NotGluable
+from .errors import NotChainMap, NotGluable
 from .novikov import ONE, json_keys, rat
 
 
 class InvalidDirection(ValueError):
-    pass
-
-
-class NotTriangle(ValueError):
     pass
 
 
@@ -137,22 +133,6 @@ def boundary_pairs(code: str) -> List[Tuple[str, str, str]]:
     return out
 
 
-def pair_sign_word(fprime: str, face: str) -> str:
-    """The word v(F', F) read off the dashes of F."""
-    pairs = list(zip(fprime, face))
-    if len(fprime) != len(face) or any(
-            (a, b) == ("1", "-") or a != b != "-" for a, b in pairs):
-        raise ValueError("%r does not start a boundary pair of %r"
-                         % (fprime, face))
-    return "".join("1" if a == "-" else "0" for a, b in pairs if b == "-")
-
-
-def cube_sign(fprime: str, face: str) -> int:
-    """Sign of the term f_F'' . f_F' in the equation of ``face``."""
-    v = pair_sign_word(fprime, face)
-    return -1 if (subtuple_count("1", v) + subtuple_count("01", v)) % 2 else 1
-
-
 def positive_sign_exponent(code: str) -> int:
     """Exponent of the sign converting to the all-plus equations."""
     return subtuple_count("0-", code) + subtuple_count("0", code)
@@ -172,16 +152,6 @@ def _on_face(code: str, c: str) -> Optional[str]:
     if all(a in ("-", b) for a, b in zip(code, c)):
         return "".join([b for a, b in zip(code, c) if a == "-"])
     return None
-
-
-def face_equation_terms(code: str, positive: bool = False):
-    """The signed terms of the coherence equation at ``code``.
-
-    Returns a list of (sign, F'', F') with the composite read right to
-    left: f_F' first.
-    """
-    return [(1 if positive else cube_sign(fp, code), fpp, fp)
-            for fp, fpp, _ in boundary_pairs(code)]
 
 
 # ---------------------------------------------------------------------------
@@ -492,50 +462,6 @@ def cone(cube: CubeDiagram, i: int) -> CubeDiagram:
                                    verified_mod=cube.verified_mod)
 
 
-def decone(cube: CubeDiagram, i: int,
-           splittings: Optional[Dict[str, Tuple[set, set]]] = None
-           ) -> CubeDiagram:
-    """Inverse of :func:`cone` for cubes in coniform.
-
-    A splitting declares, per vertex, which labels form the shifted part
-    and which the unshifted part.  When omitted it is read from labels of
-    the shape ("0", l) / ("1", l) as produced by :func:`cone`, and those
-    wrappers are stripped again.  All face maps must be block lower
-    triangular for the splitting.
-    """
-    strip = splittings is None
-    if splittings is None:
-        splittings = {}
-        for w, c in cube.vertices.items():
-            a, b = ({l for l in c.labels if isinstance(l, tuple)
-                     and len(l) == 2 and l[0] == bit} for bit in "01")
-            if a | b != set(c.labels):
-                raise NotConiform("vertex %r has no declared splitting and "
-                                  "labels are not cone-shaped" % w)
-            splittings[w] = (a, b)
-    unwrap = (lambda l: l[1]) if strip else (lambda l: l)
-
-    def side(w, l):
-        a, b = splittings[w]
-        return "0" if l in a else "1" if l in b else None
-
-    def grow(w, bit):
-        return w[:i - 1] + bit + w[i - 1:]
-
-    D: MatrixEntries = {}
-    for ((wt, t), (ws, s)), v in cube.D.items():
-        bs, bt = side(ws, s), side(wt, t)
-        if bs is None or bt is None or (bs, bt) == ("1", "0"):
-            raise NotConiform("face %r has an upper-triangular entry "
-                              "(%r, %r)" % (face_between(ws, wt), t, s))
-        D[((grow(wt, bt), unwrap(t)), (grow(ws, bs), unwrap(s)))] = v
-    gens = {grow(w, bit): [Generator(unwrap(g.label),
-                                     1 - g.parity if bit == "0" else g.parity)
-                           for g in gs if side(w, g.label) == bit]
-            for w, gs in cube.gens.items() for bit in "01"}
-    return CubeDiagram.from_matrix(cube.n + 1, gens, D)
-
-
 def total_complex(cube: CubeDiagram) -> ChainComplex:
     """The maximally iterated cone, in one step: D itself.
 
@@ -631,62 +557,6 @@ def compose(first: CubeDiagram, second: CubeDiagram) -> CubeDiagram:
     D.update(mat_clean(mat_compose(onto, into)))
     gens = {w: (first if w[-1] == "0" else second).gens[w]
             for w in first.gens}
-    return CubeDiagram.from_matrix(n, gens, D)
-
-
-# ---------------------------------------------------------------------------
-# shape predicates and the triangle-to-slit conversion
-
-
-def is_id_cube(cube: CubeDiagram) -> bool:
-    """Outer faces equal, identity edges in the last direction, no fillers."""
-    if cube.n < 1 or not glueable(cube, cube):
-        return False
-    ident = {((w[:-1] + "1", g.label), (w, g.label)): ONE
-             for w, gs in cube.gens.items() if w[-1] == "0" for g in gs}
-    return {k: v for k, v in cube.D.items() if _straddles(k)} == ident
-
-
-def is_slit(cube: CubeDiagram, work) -> bool:
-    """A homotopy between two maps: both outermost faces are id cubes."""
-    if cube.n < 2 or not verify_cube(cube, work):
-        return False
-    return (is_id_cube(cube.subcube(cube.n, "0"))
-            and is_id_cube(cube.subcube(cube.n, "1")))
-
-
-def is_triangle(cube: CubeDiagram, work) -> bool:
-    """A homotopy-commuting triangle: face {x_n = 0} is an id cube."""
-    if cube.n < 2 or not verify_cube(cube, work):
-        return False
-    return is_id_cube(cube.subcube(cube.n, "0"))
-
-
-def triangle_to_slit(tri: CubeDiagram, work=1) -> CubeDiagram:
-    """Rewrite a triangle as the homotopy between g and the composition.
-
-    Keeps the diagonal fillers, replaces the {x_(n-1) = 0} face by the
-    composition of the two maps, and puts identities on the last
-    direction.
-    """
-    n = tri.n
-    if not is_triangle(tri, work):
-        raise NotTriangle("input is not a triangle of maps")
-    f = tri.subcube(n - 1, "0")        # map C -> C', last coord is x_n
-    fprime = tri.subcube(n, "1")       # map C' -> C'', last coord is x_(n-1)
-    g = tri.subcube(n - 1, "1")        # map C -> C''
-    source = tri.face_cube("-" * (n - 2) + "00")  # the cube C
-    target = tri.face_cube("-" * (n - 2) + "11")  # the cube C''
-    _, D = compose(f, fprime).recode(lambda w: w[:-1] + "0" + w[-1])
-    D.update(g.recode(lambda w: w[:-1] + "1" + w[-1])[1])
-    D.update((k, v) for k, v in tri.D.items()
-             if k[1][0][-2:] == "00" and k[0][0][-2:] == "11")
-    gens = {w: (source if w[-1] == "0" else target).gens[w[:-2]]
-            for w in vertex_codes(n)}
-    for w in vertex_codes(n - 2):
-        for last, cx in (("0", source), ("1", target)):
-            _put(D, w + "-" + last, {(g.label, g.label): ONE
-                                     for g in cx.gens[w]}, False)
     return CubeDiagram.from_matrix(n, gens, D)
 
 

@@ -30,15 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .chain import (Barcode, ChainComplex, Generator, Label, MatrixEntries,
-                    QComplex, checked, mat_clean, mat_compose, mat_identity,
-                    record, reduce_map_t0)
-from .cubes import (CubeDiagram, cone, cone_of_map, compose, coneable,
-                    entry_violations, from_positive_signs, glueable,
-                    total_complex, verify_cube, vertex_codes)
+from .chain import (Barcode, ChainComplex, Generator, MatrixEntries, QComplex,
+                    checked, record, reduce_map_t0)
+from .cubes import (CubeDiagram, coneable, entry_violations,
+                    from_positive_signs, glueable, total_complex,
+                    verify_cube, vertex_codes)
 from .errors import NotAcyclic, NotCoherent, SliceNotAcyclic
 from .linalg import Elimination, Vector
 from .novikov import INFINITY, NovikovScalar, rat
@@ -125,10 +124,10 @@ class Ray:
 
     def fault(self, work=None) -> Optional[str]:
         """Why the stored cubes make no ray, as ``"<cube>, face '<code>':
-        <detail>"``, else None: a prefix cube of another dimension, a cube
-        positive, partial or with unsound entries, or one not glued onto
-        the next; a stationary tail's gap <= 0 raises.  At ``work`` a cube
-        must also pass :func:`checked`, certified exactly first if it can."""
+        <detail>"``, else None: n < 1, a stored cube of another dimension,
+        a cube positive, partial or with unsound entries, or one not glued
+        onto the next; a stationary tail's gap <= 0 raises.  At ``work`` a
+        cube must pass :func:`checked` too, certified exactly if it can."""
         if self._built_fault or work is None:
             return self._built_fault
         for name, cube in self.stored_cubes():
@@ -140,10 +139,12 @@ class Ray:
 
     @cached_property
     def _built_fault(self) -> Optional[str]:
+        if self.n < 1:
+            return "n = %d: a ray needs a last direction to glue in" % self.n
         if self.tail.kind == "stationary":  # refuses a gap <= 0
             TailSpec.stationary(self.tail.cube)
         named = self.stored_cubes()
-        for name, cube in named[:len(self.prefix)]:
+        for name, cube in named:
             if cube.n != self.n:
                 return "%s has dimension %d" % (name, cube.n)
         for name, cube in named:
@@ -309,118 +310,6 @@ def _derived(ray: Ray, n: int, f: Callable[[CubeDiagram], CubeDiagram],
     elif tail.kind == "model":
         tail = TailSpec.model(lambda k: f(ray.map_cube(k)), regions=regions)
     return Ray(n, prefix, tail, check=False)
-
-
-def cone_ray(ray: Ray, d: int) -> Ray:
-    """Cone every stage in a non-last direction; an (n-1)-ray results."""
-    if not 1 <= d <= ray.n - 1:
-        raise ValueError("cone direction must avoid the gluing direction")
-    return _derived(ray, ray.n - 1, lambda c: cone(c, d))
-
-
-# ---------------------------------------------------------------------------
-# direct limits at T = 0 and compression
-
-
-def stage_composite(ray: Ray, start: int, stop: int) -> MatrixEntries:
-    """The composed edge map slice start -> slice stop (1-cube rays)."""
-    if ray.n != 1:
-        raise ValueError("stage composites are for 1-rays")
-    out = mat_identity(ray.slice(start).vertex("").labels)
-    for k in range(start, stop):
-        out = mat_compose(ray.map_cube(k).face("-"), out)
-    return out
-
-
-def _to_last_slice(ray: Ray, stop: int, target: Callable[[Label], Label]
-                   ) -> MatrixEntries:
-    """The map from the telescope of stages 1..stop-1 to slice ``stop``.
-
-    The plain copy of stage k goes through the sign-alternating composite
-    ``stage_composite(ray, k, stop)``, shifted copies go to zero, and
-    ``target`` labels the image of a generator of slice ``stop``.  The
-    composites are built backward from slice ``stop``, each from the next
-    by one product, so ``stop - 1`` products serve all of them.
-    """
-    out: MatrixEntries = {}
-    composite = mat_identity(ray.slice(stop).vertex("").labels)
-    for k in range(stop, 0, -1):
-        if k < stop:
-            composite = mat_compose(composite, ray.map_cube(k).face("-"))
-        sign = -1 if (stop - k) % 2 else 1
-        for (t, s), v in composite.items():
-            out[(target(t), ("tel", k, "u", s))] = v.scale(sign)
-    return out
-
-
-def colimit_t0(ray: Ray, depth: int):
-    """Direct limit at T = 0 with the comparison map from the telescope.
-
-    The limit of the truncated system is its last complex; the canonical
-    chain map from the telescope sends the plain copy of stage k through
-    the (sign-alternating) composite to the last stage, and shifted copies
-    to zero.  Returns (limit_qcomplex, comparison_map, is_quasi_iso).
-    """
-    if ray.n != 1:
-        raise ValueError("direct limits are computed for 1-rays")
-    tel = telescope_complex(ray, depth)
-    last = ray.slice(depth + 1).vertex("")
-    comparison = _to_last_slice(ray, depth + 1, lambda t: t)
-    qiso = cone_of_map(tel, last, comparison).reduce_t0().is_acyclic()
-    return last.reduce_t0(), comparison, qiso
-
-
-@dataclass(frozen=True)
-class CompressionResult:
-    subray: Ray
-    squares: Tuple[CubeDiagram, ...]
-    telescope_map: MatrixEntries
-    quasi_iso: bool
-
-
-def compression(ray: Ray, indices: List[int]) -> CompressionResult:
-    """Reindex a 1-ray along strictly increasing stages.
-
-    Builds the subray with composed maps and the map of rays (strictly
-    commuting squares, zero homotopies).  The telescope map materializes
-    the source up to the last listed stage and the subray in full, so both
-    sides compute the truncated system's limit slice; its mapping cone is
-    checked to be acyclic over the residue field.
-    """
-    if ray.n != 1:
-        raise ValueError("compression is implemented for 1-rays")
-    if len(indices) < 2 or any(b <= a for a, b in zip(indices, indices[1:])):
-        raise ValueError("need at least two strictly increasing indices")
-    if any(i < 1 for i in indices):
-        raise ValueError("stages are 1-based")
-    m = len(indices)
-    sub_prefix = [reduce(compose, [ray.map_cube(k) for k in range(a, b)])
-                  for a, b in zip(indices, indices[1:])]
-    subray = Ray(1, sub_prefix, TailSpec.finite(), check=False)
-
-    squares = []
-    for k in range(1, m):
-        vert = {"00": ray.slice(k).vertex(""),
-                "10": ray.slice(k + 1).vertex(""),
-                "01": subray.slice(k).vertex(""),
-                "11": subray.slice(k + 1).vertex("")}
-        faces = {
-            "-0": ray.map_cube(k).face("-"),
-            "-1": subray.map_cube(k).face("-"),
-            "0-": stage_composite(ray, k, indices[k - 1]),
-            "1-": stage_composite(ray, k + 1, indices[k]),
-        }
-        squares.append(CubeDiagram(2, vert, faces))
-
-    # telescope map: source stages go through the colimit comparison onto
-    # the final slice, included as the subray's last plain copy
-    src = telescope_complex(ray, indices[-1] - 1)
-    dst = telescope_complex(subray, m - 1)
-    tel_map = mat_clean(_to_last_slice(ray, indices[-1],
-                                       lambda t: ("tel", m, "u", t)))
-    qiso = cone_of_map(src, dst, tel_map).reduce_t0().is_acyclic() and (
-        src.reduce_t0().homology_ranks() == dst.reduce_t0().homology_ranks())
-    return CompressionResult(subray, tuple(squares), tel_map, qiso)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ from typing import List, Tuple
 
 from novcube.chain import (Report, mat_add, mat_compose, mat_neg,
                            residual_violations)
-from novcube.cubes import (face_codes, face_dim, face_equation_terms,
-                           initial_vertex, terminal_vertex)
+from novcube.cubes import face_codes, face_dim, initial_vertex, terminal_vertex
+from novcube.lemmas import face_equation_terms
 from novcube.novikov import rat
 
 

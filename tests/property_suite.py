@@ -7,9 +7,10 @@ number actually checked; it raises AssertionError on the first failure.
 import random
 
 import helpers
-from novcube.cubes import (cone, compose, decone, id_cube, is_id_cube,
-                           is_slit, is_triangle, to_positive_signs,
-                           total_complex, triangle_to_slit, verify_cube)
+from novcube.cubes import (cone, compose, id_cube, to_positive_signs,
+                           total_complex, verify_cube)
+from novcube.lemmas import (decone, is_id_cube, is_slit, is_triangle,
+                            triangle_to_slit)
 
 WORK = 10
 

@@ -17,18 +17,18 @@ from test_cubes import golden_two_cube, block
 from novcube import morse
 from novcube.chain import (ChainComplex, Generator, mat_equal, mat_neg,
                            reduce_map_t0)
-from novcube.cubes import (cone, face_equation_terms, subtuple_count,
-                           boundary_pairs, terminal_vertex, initial_vertex,
-                           total_complex, verify_cube)
+from novcube.cubes import (cone, subtuple_count, boundary_pairs,
+                           terminal_vertex, initial_vertex, total_complex,
+                           verify_cube)
+from novcube.lemmas import (certify_assembly, colimit_t0, compression,
+                            cone_ray, face_equation_terms)
 from novcube.morse import (bundled_model, empty_set, global_sections,
                            involutive_descent_instance, minmax_square,
                            continuation, scaling_hamiltonian)
 from novcube.novikov import NovikovScalar
 from novcube.rays import (Ray, TailSpec, TailVerdict,
-                          acyclic_slices_implies_acyclic, colimit_t0,
-                          compression, cone_ray, mayer_vietoris, telescope,
-                          telescope_complex)
-from novcube.simplicial import certify_assembly
+                          acyclic_slices_implies_acyclic, mayer_vietoris,
+                          telescope, telescope_complex)
 
 WORK = 10
 

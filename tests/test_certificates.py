@@ -27,9 +27,10 @@ from novcube.morse import (MorseModel, bundled_model, cf, empty_set,
                            global_sections, hamiltonian_cube,
                            involutive_descent_instance, relative_sh)
 from novcube.novikov import INFINITY, NovikovScalar, parse_scalar
-from novcube.rays import (Ray, TailSpec, completed_homology, cone_ray,
-                          map_to_zero, telescope, telescope_complex,
-                          vertex_ray, zero_cube)
+from novcube.lemmas import cone_ray
+from novcube.rays import (Ray, TailSpec, completed_homology, map_to_zero,
+                          telescope, telescope_complex, vertex_ray,
+                          zero_cube)
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "cli")
 VALUES = [F(0), F(1), F(-1), F(1, 2), F(-2, 3), F(3, 4), F(2)]

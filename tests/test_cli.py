@@ -859,3 +859,114 @@ def test_cube_report_violations_name_the_labels_of_its_cube(capsys):
         named = v["detail"].split(" at (", 1)[1].split("):", 1)[0]
         target, source = named.split("', '")
         assert {target.strip("'"), source.strip("'")} <= labels, v
+
+
+# one small run of every subcommand and of every morse action, on the
+# golden corpus's inputs
+EVERY_COMMAND = [
+    ["verify-cube", "cube2.json"],
+    ["cone", "cube2.json", "--direction", "1"],
+    ["compose", "glue2_a.json", "glue2_b.json"],
+    ["tel", "ray2.json", "--depth", "2", "--work", "3"],
+    ["sh", "ray1_stationary.json", "--precision", "2"],
+    ["mv", "square_identity.json"],
+    ["descent", "ray2.json", "--precision", "1", "--depth", "2"],
+    ["morse", "global-sections", "bundled:circle", "--precision", "1",
+     "--depth", "2"],
+    ["morse", "empty-set", "bundled:circle", "--precision", "2"],
+    ["morse", "relative-sh", "bundled:circle6", "--precision", "1",
+     "--depth", "2", "--subset", "v0,e0,v1"],
+    ["morse", "minmax", "minmax_circle.json"],
+    ["morse", "descent-involutive", "descent_circle6.json", "--precision",
+     "1", "--depth", "2"],
+]
+
+
+def test_every_command_is_run_by_the_import_check():
+    import argparse
+    [sub] = [a for a in cli.build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    assert {argv[0] for argv in EVERY_COMMAND} == set(sub.choices)
+    assert {argv[1] for argv in EVERY_COMMAND if argv[0] == "morse"} \
+        == set(cli.MORSE_ACTIONS)
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND,
+                         ids=[" ".join(a[:2]) for a in EVERY_COMMAND])
+def test_no_command_imports_the_lemmas(argv):
+    """``novcube.lemmas`` holds the paper's constructions that only the
+    tests run: each command, in a fresh interpreter, reaches its verdict
+    (exit 0 or 1) without importing it, though it is there to import."""
+    import subprocess
+    import sys
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    code = ("import sys; from importlib.util import find_spec; "
+            "from novcube import cli; code = cli.main(sys.argv[1:]); "
+            "loaded = 'novcube.lemmas' in sys.modules; "
+            "print(code, loaded, find_spec('novcube.lemmas') is not None)")
+    out = subprocess.run([sys.executable, "-c", code, *argv, "--format",
+                          "json"], cwd=DATA, env=dict(os.environ,
+                                                      PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    exit_code, loaded, present = out.stdout.split()[-3:]
+    assert exit_code in ("0", "1") and (loaded, present) == ("False", "True")
+
+
+def _ray1_stationary_with(tmp_path, **fields):
+    data = json.loads(open(os.path.join(DATA, "ray1_stationary.json")).read())
+    data.update(fields)
+    path = tmp_path / "ray.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("command", RAY_COMMANDS + [
+    ("tel", "--work", "2", "--depth", "1")])
+@pytest.mark.parametrize("n", [0, -1])
+def test_ray_without_a_last_direction_exits_2(command, n, tmp_path, capsys):
+    """A ray glues its stages in its last direction, so a ray file with
+    n < 1 is a bad file, even with no stored cube to disagree with n."""
+    path = _ray1_stationary_with(tmp_path, n=n, prefix=[],
+                                 tail={"kind": "finite"})
+    code, out = run_cli(capsys, *command[:1], str(path), *command[1:],
+                        "--format", "json")
+    assert code == 2
+    assert json.loads(out)["error"] == "bad ray file %s: n = %d: a ray " \
+        "needs a last direction to glue in" % (path, n)
+
+
+def test_stationary_tail_of_another_dimension_exits_2(tmp_path, capsys):
+    path = _ray1_stationary_with(tmp_path, n=2, prefix=[])
+    code, out = run_cli(capsys, "tel", str(path), "--work", "2", "--depth",
+                        "1", "--format", "json")
+    assert code == 2
+    assert json.loads(out)["error"] == "bad ray file %s: tail cube has " \
+        "dimension 1" % path
+
+
+def test_compose_of_0_cubes_exits_2(tmp_path, capsys):
+    paths = []
+    for name in ("point_a", "point_b"):
+        c = ChainComplex([Generator(name, 0)], {})
+        paths.append(tmp_path / (name + ".json"))
+        paths[-1].write_text(json.dumps(cube_to_json(
+            CubeDiagram(0, {"": c}, {}))))
+    code, out = run_cli(capsys, "compose", *map(str, paths), "--format",
+                        "json")
+    assert code == 2
+    assert json.loads(out)["error"] == "compose of %s and %s: 0-cubes do " \
+        "not glue" % tuple(paths)
+
+
+@pytest.mark.parametrize("argv", [
+    ["global-sections", "bundled:nope", "--precision", "1", "--depth", "1"],
+    ["empty-set", "bundled:", "--precision", "1"],
+], ids=["global-sections", "empty-set"])
+def test_unknown_bundled_model_is_a_usage_error(argv, capsys):
+    code, out = run_cli(capsys, "morse", *argv, "--format", "json")
+    assert code == 2
+    assert json.loads(out)["error"] == (
+        "unknown bundled model %r; bundled models: circle, circle12, "
+        "circle24, circle6, grid9, interval, point, s2, t2"
+        % argv[1].split(":", 1)[1])

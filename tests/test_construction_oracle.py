@@ -32,9 +32,10 @@ from hypothesis import strategies as st
 
 from novcube.chain import Barcode, ChainComplex, Generator, mat_clean
 from novcube.cubes import (CubeDiagram, NotChainMap, compose, cone,
-                           cone_of_map, cube_from_json, cube_to_json, decone,
+                           cone_of_map, cube_from_json, cube_to_json,
                            face_codes, from_positive_signs, glueable,
                            id_cube, to_positive_signs, vertex_codes)
+from novcube.lemmas import decone
 from novcube.morse import (InadmissibleSubset, MorseModel, Region,
                            bundled_model, hamiltonian_cube)
 from novcube.novikov import INFINITY, NovikovScalar

@@ -10,14 +10,16 @@ from property_suite import CUBE_PROPERTY_RUNNERS
 
 from novcube.chain import (ChainComplex, Generator, mat_equal, mat_identity,
                            mat_neg)
-from novcube.cubes import (CubeDiagram, InvalidDirection, NotConiform,
-                           NotGluable, NotTriangle, boundary_pairs, cone,
-                           compose, cube_from_json, cube_sign, cube_to_json,
-                           decone, face_codes, face_equation_terms,
-                           from_positive_signs, id_cube, initial_vertex,
-                           is_triangle, positive_sign_exponent,
+from novcube.cubes import (CubeDiagram, InvalidDirection, NotGluable,
+                           boundary_pairs, cone, compose, cube_from_json,
+                           cube_to_json, face_codes, from_positive_signs,
+                           id_cube, initial_vertex, positive_sign_exponent,
                            subtuple_count, terminal_vertex, to_positive_signs,
-                           total_complex, triangle_to_slit, verify_cube)
+                           total_complex, verify_cube)
+from novcube.errors import NotConiform
+from novcube.lemmas import (NotTriangle, cube_sign, decone,
+                            face_equation_terms, is_triangle,
+                            triangle_to_slit)
 from novcube.novikov import NovikovScalar, parse_scalar
 
 WORK = 10
@@ -437,7 +439,7 @@ def test_triangle_roundtrip_and_errors():
 
 
 def test_four_dimensional_triangle_to_slit():
-    from novcube.cubes import is_slit
+    from novcube.lemmas import is_slit
     rng = random.Random(25)
     for _ in range(3):
         f = random_cube(rng, 3, max_gens=2, mix=4)
@@ -447,7 +449,7 @@ def test_four_dimensional_triangle_to_slit():
         slit = triangle_to_slit(tri, WORK)
         assert verify_cube(slit, WORK).ok and is_slit(slit, WORK)
         # the produced slit's outer faces are identity maps
-        from novcube.cubes import is_id_cube
+        from novcube.lemmas import is_id_cube
         assert is_id_cube(slit.subcube(4, "0"))
         assert is_id_cube(slit.subcube(4, "1"))
         for d in (1, 2):

@@ -10,21 +10,22 @@ from helpers import (null_homotopic_map, random_acyclic_t0_complex,
                      random_complex, random_cube, random_extension,
                      random_ray_cubes, vertex_views)
 
-from novcube import rays
+from novcube import lemmas, rays
 from novcube.chain import (ChainComplex, Generator, mat_add, mat_clean,
                            mat_equal, mat_identity, mat_neg)
 from novcube.cubes import (CubeDiagram, cone, glueable, id_cube,
                            total_complex, verify_cube, vertex_codes)
 from novcube.errors import NotChainMap
+from novcube.lemmas import (colimit_t0, compression, cone_ray,
+                            stage_composite)
 from novcube.morse import Region, bundled_model, region_ray
 from novcube.novikov import NovikovScalar, parse_scalar
 from novcube.rays import (NotAcyclic, Ray, SliceNotAcyclic, TailSpec,
                           TailVerdict, UnsupportedTail,
                           acyclic_slices_implies_acyclic,
-                          colimit_t0, completed_homology, compression,
-                          cone_ray, degree_parts, descent_complex,
-                          mayer_vietoris, stage_composite, telescope,
-                          telescope_complex, vertex_ray)
+                          completed_homology, degree_parts, descent_complex,
+                          mayer_vietoris, telescope, telescope_complex,
+                          vertex_ray)
 
 WORK = 10
 
@@ -192,10 +193,10 @@ def test_maps_to_the_last_slice_compose_once_per_stage(depth, monkeypatch):
         assert res.telescope_map == composites_one_by_one(
             r, depth + 1, lambda t: ("tel", 3, "u", t))
     products = []
-    compose = rays.mat_compose
-    monkeypatch.setattr(rays, "mat_compose",
+    compose = lemmas.mat_compose
+    monkeypatch.setattr(lemmas, "mat_compose",
                         lambda a, b: products.append(1) or compose(a, b))
-    rays._to_last_slice(r, depth + 1, lambda t: t)
+    lemmas._to_last_slice(r, depth + 1, lambda t: t)
     assert len(products) == depth
 
 
@@ -203,14 +204,14 @@ def test_a_comparison_that_does_not_commute_is_refused(monkeypatch):
     """The colimit comparison and the compression's telescope map are
     checked once, by ``cone_of_map``: doubling the image of one plain
     generator a (d a = b, b kept) makes either map fail to commute."""
-    to_last = rays._to_last_slice
+    to_last = lemmas._to_last_slice
 
     def skewed(ray, stop, target):
         return {k: v.scale(2) if k[1][3] == "c_a0" else v
                 for k, v in to_last(ray, stop, target).items()}
 
     r = identity_ray(simple_complex("c"), 3)
-    monkeypatch.setattr(rays, "_to_last_slice", skewed)
+    monkeypatch.setattr(lemmas, "_to_last_slice", skewed)
     with pytest.raises(NotChainMap, match="does not commute"):
         colimit_t0(r, 2)
     with pytest.raises(NotChainMap, match="does not commute"):
@@ -659,3 +660,11 @@ def test_ray_refusals_name_their_cause(call, exc, message):
     with pytest.raises(exc) as err:
         call(*_rays_for_refusals())
     assert err.value.args == (message,)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_a_ray_needs_a_last_direction(n):
+    with pytest.raises(ValueError) as err:
+        Ray(n, [], TailSpec.finite())
+    assert err.value.args == (
+        "n = %d: a ray needs a last direction to glue in" % n,)

@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from novcube import rays
-from novcube.cubes import (compose, cone, decone, glueable, id_cube,
+from novcube.cubes import (compose, cone, glueable, id_cube,
                            to_positive_signs, verify_cube)
+from novcube.lemmas import decone
 from novcube.rays import Ray, TailSpec, mayer_vietoris, telescope
 
 SETTINGS = settings(max_examples=40, deadline=None)

@@ -8,10 +8,10 @@ from helpers import random_complex
 from novcube.chain import ChainComplex, Generator, mat_identity
 from novcube.cubes import CubeDiagram, verify_cube
 from novcube.novikov import parse_scalar
-from novcube.simplicial import (UnsupportedDimension, assemble_faces,
-                                certify_assembly, cube_equation_expansion,
-                                face_simplices, permutation_sign,
-                                simplex_relation)
+from novcube.lemmas import (UnsupportedDimension, assemble_faces,
+                            certify_assembly, cube_equation_expansion,
+                            face_simplices, permutation_sign,
+                            simplex_relation)
 
 WORK = 10
 
